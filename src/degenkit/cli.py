@@ -191,12 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="degenkit",
         description="Exact-rational splitting enumeration and degeneration-formula evaluation.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="upper bound on worker count (evaluation is currently sequential)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("splittings", help="enumerate the splitting set of a problem")
@@ -262,9 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print(json.dumps({"error": "threads must be >= 1"}), file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except MissingKeysError as err:

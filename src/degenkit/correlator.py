@@ -1,11 +1,26 @@
 """Symbolic correlators, invariant tables, and the degeneration evaluator.
 
 Correlator values live in a user-supplied table keyed by connected graphs
-plus insertion data.  The evaluator expands the splitting sum in either dual
-convention: contact-order coefficients with plain involuted duals, or
-intersection-multiplicity coefficients with band-weighted duals.  Interchange-
-able even-parity legs are aggregated with multinomial weights, so instances
-whose literal splitting set is huge still evaluate exactly.
+plus insertion data.  The degeneration formula is one sum: over splitting
+structures, a contact coefficient times, for every term of the delta/rho
+dual expansion, a Koszul-signed product of connected relative invariants.
+One kernel evaluates it from three shared pieces:
+
+- a basis-choice generator for the delta/rho expansion, in either dual
+  convention: contact-order coefficients with plain involuted duals, or
+  intersection-multiplicity coefficients with band-weighted duals;
+- one sign builder, the Koszul sign of regrouping the insertion word per
+  component;
+- one component memo per run, keyed by the data that fixes a correlator key:
+  side, genus, weight, each leg's (e, m, class) and each root's (f, c, class)
+  in label order.
+
+Key collection (``needed_keys``), evaluation and its term breakdown all run
+the kernel, so each component is keyed and looked up once per run;
+``splitting_inner_sum`` and ``evaluate_disconnected`` reuse its pieces for
+one explicit splitting or one disconnected graph.  Interchangeable
+even-parity legs are aggregated with multinomial weights, so instances whose
+literal splitting set is huge still evaluate exactly.
 
 Term accumulation is exact rational addition, hence associative and order
 independent; the table is read-only during evaluation.
@@ -154,9 +169,15 @@ class EvaluationResult:
 
 
 class _Context:
-    """Resolved catalogs, duals, expansions, and the run's memo tables."""
+    """Resolved catalogs, duals, expansions, and the run's component memo."""
 
-    def __init__(self, problem: DegenerationProblem, insertions: Sequence[Insertion], convention: str):
+    def __init__(
+        self,
+        problem: DegenerationProblem,
+        insertions: Sequence[Insertion],
+        convention: str,
+        table: InvariantTable | None,
+    ):
         if convention not in CONVENTIONS:
             raise DegenkitError("unknown convention %r" % convention)
         if problem.ambient is None:
@@ -169,14 +190,20 @@ class _Context:
         self.convention = convention
         self.divisor = problem.divisor
         self.ambient = problem.ambient
-        self.by_label = {
-            spec.label: ins for spec, ins in zip(problem.legs, insertions)
-        }
+        self.table = table
         for ins in insertions:
             self.ambient.basis_index(ins.class_id)  # raises on unknown classes
+        # (e, m, class id) per leg label: a leg's part of the memo key
+        self.leg_data = {
+            spec.label: (spec.e, ins.m, ins.class_id)
+            for spec, ins in zip(problem.legs, insertions)
+        }
         self.leg_parity = {
-            lab: self.ambient.parity_of(ins.class_id)
-            for lab, ins in self.by_label.items()
+            lab: self.ambient.parity_of(cid)
+            for lab, (_, _, cid) in self.leg_data.items()
+        }
+        self.leg_word = {
+            ("leg", lab): self.leg_parity[lab] for lab in sorted(self.leg_parity)
         }
         duals = dual_basis(self.divisor)
         bands = self.divisor.band_weights()
@@ -187,7 +214,8 @@ class _Context:
                 for b in self.divisor.basis
                 if self.divisor.sector_of(b.id).band_order == f
             ]
-        # expansion of the right-hand class attached to a chosen left class
+        # expansion of the right-hand class attached to a chosen left class,
+        # kept to the band of that class (other terms vanish by sector)
         self.expansion: dict[str, list[tuple[str, Fraction]]] = {}
         self.rho_parity: dict[str, Parity] = {}
         for i, b in enumerate(self.divisor.basis):
@@ -199,19 +227,19 @@ class _Context:
                 for a in range(len(vec))
                 if vec[a] != 0
             ]
-            self.expansion[b.id] = support
+            band = self.divisor.sector_of(b.id).band_order
+            self.expansion[b.id] = [
+                (cid, w)
+                for cid, w in support
+                if self.divisor.sector_of(cid).band_order == band
+            ]
             parities = {self.divisor.parity_of(cid) for cid, _ in support}
             if len(parities) > 1:
                 raise ParityError(
                     "dual of %r mixes parities; sign bookkeeping is inconsistent" % b.id
                 )
             self.rho_parity[b.id] = parities.pop() if parities else Parity.EVEN
-        self.any_odd_leg = any(p.is_odd for p in self.leg_parity.values())
-        self.missing: set[CorrelatorKey] = set()
-        self.component_memo: dict = {}
-
-    def delta_parity(self, basis_id: str) -> Parity:
-        return self.divisor.parity_of(basis_id)
+        self.memo: dict = {}
 
     def coefficient(self, contacts: Sequence[int], indices: Sequence[int], rule: TwistingChoice) -> Fraction:
         ledger = degeneration_ledger(contacts, rule)
@@ -221,100 +249,118 @@ class _Context:
                 coeff /= f
         return coeff
 
-    def component_value(
-        self,
-        side: str,
-        graph: ModularGraph,
-        root_classes: Mapping[int, str],
-        table: InvariantTable | None,
-        collect: Optional[set] = None,
-    ) -> tuple[Fraction, bool]:
-        return _component_value(
-            self.problem, self.by_label, side, graph, root_classes,
-            table, self.missing, collect,
-        )
+    def component(self, side: str, genus: int, weight, legs: tuple, roots: tuple):
+        """(key, value, missing) of a one-vertex component, memoised.
+
+        ``legs`` holds each leg's (e, m, class id) and ``roots`` each root's
+        (f, c, class id), both in label order.  Together with side, genus
+        and weight that is exactly the data fixing a rank-relabeled
+        CorrelatorKey, so one memo entry stands for one key.
+        """
+        memo_key = (side, genus, weight, legs, roots)
+        entry = self.memo.get(memo_key)
+        if entry is None:
+            n = len(legs)
+            graph = ModularGraph(
+                vertices=(Vertex(genus, weight),),
+                legs=tuple(Leg(i + 1, e, 0) for i, (e, _, _) in enumerate(legs)),
+                roots=tuple(
+                    Root(n + i + 1, f, c, 0) for i, (f, c, _) in enumerate(roots)
+                ),
+            )
+            entry = self.memo[memo_key] = _component_value(
+                self.problem,
+                side,
+                graph,
+                {i + 1: Insertion(m, cid) for i, (_, m, cid) in enumerate(legs)},
+                {n + i + 1: cid for i, (_, _, cid) in enumerate(roots)},
+                self.table,
+            )
+        return entry
+
+    def word(self, m_labels: Sequence[int], delta: Sequence[str], rho: Sequence[str]):
+        """Source word of one basis choice as {symbol: parity}, in order:
+        legs by label, then delta_j rho_j by root label.  None when nothing
+        is odd, since every sign is then +1."""
+        word = dict(self.leg_word)
+        for j, d, r in zip(m_labels, delta, rho):
+            word["X1", j] = self.divisor.parity_of(d)
+            word["X2", j] = self.rho_parity[r]
+        return word if any(p.is_odd for p in word.values()) else None
 
     def raise_if_missing(self):
-        if self.missing:
-            raise MissingKeysError(self.missing)
+        missing = {key for key, _, was_missing in self.memo.values() if was_missing}
+        if missing:
+            raise MissingKeysError(missing)
 
 
 def _component_value(
     problem: DegenerationProblem,
-    insertions_by_label: Mapping[int, Insertion],
     side: str,
     graph: ModularGraph,
+    leg_insertions: Mapping[int, Insertion],
     root_classes: Mapping[int, str],
     table: InvariantTable | None,
-    missing: set,
-    collect: Optional[set] = None,
-) -> tuple[Fraction, bool]:
-    """Value of one connected correlator plus a key-was-missing flag.
+) -> tuple[Optional[CorrelatorKey], Fraction, bool]:
+    """(key, value, missing) of one connected correlator.
 
     The two vanishing rules (root class off its index sector; multiplicity
-    sum vs. divisor degree) apply before any table lookup, so those keys are
-    never demanded of the table.
+    sum vs. divisor degree) apply before any key is built, so those keys are
+    never demanded of the table and come back as None.  Without a table
+    (key collection) every other component counts 1.
     """
     divisor = problem.divisor
-    for lab, cid in root_classes.items():
-        root = graph.root_by_label(lab)
-        if divisor.sector_of(cid).band_order != root.f:
-            return Fraction(0), False
+    for root in graph.roots:
+        if divisor.sector_of(root_classes[root.label]).band_order != root.f:
+            return None, Fraction(0), False
     mult_sum = sum((r.multiplicity for r in graph.roots), Fraction(0))
     if mult_sum != d_degree(total_weight(graph), problem.monoid):
-        return Fraction(0), False
-    leg_ins = {lab: insertions_by_label[lab] for lab in graph.leg_labels()}
-    key = CorrelatorKey.for_component(side, graph, leg_ins, root_classes)
-    if collect is not None:
-        collect.add(key)
-        return Fraction(1), False
+        return None, Fraction(0), False
+    key = CorrelatorKey.for_component(side, graph, leg_insertions, root_classes)
+    if table is None:
+        return key, Fraction(1), False
     value = table.get(key)
     if value is None:
-        missing.add(key)
-        return Fraction(0), True
-    return value, False
+        return key, Fraction(0), True
+    return key, value, False
 
 
-def _grouping_sign(
-    leg_parities: Mapping[int, Parity],
-    m_labels: Sequence[int],
-    delta_parities: Mapping[int, Parity],
-    rho_parities: Mapping[int, Parity],
-    left_components: Sequence[tuple[Sequence[int], Sequence[int]]],
-    right_components: Sequence[tuple[Sequence[int], Sequence[int]]],
-) -> int:
-    """Koszul sign of regrouping the master insertion word per component.
+def _symbols(side: str, leg_labels: Sequence[int], root_labels: Sequence[int]) -> tuple:
+    """One component's part of the target word: legs, then roots."""
+    return tuple(("leg", lab) for lab in leg_labels) + tuple(
+        (side, lab) for lab in root_labels
+    )
 
-    Source: all legs in label order, then delta_j rho_j interleaved in label
-    order.  Target: per side, components ordered by least label, each with
-    its legs then its roots (delta on the left side, rho on the right).
+
+def _regroup_sign(word: Mapping[tuple, Parity], sides) -> int:
+    """Koszul sign of regrouping the insertion word per component.
+
+    ``word`` maps the symbols of the source word, in word order, to their
+    parities.  The target takes ``sides`` in order; within a side its
+    components go by least label, each given by ``_symbols``.
     """
-    src: list[tuple[str, int]] = [("leg", lab) for lab in sorted(leg_parities)]
-    for j in m_labels:
-        src.append(("delta", j))
-        src.append(("rho", j))
-    parities = []
-    for kind, lab in src:
-        if kind == "leg":
-            parities.append(leg_parities[lab])
-        elif kind == "delta":
-            parities.append(delta_parities[lab])
-        else:
-            parities.append(rho_parities[lab])
-    index = {tok: i for i, tok in enumerate(src)}
-    tgt: list[tuple[str, int]] = []
-    for comps, kind in ((left_components, "delta"), (right_components, "rho")):
-        ordered = sorted(
-            comps, key=lambda c: min(list(c[0]) + list(c[1]), default=float("inf"))
-        )
-        for legs, roots in ordered:
-            tgt += [("leg", lab) for lab in sorted(legs)]
-            tgt += [(kind, j) for j in sorted(roots)]
-    perm = [index[tok] for tok in tgt]
-    return koszul_sign(perm, parities)
+    index = {sym: i for i, sym in enumerate(word)}
+    target = [
+        index[sym]
+        for comps in sides
+        for comp in sorted(comps, key=lambda c: min((lab for _, lab in c), default=0))
+        for sym in comp
+    ]
+    return koszul_sign(target, list(word.values()))
 
 
-# -- aggregated walk over structures ------------------------------------------
+def _basis_choices(ctx: _Context, indices: Sequence[int]):
+    """Every term of the delta/rho expansion for roots of the given indices:
+    (delta classes, rho classes, expansion weight), aligned with the roots."""
+    for delta in itertools.product(*(ctx.admissible.get(f, []) for f in indices)):
+        for rho in itertools.product(*(ctx.expansion[d] for d in delta)):
+            weight = Fraction(1)
+            for _, w in rho:
+                weight *= w
+            yield delta, tuple(cid for cid, _ in rho), weight
+
+
+# -- the kernel: structures, basis choices, leg placements ---------------------
 
 
 @dataclass
@@ -337,242 +383,150 @@ def _structure_vertices(structure: SplittingStructure) -> list[_StructureVertex]
     return out
 
 
-def _vertex_graph(vx: _StructureVertex, leg_labels: Sequence[int], problem: DegenerationProblem) -> ModularGraph:
-    spec = {l.label: l for l in problem.legs}
-    return ModularGraph(
-        vertices=(Vertex(vx.genus, vx.weight),),
-        edges=(),
-        legs=tuple(Leg(lab, spec[lab].e, 0) for lab in sorted(leg_labels)),
-        roots=tuple(
-            Root(lab, f, c, 0) for lab, (f, c) in zip(vx.block, vx.fc)
-        ),
-    )
-
-
 def _leg_groups(ctx: _Context) -> list[dict]:
     """Aggregate identical even legs; odd legs stay singletons."""
     groups: dict = {}
     for spec in ctx.problem.legs:
-        ins = ctx.by_label[spec.label]
-        parity = ctx.leg_parity[spec.label]
-        if parity.is_odd:
+        if ctx.leg_parity[spec.label].is_odd:
             key = ("odd", spec.label)
         else:
-            key = ("even", spec.e, ins.m, ins.class_id, spec.side)
-        g = groups.setdefault(
-            key, {"labels": [], "side": spec.side, "parity": parity}
+            key = ("even", ctx.leg_data[spec.label], spec.side)
+        groups.setdefault(key, {"labels": [], "side": spec.side})["labels"].append(
+            spec.label
         )
-        g["labels"].append(spec.label)
-    out = []
-    for key, g in sorted(groups.items(), key=lambda kv: kv[1]["labels"][0]):
+    out = sorted(groups.values(), key=lambda g: g["labels"][0])
+    for g in out:
         g["labels"].sort()
         g["count"] = len(g["labels"])
-        out.append(g)
     return out
 
 
-def _walk_terms(
-    ctx: _Context,
-    table: InvariantTable | None,
-    rule: TwistingChoice,
-    collect: Optional[set] = None,
-    emit=None,
-):
-    """Sum the degeneration formula; optionally collect keys or emit terms."""
+def _placements(ctx: _Context, vertices, groups, roots):
+    """Distribute the leg groups over the vertices, pruning zero components.
+
+    Yields (placed, multiplicity, product of component values) per complete
+    placement; ``placed`` lists (vertex index, leg labels, key, value).
+    ``roots`` gives each vertex's (f, c, class id) per root.
+    """
+    # last position at which each group can still place legs
+    last = [
+        max(i for i, vx in enumerate(vertices) if g["side"] in (None, vx.side))
+        for g in groups
+    ]
+    placed: list = []
+
+    def rec(vi: int, remaining: list[int], mult: int, product: Fraction):
+        if vi == len(vertices):
+            yield tuple(placed), mult, product
+            return
+        vx = vertices[vi]
+        options = []
+        for gi, g in enumerate(groups):
+            if g["side"] not in (None, vx.side):
+                options.append((0,))
+            elif vi == last[gi]:
+                options.append((remaining[gi],))
+            else:
+                options.append(range(remaining[gi] + 1))
+        for counts in itertools.product(*options):
+            labels: list[int] = []
+            new_mult = mult
+            new_remaining = list(remaining)
+            for gi, take in enumerate(counts):
+                if take:
+                    g = groups[gi]
+                    start = g["count"] - remaining[gi]
+                    labels += g["labels"][start : start + take]
+                    new_mult *= math.comb(remaining[gi], take)
+                    new_remaining[gi] -= take
+            labels.sort()
+            key, value, missing = ctx.component(
+                vx.side,
+                vx.genus,
+                vx.weight,
+                tuple(ctx.leg_data[lab] for lab in labels),
+                roots[vi],
+            )
+            if value == 0 and not missing:
+                # a genuine zero kills the whole branch; missing keys keep the
+                # walk alive so the error can list every absent key
+                continue
+            placed.append((vi, tuple(labels), key, value))
+            yield from rec(vi + 1, new_remaining, new_mult, product * value)
+            placed.pop()
+
+    return rec(0, [g["count"] for g in groups], 1, Fraction(1))
+
+
+def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> Fraction:
+    """The evaluation kernel: sum the formula over structures, basis choices
+    and leg placements.
+
+    Without a table (key collection) every keyed component counts 1 and the
+    walk only fills the memo.  No branch is pruned then: structures satisfy
+    condition B and basis choices keep each root on its band, so the
+    vanishing rules never fire here.  With ``terms``, each nonzero term is
+    appended as an EvalTerm.
+    """
     problem = ctx.problem
     groups = _leg_groups(ctx)
     total = Fraction(0)
     for structure in iter_structures(problem):
         m_labels = structure.m_labels
-        contacts = [c for _, c in structure.root_data]
         indices = [f for f, _ in structure.root_data]
-        coeff = ctx.coefficient(contacts, indices, rule)
+        coeff = ctx.coefficient([c for _, c in structure.root_data], indices, rule)
         vertices = _structure_vertices(structure)
-        if not vertices:
-            continue
-        side_counts = {
-            "X1": len(structure.blocks1),
-            "X2": len(structure.blocks2),
-        }
+        sides = {vx.side for vx in vertices}
         # a constrained leg with no vertex on its side kills the structure
-        if any(
-            g["side"] is not None and side_counts[g["side"]] == 0 for g in groups
-        ):
+        if not vertices or any(g["side"] not in (None, *sides) for g in groups):
             continue
-        f_of = {lab: structure.fc_of(lab)[0] for lab in m_labels}
-        delta_spaces = [ctx.admissible.get(f_of[lab], []) for lab in m_labels]
-        for delta_choice in itertools.product(*delta_spaces):
-            delta_by_label = dict(zip(m_labels, delta_choice))
-            rho_spaces = []
-            for lab in m_labels:
-                support = [
-                    (cid, w)
-                    for cid, w in ctx.expansion[delta_by_label[lab]]
-                    if ctx.divisor.sector_of(cid).band_order == f_of[lab]
-                ]
-                rho_spaces.append(support)
-            for rho_choice in itertools.product(*rho_spaces):
-                rho_by_label = {
-                    lab: cid for lab, (cid, _) in zip(m_labels, rho_choice)
+        for delta, rho, weight in _basis_choices(ctx, indices):
+            classes = {"X1": dict(zip(m_labels, delta)), "X2": dict(zip(m_labels, rho))}
+            roots = [
+                tuple(fc + (classes[vx.side][lab],) for lab, fc in zip(vx.block, vx.fc))
+                for vx in vertices
+            ]
+            word = ctx.word(m_labels, delta, rho)
+            for placed, mult, product in _placements(ctx, vertices, groups, roots):
+                if ctx.table is None:
+                    continue
+                sign = 1
+                if word is not None:
+                    comps: tuple[list, list] = ([], [])
+                    for vi, labels, _, _ in placed:
+                        vx = vertices[vi]
+                        comps[vx.side == "X2"].append(_symbols(vx.side, labels, vx.block))
+                    sign = _regroup_sign(word, comps)
+                total += sign * coeff * weight * mult * product
+                if terms is None:
+                    continue
+                assignment = {
+                    lab: (vertices[vi].side, vertices[vi].position)
+                    for vi, labels, _, _ in placed
+                    for lab in labels
                 }
-                expansion_coeff = Fraction(1)
-                for _, w in rho_choice:
-                    expansion_coeff *= w
-                total += _leg_layer(
-                    ctx,
-                    table,
-                    structure,
-                    vertices,
-                    groups,
-                    coeff,
-                    expansion_coeff,
-                    delta_by_label,
-                    rho_by_label,
-                    collect,
-                    emit,
+                terms.append(
+                    EvalTerm(
+                        splitting=structure.build_splitting(assignment, problem.legs),
+                        multiplicity=mult,
+                        delta_choice=tuple(zip(m_labels, delta)),
+                        dual_choice=tuple(zip(m_labels, rho)),
+                        sign=sign,
+                        coefficient=coeff,
+                        expansion_coefficient=weight,
+                        left=tuple(
+                            (key, value)
+                            for vi, _, key, value in placed
+                            if vertices[vi].side == "X1"
+                        ),
+                        right=tuple(
+                            (key, value)
+                            for vi, _, key, value in placed
+                            if vertices[vi].side == "X2"
+                        ),
+                    )
                 )
     return total
-
-
-def _leg_layer(
-    ctx,
-    table,
-    structure,
-    vertices,
-    groups,
-    coeff,
-    expansion_coeff,
-    delta_by_label,
-    rho_by_label,
-    collect,
-    emit,
-):
-    """Distribute leg groups over vertices, pruning zero-valued branches."""
-    nv = len(vertices)
-    # last position at which each group can still place legs
-    last_slot = []
-    for g in groups:
-        positions = [
-            i
-            for i, vx in enumerate(vertices)
-            if g["side"] in (None, vx.side)
-        ]
-        if not positions and g["count"]:
-            return Fraction(0)
-        last_slot.append(positions[-1] if positions else -1)
-    total = Fraction(0)
-
-    leg_e = {spec.label: spec.e for spec in ctx.problem.legs}
-
-    def vertex_value(vi: int, leg_labels: tuple[int, ...]) -> tuple[Fraction, object]:
-        vx = vertices[vi]
-        classes = delta_by_label if vx.side == "X1" else rho_by_label
-        root_classes = {lab: classes[lab] for lab in vx.block}
-        memo_key = (
-            vx.side,
-            vx.genus,
-            vx.weight.exponents,
-            vx.block,
-            vx.fc,
-            tuple(sorted(root_classes.items())),
-            tuple(
-                sorted(
-                    (leg_e[lab], ctx.by_label[lab].m, ctx.by_label[lab].class_id)
-                    for lab in leg_labels
-                )
-            ),
-        )
-        if collect is None and emit is None and memo_key in ctx.component_memo:
-            return ctx.component_memo[memo_key]
-        graph = _vertex_graph(vx, leg_labels, ctx.problem)
-        value, was_missing = ctx.component_value(
-            vx.side, graph, root_classes, table, collect
-        )
-        leg_ins = {lab: ctx.by_label[lab] for lab in leg_labels}
-        key = None
-        if emit is not None:
-            key = CorrelatorKey.for_component(vx.side, graph, leg_ins, root_classes)
-        result = (value, key, was_missing)
-        if collect is None and emit is None:
-            ctx.component_memo[memo_key] = result
-        return result
-
-    def rec(vi: int, remaining: list[int], acc_value: Fraction, acc_mult: int, placed: list):
-        nonlocal total
-        if vi == nv:
-            if any(remaining):
-                return
-            sign = 1
-            if ctx.any_odd_leg or _any_odd_root(ctx, delta_by_label, rho_by_label):
-                sign = _structure_sign(ctx, vertices, placed, delta_by_label, rho_by_label)
-            term_value = sign * coeff * expansion_coeff * acc_mult * acc_value
-            total += term_value
-            if emit is not None:
-                emit(
-                    structure,
-                    placed,
-                    delta_by_label,
-                    rho_by_label,
-                    sign,
-                    coeff,
-                    expansion_coeff,
-                    acc_mult,
-                )
-            return
-        vx = vertices[vi]
-        choices_per_group = []
-        for gi, g in enumerate(groups):
-            if g["side"] not in (None, vx.side):
-                choices_per_group.append((0,))
-            elif vi == last_slot[gi]:
-                choices_per_group.append((remaining[gi],))
-            else:
-                choices_per_group.append(tuple(range(remaining[gi] + 1)))
-        for counts in itertools.product(*choices_per_group):
-            labels: list[int] = []
-            mult = acc_mult
-            new_remaining = list(remaining)
-            for gi, (g, take) in enumerate(zip(groups, counts)):
-                if take:
-                    start = g["count"] - remaining[gi]
-                    labels += g["labels"][start : start + take]
-                    mult *= math.comb(remaining[gi], take)
-                    new_remaining[gi] -= take
-            value, key, was_missing = vertex_value(vi, tuple(sorted(labels)))
-            if value == 0 and collect is None and not was_missing:
-                # a genuine zero kills the whole branch; missing keys keep the
-                # walk alive so the error can list every absent key
-                continue
-            placed.append((vi, tuple(sorted(labels)), key, value))
-            rec(vi + 1, new_remaining, acc_value * value, mult, placed)
-            placed.pop()
-
-    rec(0, [g["count"] for g in groups], Fraction(1), 1, [])
-    return total
-
-
-def _any_odd_root(ctx, delta_by_label, rho_by_label) -> bool:
-    return any(
-        ctx.delta_parity(cid).is_odd for cid in delta_by_label.values()
-    ) or any(ctx.rho_parity[cid].is_odd for cid in rho_by_label.values())
-
-
-def _structure_sign(ctx, vertices, placed, delta_by_label, rho_by_label) -> int:
-    left, right = [], []
-    for vi, labels, _, _ in placed:
-        vx = vertices[vi]
-        entry = (labels, vx.block)
-        (left if vx.side == "X1" else right).append(entry)
-    delta_par = {lab: ctx.delta_parity(cid) for lab, cid in delta_by_label.items()}
-    rho_par = {lab: ctx.rho_parity[rho_by_label[lab]] for lab in rho_by_label}
-    return _grouping_sign(
-        ctx.leg_parity,
-        sorted(delta_by_label),
-        delta_par,
-        rho_par,
-        left,
-        right,
-    )
 
 
 # -- public operations --------------------------------------------------------
@@ -583,9 +537,9 @@ def needed_keys(
     insertions: Sequence[Insertion],
 ) -> list[CorrelatorKey]:
     """Every key the evaluator will look up, deduplicated and sorted."""
-    ctx = _Context(problem, insertions, "standard_dual")
-    keys: set[CorrelatorKey] = set()
-    _walk_terms(ctx, None, MINIMAL_TWIST, collect=keys)
+    ctx = _Context(problem, insertions, "standard_dual", None)
+    _walk(ctx, MINIMAL_TWIST)
+    keys = {key for key, _, _ in ctx.memo.values() if key is not None}
     return sorted(keys, key=lambda k: k.sort_token())
 
 
@@ -603,49 +557,15 @@ def evaluate_degeneration(
     representative splitting and its multiplicity.  Missing table keys abort
     the run with the full list of absent keys.
     """
-    ctx = _Context(problem, insertions, convention)
-    terms: list[EvalTerm] = []
-    emit = None
-    if with_terms:
-
-        def emit(structure, placed, delta_by_label, rho_by_label, sign, coeff, exp_coeff, mult):
-            assignment = {}
-            for vi, labels, _, _ in placed:
-                vx = _structure_vertices(structure)[vi]
-                for lab in labels:
-                    assignment[lab] = (vx.side, vx.position)
-            splitting = structure.build_splitting(assignment, problem.legs)
-            left = tuple(
-                (key, value)
-                for vi, _, key, value in placed
-                if key is not None and key.side == "X1"
-            )
-            right = tuple(
-                (key, value)
-                for vi, _, key, value in placed
-                if key is not None and key.side == "X2"
-            )
-            terms.append(
-                EvalTerm(
-                    splitting=splitting,
-                    multiplicity=mult,
-                    delta_choice=tuple(sorted(delta_by_label.items())),
-                    dual_choice=tuple(sorted(rho_by_label.items())),
-                    sign=sign,
-                    coefficient=coeff,
-                    expansion_coefficient=exp_coeff,
-                    left=left,
-                    right=right,
-                )
-            )
-
-    value = _walk_terms(ctx, table, rule, emit=emit)
+    ctx = _Context(problem, insertions, convention, table)
+    terms: Optional[list] = [] if with_terms else None
+    value = _walk(ctx, rule, terms)
     ctx.raise_if_missing()
     return EvaluationResult(
         value=value,
         convention=convention,
         twisting=rule.describe(),
-        terms=tuple(terms) if with_terms else None,
+        terms=tuple(terms) if terms is not None else None,
     )
 
 
@@ -662,58 +582,35 @@ def splitting_inner_sum(
     evaluate_degeneration; multiplying by prod(c)/|Eq| and summing over orbit
     representatives is the other normalization of the same sum.
     """
-    ctx = _Context(problem, insertions, convention)
+    ctx = _Context(problem, insertions, convention, table)
     m_labels = splitting.m_labels
-    f_of = {lab: splitting.xi1.root_by_label(lab).f for lab in m_labels}
-    delta_spaces = [ctx.admissible.get(f_of[lab], []) for lab in m_labels]
+    vertices = [
+        (side, graph.vertices[v], graph.legs_of_vertex(v), graph.roots_of_vertex(v))
+        for side, graph in (("X1", splitting.xi1), ("X2", splitting.xi2))
+        for v in range(len(graph.vertices))
+    ]
     total = Fraction(0)
-    for delta_choice in itertools.product(*delta_spaces):
-        delta_by_label = dict(zip(m_labels, delta_choice))
-        rho_spaces = []
-        for lab in m_labels:
-            rho_spaces.append(
-                [
-                    (cid, w)
-                    for cid, w in ctx.expansion[delta_by_label[lab]]
-                    if ctx.divisor.sector_of(cid).band_order == f_of[lab]
-                ]
+    for delta, rho, weight in _basis_choices(ctx, splitting.indices()):
+        classes = {"X1": dict(zip(m_labels, delta)), "X2": dict(zip(m_labels, rho))}
+        product = weight
+        for side, vertex, legs, roots in vertices:
+            _, value, _ = ctx.component(
+                side,
+                vertex.genus,
+                vertex.weight,
+                tuple((leg.e,) + ctx.leg_data[leg.label][1:] for leg in legs),
+                tuple((r.f, r.c, classes[side][r.label]) for r in roots),
             )
-        for rho_choice in itertools.product(*rho_spaces):
-            rho_by_label = {lab: cid for lab, (cid, _) in zip(m_labels, rho_choice)}
-            weight = Fraction(1)
-            for _, w in rho_choice:
-                weight *= w
-            product = weight
-            components = []
-            for side, graph in (("X1", splitting.xi1), ("X2", splitting.xi2)):
-                classes = delta_by_label if side == "X1" else rho_by_label
-                for comp_ids in graph.component_partition():
-                    comp = graph.subgraph(comp_ids)
-                    root_classes = {lab: classes[lab] for lab in comp.root_labels()}
-                    value, _ = ctx.component_value(side, comp, root_classes, table)
-                    product *= value
-                    components.append((side, comp))
-            if product != 0:
-                delta_par = {
-                    lab: ctx.delta_parity(cid) for lab, cid in delta_by_label.items()
-                }
-                rho_par = {
-                    lab: ctx.rho_parity[rho_by_label[lab]] for lab in rho_by_label
-                }
-                left = [
-                    (c.leg_labels(), c.root_labels())
-                    for s, c in components
-                    if s == "X1"
-                ]
-                right = [
-                    (c.leg_labels(), c.root_labels())
-                    for s, c in components
-                    if s == "X2"
-                ]
-                sign = _grouping_sign(
-                    ctx.leg_parity, list(m_labels), delta_par, rho_par, left, right
+            product *= value
+        word = ctx.word(m_labels, delta, rho)
+        if product != 0 and word is not None:
+            comps: tuple[list, list] = ([], [])
+            for side, _, legs, roots in vertices:
+                comps[side == "X2"].append(
+                    _symbols(side, [l.label for l in legs], [r.label for r in roots])
                 )
-                total += sign * product
+            product *= _regroup_sign(word, comps)
+        total += product
     ctx.raise_if_missing()
     return total
 
@@ -745,35 +642,30 @@ def evaluate_disconnected(
                 "unsupported input: a component carries no legs and no roots"
             )
         comps.append(comp)
-    amb, div = problem.ambient, problem.divisor
-    leg_par = {
-        lab: amb.parity_of(ins.class_id) for lab, ins in leg_insertions.items()
+    word = {
+        ("leg", lab): problem.ambient.parity_of(leg_insertions[lab].class_id)
+        for lab in sorted(leg_insertions)
     }
-    root_par = {lab: div.parity_of(cid) for lab, cid in root_classes.items()}
-    src = [("leg", lab) for lab in sorted(leg_par)] + [
-        ("root", lab) for lab in sorted(root_par)
-    ]
-    parities = [
-        leg_par[lab] if kind == "leg" else root_par[lab] for kind, lab in src
-    ]
-    index = {tok: i for i, tok in enumerate(src)}
-    ordered = sorted(
-        comps,
-        key=lambda c: min(list(c.leg_labels()) + list(c.root_labels())),
+    for lab in sorted(root_classes):
+        word[side, lab] = problem.divisor.parity_of(root_classes[lab])
+    product = Fraction(
+        _regroup_sign(
+            word, [[_symbols(side, c.leg_labels(), c.root_labels()) for c in comps]]
+        )
     )
-    tgt = []
-    for comp in ordered:
-        tgt += [("leg", lab) for lab in comp.leg_labels()]
-        tgt += [("root", lab) for lab in comp.root_labels()]
-    sign = koszul_sign([index[tok] for tok in tgt], parities)
-    missing: set[CorrelatorKey] = set()
-    product = Fraction(sign)
-    for comp in ordered:
-        rc = {lab: root_classes[lab] for lab in comp.root_labels()}
-        value, _ = _component_value(
-            problem, dict(leg_insertions), side, comp, rc, table, missing
+    missing = set()
+    for comp in comps:
+        key, value, was_missing = _component_value(
+            problem,
+            side,
+            comp,
+            {lab: leg_insertions[lab] for lab in comp.leg_labels()},
+            {lab: root_classes[lab] for lab in comp.root_labels()},
+            table,
         )
         product *= value
+        if was_missing:
+            missing.add(key)
     if missing:
         raise MissingKeysError(missing)
     return product

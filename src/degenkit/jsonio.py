@@ -283,36 +283,16 @@ def splittings_to_obj(splittings, orbit_list=None) -> list:
     if orbit_list is not None:
         index = {s.canonical_pair(): i for i, s in enumerate(splittings)}
         for orbit_number, o in enumerate(orbit_list):
-            rep_key = o.representative.canonical_pair()
-            members = [
-                i
-                for s, i in (
-                    (s, index[s.canonical_pair()]) for s in splittings
-                )
-                if _same_orbit(s, o)
-            ]
-            for i in members:
+            rep = index[o.representative.canonical_pair()]
+            for key in o.member_keys:
+                i = index[key]
                 rows[i]["orbit"] = {
                     "index": orbit_number,
-                    "representative": index[rep_key] == i,
+                    "representative": i == rep,
                     "stabilizer_order": o.stabilizer_order,
                     "size": o.size,
                 }
     return rows
-
-
-def _same_orbit(splitting, orbit) -> bool:
-    import itertools
-
-    m_labels = splitting.m_labels
-    if m_labels != orbit.representative.m_labels:
-        return False
-    rep_key = orbit.representative.canonical_pair()
-    for perm in itertools.permutations(m_labels):
-        sigma = dict(zip(m_labels, perm))
-        if splitting.relabeled(sigma).canonical_pair() == rep_key:
-            return True
-    return False
 
 
 # -- correlator keys and tables -----------------------------------------------

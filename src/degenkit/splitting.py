@@ -149,16 +149,13 @@ class Splitting:
             raise DegenkitError("condition A fails: glued weight mismatch")
         if glued.leg_labels() != problem.leg_labels():
             raise DegenkitError("condition A fails: leg labels mismatch")
-        b1, b2 = self.monoid_parts(problem.monoid)
+        b1, b2 = problem.monoid.split(problem.beta)
         if total_weight(self.xi1) != b1 or total_weight(self.xi2) != b2:
             raise DegenkitError("side weights do not lie in the proper submonoids")
         for side in (self.xi1, self.xi2):
             report = check_condition_B(side, problem.monoid)
             if not report.ok:
                 raise DegenkitError("condition B fails: %s" % (report.failures,))
-
-    def monoid_parts(self, monoid: CurveClassMonoid):
-        return monoid.split(total_weight(self.xi1) + total_weight(self.xi2))
 
     def relabeled(self, sigma: dict[int, int]) -> "Splitting":
         """Apply a root-relabeling permutation to both sides."""
@@ -516,12 +513,14 @@ class SplittingOrbit:
     representative: Splitting
     stabilizer_order: int
     size: int
+    member_keys: tuple[tuple[bytes, bytes], ...]  # canonical pairs, sorted
 
 
 def orbits(splittings: Sequence[Splitting]) -> list[SplittingOrbit]:
     """Group a closed set of splittings under root relabelings.
 
-    For each orbit, size * stabilizer_order = |M|!.
+    For each orbit, size * stabilizer_order = |M|!; ``member_keys`` lists
+    the canonical pairs of its members.
     """
     if not splittings:
         return []
@@ -551,7 +550,7 @@ def orbits(splittings: Sequence[Splitting]) -> list[SplittingOrbit]:
             orbit_keys.add(ikey)
         for ikey in orbit_keys:
             unseen.pop(ikey, None)
-        rep = by_key[min(orbit_keys)]
-        out.append(SplittingOrbit(rep, stab, len(orbit_keys)))
+        members = tuple(sorted(orbit_keys))
+        out.append(SplittingOrbit(by_key[members[0]], stab, len(members), members))
         assert stab * len(orbit_keys) == math.factorial(len(m_labels))
     return out

@@ -18,17 +18,7 @@ def minimal_twist(contacts: Iterable[int]) -> int:
         raise DegenkitError("minimal twist of an empty multiset is undefined")
     if any(c < 1 for c in cs):
         raise DegenkitError("contact orders must be positive")
-    out = 1
-    for c in cs:
-        out = out * c // math.gcd(out, c)
-    return out
-
-
-def _lcm_or_one(contacts: Sequence[int]) -> int:
-    out = 1
-    for c in contacts:
-        out = out * c // math.gcd(out, c)
-    return out
+    return math.lcm(*cs)
 
 
 @dataclass(frozen=True)
@@ -68,7 +58,7 @@ class TwistingChoice:
         cs = tuple(sorted(int(c) for c in contacts))
         if any(c < 1 for c in cs):
             raise DegenkitError("contact orders must be positive")
-        base = _lcm_or_one(cs)
+        base = math.lcm(*cs)
         if self.kind == "lcm":
             return base
         if self.kind == "multiple":

@@ -1,4 +1,8 @@
-"""Shared fixtures: independent oracles and random-instance builders."""
+"""Shared fixtures: independent oracles and random-instance builders.
+
+The monomial sign oracle lives in degenkit.checks (the `check algebra`
+suite runs it too) and is re-exported here as monomial_reorder_sign.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,7 @@ import random
 from fractions import Fraction
 
 from degenkit.algebra import BasisClass, Parity, Sector, SectorCatalog
+from degenkit.checks import reorder_sign_by_swaps as monomial_reorder_sign
 from degenkit.correlator import Insertion, InvariantTable
 from degenkit.graphs import (
     CurveClass,
@@ -16,22 +21,6 @@ from degenkit.graphs import (
 from degenkit.splitting import DegenerationProblem, LegSpec
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
-
-
-def monomial_reorder_sign(permutation, parities) -> int:
-    """Independent sign oracle: carry out the reordering by adjacent swaps in
-    a free graded-commutative monomial model."""
-    current = list(range(len(permutation)))
-    sign = 1
-    for k, want in enumerate(permutation):
-        pos = current.index(want)
-        while pos > k:
-            left, right = current[pos - 1], current[pos]
-            if parities[left].is_odd and parities[right].is_odd:
-                sign = -sign
-            current[pos - 1], current[pos] = right, left
-            pos -= 1
-    return sign
 
 
 # -- random catalogs ----------------------------------------------------------

@@ -250,12 +250,6 @@ def test_cli_evaluate_terms_breakdown(p1_files):
     assert total == Fraction(payload["value"])
 
 
-def test_cli_threads_flag_validated():
-    run_cli("--threads", "0", "check", "lifts", expect=2)
-    proc = run_cli("--threads", "4", "check", "lifts")
-    assert "PASS" in proc.stdout
-
-
 def test_docs_sample_problem_matches_brute_force():
     import pathlib
     import sys as _sys

@@ -333,13 +333,47 @@ def test_evaluate_disconnected_rejects_bare_component():
         evaluate_disconnected(graph, {}, {1: "d0"}, InvariantTable(), problem)
 
 
-def test_aggregated_equals_explicit_sum():
+def _repeated_odd_leg_case():
+    # two legs carry the same odd class with another odd leg between them, so
+    # leg sets {1, 2} and {2, 3} hold the same leg data in opposite orders
+    ambient = SectorCatalog(
+        sectors=(Sector("m", 1, "m"),),
+        basis=(
+            BasisClass("g_even", "m", EVEN),
+            BasisClass("g_odd1", "m", ODD),
+            BasisClass("g_odd2", "m", ODD),
+        ),
+        pairing=(
+            (Fraction(1), Fraction(0), Fraction(0)),
+            (Fraction(0), Fraction(0), Fraction(1)),
+            (Fraction(0), Fraction(-1), Fraction(0)),
+        ),
+    )
+    problem = _problem(
+        _untwisted_divisor(),
+        ambient=ambient,
+        legs=tuple(LegSpec(i, 1) for i in (1, 2, 3)),
+        c_max=2,
+    )
+    insertions = [Insertion(0, "g_odd1"), Insertion(0, "g_odd2"), Insertion(0, "g_odd1")]
+    return problem, insertions, random.Random(1)
+
+
+def _aggregated_cases():
+    # lazy, so each random table is drawn right after its problem
     rng = random.Random(123)
     for _ in range(12):
-        problem, insertions = random_problem(rng, max_legs=2)
+        yield random_problem(rng, max_legs=2) + (rng,)
+    yield _repeated_odd_leg_case()
+
+
+def test_aggregated_equals_explicit_sum():
+    for problem, insertions, table_rng in _aggregated_cases():
         keys = needed_keys(problem, insertions)
-        table = covariant_random_table(keys, problem.divisor, problem.ambient, rng)
+        table = covariant_random_table(keys, problem.divisor, problem.ambient, table_rng)
         result = evaluate_degeneration(problem, insertions, table)
+        with_terms = evaluate_degeneration(problem, insertions, table, with_terms=True)
+        assert result.value == with_terms.value
         omega = enumerate_splittings(problem)
         direct = Fraction(0)
         for s in omega:

@@ -547,6 +547,10 @@ def test_orbit_stabilizer_counts():
         for o in orbit_list:
             assert o.size * o.stabilizer_order == math.factorial(m)
             assert math.factorial(m) % o.stabilizer_order == 0
+            assert len(o.member_keys) == o.size
+        # the orbits' member keys partition the group
+        members = [key for o in orbit_list for key in o.member_keys]
+        assert sorted(members) == sorted(s.canonical_pair() for s in group)
 
 
 def test_orbits_require_equal_m():
