@@ -22,6 +22,23 @@ one explicit splitting or one disconnected graph.  Interchangeable
 even-parity legs are aggregated with multinomial weights, so instances whose
 literal splitting set is huge still evaluate exactly.
 
+Plain evaluation also keeps a placement memo.  Tables are taken to be
+covariant (permuting identical legs changes a value by the Koszul sign),
+which is what lets identical even legs be aggregated.  So when every sign
+of a basis choice is +1, the sum over a structure's leg placements depends
+only on the multiset of vertex data (side, genus, weight, roots), and plain
+evaluation walks the placements of each multiset once.  The keys a walk
+reaches do depend on vertex order, since the first vertex takes the lowest
+free labels of an aggregated group; key collection and the term breakdown
+therefore walk every placement of every structure, and so does plain
+evaluation for a basis choice with an odd class in its insertion word.
+
+A missing table key aborts evaluation with ``MissingKeysError``, which lists
+the absent keys the walk reaches.  The walk does not go past a genuine zero,
+and a reused placement sum reaches no keys, so an absent key is left out
+only when every term it enters is zero anyway; a run that does not raise
+returns the value a full table gives.
+
 Term accumulation is exact rational addition, hence associative and order
 independent; the table is read-only during evaluation.
 """
@@ -205,6 +222,7 @@ class _Context:
         self.leg_word = {
             ("leg", lab): self.leg_parity[lab] for lab in sorted(self.leg_parity)
         }
+        self.odd_leg = any(p.is_odd for p in self.leg_parity.values())
         duals = dual_basis(self.divisor)
         bands = self.divisor.band_weights()
         self.admissible: dict[int, list[str]] = {}
@@ -240,13 +258,23 @@ class _Context:
                 )
             self.rho_parity[b.id] = parities.pop() if parities else Parity.EVEN
         self.memo: dict = {}
+        self.coefficients: dict = {}
+        # placement sums by sorted vertex ids; the ids stand for the vertex
+        # data (side, genus, weight, roots), stored once in vertex_ids
+        self.vertex_ids: dict = {}
+        self.placement_sums: dict = {}
 
-    def coefficient(self, contacts: Sequence[int], indices: Sequence[int], rule: TwistingChoice) -> Fraction:
-        ledger = degeneration_ledger(contacts, rule)
-        coeff = ledger.net
-        if self.convention == "chen_ruan":
-            for f in indices:
-                coeff /= f
+    def coefficient(
+        self, contacts: tuple, indices: tuple, rule: TwistingChoice
+    ) -> Fraction:
+        memo_key = (contacts, indices, rule)
+        coeff = self.coefficients.get(memo_key)
+        if coeff is None:
+            coeff = degeneration_ledger(contacts, rule).net
+            if self.convention == "chen_ruan":
+                for f in indices:
+                    coeff /= f
+            self.coefficients[memo_key] = coeff
         return coeff
 
     def component(self, side: str, genus: int, weight, legs: tuple, roots: tuple):
@@ -282,11 +310,16 @@ class _Context:
         """Source word of one basis choice as {symbol: parity}, in order:
         legs by label, then delta_j rho_j by root label.  None when nothing
         is odd, since every sign is then +1."""
+        if not self.odd_leg and not any(
+            self.divisor.parity_of(d).is_odd or self.rho_parity[r].is_odd
+            for d, r in zip(delta, rho)
+        ):
+            return None
         word = dict(self.leg_word)
         for j, d, r in zip(m_labels, delta, rho):
             word["X1", j] = self.divisor.parity_of(d)
             word["X2", j] = self.rho_parity[r]
-        return word if any(p.is_odd for p in word.values()) else None
+        return word
 
     def raise_if_missing(self):
         missing = {key for key, _, was_missing in self.memo.values() if was_missing}
@@ -375,10 +408,11 @@ class _StructureVertex:
 
 def _structure_vertices(structure: SplittingStructure) -> list[_StructureVertex]:
     out = []
+    fc_of = dict(zip(structure.m_labels, structure.root_data))
     for side in ("X1", "X2"):
         blocks, weights, genera = structure.side(side)
         for i, block in enumerate(blocks):
-            fc = tuple(structure.fc_of(lab) for lab in block)
+            fc = tuple(fc_of[lab] for lab in block)
             out.append(_StructureVertex(side, i, block, weights[i], genera[i], fc))
     return out
 
@@ -455,7 +489,36 @@ def _placements(ctx: _Context, vertices, groups, roots):
             yield from rec(vi + 1, new_remaining, new_mult, product * value)
             placed.pop()
 
-    return rec(0, [g["count"] for g in groups], 1, Fraction(1))
+    try:
+        yield from rec(0, [g["count"] for g in groups], 1, Fraction(1))
+    finally:
+        # rec refers to itself through its closure; breaking that cycle frees
+        # the run's context by reference counting when the run ends
+        rec = None
+
+
+def _placement_sum(ctx: _Context, vertices, groups, roots) -> Fraction:
+    """Sum of multiplicity times product over all leg placements, memoised.
+
+    With a covariant table and every sign +1 the sum depends only on the
+    multiset of vertex data.  The first structure with a given multiset is
+    walked in its own vertex order; later ones reuse the sum, and so reach
+    none of the keys (reorderings of aggregated legs) their own order would.
+    """
+    ids = ctx.vertex_ids
+    signature = tuple(
+        sorted(
+            ids.setdefault((vx.side, vx.genus, vx.weight, r), len(ids))
+            for vx, r in zip(vertices, roots)
+        )
+    )
+    total = ctx.placement_sums.get(signature)
+    if total is None:
+        total = Fraction(0)
+        for _, mult, product in _placements(ctx, vertices, groups, roots):
+            total += mult * product
+        ctx.placement_sums[signature] = total
+    return total
 
 
 def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> Fraction:
@@ -463,33 +526,44 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     and leg placements.
 
     Without a table (key collection) every keyed component counts 1 and the
-    walk only fills the memo.  No branch is pruned then: structures satisfy
-    condition B and basis choices keep each root on its band, so the
-    vanishing rules never fire here.  With ``terms``, each nonzero term is
-    appended as an EvalTerm.
+    walk only fills the memo, so neither coefficients nor signs are computed.
+    No branch is pruned then: structures satisfy condition B and basis
+    choices keep each root on its band, so the vanishing rules never fire
+    here, and every placement of every structure is walked.  With a table,
+    a basis choice whose signs are all +1 takes its placement sum from
+    ``_placement_sum`` unless ``terms`` is given; with ``terms``, every
+    placement is walked and each nonzero term is appended as an EvalTerm.
     """
     problem = ctx.problem
     groups = _leg_groups(ctx)
     total = Fraction(0)
     for structure in iter_structures(problem):
         m_labels = structure.m_labels
-        indices = [f for f, _ in structure.root_data]
-        coeff = ctx.coefficient([c for _, c in structure.root_data], indices, rule)
+        indices = tuple(f for f, _ in structure.root_data)
         vertices = _structure_vertices(structure)
         sides = {vx.side for vx in vertices}
         # a constrained leg with no vertex on its side kills the structure
         if not vertices or any(g["side"] not in (None, *sides) for g in groups):
             continue
+        if ctx.table is not None:
+            coeff = ctx.coefficient(
+                tuple(c for _, c in structure.root_data), indices, rule
+            )
         for delta, rho, weight in _basis_choices(ctx, indices):
             classes = {"X1": dict(zip(m_labels, delta)), "X2": dict(zip(m_labels, rho))}
             roots = [
                 tuple(fc + (classes[vx.side][lab],) for lab, fc in zip(vx.block, vx.fc))
                 for vx in vertices
             ]
+            if ctx.table is None:
+                for _ in _placements(ctx, vertices, groups, roots):
+                    pass
+                continue
             word = ctx.word(m_labels, delta, rho)
+            if word is None and terms is None:
+                total += coeff * weight * _placement_sum(ctx, vertices, groups, roots)
+                continue
             for placed, mult, product in _placements(ctx, vertices, groups, roots):
-                if ctx.table is None:
-                    continue
                 sign = 1
                 if word is not None:
                     comps: tuple[list, list] = ([], [])
@@ -554,8 +628,15 @@ def evaluate_degeneration(
     """Evaluate the splitting sum against the table, exactly.
 
     Identical even-parity legs are aggregated, so the reported terms carry a
-    representative splitting and its multiplicity.  Missing table keys abort
-    the run with the full list of absent keys.
+    representative splitting and its multiplicity.  Without ``with_terms``,
+    a basis choice whose signs are all +1 reuses the placement sum of an
+    earlier structure with the same vertex data.
+
+    Missing table keys abort the run with ``MissingKeysError`` listing the
+    absent keys the walk reaches.  The walk skips the placements a genuine
+    zero kills and the placements behind a reused sum, so a missing key is
+    listed unless every term it enters is zero; a run that does not raise
+    returns the value a full table gives.
     """
     ctx = _Context(problem, insertions, convention, table)
     terms: Optional[list] = [] if with_terms else None

@@ -178,11 +178,22 @@ def factorization_count(
 
     Dynamic programming over (partial product, orbit partition of the
     group generated so far); the join of the generators' orbit partitions is
-    the orbit partition of the generated group.
+    the orbit partition of the generated group.  Partitions are interned as
+    small ids, and each join of two of them is computed once per call.
     """
     if d > MAX_DEGREE:
         raise ScaleError("degree %d exceeds the brute-force bound %d" % (d, MAX_DEGREE))
-    discrete = tuple((i,) for i in range(d))
+    partitions: list[tuple[tuple[int, ...], ...]] = []
+    partition_ids: dict[tuple, int] = {}
+
+    def intern(partition) -> int:
+        if partition not in partition_ids:
+            partition_ids[partition] = len(partitions)
+            partitions.append(partition)
+        return partition_ids[partition]
+
+    joins: dict[tuple[int, int], int] = {}
+    discrete = intern(tuple((i,) for i in range(d)))
     states: dict[tuple, int] = {(_identity(d), discrete): 1}
     slot_classes = [tuple(sorted(p, reverse=True)) for p in profiles]
     slot_classes += [(2,) + (1,) * (d - 2)] * transposition_slots if d >= 2 else []
@@ -190,13 +201,20 @@ def factorization_count(
         return 0
     for parts in slot_classes:
         new_states: dict[tuple, int] = {}
-        elements = _class_elements(d, parts)
-        for (prod, partition), count in states.items():
-            for sigma in elements:
-                key = (_compose(prod, sigma), _join(partition, _orbit_partition(sigma)))
+        elements = [
+            (sigma, intern(_orbit_partition(sigma)))
+            for sigma in _class_elements(d, parts)
+        ]
+        for (prod, pid), count in states.items():
+            for sigma, sid in elements:
+                joined = joins.get((pid, sid))
+                if joined is None:
+                    joined = intern(_join(partitions[pid], partitions[sid]))
+                    joins[pid, sid] = joined
+                key = (_compose(prod, sigma), joined)
                 new_states[key] = new_states.get(key, 0) + count
         states = new_states
-    full = (tuple(range(d)),)
+    full = partition_ids.get((tuple(range(d)),))
     return states.get((_identity(d), full), 0)
 
 

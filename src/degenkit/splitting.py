@@ -427,30 +427,47 @@ def iter_structures(
         )
     d_min = min(Fraction(c, f) for f, c in pairs)
     m_max = int(deg1 / d_min)
+    # weight splits by (side class, per-block degrees) and genus compositions
+    # by (genus, vertex count) recur across contact tuples and partitions
+    splits: dict = {}
+    compositions: dict = {}
+
+    def weight_options(beta, targets):
+        key = (beta, targets)
+        if key not in splits:
+            splits[key] = list(_weight_splits(beta, problem.monoid, targets))
+        return splits[key]
+
     for m in range(1, m_max + 1):
         labels = tuple(range(n + 1, n + m + 1))
+        partitions = list(set_partitions(labels))
         for fc in _contact_tuples(pairs, m, deg1):
             budget.tick()
             dd = {lab: Fraction(c, f) for lab, (f, c) in zip(labels, fc)}
-            for blocks1 in set_partitions(labels):
-                t1 = [sum((dd[lab] for lab in b), Fraction(0)) for b in blocks1]
-                w1_options = list(_weight_splits(beta1, problem.monoid, t1))
+            targets = [
+                tuple(sum((dd[lab] for lab in b), Fraction(0)) for b in blocks)
+                for blocks in partitions
+            ]
+            for blocks1, t1 in zip(partitions, targets):
+                w1_options = weight_options(beta1, t1)
                 if not w1_options:
                     continue
-                for blocks2 in set_partitions(labels):
+                for blocks2, t2 in zip(partitions, targets):
                     k1, k2 = len(blocks1), len(blocks2)
                     cycles = m - k1 - k2 + 1
                     if cycles < 0 or g - cycles < 0:
                         continue
                     if not _blocks_connected(blocks1, blocks2):
                         continue
-                    t2 = [sum((dd[lab] for lab in b), Fraction(0)) for b in blocks2]
-                    w2_options = list(_weight_splits(beta2, problem.monoid, t2))
+                    w2_options = weight_options(beta2, t2)
                     if not w2_options:
                         continue
+                    genus_key = (g - cycles, k1 + k2)
+                    if genus_key not in compositions:
+                        compositions[genus_key] = list(weak_compositions(*genus_key))
                     for w1 in w1_options:
                         for w2 in w2_options:
-                            for genera in weak_compositions(g - cycles, k1 + k2):
+                            for genera in compositions[genus_key]:
                                 budget.tick()
                                 yield SplittingStructure(
                                     labels,
@@ -498,14 +515,13 @@ def enumerate_splittings(problem: DegenerationProblem) -> list[Splitting]:
                 out.append(structure.build_splitting(assignment, problem.legs))
     except EnumerationBudgetError as err:
         raise EnumerationBudgetError(str(err), partial=out, visited=err.visited)
-    out.sort(key=lambda s: (len(s.m_labels), s.canonical_pair()))
-    seen = set()
-    for s in out:
-        key = s.canonical_pair()
-        if key in seen:
+    keyed = sorted(
+        ((len(s.m_labels), s.canonical_pair()), i) for i, s in enumerate(out)
+    )
+    for (prev, _), (key, _) in zip(keyed, keyed[1:]):
+        if prev == key:
             raise AssertionError("enumeration produced a duplicate splitting")
-        seen.add(key)
-    return out
+    return [out[i] for _, i in keyed]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import degenkit
 from degenkit import jsonio
 from degenkit.correlator import needed_keys
 from degenkit.oracle import P1Conventions, build_p1_table, p1_problem
@@ -12,11 +15,18 @@ from degenkit.splitting import enumerate_splittings
 from degenkit.twisting import TwistingChoice
 
 
+# source root of the degenkit these tests import; the child process gets it
+# on PYTHONPATH, since pytest's pythonpath setting does not reach children
+SRC = str(Path(degenkit.__file__).resolve().parents[1])
+
+
 def run_cli(*args, expect=0):
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "degenkit.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == expect, proc.stderr or proc.stdout
     return proc

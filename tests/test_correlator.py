@@ -26,6 +26,7 @@ from degenkit.graphs import (
     Root,
     Vertex,
 )
+from degenkit.oracle import build_p1_table, p1_problem
 from degenkit.splitting import DegenerationProblem, LegSpec, enumerate_splittings
 from helpers import (
     EVEN,
@@ -237,6 +238,26 @@ def test_missing_keys_listed():
     assert err.value.keys == needed_keys(problem, [])
 
 
+@pytest.mark.parametrize("d,g,k", [(3, 0, 0), (3, 1, 1)])
+def test_partial_table_lists_the_deleted_key_or_keeps_the_value(d, g, k):
+    # deleting one needed key either names exactly that key or, when every
+    # term it enters is zero anyway, leaves the value unchanged
+    problem, insertions = p1_problem(d, g, second_side_legs=k)
+    full = build_p1_table(d, g, max_legs=len(insertions))
+    expected = evaluate_degeneration(problem, insertions, full).value
+    raised = 0
+    for key in needed_keys(problem, insertions):
+        partial = InvariantTable({kk: v for kk, v in full.items() if kk != key})
+        try:
+            value = evaluate_degeneration(problem, insertions, partial).value
+        except MissingKeysError as err:
+            assert err.keys == [key]
+            raised += 1
+        else:
+            assert value == expected
+    assert raised
+
+
 def test_auto_zero_band_mismatch_key_not_required():
     # root data derived from bands {1,2}: the band-2 delta can only sit at
     # f=2 roots; keys pairing it with f=1 roots must not be demanded
@@ -359,22 +380,71 @@ def _repeated_odd_leg_case():
     return problem, insertions, random.Random(1)
 
 
+def _interleaved_even_leg_case():
+    # legs 1 and 3 carry the same even class and form one aggregated group;
+    # genus 1 puts two X1 vertices of genera (1, 0) and (0, 1) in both
+    # orders, so the genus-1 vertex takes legs {1, 2} in one order and
+    # {2, 3}, the same data reversed, in the other
+    ambient = SectorCatalog(
+        sectors=(Sector("m", 1, "m"),),
+        basis=(BasisClass("g_even", "m", EVEN), BasisClass("g_odd", "m", ODD)),
+        pairing=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))),
+    )
+    problem = _problem(
+        _untwisted_divisor(),
+        ambient=ambient,
+        genus=1,
+        legs=tuple(LegSpec(i, 1) for i in (1, 2, 3)),
+        beta={"a": 2, "b": 2},
+        c_max=2,
+    )
+    insertions = [Insertion(0, "g_even"), Insertion(0, "g_odd"), Insertion(0, "g_even")]
+    return problem, insertions, random.Random(2)
+
+
 def _aggregated_cases():
     # lazy, so each random table is drawn right after its problem
     rng = random.Random(123)
     for _ in range(12):
         yield random_problem(rng, max_legs=2) + (rng,)
     yield _repeated_odd_leg_case()
+    yield _interleaved_even_leg_case()
+
+
+def _labeled_sum_keys(problem, omega, insertions):
+    """Keys the explicit labeled sum looks up: against an empty table each
+    splitting's inner sum lists them."""
+    keys = set()
+    for s in omega:
+        try:
+            splitting_inner_sum(problem, s, insertions, InvariantTable())
+        except MissingKeysError as err:
+            keys.update(err.keys)
+    return keys
 
 
 def test_aggregated_equals_explicit_sum():
+    # the walk gives a vertex the lowest free labels of an aggregated group,
+    # so the labeled sum can also look up reorderings of those legs that the
+    # walk never reaches; evaluation reads only the needed keys, the labeled
+    # sum the full table
     for problem, insertions, table_rng in _aggregated_cases():
         keys = needed_keys(problem, insertions)
-        table = covariant_random_table(keys, problem.divisor, problem.ambient, table_rng)
+        omega = enumerate_splittings(problem)
+        full = covariant_random_table(
+            sorted(
+                set(keys) | _labeled_sum_keys(problem, omega, insertions),
+                key=lambda k: k.sort_token(),
+            ),
+            problem.divisor,
+            problem.ambient,
+            table_rng,
+        )
+        needed = set(keys)
+        table = InvariantTable({k: v for k, v in full.items() if k in needed})
         result = evaluate_degeneration(problem, insertions, table)
         with_terms = evaluate_degeneration(problem, insertions, table, with_terms=True)
         assert result.value == with_terms.value
-        omega = enumerate_splittings(problem)
         direct = Fraction(0)
         for s in omega:
             coeff = Fraction(1)
@@ -382,7 +452,7 @@ def test_aggregated_equals_explicit_sum():
                 coeff *= c
             coeff /= math.factorial(len(s.m_labels))
             direct += coeff * splitting_inner_sum(
-                problem, s, insertions, table, "standard_dual"
+                problem, s, insertions, full, "standard_dual"
             )
         assert result.value == direct
 

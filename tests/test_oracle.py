@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -215,3 +216,20 @@ def test_branch_split_invariance(d, g):
         problem, insertions = p1_problem(d, g, conv, second_side_legs=k)
         got = evaluate_degeneration(problem, insertions, table).value
         assert got == expected, (d, g, k)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_genus_zero_count_matches_hurwitz_formula(d):
+    expected = Fraction(factorial(2 * d - 2), factorial(d)) * Fraction(d) ** (d - 3)
+    assert hurwitz_count(HurwitzInstance(d, 0)) == expected
+
+
+@pytest.mark.parametrize("d,g,k", [(3, 1, 1), (4, 0, 2), (4, 2, 3)])
+def test_plain_evaluate_equals_terms_walk(d, g, k):
+    # the --terms walk visits every placement, so it is the reference for
+    # the placement sums plain evaluation reuses
+    problem, insertions = p1_problem(d, g, second_side_legs=k)
+    table = build_p1_table(d, g, max_legs=len(insertions))
+    plain = evaluate_degeneration(problem, insertions, table)
+    walked = evaluate_degeneration(problem, insertions, table, with_terms=True)
+    assert plain.value == walked.value

@@ -17,12 +17,14 @@ from degenkit.graphs import (
     total_genus,
     total_weight,
 )
+from degenkit.oracle import p1_problem
 from degenkit.splitting import (
     DegenerationProblem,
     LegSpec,
     Splitting,
     check_condition_B,
     enumerate_splittings,
+    iter_structures,
     orbits,
 )
 
@@ -551,6 +553,13 @@ def test_orbit_stabilizer_counts():
         # the orbits' member keys partition the group
         members = [key for o in orbit_list for key in o.member_keys]
         assert sorted(members) == sorted(s.canonical_pair() for s in group)
+
+
+def test_p1_degree_five_genus_two_structure_walk():
+    problem, _ = p1_problem(5, 2)
+    structures = list(iter_structures(problem))
+    assert len(structures) == 17005
+    assert len(set(structures)) == len(structures)
 
 
 def test_orbits_require_equal_m():
