@@ -6,21 +6,36 @@ structures, a contact coefficient times, for every term of the delta/rho
 dual expansion, a Koszul-signed product of connected relative invariants.
 One kernel evaluates it from three shared pieces:
 
-- a basis-choice generator for the delta/rho expansion, in either dual
-  convention: contact-order coefficients with plain involuted duals, or
-  intersection-multiplicity coefficients with band-weighted duals;
+- the delta/rho expansion, in either dual convention: contact-order
+  coefficients with plain involuted duals, or intersection-multiplicity
+  coefficients with band-weighted duals.  Its basis choices are listed once
+  per run for each tuple of root indices, each flagged with whether any
+  sign can differ from +1, so the insertion word is built only when
+  something is odd;
 - one sign builder, the Koszul sign of regrouping the insertion word per
   component;
 - one component memo per run, keyed by the data that fixes a correlator key:
   side, genus, weight, each leg's (e, m, class) and each root's (f, c, class)
   in label order.
 
+Every component of a splitting has one vertex.  The memo builds its key with
+``CorrelatorKey.for_vertex`` straight from that data; the bytes are those
+``canonical_form(rank_relabeled(graph))`` gives for the one-vertex graph,
+which has no tie to break, so no graph is built.
+``CorrelatorKey.for_component`` stays the reference for connected graphs of
+any size and serves ``evaluate_disconnected``.  The two vanishing rules (a
+root class off the band of its index; root multiplicities against the
+weight's divisor degree) are written once, in ``_vanishes``, for both.
+
 Key collection (``needed_keys``), evaluation and its term breakdown all run
 the kernel, so each component is keyed and looked up once per run;
 ``splitting_inner_sum`` and ``evaluate_disconnected`` reuse its pieces for
-one explicit splitting or one disconnected graph.  Interchangeable
-even-parity legs are aggregated with multinomial weights, so instances whose
-literal splitting set is huge still evaluate exactly.
+one explicit splitting or one disconnected graph.  Key collection values
+every keyed component as the int 1, so it does no rational arithmetic.
+Interchangeable even-parity legs are aggregated with multinomial weights, so
+instances whose literal splitting set is huge still evaluate exactly.  The
+problem's node budget (``problem.budget`` or ``DEGENKIT_BUDGET``) bounds the
+whole kernel walk: structures, basis choices and leg placements.
 
 Plain evaluation also keeps a placement memo.  Tables are taken to be
 covariant (permuting identical legs changes a value by the Koszul sign),
@@ -54,24 +69,25 @@ from typing import Mapping, Optional, Sequence
 from .algebra import Parity, dual_basis, koszul_sign
 from .errors import DegenkitError, MissingKeysError, ParityError
 from .graphs import (
-    Leg,
     ModularGraph,
-    Root,
-    Vertex,
     canonical_form,
     d_degree,
     rank_relabeled,
     total_weight,
+    vertex_form,
 )
 from .splitting import (
     DegenerationProblem,
     Splitting,
     SplittingStructure,
+    _Budget,
+    _effective_budget,
     iter_structures,
 )
 from .twisting import MINIMAL_TWIST, TwistingChoice, degeneration_ledger
 
 CONVENTIONS = ("standard_dual", "chen_ruan")
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -95,6 +111,11 @@ class CorrelatorKey:
     ambient label values.  ``legs`` holds (m, class id) pairs and ``roots``
     holds class ids, both in label order; indices e, f and contact orders c
     live in the graph bytes.
+
+    ``for_component`` builds the key of a connected graph of any size as
+    ``canonical_form(rank_relabeled(graph))`` and is the reference.  Every
+    component of a splitting has one vertex, and ``for_vertex`` builds such
+    a key straight from the vertex data, with the same bytes.
     """
 
     side: str
@@ -125,6 +146,23 @@ class CorrelatorKey:
         )
         roots = tuple(root_classes[lab] for lab in graph.root_labels())
         return CorrelatorKey(side, canonical_form(rank_relabeled(graph)), legs, roots)
+
+    @staticmethod
+    def for_vertex(
+        side: str, genus: int, weight, legs: Sequence[tuple], roots: Sequence[tuple]
+    ) -> "CorrelatorKey":
+        """Key of a one-vertex graph of the given genus and weight.
+
+        ``legs`` holds each leg's (e, m, class id) and ``roots`` each root's
+        (f, c, class id), both in label order.  Equal to ``for_component``
+        on that graph with legs labeled 1..n and roots n+1..n+k.
+        """
+        return CorrelatorKey(
+            side,
+            vertex_form(genus, weight, [e for e, _, _ in legs], [(f, c) for f, c, _ in roots]),
+            tuple((m, cid) for _, m, cid in legs),
+            tuple(cid for _, _, cid in roots),
+        )
 
     def sort_token(self):
         return (self.side, self.graph, self.legs, self.roots)
@@ -258,6 +296,8 @@ class _Context:
                 )
             self.rho_parity[b.id] = parities.pop() if parities else Parity.EVEN
         self.memo: dict = {}
+        self.vanishing: dict = {}  # by (weight, roots): one vertex meets many leg sets
+        self.choices: dict = {}
         self.coefficients: dict = {}
         # placement sums by sorted vertex ids; the ids stand for the vertex
         # data (side, genus, weight, roots), stored once in vertex_ids
@@ -288,33 +328,42 @@ class _Context:
         memo_key = (side, genus, weight, legs, roots)
         entry = self.memo.get(memo_key)
         if entry is None:
-            n = len(legs)
-            graph = ModularGraph(
-                vertices=(Vertex(genus, weight),),
-                legs=tuple(Leg(i + 1, e, 0) for i, (e, _, _) in enumerate(legs)),
-                roots=tuple(
-                    Root(n + i + 1, f, c, 0) for i, (f, c, _) in enumerate(roots)
-                ),
-            )
-            entry = self.memo[memo_key] = _component_value(
-                self.problem,
-                side,
-                graph,
-                {i + 1: Insertion(m, cid) for i, (_, m, cid) in enumerate(legs)},
-                {n + i + 1: cid for i, (_, _, cid) in enumerate(roots)},
-                self.table,
-            )
+            vanishes = self.vanishing.get((weight, roots))
+            if vanishes is None:
+                vanishes = _vanishes(self.problem, weight, roots)
+                self.vanishing[weight, roots] = vanishes
+            if vanishes:
+                entry = (None, _ZERO, False)
+            else:
+                key = CorrelatorKey.for_vertex(side, genus, weight, legs, roots)
+                entry = _keyed_value(key, self.table)
+            self.memo[memo_key] = entry
         return entry
+
+    def basis_choices(self, indices: tuple[int, ...]) -> list[tuple]:
+        """Every term of the delta/rho expansion for roots of the given
+        indices, listed once per index tuple: (delta classes, rho classes,
+        expansion weight, odd), aligned with the roots.  ``odd`` is False
+        when no leg and no chosen class is odd, so every sign is +1."""
+        choices = self.choices.get(indices)
+        if choices is None:
+            choices = self.choices[indices] = []
+            for delta in itertools.product(*(self.admissible.get(f, []) for f in indices)):
+                for rho in itertools.product(*(self.expansion[d] for d in delta)):
+                    weight = Fraction(1)
+                    for _, w in rho:
+                        weight *= w
+                    rho_ids = tuple(cid for cid, _ in rho)
+                    odd = self.odd_leg or any(
+                        self.divisor.parity_of(d).is_odd or self.rho_parity[r].is_odd
+                        for d, r in zip(delta, rho_ids)
+                    )
+                    choices.append((delta, rho_ids, weight, odd))
+        return choices
 
     def word(self, m_labels: Sequence[int], delta: Sequence[str], rho: Sequence[str]):
         """Source word of one basis choice as {symbol: parity}, in order:
-        legs by label, then delta_j rho_j by root label.  None when nothing
-        is odd, since every sign is then +1."""
-        if not self.odd_leg and not any(
-            self.divisor.parity_of(d).is_odd or self.rho_parity[r].is_odd
-            for d, r in zip(delta, rho)
-        ):
-            return None
+        legs by label, then delta_j rho_j by root label."""
         word = dict(self.leg_word)
         for j, d, r in zip(m_labels, delta, rho):
             word["X1", j] = self.divisor.parity_of(d)
@@ -327,35 +376,47 @@ class _Context:
             raise MissingKeysError(missing)
 
 
+def _vanishes(problem: DegenerationProblem, weight, roots: Sequence[tuple]) -> bool:
+    """The two vanishing rules of a connected correlator, from its weight
+    and each root's (f, c, class id): a root class off the band of the
+    root's index, or root multiplicities c/f not summing to the weight's
+    divisor degree.  Such keys are never demanded of the table."""
+    divisor = problem.divisor
+    if any(divisor.sector_of(cid).band_order != f for f, _, cid in roots):
+        return True
+    mult_sum = sum((Fraction(c, f) for f, c, _ in roots), _ZERO)
+    return mult_sum != d_degree(weight, problem.monoid)
+
+
+def _keyed_value(
+    key: CorrelatorKey, table: InvariantTable | None
+) -> tuple[CorrelatorKey, Fraction | int, bool]:
+    """(key, value, missing) of a correlator that does not vanish.  Without
+    a table (key collection) it counts as the int 1, so the key walk does
+    no rational arithmetic."""
+    if table is None:
+        return key, 1, False
+    value = table.get(key)
+    if value is None:
+        return key, _ZERO, True
+    return key, value, False
+
+
 def _component_value(
     problem: DegenerationProblem,
     side: str,
     graph: ModularGraph,
     leg_insertions: Mapping[int, Insertion],
     root_classes: Mapping[int, str],
-    table: InvariantTable | None,
+    table: InvariantTable,
 ) -> tuple[Optional[CorrelatorKey], Fraction, bool]:
-    """(key, value, missing) of one connected correlator.
-
-    The two vanishing rules (root class off its index sector; multiplicity
-    sum vs. divisor degree) apply before any key is built, so those keys are
-    never demanded of the table and come back as None.  Without a table
-    (key collection) every other component counts 1.
-    """
-    divisor = problem.divisor
-    for root in graph.roots:
-        if divisor.sector_of(root_classes[root.label]).band_order != root.f:
-            return None, Fraction(0), False
-    mult_sum = sum((r.multiplicity for r in graph.roots), Fraction(0))
-    if mult_sum != d_degree(total_weight(graph), problem.monoid):
-        return None, Fraction(0), False
+    """(key, value, missing) of one connected correlator of any size; the
+    key is None when a vanishing rule fires."""
+    roots = [(r.f, r.c, root_classes[r.label]) for r in graph.roots]
+    if _vanishes(problem, total_weight(graph), roots):
+        return None, _ZERO, False
     key = CorrelatorKey.for_component(side, graph, leg_insertions, root_classes)
-    if table is None:
-        return key, Fraction(1), False
-    value = table.get(key)
-    if value is None:
-        return key, Fraction(0), True
-    return key, value, False
+    return _keyed_value(key, table)
 
 
 def _symbols(side: str, leg_labels: Sequence[int], root_labels: Sequence[int]) -> tuple:
@@ -380,17 +441,6 @@ def _regroup_sign(word: Mapping[tuple, Parity], sides) -> int:
         for sym in comp
     ]
     return koszul_sign(target, list(word.values()))
-
-
-def _basis_choices(ctx: _Context, indices: Sequence[int]):
-    """Every term of the delta/rho expansion for roots of the given indices:
-    (delta classes, rho classes, expansion weight), aligned with the roots."""
-    for delta in itertools.product(*(ctx.admissible.get(f, []) for f in indices)):
-        for rho in itertools.product(*(ctx.expansion[d] for d in delta)):
-            weight = Fraction(1)
-            for _, w in rho:
-                weight *= w
-            yield delta, tuple(cid for cid, _ in rho), weight
 
 
 # -- the kernel: structures, basis choices, leg placements ---------------------
@@ -435,12 +485,13 @@ def _leg_groups(ctx: _Context) -> list[dict]:
     return out
 
 
-def _placements(ctx: _Context, vertices, groups, roots):
+def _placements(ctx: _Context, vertices, groups, roots, budget: _Budget):
     """Distribute the leg groups over the vertices, pruning zero components.
 
     Yields (placed, multiplicity, product of component values) per complete
     placement; ``placed`` lists (vertex index, leg labels, key, value).
-    ``roots`` gives each vertex's (f, c, class id) per root.
+    ``roots`` gives each vertex's (f, c, class id) per root.  Each node of
+    the walk, one vertex's share of the legs, ticks ``budget``.
     """
     # last position at which each group can still place legs
     last = [
@@ -449,7 +500,7 @@ def _placements(ctx: _Context, vertices, groups, roots):
     ]
     placed: list = []
 
-    def rec(vi: int, remaining: list[int], mult: int, product: Fraction):
+    def rec(vi: int, remaining: list[int], mult: int, product):
         if vi == len(vertices):
             yield tuple(placed), mult, product
             return
@@ -463,6 +514,7 @@ def _placements(ctx: _Context, vertices, groups, roots):
             else:
                 options.append(range(remaining[gi] + 1))
         for counts in itertools.product(*options):
+            budget.tick()
             labels: list[int] = []
             new_mult = mult
             new_remaining = list(remaining)
@@ -490,14 +542,14 @@ def _placements(ctx: _Context, vertices, groups, roots):
             placed.pop()
 
     try:
-        yield from rec(0, [g["count"] for g in groups], 1, Fraction(1))
+        yield from rec(0, [g["count"] for g in groups], 1, 1)
     finally:
         # rec refers to itself through its closure; breaking that cycle frees
         # the run's context by reference counting when the run ends
         rec = None
 
 
-def _placement_sum(ctx: _Context, vertices, groups, roots) -> Fraction:
+def _placement_sum(ctx: _Context, vertices, groups, roots, budget: _Budget) -> Fraction:
     """Sum of multiplicity times product over all leg placements, memoised.
 
     With a covariant table and every sign +1 the sum depends only on the
@@ -514,8 +566,8 @@ def _placement_sum(ctx: _Context, vertices, groups, roots) -> Fraction:
     )
     total = ctx.placement_sums.get(signature)
     if total is None:
-        total = Fraction(0)
-        for _, mult, product in _placements(ctx, vertices, groups, roots):
+        total = _ZERO
+        for _, mult, product in _placements(ctx, vertices, groups, roots, budget):
             total += mult * product
         ctx.placement_sums[signature] = total
     return total
@@ -525,19 +577,23 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     """The evaluation kernel: sum the formula over structures, basis choices
     and leg placements.
 
-    Without a table (key collection) every keyed component counts 1 and the
-    walk only fills the memo, so neither coefficients nor signs are computed.
-    No branch is pruned then: structures satisfy condition B and basis
-    choices keep each root on its band, so the vanishing rules never fire
-    here, and every placement of every structure is walked.  With a table,
-    a basis choice whose signs are all +1 takes its placement sum from
-    ``_placement_sum`` unless ``terms`` is given; with ``terms``, every
+    Without a table (key collection) every keyed component counts the int 1
+    and the walk only fills the memo, so neither coefficients nor signs are
+    computed.  No branch is pruned then: structures satisfy condition B and
+    basis choices keep each root on its band, so the vanishing rules never
+    fire here, and every placement of every structure is walked.  With a
+    table, a basis choice whose signs are all +1 takes its placement sum
+    from ``_placement_sum`` unless ``terms`` is given; with ``terms``, every
     placement is walked and each nonzero term is appended as an EvalTerm.
+
+    One node budget bounds the walk: each structure, basis choice and
+    placement node ticks it.
     """
     problem = ctx.problem
     groups = _leg_groups(ctx)
-    total = Fraction(0)
-    for structure in iter_structures(problem):
+    budget = _Budget(_effective_budget(problem))
+    total = _ZERO
+    for structure in iter_structures(problem, budget):
         m_labels = structure.m_labels
         indices = tuple(f for f, _ in structure.root_data)
         vertices = _structure_vertices(structure)
@@ -549,21 +605,22 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
             coeff = ctx.coefficient(
                 tuple(c for _, c in structure.root_data), indices, rule
             )
-        for delta, rho, weight in _basis_choices(ctx, indices):
+        for delta, rho, weight, odd in ctx.basis_choices(indices):
+            budget.tick()
             classes = {"X1": dict(zip(m_labels, delta)), "X2": dict(zip(m_labels, rho))}
             roots = [
                 tuple(fc + (classes[vx.side][lab],) for lab, fc in zip(vx.block, vx.fc))
                 for vx in vertices
             ]
             if ctx.table is None:
-                for _ in _placements(ctx, vertices, groups, roots):
+                for _ in _placements(ctx, vertices, groups, roots, budget):
                     pass
                 continue
-            word = ctx.word(m_labels, delta, rho)
-            if word is None and terms is None:
-                total += coeff * weight * _placement_sum(ctx, vertices, groups, roots)
+            if not odd and terms is None:
+                total += coeff * weight * _placement_sum(ctx, vertices, groups, roots, budget)
                 continue
-            for placed, mult, product in _placements(ctx, vertices, groups, roots):
+            word = ctx.word(m_labels, delta, rho) if odd else None
+            for placed, mult, product in _placements(ctx, vertices, groups, roots, budget):
                 sign = 1
                 if word is not None:
                     comps: tuple[list, list] = ([], [])
@@ -670,8 +727,8 @@ def splitting_inner_sum(
         for side, graph in (("X1", splitting.xi1), ("X2", splitting.xi2))
         for v in range(len(graph.vertices))
     ]
-    total = Fraction(0)
-    for delta, rho, weight in _basis_choices(ctx, splitting.indices()):
+    total = _ZERO
+    for delta, rho, weight, odd in ctx.basis_choices(splitting.indices()):
         classes = {"X1": dict(zip(m_labels, delta)), "X2": dict(zip(m_labels, rho))}
         product = weight
         for side, vertex, legs, roots in vertices:
@@ -683,14 +740,13 @@ def splitting_inner_sum(
                 tuple((r.f, r.c, classes[side][r.label]) for r in roots),
             )
             product *= value
-        word = ctx.word(m_labels, delta, rho)
-        if product != 0 and word is not None:
+        if product != 0 and odd:
             comps: tuple[list, list] = ([], [])
             for side, _, legs, roots in vertices:
                 comps[side == "X2"].append(
                     _symbols(side, [l.label for l in legs], [r.label for r in roots])
                 )
-            product *= _regroup_sign(word, comps)
+            product *= _regroup_sign(ctx.word(m_labels, delta, rho), comps)
         total += product
     ctx.raise_if_missing()
     return total

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenkitError, GluingError
+from .errors import DegenkitError, GluingError, ScaleError
 
 
 @dataclass(frozen=True)
@@ -314,7 +314,37 @@ def _serialize(graph: ModularGraph, order: list[int]) -> bytes:
         "l": sorted([l.label, l.e, pos[l.vertex]] for l in graph.legs),
         "r": sorted([r.label, r.f, r.c, pos[r.vertex]] for r in graph.roots),
     }
+    return _dump(payload)
+
+
+def _dump(payload: dict) -> bytes:
     return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+
+
+def vertex_form(genus: int, weight, leg_e, root_fc) -> bytes:
+    """``canonical_form(rank_relabeled(graph))`` of a one-vertex graph,
+    without building the graph.
+
+    The vertex has the given genus and weight; its legs have the indices
+    ``leg_e`` and are labeled 1..n in that order, its roots have the
+    (f, c) pairs ``root_fc`` and are labeled n+1..n+k.  A single vertex
+    leaves no tie to break, so the serialization is direct.
+    """
+    if genus < 0:
+        raise DegenkitError("vertex genus must be nonnegative")
+    if any(e < 1 for e in leg_e):
+        raise DegenkitError("leg index e must be positive")
+    if any(f < 1 or c < 1 for f, c in root_fc):
+        raise DegenkitError("root index f and contact order c must be positive")
+    n = len(leg_e)
+    return _dump(
+        {
+            "v": [[genus, list(map(list, CurveClass(weight).exponents))]],
+            "e": [],
+            "l": [[i, e, 0] for i, e in enumerate(leg_e, 1)],
+            "r": [[n + i, f, c, 0] for i, (f, c) in enumerate(root_fc, 1)],
+        }
+    )
 
 
 def canonical_form(graph: ModularGraph) -> bytes:
@@ -324,7 +354,7 @@ def canonical_form(graph: ModularGraph) -> bytes:
     Vertices are ordered by (incident labels, genus, weight); marked vertices
     are pinned by their unique labels, and any remaining ties are broken by
     taking the lexicographically least serialization over permutations
-    within tied groups.
+    within tied groups; above 40,320 such orderings it raises ScaleError.
     """
     nv = len(graph.vertices)
     keyed = sorted(range(nv), key=lambda v: _vertex_key(graph, v))
@@ -341,7 +371,7 @@ def canonical_form(graph: ModularGraph) -> bytes:
     for g in ambiguous:
         count *= math.factorial(len(g))
         if count > 40320:
-            raise DegenkitError("too many indistinguishable vertices to canonicalize")
+            raise ScaleError("too many indistinguishable vertices to canonicalize")
     best = None
     for perm_choice in itertools.product(
         *[itertools.permutations(g) for g in groups]

@@ -25,7 +25,7 @@ from .correlator import (
     evaluate_degeneration,
 )
 from .errors import InfeasibleInstanceError, ScaleError
-from .graphs import CurveClass, CurveClassMonoid, Generator, Leg, ModularGraph, Root, Vertex
+from .graphs import CurveClass, CurveClassMonoid, Generator
 from .splitting import DegenerationProblem, LegSpec
 from .twisting import MINIMAL_TWIST, TwistingChoice
 
@@ -333,20 +333,12 @@ def build_p1_table(
             for pattern in _compositions(d):
                 for g in range(0, g_max + 1):
                     for s in range(0, max_legs + 1):
-                        graph = ModularGraph(
-                            vertices=(Vertex(g, weight),),
-                            edges=(),
-                            legs=tuple(Leg(i + 1, 1, 0) for i in range(s)),
-                            roots=tuple(
-                                Root(s + j + 1, 1, c, 0)
-                                for j, c in enumerate(pattern)
-                            ),
-                        )
-                        key = CorrelatorKey.for_component(
+                        key = CorrelatorKey.for_vertex(
                             side,
-                            graph,
-                            {i + 1: Insertion(0, conv.branch_class) for i in range(s)},
-                            {s + j + 1: conv.point_class for j in range(len(pattern))},
+                            g,
+                            weight,
+                            ((1, 0, conv.branch_class),) * s,
+                            tuple((1, c, conv.point_class) for c in pattern),
                         )
                         table.set(key, connected_relative_value(d, g, pattern, s))
     return table

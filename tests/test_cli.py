@@ -11,7 +11,7 @@ import degenkit
 from degenkit import jsonio
 from degenkit.correlator import needed_keys
 from degenkit.oracle import P1Conventions, build_p1_table, p1_problem
-from degenkit.splitting import enumerate_splittings
+from degenkit.splitting import _Budget, enumerate_splittings, iter_structures
 from degenkit.twisting import TwistingChoice
 
 
@@ -200,6 +200,25 @@ def test_cli_budget_exit_code(p1_files):
     )
     payload = json.loads(proc.stderr)
     assert payload["error"] == "enumeration-budget-exceeded"
+
+
+def test_cli_keys_and_evaluate_stop_at_the_budget(p1_files, tmp_path):
+    # the structures fit the budget; the leg placements exceed it
+    problem = jsonio.problem_from_dict(json.loads(open(p1_files["problem"]).read()))
+    structures = _Budget(None)
+    for _ in iter_structures(problem, structures):
+        pass
+    limited = tmp_path / "limited.json"
+    limited.write_text(
+        jsonio.dumps({**jsonio.problem_to_dict(problem), "budget": structures.visited})
+    )
+    for args in (
+        ("keys", str(limited), p1_files["insertions"]),
+        ("evaluate", str(limited), p1_files["insertions"], p1_files["table"]),
+        ("evaluate", str(limited), p1_files["insertions"], p1_files["table"], "--terms"),
+    ):
+        proc = run_cli(*args, expect=3)
+        assert json.loads(proc.stderr)["error"] == "enumeration-budget-exceeded"
 
 
 def test_cli_lift():

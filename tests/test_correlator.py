@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -16,7 +17,12 @@ from degenkit.correlator import (
     needed_keys,
     splitting_inner_sum,
 )
-from degenkit.errors import DegenkitError, MissingKeysError, ParityError
+from degenkit.errors import (
+    DegenkitError,
+    EnumerationBudgetError,
+    MissingKeysError,
+    ParityError,
+)
 from degenkit.graphs import (
     CurveClass,
     CurveClassMonoid,
@@ -27,7 +33,13 @@ from degenkit.graphs import (
     Vertex,
 )
 from degenkit.oracle import build_p1_table, p1_problem
-from degenkit.splitting import DegenerationProblem, LegSpec, enumerate_splittings
+from degenkit.splitting import (
+    DegenerationProblem,
+    LegSpec,
+    _Budget,
+    enumerate_splittings,
+    iter_structures,
+)
 from helpers import (
     EVEN,
     ODD,
@@ -228,6 +240,75 @@ def test_budget_applies_to_evaluation(monkeypatch):
 
     with pytest.raises(EnumerationBudgetError):
         evaluate_degeneration(problem, [], table)
+
+
+def test_budget_bounds_the_placement_walk():
+    # a budget the structure walk alone fits in; the leg placements over
+    # those structures must tick it too
+    problem, insertions = p1_problem(3, 1)
+    structures = _Budget(None)
+    for _ in iter_structures(problem, structures):
+        pass
+    limited = dataclasses.replace(problem, budget=structures.visited)
+    table = build_p1_table(3, 1, max_legs=len(insertions))
+    with pytest.raises(EnumerationBudgetError):
+        needed_keys(limited, insertions)
+    for with_terms in (False, True):
+        with pytest.raises(EnumerationBudgetError):
+            evaluate_degeneration(limited, insertions, table, with_terms=with_terms)
+    assert evaluate_degeneration(problem, insertions, table).value == 40
+
+
+def test_for_vertex_matches_for_component():
+    # the one-vertex builder emits the reference builder's bytes
+    rng = random.Random(5)
+    generators = ["a", "b", 'a"β']  # the last one is escaped in JSON
+    classes = ["d0", "d1", "g"]  # odd in the catalogs below
+    assert all(
+        c.parity is ODD
+        for c in _untwisted_divisor(2, [ODD, ODD]).basis + _ambient(ODD).basis
+    )
+    seen = set()
+    for _ in range(300):
+        side = rng.choice(["X1", "X2"])
+        genus = rng.randint(0, 2)
+        weight = CurveClass(
+            {gid: rng.randint(1, 3) for gid in rng.sample(generators, rng.randint(0, 3))}
+        )
+        legs = tuple(
+            (rng.randint(1, 3), rng.randint(0, 2), rng.choice(classes))
+            for _ in range(rng.randint(0, 3))
+        )
+        roots = tuple(
+            (rng.randint(1, 3), rng.randint(1, 4), rng.choice(classes))
+            for _ in range(rng.randint(0, 3))
+        )
+        n = len(legs)
+        graph = ModularGraph(
+            vertices=(Vertex(genus, weight),),
+            legs=tuple(Leg(i + 1, e, 0) for i, (e, _, _) in enumerate(legs)),
+            roots=tuple(Root(n + i + 1, f, c, 0) for i, (f, c, _) in enumerate(roots)),
+        )
+        reference = CorrelatorKey.for_component(
+            side,
+            graph,
+            {i + 1: Insertion(m, cid) for i, (_, m, cid) in enumerate(legs)},
+            {n + i + 1: cid for i, (_, _, cid) in enumerate(roots)},
+        )
+        assert CorrelatorKey.for_vertex(side, genus, weight, legs, roots) == reference
+        seen.update(
+            flag
+            for flag, hit in (
+                ("multi-generator", len(weight.support()) > 1),
+                ("escaped id", generators[2] in weight.support()),
+                ("e > 1", any(e > 1 for e, _, _ in legs)),
+                ("f > 1", any(f > 1 for f, _, _ in roots)),
+                ("no legs", not legs),
+                ("no roots", not roots),
+            )
+            if hit
+        )
+    assert len(seen) == 6, seen
 
 
 def test_missing_keys_listed():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from degenkit.errors import DegenkitError, GluingError
+from degenkit.errors import DegenkitError, GluingError, ScaleError
 from degenkit.graphs import (
     CurveClass,
     CurveClassMonoid,
@@ -173,6 +173,13 @@ def test_canonical_form_distinguishes_genus():
     g1 = ModularGraph(vertices=(_vertex(0), _vertex(1)), edges=((0, 1),))
     g2 = ModularGraph(vertices=(_vertex(0), _vertex(2)), edges=((0, 1),))
     assert canonical_form(g1) != canonical_form(g2)
+
+
+def test_canonical_form_cap_raises_scale_error():
+    # nine indistinguishable vertices allow 9! > 40,320 orderings
+    graph = ModularGraph(vertices=tuple(_vertex(0) for _ in range(9)))
+    with pytest.raises(ScaleError, match="indistinguishable"):
+        canonical_form(graph)
 
 
 def _random_graph(rng: random.Random, nv: int) -> ModularGraph:

@@ -16,8 +16,16 @@ from degenkit.oracle import (
     hurwitz_count,
     labeled_profile_normalization,
     p1_problem,
+    _compositions,
 )
-from degenkit.correlator import evaluate_degeneration, needed_keys
+from degenkit.correlator import (
+    CorrelatorKey,
+    Insertion,
+    InvariantTable,
+    evaluate_degeneration,
+    needed_keys,
+)
+from degenkit.graphs import CurveClass, Leg, ModularGraph, Root, Vertex
 
 
 def _naive_count(d, profiles, b):
@@ -175,6 +183,37 @@ def test_table_labeled_patterns_symmetric():
     assert connected_relative_value(3, 0, (1, 2), 2) == connected_relative_value(
         3, 0, (2, 1), 2
     )
+
+
+def _p1_table_through_graphs(d_max, g_max):
+    """The P1 table with every key built by ``for_component`` on its graph."""
+    conv = P1Conventions()
+    table = InvariantTable()
+    for side, gen in (("X1", conv.generator_1), ("X2", conv.generator_2)):
+        for d in range(1, d_max + 1):
+            for pattern in _compositions(d):
+                for g in range(g_max + 1):
+                    for s in range(2 * g_max - 2 + 2 * d_max + 1):
+                        graph = ModularGraph(
+                            vertices=(Vertex(g, CurveClass({gen: d})),),
+                            legs=tuple(Leg(i + 1, 1, 0) for i in range(s)),
+                            roots=tuple(
+                                Root(s + j + 1, 1, c, 0) for j, c in enumerate(pattern)
+                            ),
+                        )
+                        key = CorrelatorKey.for_component(
+                            side,
+                            graph,
+                            {i + 1: Insertion(0, conv.branch_class) for i in range(s)},
+                            {s + j + 1: conv.point_class for j in range(len(pattern))},
+                        )
+                        table.set(key, connected_relative_value(d, g, pattern, s))
+    return table
+
+
+@pytest.mark.parametrize("d,g", [(2, 1), (3, 0), (3, 2)])
+def test_p1_table_keys_match_graph_built_keys(d, g):
+    assert build_p1_table(d, g).items() == _p1_table_through_graphs(d, g).items()
 
 
 def test_degeneration_check_grid():
