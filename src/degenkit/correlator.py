@@ -37,16 +37,23 @@ instances whose literal splitting set is huge still evaluate exactly.  The
 problem's node budget (``problem.budget`` or ``DEGENKIT_BUDGET``) bounds the
 whole kernel walk: structures, basis choices and leg placements.
 
-Plain evaluation also keeps a placement memo.  Tables are taken to be
+The walk works out once per skeleton (a run of structures sharing root
+data and root blocks, differing only in weights and genera) what depends
+only on the skeleton: contacts, indices, basis choices and each choice's
+roots per vertex.
+
+Plain evaluation also counts repeated even terms.  Tables are taken to be
 covariant (permuting identical legs changes a value by the Koszul sign),
 which is what lets identical even legs be aggregated.  So when every sign
 of a basis choice is +1, the sum over a structure's leg placements depends
 only on the multiset of vertex data (side, genus, weight, roots), and plain
-evaluation walks the placements of each multiset once.  The keys a walk
-reaches do depend on vertex order, since the first vertex takes the lowest
-free labels of an aggregated group; key collection and the term breakdown
-therefore walk every placement of every structure, and so does plain
-evaluation for a basis choice with an odd class in its insertion word.
+evaluation walks the placements of each multiset once, counts structures
+per (contacts, indices, basis choice, multiset) with ints, and multiplies
+each distinct term once at the end.  The keys a walk reaches do depend on
+vertex order, since the first vertex takes the lowest free labels of an
+aggregated group; key collection and the term breakdown therefore walk
+every placement of every structure, and so does plain evaluation for a
+basis choice with an odd class in its insertion word.
 
 A missing table key aborts evaluation with ``MissingKeysError``, which lists
 the absent keys the walk reaches.  The walk does not go past a genuine zero,
@@ -300,7 +307,7 @@ class _Context:
         self.choices: dict = {}
         self.coefficients: dict = {}
         # placement sums by sorted vertex ids; the ids stand for the vertex
-        # data (side, genus, weight, roots), stored once in vertex_ids
+        # data (side, genus, weight exponents, roots), stored once in vertex_ids
         self.vertex_ids: dict = {}
         self.placement_sums: dict = {}
 
@@ -453,18 +460,45 @@ class _StructureVertex:
     block: tuple[int, ...]
     weight: object
     genus: int
-    fc: tuple[tuple[int, int], ...]  # (f, c) per root label in block order
 
 
 def _structure_vertices(structure: SplittingStructure) -> list[_StructureVertex]:
     out = []
-    fc_of = dict(zip(structure.m_labels, structure.root_data))
     for side in ("X1", "X2"):
         blocks, weights, genera = structure.side(side)
         for i, block in enumerate(blocks):
-            fc = tuple(fc_of[lab] for lab in block)
-            out.append(_StructureVertex(side, i, block, weights[i], genera[i], fc))
+            out.append(_StructureVertex(side, i, block, weights[i], genera[i]))
     return out
+
+
+class _Skeleton:
+    """What the structures of one (root_data, blocks1, blocks2) share.
+
+    ``iter_structures`` yields them consecutively, differing only in
+    weights and genera.  Vertices run over the X1 blocks, then the X2
+    blocks; ``roots[i]`` gives, for basis choice i, each vertex's
+    (f, c, class id) per root.  ``dead`` marks a side-constrained leg group
+    with no vertex on its side, which kills every structure of the skeleton.
+    """
+
+    def __init__(self, ctx: _Context, structure: SplittingStructure, groups):
+        m_labels, blocks1, blocks2 = structure.m_labels, structure.blocks1, structure.blocks2
+        self.key = (structure.root_data, blocks1, blocks2)
+        self.sides = ("X1",) * len(blocks1) + ("X2",) * len(blocks2)
+        self.dead = not self.sides or any(
+            g["side"] not in (None, *self.sides) for g in groups
+        )
+        self.contacts = tuple(c for _, c in structure.root_data)
+        self.indices = tuple(f for f, _ in structure.root_data)
+        self.choices = ctx.basis_choices(self.indices)
+        fc_of = dict(zip(m_labels, structure.root_data))
+        self.roots = []
+        for delta, rho, _, _ in self.choices:
+            cls1, cls2 = dict(zip(m_labels, delta)), dict(zip(m_labels, rho))
+            self.roots.append(
+                tuple(tuple(fc_of[lab] + (cls1[lab],) for lab in b) for b in blocks1)
+                + tuple(tuple(fc_of[lab] + (cls2[lab],) for lab in b) for b in blocks2)
+            )
 
 
 def _leg_groups(ctx: _Context) -> list[dict]:
@@ -549,42 +583,29 @@ def _placements(ctx: _Context, vertices, groups, roots, budget: _Budget):
         rec = None
 
 
-def _placement_sum(ctx: _Context, vertices, groups, roots, budget: _Budget) -> Fraction:
-    """Sum of multiplicity times product over all leg placements, memoised.
-
-    With a covariant table and every sign +1 the sum depends only on the
-    multiset of vertex data.  The first structure with a given multiset is
-    walked in its own vertex order; later ones reuse the sum, and so reach
-    none of the keys (reorderings of aggregated legs) their own order would.
-    """
-    ids = ctx.vertex_ids
-    signature = tuple(
-        sorted(
-            ids.setdefault((vx.side, vx.genus, vx.weight, r), len(ids))
-            for vx, r in zip(vertices, roots)
-        )
-    )
-    total = ctx.placement_sums.get(signature)
-    if total is None:
-        total = _ZERO
-        for _, mult, product in _placements(ctx, vertices, groups, roots, budget):
-            total += mult * product
-        ctx.placement_sums[signature] = total
-    return total
-
-
 def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> Fraction:
     """The evaluation kernel: sum the formula over structures, basis choices
     and leg placements.
+
+    What the structures of one skeleton share (contacts, indices, basis
+    choices, each choice's roots per vertex, the dead-leg check) is worked
+    out once per skeleton; only the last skeleton is kept.
 
     Without a table (key collection) every keyed component counts the int 1
     and the walk only fills the memo, so neither coefficients nor signs are
     computed.  No branch is pruned then: structures satisfy condition B and
     basis choices keep each root on its band, so the vanishing rules never
-    fire here, and every placement of every structure is walked.  With a
-    table, a basis choice whose signs are all +1 takes its placement sum
-    from ``_placement_sum`` unless ``terms`` is given; with ``terms``, every
-    placement is walked and each nonzero term is appended as an EvalTerm.
+    fire here, and every placement of every structure is walked.
+
+    With a table and without ``terms``, a basis choice whose signs are all
+    +1 is a repeated even term: its value is the contact coefficient times
+    the expansion weight times the placement sum of the vertex data
+    multiset (the signature).  Plain evaluation counts structures per
+    (contacts, indices, choice, signature) with ints and multiplies each
+    distinct term once at the end.  A signature's placements are walked at
+    first sight, in that structure's own vertex order.  With ``terms``, or
+    for a choice with an odd class, every placement is walked, signed, and
+    (with ``terms``) each nonzero term is appended as an EvalTerm.
 
     One node budget bounds the walk: each structure, basis choice and
     placement node ticks it.
@@ -592,32 +613,54 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     problem = ctx.problem
     groups = _leg_groups(ctx)
     budget = _Budget(_effective_budget(problem))
+    plain = ctx.table is not None and terms is None
+    ids, sums = ctx.vertex_ids, ctx.placement_sums
+    counts: dict = {}  # (contacts, indices, choice, signature) -> structures
     total = _ZERO
+    skeleton = None
     for structure in iter_structures(problem, budget):
-        m_labels = structure.m_labels
-        indices = tuple(f for f, _ in structure.root_data)
-        vertices = _structure_vertices(structure)
-        sides = {vx.side for vx in vertices}
-        # a constrained leg with no vertex on its side kills the structure
-        if not vertices or any(g["side"] not in (None, *sides) for g in groups):
+        if skeleton is None or (
+            structure.root_data, structure.blocks1, structure.blocks2
+        ) != skeleton.key:
+            skeleton = _Skeleton(ctx, structure, groups)
+            if ctx.table is not None and not skeleton.dead:
+                coeff = ctx.coefficient(skeleton.contacts, skeleton.indices, rule)
+        if skeleton.dead:
             continue
-        if ctx.table is not None:
-            coeff = ctx.coefficient(
-                tuple(c for _, c in structure.root_data), indices, rule
-            )
-        for delta, rho, weight, odd in ctx.basis_choices(indices):
+        m_labels = structure.m_labels
+        vertices = None
+        if plain:
+            genera = structure.genera1 + structure.genera2
+            exponents = [w.exponents for w in structure.weights1 + structure.weights2]
+        for ci, (delta, rho, weight, odd) in enumerate(skeleton.choices):
             budget.tick()
-            classes = {"X1": dict(zip(m_labels, delta)), "X2": dict(zip(m_labels, rho))}
-            roots = [
-                tuple(fc + (classes[vx.side][lab],) for lab, fc in zip(vx.block, vx.fc))
-                for vx in vertices
-            ]
+            roots = skeleton.roots[ci]
+            if plain and not odd:
+                # the weight enters by its exponents, which hash in C
+                signature = tuple(
+                    sorted(
+                        ids.setdefault(v, len(ids))
+                        for v in zip(skeleton.sides, genera, exponents, roots)
+                    )
+                )
+                if signature not in sums:
+                    vertices = vertices or _structure_vertices(structure)
+                    sums[signature] = sum(
+                        (
+                            mult * product
+                            for _, mult, product in _placements(
+                                ctx, vertices, groups, roots, budget
+                            )
+                        ),
+                        _ZERO,
+                    )
+                term = (skeleton.contacts, skeleton.indices, ci, signature)
+                counts[term] = counts.get(term, 0) + 1
+                continue
+            vertices = vertices or _structure_vertices(structure)
             if ctx.table is None:
                 for _ in _placements(ctx, vertices, groups, roots, budget):
                     pass
-                continue
-            if not odd and terms is None:
-                total += coeff * weight * _placement_sum(ctx, vertices, groups, roots, budget)
                 continue
             word = ctx.word(m_labels, delta, rho) if odd else None
             for placed, mult, product in _placements(ctx, vertices, groups, roots, budget):
@@ -657,6 +700,11 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
                         ),
                     )
                 )
+    for (contacts, indices, ci, signature), n in counts.items():
+        placement_sum = sums[signature]
+        if placement_sum:
+            weight = ctx.basis_choices(indices)[ci][2]
+            total += n * ctx.coefficient(contacts, indices, rule) * weight * placement_sum
     return total
 
 
@@ -687,7 +735,8 @@ def evaluate_degeneration(
     Identical even-parity legs are aggregated, so the reported terms carry a
     representative splitting and its multiplicity.  Without ``with_terms``,
     a basis choice whose signs are all +1 reuses the placement sum of an
-    earlier structure with the same vertex data.
+    earlier structure with the same vertex data, and equal terms are
+    counted and multiplied once.
 
     Missing table keys abort the run with ``MissingKeysError`` listing the
     absent keys the walk reaches.  The walk skips the placements a genuine

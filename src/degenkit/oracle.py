@@ -3,9 +3,12 @@ factorizations, a relative-invariant table for the projective line with one
 marked point, and the end-to-end check of the degeneration evaluator on the
 line degenerating into two lines glued at a point.
 
-Counts combine by plain integer addition over independent branches of the
-factorization walk, so parallel evaluation would be safe; the sizes involved
-(degree at most five) keep the sequential version instant.
+Factorization counts come from one dynamic-programming sweep per degree and
+tuple of profiles.  The sweep runs the profile slots once, then one
+transposition slot at a time, keeping its current states and the count after
+every slot so far; a count for more slots extends it, a count for fewer is
+read off.  Permutations of S_d are composed by index through one table per
+degree (degree at most five, so at most 120 x 120 entries).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .correlator import (
     InvariantTable,
     evaluate_degeneration,
 )
-from .errors import InfeasibleInstanceError, ScaleError
+from .errors import DegenkitError, InfeasibleInstanceError, ScaleError
 from .graphs import CurveClass, CurveClassMonoid, Generator
 from .splitting import DegenerationProblem, LegSpec
 from .twisting import MINIMAL_TWIST, TwistingChoice
@@ -97,14 +100,6 @@ class HurwitzInstance:
         return 2 * self.genus - 2 + 2 * self.degree - ram
 
 
-def _identity(d: int) -> tuple[int, ...]:
-    return tuple(range(d))
-
-
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
 def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     seen = [False] * len(perm)
     lengths = []
@@ -160,13 +155,88 @@ def _join(p1, p2) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
 
 
+class _SymmetricGroup:
+    """S_d with its elements numbered, the identity first.
+
+    ``product[i][j]`` numbers the permutation that applies element j, then
+    element i.  Orbit partitions are interned as small ids, and the join of
+    two ids (the orbit partition of the group the two generate) is computed
+    once per pair.
+    """
+
+    def __init__(self, d: int):
+        perms = list(itertools.permutations(range(d)))
+        number = {p: i for i, p in enumerate(perms)}
+        self.product = [[number[tuple(map(p.__getitem__, q))] for q in perms] for p in perms]
+        self.partitions: list[tuple[tuple[int, ...], ...]] = []
+        self.partition_ids: dict[tuple, int] = {}
+        self.joins: dict[tuple[int, int], int] = {}
+        self.classes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for i, perm in enumerate(perms):
+            self.classes.setdefault(_cycle_type(perm), []).append(
+                (i, self.intern(_orbit_partition(perm)))
+            )
+        self.discrete = self.intern(tuple((i,) for i in range(d)))
+        self.transitive = self.intern((tuple(range(d)),))
+
+    def intern(self, partition) -> int:
+        if partition not in self.partition_ids:
+            self.partition_ids[partition] = len(self.partitions)
+            self.partitions.append(partition)
+        return self.partition_ids[partition]
+
+    def join(self, pid: int, sid: int) -> int:
+        joined = self.intern(_join(self.partitions[pid], self.partitions[sid]))
+        self.joins[pid, sid] = joined
+        return joined
+
+    def step(self, states: dict, parts: tuple[int, ...]) -> dict:
+        """DP states after one more slot of the given cycle type: counts by
+        (partial product, orbit partition of the generators so far)."""
+        product, joins = self.product, self.joins
+        elements = self.classes.get(parts, [])
+        out: dict[tuple[int, int], int] = {}
+        for (prod, pid), count in states.items():
+            row = product[prod]
+            for sigma, sid in elements:
+                joined = joins.get((pid, sid))
+                if joined is None:
+                    joined = self.join(pid, sid)
+                key = (row[sigma], joined)
+                out[key] = out.get(key, 0) + count
+        return out
+
+
 @lru_cache(maxsize=None)
-def _class_elements(d: int, parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        perm
-        for perm in itertools.permutations(range(d))
-        if _cycle_type(perm) == tuple(sorted(parts, reverse=True))
-    )
+def _symmetric_group(d: int) -> _SymmetricGroup:
+    return _SymmetricGroup(d)
+
+
+class _Sweep:
+    """The factorization DP of one degree and one tuple of profiles, with
+    the count after every transposition slot run so far."""
+
+    def __init__(self, d: int, profiles: tuple[tuple[int, ...], ...]):
+        self.group = _symmetric_group(d)
+        self.transposition = (2,) + (1,) * (d - 2)
+        self.states = {(0, self.group.discrete): 1}
+        for parts in profiles:
+            self.states = self.group.step(self.states, parts)
+        self.counts = [self._count()]
+
+    def _count(self) -> int:
+        return self.states.get((0, self.group.transitive), 0)
+
+    def count(self, slots: int) -> int:
+        while len(self.counts) <= slots:
+            self.states = self.group.step(self.states, self.transposition)
+            self.counts.append(self._count())
+        return self.counts[slots]
+
+
+@lru_cache(maxsize=None)
+def _sweep(d: int, profiles: tuple[tuple[int, ...], ...]) -> _Sweep:
+    return _Sweep(d, profiles)
 
 
 @lru_cache(maxsize=None)
@@ -176,46 +246,32 @@ def factorization_count(
     """Number of tuples (one permutation per profile, then transpositions)
     multiplying to the identity and generating a transitive subgroup.
 
-    Dynamic programming over (partial product, orbit partition of the
-    group generated so far); the join of the generators' orbit partitions is
-    the orbit partition of the generated group.  Partitions are interned as
-    small ids, and each join of two of them is computed once per call.
+    Read off the sweep of (d, profiles), extended as far as
+    ``transposition_slots`` if it has not got there yet.  The sweep is a
+    dynamic program over (partial product, orbit partition of the group
+    generated so far); the join of the generators' orbit partitions is the
+    orbit partition of the generated group.  Profiles are taken as
+    partitions of d in any order of parts; all-ones profiles (the identity
+    class, one element) are dropped, so they share the sweep without them.
     """
     if d > MAX_DEGREE:
         raise ScaleError("degree %d exceeds the brute-force bound %d" % (d, MAX_DEGREE))
-    partitions: list[tuple[tuple[int, ...], ...]] = []
-    partition_ids: dict[tuple, int] = {}
-
-    def intern(partition) -> int:
-        if partition not in partition_ids:
-            partition_ids[partition] = len(partitions)
-            partitions.append(partition)
-        return partition_ids[partition]
-
-    joins: dict[tuple[int, int], int] = {}
-    discrete = intern(tuple((i,) for i in range(d)))
-    states: dict[tuple, int] = {(_identity(d), discrete): 1}
-    slot_classes = [tuple(sorted(p, reverse=True)) for p in profiles]
-    slot_classes += [(2,) + (1,) * (d - 2)] * transposition_slots if d >= 2 else []
-    if d < 2 and transposition_slots:
-        return 0
-    for parts in slot_classes:
-        new_states: dict[tuple, int] = {}
-        elements = [
-            (sigma, intern(_orbit_partition(sigma)))
-            for sigma in _class_elements(d, parts)
-        ]
-        for (prod, pid), count in states.items():
-            for sigma, sid in elements:
-                joined = joins.get((pid, sid))
-                if joined is None:
-                    joined = intern(_join(partitions[pid], partitions[sid]))
-                    joins[pid, sid] = joined
-                key = (_compose(prod, sigma), joined)
-                new_states[key] = new_states.get(key, 0) + count
-        states = new_states
-    full = partition_ids.get((tuple(range(d)),))
-    return states.get((_identity(d), full), 0)
+    if d < 1:
+        raise InfeasibleInstanceError("degree must be positive")
+    if transposition_slots < 0:
+        raise InfeasibleInstanceError(
+            "negative transposition slot count %d" % transposition_slots
+        )
+    classes = []
+    for parts in profiles:
+        parts = tuple(sorted(parts, reverse=True))
+        if sum(parts) != d or any(p < 1 for p in parts):
+            raise InfeasibleInstanceError(
+                "profile %s is not a partition of the degree %d" % (parts, d)
+            )
+        if parts[0] > 1:
+            classes.append(parts)
+    return _sweep(d, tuple(classes)).count(transposition_slots)
 
 
 def hurwitz_count(instance: HurwitzInstance) -> Fraction:
@@ -319,13 +375,19 @@ def build_p1_table(
     branch-insertion budget, on both sides of the degeneration.
 
     Keys whose branch count is incompatible with their genus get the value 0
-    so the evaluator can see every key it asks for.
+    so the evaluator can see every key it asks for.  Bounds that leave the
+    table empty (d_max < 1, g_max < 0, max_legs < 0) are rejected.
     """
     if d_max > MAX_DEGREE:
         raise ScaleError("d_max %d exceeds the brute-force bound %d" % (d_max, MAX_DEGREE))
-    conv = conventions or P1Conventions()
     if max_legs is None:
         max_legs = 2 * g_max - 2 + 2 * d_max
+    if d_max < 1 or g_max < 0 or max_legs < 0:
+        raise DegenkitError(
+            "empty P1 table: need d_max >= 1, g_max >= 0 and max_legs >= 0"
+            " (got %d, %d, %d)" % (d_max, g_max, max_legs)
+        )
+    conv = conventions or P1Conventions()
     table = InvariantTable()
     for side, gen in (("X1", conv.generator_1), ("X2", conv.generator_2)):
         for d in range(1, d_max + 1):

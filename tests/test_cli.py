@@ -254,6 +254,20 @@ def test_cli_oracle_count_profiles():
     assert payload["count"] == "1/3"
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ("--d-max", "2", "--g-max", "0", "--max-legs", "-1"),
+        ("--d-max", "0", "--g-max", "1"),
+        ("--d-max", "2", "--g-max", "-1"),
+    ],
+)
+def test_cli_oracle_empty_table_rejected(bounds):
+    proc = run_cli("oracle", "table", *bounds, expect=2)
+    assert proc.stdout == ""
+    assert "empty P1 table" in json.loads(proc.stderr)["error"]
+
+
 def test_cli_check_unknown_suite():
     run_cli("check", "nonsense", expect=2)
 

@@ -1,9 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from degenkit import oracle
+from degenkit.algebra import BasisClass, Parity, Sector, SectorCatalog
 from degenkit.errors import InfeasibleInstanceError, ScaleError
 from degenkit.oracle import (
     HurwitzInstance,
@@ -19,13 +22,17 @@ from degenkit.oracle import (
     _compositions,
 )
 from degenkit.correlator import (
+    CONVENTIONS,
     CorrelatorKey,
     Insertion,
     InvariantTable,
     evaluate_degeneration,
     needed_keys,
 )
-from degenkit.graphs import CurveClass, Leg, ModularGraph, Root, Vertex
+from degenkit.graphs import CurveClass, CurveClassMonoid, Generator, Leg, ModularGraph, Root, Vertex
+from degenkit.splitting import DegenerationProblem, LegSpec
+
+from helpers import covariant_random_table
 
 
 def _naive_count(d, profiles, b):
@@ -90,10 +97,46 @@ def _naive_count(d, profiles, b):
         (4, ((4,), (4,)), 0),
         (4, ((2, 2), (3, 1)), 1),
         (5, ((5,), (3, 1, 1)), 2),
+        (3, ((1, 1, 1),), 4),
+        (4, ((1, 1, 1, 1), (2, 2)), 2),
+        (3, ((2, 1), (1, 1, 1), (3,)), 2),
     ],
 )
 def test_factorization_count_matches_naive(d, profiles, b):
     assert factorization_count(d, profiles, b) == _naive_count(d, profiles, b)
+
+
+@pytest.mark.parametrize(
+    "d,profiles,slots",
+    [
+        (3, ((2, 1),), (7, 5, 3, 1, 0, 2, 4, 6)),
+        (4, ((2, 2),), (4, 2, 0, 1, 3)),
+    ],
+)
+def test_sweep_read_in_any_slot_order(d, profiles, slots):
+    # cold caches, so the first count runs the sweep to its largest slot
+    # count and the later ones are read off it or extend it
+    oracle._sweep.cache_clear()
+    factorization_count.cache_clear()
+    for s in slots:
+        assert factorization_count(d, profiles, s) == _naive_count(d, profiles, s), s
+    for s in sorted(slots):
+        assert factorization_count(d, profiles, s) == _naive_count(d, profiles, s), s
+
+
+@pytest.mark.parametrize(
+    "d,profiles,slots",
+    [
+        (3, ((3,), (3,)), -2),
+        (3, ((2, 2),), 0),
+        (3, ((2,),), 1),
+        (3, ((3, 0),), 0),
+        (0, (), 0),
+    ],
+)
+def test_factorization_count_rejects_bad_input(d, profiles, slots):
+    with pytest.raises(InfeasibleInstanceError):
+        factorization_count(d, profiles, slots)
 
 
 def test_hurwitz_degree_one_is_one():
@@ -263,12 +306,82 @@ def test_genus_zero_count_matches_hurwitz_formula(d):
     assert hurwitz_count(HurwitzInstance(d, 0)) == expected
 
 
-@pytest.mark.parametrize("d,g,k", [(3, 1, 1), (4, 0, 2), (4, 2, 3)])
-def test_plain_evaluate_equals_terms_walk(d, g, k):
-    # the --terms walk visits every placement, so it is the reference for
-    # the placement sums plain evaluation reuses
+def _p1_case(d, g, k):
     problem, insertions = p1_problem(d, g, second_side_legs=k)
-    table = build_p1_table(d, g, max_legs=len(insertions))
-    plain = evaluate_degeneration(problem, insertions, table)
-    walked = evaluate_degeneration(problem, insertions, table, with_terms=True)
-    assert plain.value == walked.value
+    return problem, insertions, build_p1_table(d, g, max_legs=len(insertions))
+
+
+def _conjugate_pair_case(genus, x1_exponents):
+    """Random-family problem: a conjugate band-2 pair on the divisor, two
+    identical even legs, beta = x1_exponents + 3b over half-degree
+    generators, and a covariant random table on the needed keys.  Two
+    untwisted classes of different norms give basis choices of different
+    expansion weights."""
+    divisor = SectorCatalog(
+        sectors=(Sector("u", 1, "u"), Sector("t+", 2, "t-"), Sector("t-", 2, "t+")),
+        basis=(
+            BasisClass("u0", "u", Parity.EVEN),
+            BasisClass("u1", "u", Parity.EVEN),
+            BasisClass("t0+", "t+", Parity.EVEN),
+            BasisClass("t0-", "t-", Parity.EVEN),
+        ),
+        pairing=tuple(
+            tuple(Fraction(q) if i == j else Fraction(0) for j in range(4))
+            for i, q in enumerate((2, 3, Fraction(3, 2), Fraction(3, 2)))
+        ),
+        basis_involution={
+            "u0": ("u0", 1),
+            "u1": ("u1", 1),
+            "t0+": ("t0-", 1),
+            "t0-": ("t0+", 1),
+        },
+    )
+    ambient = SectorCatalog(
+        sectors=(Sector("m", 1, "m"),),
+        basis=(BasisClass("g_even", "m", Parity.EVEN),),
+        pairing=((Fraction(1),),),
+    )
+    monoid = CurveClassMonoid(
+        tuple(Generator(gid, "X1", Fraction(1, 2)) for gid in sorted(x1_exponents))
+        + (Generator("b", "X2", Fraction(1, 2)),)
+    )
+    problem = DegenerationProblem(
+        monoid=monoid,
+        genus=genus,
+        legs=(LegSpec(1, 1), LegSpec(2, 1)),
+        beta=CurveClass({**x1_exponents, "b": 3}),
+        divisor=divisor,
+        c_max=2,
+        ambient=ambient,
+    )
+    insertions = [Insertion(0, "g_even"), Insertion(0, "g_even")]
+    table = covariant_random_table(
+        needed_keys(problem, insertions), divisor, ambient, random.Random(5)
+    )
+    return problem, insertions, table
+
+
+@pytest.mark.parametrize(
+    "make_case",
+    [
+        pytest.param(lambda: _p1_case(3, 1, 1), id="3-1-1"),
+        pytest.param(lambda: _p1_case(4, 0, 2), id="4-0-2"),
+        pytest.param(lambda: _p1_case(4, 2, 3), id="4-2-3"),
+        # genus 2: each skeleton carries up to ten structures
+        pytest.param(lambda: _conjugate_pair_case(2, {"a": 3}), id="pair-genus-2"),
+        # two X1 generators: up to three weight splits per skeleton and genera
+        pytest.param(
+            lambda: _conjugate_pair_case(0, {"a": 2, "a2": 1}), id="pair-weight-splits"
+        ),
+    ],
+)
+def test_plain_evaluate_equals_terms_walk(make_case):
+    # the --terms walk visits every placement, so it is the reference for
+    # the counted terms and placement sums of plain evaluation
+    problem, insertions, table = make_case()
+    for convention in CONVENTIONS:
+        plain = evaluate_degeneration(problem, insertions, table, convention=convention)
+        walked = evaluate_degeneration(
+            problem, insertions, table, convention=convention, with_terms=True
+        )
+        assert plain.value == walked.value, convention
