@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--twisting", default="lcm")
     p.set_defaults(func=cmd_ledger)
 
-    p = sub.add_parser("oracle", help="brute-force cover counts and tables")
+    p = sub.add_parser("oracle", help="branched-cover counts, line tables and the end-to-end check")
     osub = p.add_subparsers(dest="oracle_command", required=True)
     ot = osub.add_parser("table", help="emit the relative-invariant table")
     ot.add_argument("--d-max", type=int, required=True)

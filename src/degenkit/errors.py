@@ -53,7 +53,7 @@ class ParityError(DegenkitError):
 
 
 class ScaleError(DegenkitError):
-    """Requested brute-force computation is beyond the supported size."""
+    """Requested computation is beyond the supported size."""
 
 
 class InfeasibleInstanceError(DegenkitError):

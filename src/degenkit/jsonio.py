@@ -36,11 +36,33 @@ def fraction_to_str(x: Fraction) -> str:
 
 
 def fraction_from_str(s: str | int) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise DegenkitError("expected a rational string, got %r" % (s,))
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except (ValueError, ZeroDivisionError):
+        raise DegenkitError("not a rational number: %r" % s) from None
+
+
+def _int(value, what: str) -> int:
+    """A JSON integer; booleans, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DegenkitError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise DegenkitError("%s must be an object, got %r" % (what, value))
+    return value
+
+
+def _objects(value, what: str) -> list[dict]:
+    if not isinstance(value, list) or not all(isinstance(row, dict) for row in value):
+        raise DegenkitError("%s must be a list of objects, got %r" % (what, value))
+    return value
 
 
 # -- catalogs -----------------------------------------------------------------
@@ -72,17 +94,17 @@ def catalog_from_dict(data: dict) -> SectorCatalog:
     inv = None
     if "basis_involution" in data:
         inv = {
-            row["id"]: (row["image"], int(row["sign"]))
-            for row in data["basis_involution"]
+            row["id"]: (row["image"], _int(row["sign"], "involution sign"))
+            for row in _objects(data["basis_involution"], "basis_involution")
         }
     return SectorCatalog(
         sectors=tuple(
-            Sector(s["id"], int(s["band_order"]), s["involution_image"])
-            for s in data["sectors"]
+            Sector(s["id"], _int(s["band_order"], "band_order"), s["involution_image"])
+            for s in _objects(data["sectors"], "sectors")
         ),
         basis=tuple(
             BasisClass(b["id"], b["sector"], Parity(b["parity"]))
-            for b in data["basis"]
+            for b in _objects(data["basis"], "basis")
         ),
         pairing=tuple(
             tuple(fraction_from_str(x) for x in row) for row in data["pairing"]
@@ -107,7 +129,7 @@ def monoid_from_dict(data: dict) -> CurveClassMonoid:
     return CurveClassMonoid(
         tuple(
             Generator(g["id"], g["component"], fraction_from_str(g["d_degree"]))
-            for g in data["generators"]
+            for g in _objects(data["generators"], "generators")
         )
     )
 
@@ -177,28 +199,33 @@ def problem_to_dict(problem: DegenerationProblem) -> dict:
 
 
 def problem_from_dict(data: dict) -> DegenerationProblem:
+    _object(data, "problem")
     for field_name in ("monoid", "genus", "legs", "beta", "divisor", "c_max"):
         if field_name not in data:
             raise DegenkitError("problem file is missing the field %r" % field_name)
     return DegenerationProblem(
         monoid=monoid_from_dict(data["monoid"]),
-        genus=int(data["genus"]),
+        genus=_int(data["genus"], "genus"),
         legs=tuple(
-            LegSpec(int(l["label"]), int(l["e"]), l.get("side"))
-            for l in data["legs"]
+            LegSpec(_int(l["label"], "leg label"), _int(l["e"], "leg e"), l.get("side"))
+            for l in _objects(data["legs"], "legs")
         ),
-        beta=CurveClass(data["beta"]),
+        beta=CurveClass(
+            {g: _int(e, "beta exponent") for g, e in _object(data["beta"], "beta").items()}
+        ),
         divisor=catalog_from_dict(data["divisor"]),
-        c_max=int(data["c_max"]),
+        c_max=_int(data["c_max"], "c_max"),
         ambient=catalog_from_dict(data["ambient"]) if "ambient" in data else None,
-        budget=int(data["budget"]) if "budget" in data else None,
+        budget=_int(data["budget"], "budget") if "budget" in data else None,
     )
 
 
 def insertions_from_list(problem: DegenerationProblem, data: list) -> list[Insertion]:
     by_label = {}
-    for row in data:
-        by_label[int(row["label"])] = Insertion(int(row.get("m", 0)), row["class"])
+    for row in _objects(data, "insertions"):
+        by_label[_int(row["label"], "insertion label")] = Insertion(
+            _int(row.get("m", 0), "insertion m"), row["class"]
+        )
     out = []
     for spec in problem.legs:
         if spec.label not in by_label:

@@ -1,14 +1,17 @@
-"""Desk-scale ground truth: branched-cover counts from symmetric-group
-factorizations, a relative-invariant table for the projective line with one
-marked point, and the end-to-end check of the degeneration evaluator on the
-line degenerating into two lines glued at a point.
+"""Desk-scale ground truth: branched-cover counts from the character table
+of the symmetric group, a relative-invariant table for the projective line
+with one marked point, and the end-to-end check of the degeneration evaluator
+on the line degenerating into two lines glued at a point.
 
-Factorization counts come from one dynamic-programming sweep per degree and
-tuple of profiles.  The sweep runs the profile slots once, then one
-transposition slot at a time, keeping its current states and the count after
-every slot so far; a count for more slots extends it, a count for fewer is
-read off.  Permutations of S_d are composed by index through one table per
-degree (degree at most five, so at most 120 x 120 entries).
+A cover count is a number of permutation tuples, one per branch point, that
+multiply to the identity and generate a transitive subgroup.  Without the
+transitivity condition it is Frobenius' formula over the irreducible
+characters of S_d, each class entering through its central character, an
+integer; the characters come from the Murnaghan-Nakayama rule on beta-sets
+(Okounkov-Pandharipande, math/0204305, sections 0-1).  The transitive count
+is the full count minus the tuples whose orbit of sheet 0 is smaller, which
+factor into a transitive tuple on that orbit and any tuple on the other
+sheets.  All arithmetic is in exact ints.
 """
 
 from __future__ import annotations
@@ -55,12 +58,6 @@ class RamificationProfile:
     def length(self) -> int:
         return len(self.parts)
 
-    def part_multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
 
 @dataclass(frozen=True)
 class HurwitzInstance:
@@ -100,143 +97,136 @@ class HurwitzInstance:
         return 2 * self.genus - 2 + 2 * self.degree - ram
 
 
-def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+def _partitions(d: int, largest: int | None = None) -> list[tuple[int, ...]]:
+    """Partitions of d with parts in decreasing order, none above ``largest``."""
+    if d == 0:
+        return [()]
+    largest = d if largest is None else largest
+    return [
+        (head,) + tail
+        for head in range(min(d, largest), 0, -1)
+        for tail in _partitions(d - head, head)
+    ]
 
 
-def _orbit_partition(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * len(perm)
-    blocks = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        block = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            block.append(x)
-            x = perm[x]
-        blocks.append(tuple(sorted(block)))
-    return tuple(sorted(blocks))
+def _character(beta: frozenset[int], parts: tuple[int, ...]) -> int:
+    """Murnaghan-Nakayama: the irreducible character of S_d with beta-set
+    ``beta`` at the class of cycle type ``parts``.  Removing a rim hook of
+    length r moves one bead from b down to an empty b - r, with the sign
+    (-1)^(beads jumped over)."""
+    if not parts:
+        return 1
+    r, rest = parts[0], parts[1:]
+    total = 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            jumped = sum(1 for x in beta if b - r < x < b)
+            total += (-1) ** jumped * _character(beta - {b} | {b - r}, rest)
+    return total
 
 
-def _join(p1, p2) -> tuple[tuple[int, ...], ...]:
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for block in list(p1) + list(p2):
-        for x in block:
-            parent.setdefault(x, x)
-        a = find(block[0])
-        for x in block[1:]:
-            b = find(x)
-            if a != b:
-                parent[b] = a
-    blocks: dict[int, list[int]] = {}
-    for x in parent:
-        blocks.setdefault(find(x), []).append(x)
-    return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
+def _beta_set(lam: tuple[int, ...]) -> frozenset[int]:
+    """The first-column hook lengths of lam: one bead per row."""
+    return frozenset(p + len(lam) - 1 - i for i, p in enumerate(lam))
 
 
-class _SymmetricGroup:
-    """S_d with its elements numbered, the identity first.
+def _class_size(parts: tuple[int, ...]) -> int:
+    """Number of permutations of cycle type ``parts``: d! / prod(m_i! i^m_i)."""
+    return math.factorial(sum(parts)) // (
+        labeled_profile_normalization(parts) * math.prod(parts)
+    )
 
-    ``product[i][j]`` numbers the permutation that applies element j, then
-    element i.  Orbit partitions are interned as small ids, and the join of
-    two ids (the orbit partition of the group the two generate) is computed
-    once per pair.
+
+@lru_cache(maxsize=None)
+def _dimensions(d: int) -> tuple[int, ...]:
+    """dim lam for each partition lam of d, in ``_partitions`` order."""
+    return tuple(_character(_beta_set(lam), (1,) * d) for lam in _partitions(d))
+
+
+@lru_cache(maxsize=None)
+def _central_characters(d: int, parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The central character |C| chi_lam(C) / dim lam of the class C of cycle
+    type ``parts``, for each partition lam of d in ``_partitions`` order.
+    It is an algebraic integer and rational, so an integer."""
+    size = _class_size(parts)
+    return tuple(
+        size * _character(_beta_set(lam), parts) // dim
+        for lam, dim in zip(_partitions(d), _dimensions(d))
+    )
+
+
+@lru_cache(maxsize=None)
+def _disconnected_count(
+    d: int, profiles: tuple[tuple[int, ...], ...], transposition_slots: int
+) -> int:
+    """Tuples (one permutation per profile, then transpositions) multiplying
+    to the identity, transitive or not.  Frobenius' formula
+
+        (prod |C_i| / d!) sum_lam prod chi_lam(C_i) / (dim lam)^(n-2)
+        = (1/d!) sum_lam (dim lam)^2 prod (central character of C_i at lam).
     """
+    if transposition_slots and d < 2:
+        return 0
+    rows = [_central_characters(d, parts) for parts in profiles]
+    transposition = _central_characters(d, (2,) + (1,) * (d - 2))
+    total = 0
+    for i, dim in enumerate(_dimensions(d)):
+        term = dim * dim * transposition[i] ** transposition_slots
+        for row in rows:
+            term *= row[i]
+        total += term
+    return total // math.factorial(d)
 
-    def __init__(self, d: int):
-        perms = list(itertools.permutations(range(d)))
-        number = {p: i for i, p in enumerate(perms)}
-        self.product = [[number[tuple(map(p.__getitem__, q))] for q in perms] for p in perms]
-        self.partitions: list[tuple[tuple[int, ...], ...]] = []
-        self.partition_ids: dict[tuple, int] = {}
-        self.joins: dict[tuple[int, int], int] = {}
-        self.classes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for i, perm in enumerate(perms):
-            self.classes.setdefault(_cycle_type(perm), []).append(
-                (i, self.intern(_orbit_partition(perm)))
-            )
-        self.discrete = self.intern(tuple((i,) for i in range(d)))
-        self.transitive = self.intern((tuple(range(d)),))
 
-    def intern(self, partition) -> int:
-        if partition not in self.partition_ids:
-            self.partition_ids[partition] = len(self.partitions)
-            self.partitions.append(partition)
-        return self.partition_ids[partition]
+def _sub_partitions(
+    parts: tuple[int, ...], k: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every distinct sub-multiset of ``parts`` summing to k, as (taken,
+    rest); both stay in decreasing order."""
+    if k == 0:
+        return [((), parts)]
+    if not parts:
+        return []
+    head = parts[0]
+    copies = parts.count(head)
+    out = []
+    for take in range(min(copies, k // head) + 1):
+        for taken, rest in _sub_partitions(parts[copies:], k - take * head):
+            out.append(((head,) * take + taken, (head,) * (copies - take) + rest))
+    return out
 
-    def join(self, pid: int, sid: int) -> int:
-        joined = self.intern(_join(self.partitions[pid], self.partitions[sid]))
-        self.joins[pid, sid] = joined
-        return joined
 
-    def step(self, states: dict, parts: tuple[int, ...]) -> dict:
-        """DP states after one more slot of the given cycle type: counts by
-        (partial product, orbit partition of the generators so far)."""
-        product, joins = self.product, self.joins
-        elements = self.classes.get(parts, [])
-        out: dict[tuple[int, int], int] = {}
-        for (prod, pid), count in states.items():
-            row = product[prod]
-            for sigma, sid in elements:
-                joined = joins.get((pid, sid))
-                if joined is None:
-                    joined = self.join(pid, sid)
-                key = (row[sigma], joined)
-                out[key] = out.get(key, 0) + count
-        return out
+def _nontrivial(profiles) -> tuple[tuple[int, ...], ...]:
+    """Profiles without the identity class (all parts 1: one element, central
+    character 1), in sorted order, so the counts below share their caches."""
+    return tuple(sorted(p for p in profiles if p[0] > 1))
 
 
 @lru_cache(maxsize=None)
-def _symmetric_group(d: int) -> _SymmetricGroup:
-    return _SymmetricGroup(d)
-
-
-class _Sweep:
-    """The factorization DP of one degree and one tuple of profiles, with
-    the count after every transposition slot run so far."""
-
-    def __init__(self, d: int, profiles: tuple[tuple[int, ...], ...]):
-        self.group = _symmetric_group(d)
-        self.transposition = (2,) + (1,) * (d - 2)
-        self.states = {(0, self.group.discrete): 1}
-        for parts in profiles:
-            self.states = self.group.step(self.states, parts)
-        self.counts = [self._count()]
-
-    def _count(self) -> int:
-        return self.states.get((0, self.group.transitive), 0)
-
-    def count(self, slots: int) -> int:
-        while len(self.counts) <= slots:
-            self.states = self.group.step(self.states, self.transposition)
-            self.counts.append(self._count())
-        return self.counts[slots]
-
-
-@lru_cache(maxsize=None)
-def _sweep(d: int, profiles: tuple[tuple[int, ...], ...]) -> _Sweep:
-    return _Sweep(d, profiles)
+def _connected_count(
+    d: int, profiles: tuple[tuple[int, ...], ...], transposition_slots: int
+) -> int:
+    """Tuples as in ``_disconnected_count`` that generate a transitive
+    subgroup: all of them, minus those where the orbit of sheet 0 has k < d
+    sheets.  Such a tuple is a choice of the other k - 1 sheets of the orbit,
+    a transitive tuple on the orbit and any tuple on the rest; each profile
+    splits into the parts inside the orbit and the others, and each
+    transposition acts on one side."""
+    s = transposition_slots
+    total = _disconnected_count(d, profiles, s)
+    for k in range(1, d):
+        sheets = math.comb(d - 1, k - 1)
+        for split in itertools.product(*(_sub_partitions(p, k) for p in profiles)):
+            inner = _nontrivial(taken for taken, _ in split)
+            outer = _nontrivial(rest for _, rest in split)
+            for s1 in range(s + 1):
+                total -= (
+                    sheets
+                    * math.comb(s, s1)
+                    * _connected_count(k, inner, s1)
+                    * _disconnected_count(d - k, outer, s - s1)
+                )
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -246,16 +236,14 @@ def factorization_count(
     """Number of tuples (one permutation per profile, then transpositions)
     multiplying to the identity and generating a transitive subgroup.
 
-    Read off the sweep of (d, profiles), extended as far as
-    ``transposition_slots`` if it has not got there yet.  The sweep is a
-    dynamic program over (partial product, orbit partition of the group
-    generated so far); the join of the generators' orbit partitions is the
-    orbit partition of the generated group.  Profiles are taken as
-    partitions of d in any order of parts; all-ones profiles (the identity
-    class, one element) are dropped, so they share the sweep without them.
+    The count of all such tuples comes from the character table of S_d
+    (Frobenius' formula, characters by Murnaghan-Nakayama, exact ints); the
+    transitive ones are those minus the tuples whose orbit of sheet 0 is
+    smaller, counted recursively.  Profiles are taken as partitions of d in
+    any order of parts and of profiles.
     """
     if d > MAX_DEGREE:
-        raise ScaleError("degree %d exceeds the brute-force bound %d" % (d, MAX_DEGREE))
+        raise ScaleError("degree %d exceeds the supported bound %d" % (d, MAX_DEGREE))
     if d < 1:
         raise InfeasibleInstanceError("degree must be positive")
     if transposition_slots < 0:
@@ -269,22 +257,18 @@ def factorization_count(
             raise InfeasibleInstanceError(
                 "profile %s is not a partition of the degree %d" % (parts, d)
             )
-        if parts[0] > 1:
-            classes.append(parts)
-    return _sweep(d, tuple(classes)).count(transposition_slots)
+        classes.append(parts)
+    return _connected_count(d, _nontrivial(classes), transposition_slots)
 
 
 def hurwitz_count(instance: HurwitzInstance) -> Fraction:
     """Weighted count of branched covers: factorizations divided by d!."""
-    d = instance.degree
-    if d > MAX_DEGREE:
-        raise ScaleError("degree %d exceeds the brute-force bound %d" % (d, MAX_DEGREE))
     count = factorization_count(
-        d,
+        instance.degree,
         tuple(p.parts for p in instance.profiles),
         instance.simple_branch_count,
     )
-    return Fraction(count, math.factorial(d))
+    return Fraction(count, math.factorial(instance.degree))
 
 
 # -- the line glued at a point as a degeneration problem ----------------------
@@ -379,7 +363,7 @@ def build_p1_table(
     table empty (d_max < 1, g_max < 0, max_legs < 0) are rejected.
     """
     if d_max > MAX_DEGREE:
-        raise ScaleError("d_max %d exceeds the brute-force bound %d" % (d_max, MAX_DEGREE))
+        raise ScaleError("d_max %d exceeds the supported bound %d" % (d_max, MAX_DEGREE))
     if max_legs is None:
         max_legs = 2 * g_max - 2 + 2 * d_max
     if d_max < 1 or g_max < 0 or max_legs < 0:

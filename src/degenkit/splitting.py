@@ -118,14 +118,6 @@ class Splitting:
                             "every vertex must touch a root when M is nonempty"
                         )
 
-    @property
-    def n1_labels(self) -> tuple[int, ...]:
-        return self.xi1.leg_labels()
-
-    @property
-    def n2_labels(self) -> tuple[int, ...]:
-        return self.xi2.leg_labels()
-
     def contacts(self) -> tuple[int, ...]:
         return tuple(self.xi1.root_by_label(lab).c for lab in self.m_labels)
 
@@ -221,9 +213,6 @@ class SplittingStructure:
         if which == "X1":
             return self.blocks1, self.weights1, self.genera1
         return self.blocks2, self.weights2, self.genera2
-
-    def vertex_count(self) -> int:
-        return len(self.blocks1) + len(self.blocks2)
 
     def fc_of(self, label: int) -> tuple[int, int]:
         return self.root_data[self.m_labels.index(label)]

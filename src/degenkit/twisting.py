@@ -241,9 +241,3 @@ def degeneration_ledger(
         ),
     )
     return MultiplicityLedger(factors)
-
-
-def ledger_for_splitting(splitting, rule: TwistingChoice = MINIMAL_TWIST) -> MultiplicityLedger:
-    """Ledger of a Splitting object (contact orders read off its roots)."""
-    contacts = [splitting.xi1.root_by_label(lab).c for lab in splitting.m_labels]
-    return degeneration_ledger(contacts, rule)

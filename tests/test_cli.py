@@ -187,6 +187,38 @@ def test_cli_malformed_problem(tmp_path):
     assert "missing the field" in json.loads(proc.stderr)["error"]
 
 
+DOCS = Path(__file__).resolve().parents[1] / "docs"
+
+
+def _set_d_degree(problem, value):
+    problem["monoid"]["generators"][0]["d_degree"] = value
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda p: p.update(beta=[1, 2]), id="beta-list"),
+        pytest.param(lambda p: p.update(legs=None), id="legs-null"),
+        pytest.param(lambda p: _set_d_degree(p, "1/0"), id="d-degree-zero-denominator"),
+        pytest.param(lambda p: p.update(c_max=2.5), id="c-max-float"),
+        pytest.param(lambda p: p.update(genus="1"), id="genus-string"),
+        pytest.param(lambda p: p.update(genus=True), id="genus-bool"),
+    ],
+)
+def test_cli_bad_problem_file_exits_2(mutate, tmp_path):
+    problem = json.loads((DOCS / "sample_problem.json").read_text())
+    mutate(problem)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(problem))
+    for args in (
+        ("splittings", str(bad)),
+        ("keys", str(bad), str(DOCS / "sample_insertions.json")),
+    ):
+        proc = run_cli(*args, expect=2)
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"]
+
+
 def test_cli_broken_json(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{")

@@ -113,11 +113,17 @@ def test_factorization_count_matches_naive(d, profiles, b):
         (4, ((2, 2),), (4, 2, 0, 1, 3)),
     ],
 )
-def test_sweep_read_in_any_slot_order(d, profiles, slots):
-    # cold caches, so the first count runs the sweep to its largest slot
-    # count and the later ones are read off it or extend it
-    oracle._sweep.cache_clear()
-    factorization_count.cache_clear()
+def test_count_read_in_any_slot_order(d, profiles, slots):
+    # cold caches, so each count is computed in an order where the recursion
+    # meets some sub-counts first and reuses others
+    for cached in (
+        factorization_count,
+        oracle._connected_count,
+        oracle._disconnected_count,
+        oracle._central_characters,
+        oracle._dimensions,
+    ):
+        cached.cache_clear()
     for s in slots:
         assert factorization_count(d, profiles, s) == _naive_count(d, profiles, s), s
     for s in sorted(slots):
@@ -300,10 +306,60 @@ def test_branch_split_invariance(d, g):
         assert got == expected, (d, g, k)
 
 
+def _genus_zero_hurwitz(d):
+    return Fraction(factorial(2 * d - 2), factorial(d)) * Fraction(d) ** (d - 3)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_genus_zero_count_matches_hurwitz_formula(d):
-    expected = Fraction(factorial(2 * d - 2), factorial(d)) * Fraction(d) ** (d - 3)
-    assert hurwitz_count(HurwitzInstance(d, 0)) == expected
+    assert hurwitz_count(HurwitzInstance(d, 0)) == _genus_zero_hurwitz(d)
+
+
+# -- the counting core beyond the public degree bound -------------------------
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_character_table_orthogonality(d):
+    partitions = oracle._partitions(d)
+    dims = oracle._dimensions(d)
+    assert sum(dim * dim for dim in dims) == factorial(d)
+    assert sum(oracle._class_size(mu) for mu in partitions) == factorial(d)
+    rows = [
+        [oracle._character(oracle._beta_set(lam), mu) for mu in partitions]
+        for lam in partitions
+    ]
+    for i, j in itertools.product(range(len(partitions)), repeat=2):
+        inner = sum(
+            oracle._class_size(mu) * a * b
+            for mu, a, b in zip(partitions, rows[i], rows[j])
+        )
+        assert inner == (factorial(d) if i == j else 0), (partitions[i], partitions[j])
+
+
+@pytest.mark.parametrize("d", [6, 7])
+def test_genus_zero_count_beyond_degree_bound(d):
+    count = oracle._connected_count(d, (), 2 * d - 2)
+    assert Fraction(count, factorial(d)) == _genus_zero_hurwitz(d)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_one_profile_genus_zero_matches_hurwitz_formula(d):
+    # Hurwitz's formula for genus-0 covers with one arbitrary profile mu and
+    # d + len(mu) - 2 simple branch points; it splits mu in the recursion
+    for mu in oracle._partitions(d):
+        r = d + len(mu) - 2
+        expected = Fraction(factorial(r), labeled_profile_normalization(mu))
+        expected *= Fraction(d) ** (len(mu) - 3)
+        for m in mu:
+            expected *= Fraction(m**m, factorial(m))
+        count = oracle._connected_count(d, oracle._nontrivial([mu]), r)
+        assert Fraction(count, factorial(d)) == expected, mu
+
+
+def test_degree_six_genus_two_weighted_count():
+    # the value plain evaluation of the P1 degeneration gives at degree 6,
+    # genus 2, with the oracle's degree bound raised to 6
+    assert Fraction(oracle._connected_count(6, (), 14), factorial(6)) == 100_557_737_280
 
 
 def _p1_case(d, g, k):
