@@ -137,7 +137,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_ledger(args) -> int:
-    contacts = [int(x) for x in args.contacts.split(",") if x.strip()]
+    contacts = jsonio.parse_ints(args.contacts, "contact order")
     rule = _twisting_arg(args.twisting)
     _emit(degeneration_ledger(contacts, rule).as_dict())
     return 0
@@ -155,7 +155,7 @@ def cmd_oracle(args) -> int:
     profiles = []
     if args.profiles:
         for block in args.profiles.split("|"):
-            parts = [int(x) for x in block.split(",") if x.strip()]
+            parts = jsonio.parse_ints(block, "profile part")
             profiles.append(RamificationProfile(parts))
     instance = HurwitzInstance(args.degree, args.genus, tuple(profiles))
     _emit(

@@ -37,6 +37,18 @@ instances whose literal splitting set is huge still evaluate exactly.  The
 problem's node budget (``problem.budget`` or ``DEGENKIT_BUDGET``) bounds the
 whole kernel walk: structures, basis choices and leg placements.
 
+Plain evaluation sums over structures up to root relabeling: it walks one
+structure per orbit (``iter_structure_orbits``) and weights it by the orbit
+size, |M|!/|stabilizer|, where the labeled walk (``iter_structures``) counts
+each member once.  A relabeling changes no term's value, so the sums agree;
+acceptance criterion 4 checks the two normalizations against each other.
+Key collection and the term breakdown keep the labeled walk: their output
+is listed per labeled structure.  Each orbit's representative is one of
+its labeled members, block order included, so plain evaluation looks up
+only keys that key collection lists.  For plain evaluation the budget
+counts the orbit walk's nodes (contact multisets, root-graph rows and
+decorations) in place of labeled structures.
+
 The walk works out once per skeleton (a run of structures sharing root
 data and root blocks, differing only in weights and genera) what depends
 only on the skeleton: contacts, indices, basis choices and each choice's
@@ -58,8 +70,11 @@ basis choice with an odd class in its insertion word.
 A missing table key aborts evaluation with ``MissingKeysError``, which lists
 the absent keys the walk reaches.  The walk does not go past a genuine zero,
 and a reused placement sum reaches no keys, so an absent key is left out
-only when every term it enters is zero anyway; a run that does not raise
-returns the value a full table gives.
+only when every term it enters is zero anyway, or (in plain evaluation)
+when another member of its orbit stands for the structure that reaches it;
+a run that does not raise returns the value a full table gives.  Every key
+listed is genuinely absent, but plain evaluation may list fewer of them
+than the term breakdown; ``needed_keys`` lists them all.
 
 Term accumulation is exact rational addition, hence associative and order
 independent; the table is read-only during evaluation.
@@ -89,6 +104,7 @@ from .splitting import (
     SplittingStructure,
     _Budget,
     _effective_budget,
+    iter_structure_orbits,
     iter_structures,
 )
 from .twisting import MINIMAL_TWIST, TwistingChoice, degeneration_ledger
@@ -587,6 +603,12 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     """The evaluation kernel: sum the formula over structures, basis choices
     and leg placements.
 
+    The structure source depends on the run.  Plain evaluation walks one
+    structure per root-relabeling orbit and adds its orbit size wherever
+    the labeled walk adds 1: in the count of a repeated even term and in
+    the signed total of a choice with an odd class.  Key collection and
+    ``terms`` walk every labeled structure, each of size 1.
+
     What the structures of one skeleton share (contacts, indices, basis
     choices, each choice's roots per vertex, the dead-leg check) is worked
     out once per skeleton; only the last skeleton is kept.
@@ -607,18 +629,23 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     for a choice with an odd class, every placement is walked, signed, and
     (with ``terms``) each nonzero term is appended as an EvalTerm.
 
-    One node budget bounds the walk: each structure, basis choice and
-    placement node ticks it.
+    One node budget bounds the walk: each node of the structure source
+    (for plain evaluation, of the orbit walk), basis choice and placement
+    node ticks it.
     """
     problem = ctx.problem
     groups = _leg_groups(ctx)
     budget = _Budget(_effective_budget(problem))
     plain = ctx.table is not None and terms is None
+    if plain:
+        source = iter_structure_orbits(problem, budget)
+    else:
+        source = ((structure, 1) for structure in iter_structures(problem, budget))
     ids, sums = ctx.vertex_ids, ctx.placement_sums
     counts: dict = {}  # (contacts, indices, choice, signature) -> structures
     total = _ZERO
     skeleton = None
-    for structure in iter_structures(problem, budget):
+    for structure, size in source:
         if skeleton is None or (
             structure.root_data, structure.blocks1, structure.blocks2
         ) != skeleton.key:
@@ -655,7 +682,7 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
                         _ZERO,
                     )
                 term = (skeleton.contacts, skeleton.indices, ci, signature)
-                counts[term] = counts.get(term, 0) + 1
+                counts[term] = counts.get(term, 0) + size
                 continue
             vertices = vertices or _structure_vertices(structure)
             if ctx.table is None:
@@ -671,7 +698,7 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
                         vx = vertices[vi]
                         comps[vx.side == "X2"].append(_symbols(vx.side, labels, vx.block))
                     sign = _regroup_sign(word, comps)
-                total += sign * coeff * weight * mult * product
+                total += size * sign * coeff * weight * mult * product
                 if terms is None:
                     continue
                 assignment = {
@@ -734,15 +761,22 @@ def evaluate_degeneration(
 
     Identical even-parity legs are aggregated, so the reported terms carry a
     representative splitting and its multiplicity.  Without ``with_terms``,
-    a basis choice whose signs are all +1 reuses the placement sum of an
-    earlier structure with the same vertex data, and equal terms are
-    counted and multiplied once.
+    the sum runs over one structure per root-relabeling orbit, weighted by
+    the orbit size; a basis choice whose signs are all +1 reuses the
+    placement sum of an earlier structure with the same vertex data, and
+    equal terms are counted and multiplied once.  With ``with_terms`` every
+    labeled structure is walked and reported.
 
     Missing table keys abort the run with ``MissingKeysError`` listing the
     absent keys the walk reaches.  The walk skips the placements a genuine
-    zero kills and the placements behind a reused sum, so a missing key is
-    listed unless every term it enters is zero; a run that does not raise
-    returns the value a full table gives.
+    zero kills and the placements behind a reused sum, and without
+    ``with_terms`` it walks one member per orbit, so a missing key is listed
+    unless every term it enters is zero or another member of its orbit
+    stands in; the list may be shorter than ``with_terms`` or
+    ``needed_keys`` gives, but each key on it is absent.  A run that does
+    not raise returns the value a full table gives.  The node budget counts
+    the orbit walk's nodes without ``with_terms``, labeled structures with
+    it.
     """
     ctx = _Context(problem, insertions, convention, table)
     terms: Optional[list] = [] if with_terms else None

@@ -53,6 +53,23 @@ def _int(value, what: str) -> int:
     return value
 
 
+def parse_int(value, what: str) -> int:
+    """An integer given as a JSON integer or as decimal text, as in
+    ``"2,3"`` lists and ``"k*lcm"`` rules; booleans, floats and other text
+    are refused."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            raise DegenkitError("%s must be an integer, got %r" % (what, value)) from None
+    return _int(value, what)
+
+
+def parse_ints(text: str, what: str) -> list[int]:
+    """A comma-separated list of integers; empty items are skipped."""
+    return [parse_int(x, what) for x in text.split(",") if x.strip()]
+
+
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise DegenkitError("%s must be an object, got %r" % (what, value))
@@ -158,16 +175,27 @@ def graph_to_dict(graph: ModularGraph) -> dict:
 def graph_from_dict(data: dict) -> ModularGraph:
     return ModularGraph(
         vertices=tuple(
-            Vertex(int(v["genus"]), CurveClass(v.get("weight", {})))
+            Vertex(_int(v["genus"], "vertex genus"), CurveClass(v.get("weight", {})))
             for v in data.get("vertices", [])
         ),
-        edges=tuple((int(a), int(b)) for a, b in data.get("edges", [])),
+        edges=tuple(
+            (_int(a, "edge end"), _int(b, "edge end")) for a, b in data.get("edges", [])
+        ),
         legs=tuple(
-            Leg(int(l["label"]), int(l["e"]), int(l["vertex"]))
+            Leg(
+                _int(l["label"], "leg label"),
+                _int(l["e"], "leg e"),
+                _int(l["vertex"], "leg vertex"),
+            )
             for l in data.get("legs", [])
         ),
         roots=tuple(
-            Root(int(r["label"]), int(r["f"]), int(r["c"]), int(r["vertex"]))
+            Root(
+                _int(r["label"], "root label"),
+                _int(r["f"], "root f"),
+                _int(r["c"], "root c"),
+                _int(r["vertex"], "root vertex"),
+            )
             for r in data.get("roots", [])
         ),
     )
@@ -252,20 +280,18 @@ def twisting_from_obj(data) -> TwistingChoice:
         if text == "lcm":
             return TwistingChoice("lcm")
         if text.endswith("*lcm"):
-            return TwistingChoice("multiple", multiple=int(text[:-4]))
+            return TwistingChoice("multiple", multiple=parse_int(text[:-4], "twisting multiple"))
         raise DegenkitError("unknown twisting rule %r" % text)
     kind = data.get("rule", "lcm")
     if kind == "lcm":
         return TwistingChoice("lcm")
     if kind == "multiple":
-        return TwistingChoice("multiple", multiple=int(data["k"]))
+        return TwistingChoice("multiple", multiple=parse_int(data["k"], "twisting k"))
     if kind == "table":
         entries = []
         for row in data.get("entries", []):
-            contacts = tuple(
-                int(x) for x in str(row["multiset"]).split(",") if x.strip()
-            )
-            entries.append((contacts, int(row["value"])))
+            contacts = tuple(parse_ints(str(row["multiset"]), "twisting multiset entry"))
+            entries.append((contacts, parse_int(row["value"], "twisting value")))
         return TwistingChoice("table", table=tuple(entries))
     raise DegenkitError("unknown twisting rule kind %r" % kind)
 
@@ -299,7 +325,7 @@ def splitting_from_dict(data: dict) -> Splitting:
     return Splitting(
         graph_from_dict(data["xi1"]),
         graph_from_dict(data["xi2"]),
-        tuple(int(x) for x in data["m_labels"]),
+        tuple(_int(x, "root label") for x in data["m_labels"]),
     )
 
 
@@ -341,7 +367,7 @@ def key_from_dict(data: dict) -> CorrelatorKey:
     return CorrelatorKey(
         side=data["side"],
         graph=graph_bytes,
-        legs=tuple((int(l["m"]), l["class"]) for l in data.get("legs", [])),
+        legs=tuple((_int(l["m"], "key leg m"), l["class"]) for l in data.get("legs", [])),
         roots=tuple(r["class"] for r in data.get("roots", [])),
     )
 

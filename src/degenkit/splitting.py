@@ -3,7 +3,10 @@
 A splitting is an ordered pair of edge-free graphs sharing root labels.  The
 enumerator walks structures (contact data, root partitions, weights, genera)
 first and attaches legs afterwards, so the evaluator can reuse the structure
-walk while aggregating interchangeable legs.
+walk while aggregating interchangeable legs.  ``iter_structures`` walks
+every labeled structure; ``iter_structure_orbits`` walks one per orbit of
+the root relabelings, with the orbit size, for sums that only need each
+orbit once.
 
 Enumeration branches are independent of each other; the implementation runs
 them sequentially and the output order is fixed by a canonical sort, so
@@ -195,9 +198,13 @@ def check_condition_B(graph: ModularGraph, monoid: CurveClassMonoid) -> Conditio
 class SplittingStructure:
     """A splitting with legs not yet attached.
 
-    Blocks are the root labels of each prospective vertex, listed
-    per side in order of least label; the one-vertex empty-M sides use a
-    single empty block.
+    Blocks are the root labels of each prospective vertex, each block in
+    ascending order and the blocks of a side in the order ``set_partitions``
+    gives them (by greatest label); the one-vertex empty-M sides use a
+    single empty block.  That order fixes the vertex order of the labeled
+    walk, and so the byte order of term breakdowns.  It is a convention of
+    the walk, not data: structures are compared up to relabeling by each
+    side's set of (block, weight, genus).
     """
 
     m_labels: tuple[int, ...]
@@ -243,7 +250,11 @@ class SplittingStructure:
 
 
 def set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All partitions into nonempty blocks, blocks ordered by least element."""
+    """All partitions into nonempty blocks.
+
+    Each block is sorted, and the blocks are ordered by their greatest
+    element: ``set_partitions((5, 6, 7))`` yields ``((6,), (5, 7))``.
+    """
     items = list(items)
     if not items:
         yield ()
@@ -270,13 +281,15 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def _contact_tuples(
-    pairs: Sequence[tuple[int, int]], m: int, target: Fraction
+    pairs: Sequence[tuple[int, int]], m: int, target: Fraction, multisets: bool = False
 ) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Ordered (f, c) tuples of length m whose multiplicities sum to target."""
+    """Ordered (f, c) tuples of length m whose multiplicities sum to target;
+    with ``multisets``, only those in the order of ``pairs``, one per
+    multiset."""
     ds = [Fraction(c, f) for f, c in pairs]
     d_min, d_max = min(ds), max(ds)
 
-    def rec(k: int, remaining: Fraction, acc):
+    def rec(start: int, k: int, remaining: Fraction, acc):
         if k == m:
             if remaining == 0:
                 yield tuple(acc)
@@ -284,13 +297,13 @@ def _contact_tuples(
         left = m - k
         if remaining < left * d_min or remaining > left * d_max:
             return
-        for (f, c), d in zip(pairs, ds):
-            if d <= remaining:
-                acc.append((f, c))
-                yield from rec(k + 1, remaining - d, acc)
+        for i in range(start, len(pairs)):
+            if ds[i] <= remaining:
+                acc.append(pairs[i])
+                yield from rec(i if multisets else 0, k + 1, remaining - ds[i], acc)
                 acc.pop()
 
-    yield from rec(0, target, [])
+    yield from rec(0, 0, target, [])
 
 
 def _weight_splits(
@@ -318,7 +331,14 @@ def _weight_splits(
         gid = gens[gi]
         exp = beta[gid]
         deg = monoid.generator(gid).d_degree
-        for comp in weak_compositions(exp, k):
+        compositions = weak_compositions(exp, k)
+        if gi == len(gens) - 1 and deg:
+            # the last generator must use up every residual degree
+            forced = [r / deg for r in residual_degrees]
+            if any(q.denominator != 1 for q in forced) or sum(forced) != exp:
+                return
+            compositions = [tuple(int(q) for q in forced)]
+        for comp in compositions:
             new_res = []
             ok = True
             for i in range(k):
@@ -388,18 +408,57 @@ def _effective_budget(problem: DegenerationProblem) -> Optional[int]:
     return int(env) if env else None
 
 
+class _Decorations:
+    """Weight splits by (side class, per-block degrees) and genus
+    compositions by (genus, vertex count), listed once per walk: both recur
+    across contact tuples and root blocks."""
+
+    def __init__(self, monoid: CurveClassMonoid):
+        self.monoid = monoid
+        self.splits: dict = {}
+        self.compositions: dict = {}
+
+    def weights(self, beta: CurveClass, targets: tuple) -> list:
+        key = (beta, targets)
+        if key not in self.splits:
+            self.splits[key] = list(_weight_splits(beta, self.monoid, targets))
+        return self.splits[key]
+
+    def genera(self, genus: int, parts: int) -> list:
+        key = (genus, parts)
+        if key not in self.compositions:
+            self.compositions[key] = list(weak_compositions(genus, parts))
+        return self.compositions[key]
+
+
+def _root_plan(problem: DegenerationProblem):
+    """(beta1, beta2, side degree, admissible (f, c) pairs, largest |M|),
+    or None when the side degrees differ."""
+    beta1, beta2 = problem.monoid.split(problem.beta)
+    deg1, deg2 = problem.side_degrees()
+    if deg1 != deg2:
+        return None
+    pairs = problem.root_data()
+    if deg1 and not pairs:
+        raise DegenkitError(
+            "no admissible contact data: divisor catalog is empty while beta meets the divisor"
+        )
+    m_max = int(deg1 / min(Fraction(c, f) for f, c in pairs)) if deg1 else 0
+    return beta1, beta2, deg1, pairs, m_max
+
+
 def iter_structures(
     problem: DegenerationProblem, budget: Optional[_Budget] = None
 ) -> Iterator[SplittingStructure]:
     """Walk all leg-free splitting structures in a deterministic order."""
-    beta1, beta2 = problem.monoid.split(problem.beta)
-    deg1, deg2 = problem.side_degrees()
-    if deg1 != deg2:
+    plan = _root_plan(problem)
+    if plan is None:
         return
+    beta1, beta2, deg, pairs, m_max = plan
     budget = budget or _Budget(_effective_budget(problem))
     g = problem.genus
     n = len(problem.legs)
-    if deg1 == 0:
+    if deg == 0:
         # No roots can exist, so one side is a single vertex and the other
         # side is empty; which sides are possible depends on where beta sits.
         if beta2.is_zero():
@@ -409,28 +468,11 @@ def iter_structures(
             budget.tick()
             yield SplittingStructure((), (), (), (), (), ((),), (beta2,), (g,))
         return
-    pairs = problem.root_data()
-    if not pairs:
-        raise DegenkitError(
-            "no admissible contact data: divisor catalog is empty while beta meets the divisor"
-        )
-    d_min = min(Fraction(c, f) for f, c in pairs)
-    m_max = int(deg1 / d_min)
-    # weight splits by (side class, per-block degrees) and genus compositions
-    # by (genus, vertex count) recur across contact tuples and partitions
-    splits: dict = {}
-    compositions: dict = {}
-
-    def weight_options(beta, targets):
-        key = (beta, targets)
-        if key not in splits:
-            splits[key] = list(_weight_splits(beta, problem.monoid, targets))
-        return splits[key]
-
+    options = _Decorations(problem.monoid)
     for m in range(1, m_max + 1):
         labels = tuple(range(n + 1, n + m + 1))
         partitions = list(set_partitions(labels))
-        for fc in _contact_tuples(pairs, m, deg1):
+        for fc in _contact_tuples(pairs, m, deg):
             budget.tick()
             dd = {lab: Fraction(c, f) for lab, (f, c) in zip(labels, fc)}
             targets = [
@@ -438,7 +480,7 @@ def iter_structures(
                 for blocks in partitions
             ]
             for blocks1, t1 in zip(partitions, targets):
-                w1_options = weight_options(beta1, t1)
+                w1_options = options.weights(beta1, t1)
                 if not w1_options:
                     continue
                 for blocks2, t2 in zip(partitions, targets):
@@ -448,15 +490,13 @@ def iter_structures(
                         continue
                     if not _blocks_connected(blocks1, blocks2):
                         continue
-                    w2_options = weight_options(beta2, t2)
+                    w2_options = options.weights(beta2, t2)
                     if not w2_options:
                         continue
-                    genus_key = (g - cycles, k1 + k2)
-                    if genus_key not in compositions:
-                        compositions[genus_key] = list(weak_compositions(*genus_key))
+                    compositions = options.genera(g - cycles, k1 + k2)
                     for w1 in w1_options:
                         for w2 in w2_options:
-                            for genera in compositions[genus_key]:
+                            for genera in compositions:
                                 budget.tick()
                                 yield SplittingStructure(
                                     labels,
@@ -468,6 +508,248 @@ def iter_structures(
                                     w2,
                                     genera[k1:],
                                 )
+
+
+# -- the walk up to root relabeling -------------------------------------------
+
+
+def _root_graphs(counts: tuple[int, ...], rows: int, cols: int, budget: _Budget):
+    """The root graphs of one contact multiset, one per isomorphism class.
+
+    The roots of a structure are the edges of a bipartite multigraph between
+    its row vertices and its column vertices, each edge colored by its
+    (f, c); ``counts[t]`` edges have color t.  A graph is a tuple of rows,
+    row i holding the number of edges of each color to each column at index
+    ``j * len(counts) + t``.  Yields every connected graph without an
+    isolated vertex once, in canonical form: rows in descending order, and
+    no column order whose re-sorted rows are larger.
+
+    Each graph comes with its automorphisms as (p, groups): after the column
+    permutation ``p`` (new column j is old column ``p[j]``), the rows listed
+    in ``groups[r]`` equal the rows of the r-th run of equal rows, so that
+    re-sorting gives the graph back.  The identity comes first; its groups
+    are the runs.  Each row choice ticks ``budget``.
+    """
+    nc = len(counts)
+    width = cols * nc
+    layouts = [
+        (p, [p[j] * nc + t for j in range(cols) for t in range(nc)])
+        for p in itertools.permutations(range(cols))
+    ]
+    options: dict = {}
+
+    def row_options(rem: tuple[int, ...]) -> list:
+        # every nonzero row the remaining edges allow, in descending order,
+        # with the edges it leaves
+        out = options.get(rem)
+        if out is None:
+            out = options[rem] = []
+            left, acc = list(rem), []
+
+            def rec(p: int):
+                if p == width:
+                    if any(acc):
+                        out.append((tuple(acc), tuple(left)))
+                    return
+                t = p % nc
+                for v in range(left[t], -1, -1):
+                    left[t] -= v
+                    acc.append(v)
+                    rec(p + 1)
+                    acc.pop()
+                    left[t] += v
+
+            rec(0)
+        return out
+
+    def automorphisms(graph: tuple) -> Optional[list]:
+        """The (p, groups) of every automorphism; None unless canonical."""
+        run_start = {row: graph.index(row) for row in graph}
+        out = []
+        for p, layout in layouts:
+            images = [tuple(row[x] for x in layout) for row in graph]
+            image = tuple(sorted(images, reverse=True))
+            if image > graph:
+                return None
+            if image == graph:
+                groups: dict = {}
+                for i, row in enumerate(images):
+                    groups.setdefault(run_start[row], []).append(i)
+                out.append((p, [groups[start] for start in sorted(groups)]))
+        return out
+
+    def connected(graph: tuple) -> bool:
+        parent = list(range(rows + cols))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for i, row in enumerate(graph):
+            for p, k in enumerate(row):
+                if k:
+                    parent[find(rows + p // nc)] = find(i)
+        return len({find(x) for x in range(rows + cols)}) == 1
+
+    acc: list = []
+
+    def rec(rem: tuple[int, ...]):
+        budget.tick()
+        if len(acc) == rows:
+            graph = tuple(acc)
+            if connected(graph):
+                autos = automorphisms(graph)
+                if autos is not None:
+                    yield graph, autos
+            return
+        rows_after = rows - len(acc) - 1
+        for row, after in row_options(rem):
+            if acc and row > acc[-1]:
+                continue
+            # the last row takes every edge left; the others leave one per row
+            if any(after) if not rows_after else sum(after) < rows_after:
+                continue
+            acc.append(row)
+            yield from rec(after)
+            acc.pop()
+
+    yield from rec(counts)
+
+
+def iter_structure_orbits(
+    problem: DegenerationProblem, budget: Optional[_Budget] = None
+) -> Iterator[tuple[SplittingStructure, int]]:
+    """One structure per orbit of the root relabelings, with the orbit size.
+
+    A permutation of the root labels maps a structure to another whose root
+    data it carries along, and whose sides hold the images of the original
+    sides' sets of (block, weight, genus).  The orbits partition the
+    structures ``iter_structures`` walks; each is yielded once, as one of
+    its members exactly as ``iter_structures`` gives it (blocks in the order
+    of ``set_partitions``), with its size |M|!/|stabilizer|.
+
+    The walk goes contact multiset first, then root graph (the bipartite
+    multigraph of vertices and roots, ``_root_graphs``) up to isomorphism,
+    then decorations (weights and genera) up to the graph's automorphisms.
+    The stabilizer is the decoration-preserving vertex automorphisms times
+    mult! for each run of mult parallel roots with equal (f, c).  Every
+    contact multiset, root-graph node and decoration ticks ``budget``.
+    """
+    plan = _root_plan(problem)
+    if plan is None:
+        return
+    beta1, beta2, deg, pairs, m_max = plan
+    budget = budget or _Budget(_effective_budget(problem))
+    if deg == 0:
+        # no roots: each structure is its own orbit
+        for structure in iter_structures(problem, budget):
+            yield structure, 1
+        return
+    options = _Decorations(problem.monoid)
+    graphs: dict = {}
+    for m in range(1, m_max + 1):
+        for multiset in _contact_tuples(pairs, m, deg, multisets=True):
+            budget.tick()
+            colors = tuple(dict.fromkeys(multiset))
+            counts = tuple(multiset.count(fc) for fc in colors)
+            for k1 in range(1, m + 1):
+                for k2 in range(1, m + 2 - k1):
+                    cycles = m - k1 - k2 + 1
+                    if cycles > problem.genus:
+                        continue
+                    # rows are the larger side, so column orders stay few
+                    rows_x1 = k1 >= k2
+                    shape = (counts, max(k1, k2), min(k1, k2))
+                    if shape not in graphs:
+                        graphs[shape] = list(_root_graphs(*shape, budget))
+                    for graph, autos in graphs[shape]:
+                        yield from _decorated_orbits(
+                            graph, autos, colors, len(problem.legs) + 1, rows_x1,
+                            (beta1, beta2) if rows_x1 else (beta2, beta1),
+                            problem.genus - cycles, options, budget,
+                        )
+
+
+def _decorated_orbits(
+    graph, autos, colors, first_label, rows_x1, betas, genus, options, budget
+):
+    """The orbits over one root graph: its decorations up to automorphism.
+
+    Labels from ``first_label`` on go to the edges row by row, column by
+    column, color by color.  The rows are the X1 side when ``rows_x1``, and
+    ``betas`` holds the classes of the row side and the column side.  A
+    decoration gives each vertex a (weight exponents, genus); it is kept
+    when no automorphism maps it to a smaller one: equal rows carry
+    ascending decorations, and no column permutation in ``autos`` gives a
+    smaller one.
+    """
+    nc = len(colors)
+    rows, cols = len(graph), len(graph[0]) // nc
+    root_data: list = []
+    row_blocks: list = [[] for _ in range(rows)]
+    col_blocks: list = [[] for _ in range(cols)]
+    parallel = 1
+    for i, row in enumerate(graph):
+        for p, k in enumerate(row):
+            parallel *= math.factorial(k)
+            for _ in range(k):
+                label = first_label + len(root_data)
+                root_data.append(colors[p % nc])
+                row_blocks[i].append(label)
+                col_blocks[p // nc].append(label)
+    labels = tuple(range(first_label, first_label + len(root_data)))
+    mult = {lab: Fraction(c, f) for lab, (f, c) in zip(labels, root_data)}
+
+    def targets(blocks):
+        return tuple(sum((mult[lab] for lab in b), Fraction(0)) for b in blocks)
+
+    row_weights = options.weights(betas[0], targets(row_blocks))
+    col_weights = options.weights(betas[1], targets(col_blocks)) if row_weights else []
+    if not col_weights:
+        return
+    runs = autos[0][1]
+    # each side's blocks in the order set_partitions gives, by greatest
+    # label; the rows, holding consecutive labels, already are
+    col_order = sorted(range(cols), key=lambda j: col_blocks[j][-1])
+    row_blocks = tuple(map(tuple, row_blocks))
+    col_blocks = tuple(tuple(col_blocks[j]) for j in col_order)
+    root_data = tuple(root_data)
+    m_factorial = math.factorial(len(labels))
+    for wr in row_weights:
+        for wc in col_weights:
+            for genera in options.genera(genus, rows + cols):
+                budget.tick()
+                dec = (
+                    tuple(zip((w.exponents for w in wr), genera[:rows])),
+                    tuple(zip((w.exponents for w in wc), genera[rows:])),
+                )
+                fixed = 0
+                for p, groups in autos:
+                    image = (
+                        tuple(d for group in groups for d in sorted(dec[0][i] for i in group)),
+                        tuple(dec[1][j] for j in p),
+                    )
+                    if image < dec:
+                        break
+                    if image == dec:
+                        fixed += 1
+                else:
+                    stabilizer = fixed * parallel
+                    for run in runs:
+                        for _, same in itertools.groupby(dec[0][i] for i in run):
+                            stabilizer *= math.factorial(len(list(same)))
+                    side_r = (row_blocks, wr, genera[:rows])
+                    side_c = (
+                        col_blocks,
+                        tuple(wc[j] for j in col_order),
+                        tuple(genera[rows + j] for j in col_order),
+                    )
+                    side1, side2 = (side_r, side_c) if rows_x1 else (side_c, side_r)
+                    yield (
+                        SplittingStructure(labels, root_data, *side1, *side2),
+                        m_factorial // stabilizer,
+                    )
 
 
 def _leg_slots(problem: DegenerationProblem, structure: SplittingStructure):

@@ -6,6 +6,7 @@ suite runs it too) and is re-exported here as monomial_reorder_sign.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -26,15 +27,18 @@ EVEN, ODD = Parity.EVEN, Parity.ODD
 # -- random catalogs ----------------------------------------------------------
 
 
-def random_divisor_catalog(rng: random.Random) -> SectorCatalog:
+DIVISOR_SHAPES = ("plain", "pair", "self", "odd", "odd-self")
+
+
+def random_divisor_catalog(rng: random.Random, shape: str | None = None) -> SectorCatalog:
     """A catalog with at most four basis classes: an untwisted sector, plus
     either a conjugate band-2 pair, a self-conjugate band-2 sector, or an odd
-    pair (possibly with the self-conjugate sector).  The pairing is
-    involution-invariant."""
+    pair (possibly with the self-conjugate sector), as ``shape`` names or
+    ``rng`` picks.  The pairing is involution-invariant."""
     sectors = [Sector("u", 1, "u")]
     basis = [BasisClass("u0", "u", EVEN)]
     inv = {"u0": ("u0", 1)}
-    shape = rng.choice(["plain", "pair", "self", "odd", "odd-self"])
+    shape = shape or rng.choice(list(DIVISOR_SHAPES))
     if shape == "pair":
         sectors += [Sector("t+", 2, "t-"), Sector("t-", 2, "t+")]
         basis += [BasisClass("t0+", "t+", EVEN), BasisClass("t0-", "t-", EVEN)]
@@ -180,3 +184,52 @@ def covariant_random_table(
             )
         table.set(key, sign1 * sign2 * cache[token])
     return table
+
+
+# -- relabeling orbits of structures --------------------------------------------
+
+
+def structure_key(structure, sigma=None):
+    """A structure after relabeling its roots by ``sigma`` (identity when
+    None): root data in label order, then each side's set of (sorted block,
+    weight exponents, genus), as a sorted tuple."""
+    labels = structure.m_labels
+    sigma = sigma or {lab: lab for lab in labels}
+    fc = {sigma[lab]: data for lab, data in zip(labels, structure.root_data)}
+
+    def side(blocks, weights, genera):
+        return tuple(
+            sorted(
+                (tuple(sorted(sigma[lab] for lab in block)), w.exponents, g)
+                for block, w, g in zip(blocks, weights, genera)
+            )
+        )
+
+    return (
+        tuple(fc[lab] for lab in labels),
+        side(structure.blocks1, structure.weights1, structure.genera1),
+        side(structure.blocks2, structure.weights2, structure.genera2),
+    )
+
+
+def relabeling_orbit(structure) -> frozenset:
+    """Keys of the images of a structure under all |M|! root relabelings."""
+    labels = structure.m_labels
+    return frozenset(
+        structure_key(structure, dict(zip(labels, perm)))
+        for perm in itertools.permutations(labels)
+    )
+
+
+def brute_force_orbits(structures) -> list[frozenset]:
+    """The relabeling orbits of a closed set of labeled structures, each as
+    the set of its members' keys, in order of first member."""
+    seen: set = set()
+    out = []
+    for structure in structures:
+        key = structure_key(structure)
+        if key not in seen:
+            orbit = relabeling_orbit(structure)
+            seen |= orbit
+            out.append(orbit)
+    return out

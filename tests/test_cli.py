@@ -10,6 +10,7 @@ import pytest
 import degenkit
 from degenkit import jsonio
 from degenkit.correlator import needed_keys
+from degenkit.graphs import graph_from_canonical
 from degenkit.oracle import P1Conventions, build_p1_table, p1_problem
 from degenkit.splitting import _Budget, enumerate_splittings, iter_structures
 from degenkit.twisting import TwistingChoice
@@ -224,6 +225,84 @@ def test_cli_broken_json(tmp_path):
     bad.write_text("{")
     proc = run_cli("splittings", str(bad), expect=2)
     assert "malformed JSON" in json.loads(proc.stderr)["error"]
+
+
+def _write(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _table_with(p1_files, tmp_path, mutate):
+    """The P1 table file with its first key's graph given as a dict and
+    changed by ``mutate(key)``."""
+    rows = json.loads(open(p1_files["table"]).read())
+    key = rows[0]["key"]
+    key["graph"] = jsonio.graph_to_dict(graph_from_canonical(key["graph"]))
+    mutate(key)
+    return _write(tmp_path, "table.json", rows)
+
+
+def _set_first(rows, field, value):
+    rows[0][field] = value
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        pytest.param(lambda f, t: ("ledger", "--contacts", "2,a"), id="ledger-contacts"),
+        pytest.param(
+            lambda f, t: ("oracle", "count", "--degree", "3", "--genus", "0",
+                          "--profiles", "3|2,x"),
+            id="oracle-profiles",
+        ),
+        pytest.param(
+            lambda f, t: ("ledger", "--contacts", "2,3", "--twisting", "x*lcm"),
+            id="twisting-multiple-text",
+        ),
+        pytest.param(
+            lambda f, t: ("ledger", "--contacts", "2,3", "--twisting",
+                          _write(t, "k.json", {"rule": "multiple", "k": "two"})),
+            id="twisting-k",
+        ),
+        pytest.param(
+            lambda f, t: ("ledger", "--contacts", "2,3", "--twisting",
+                          _write(t, "k.json", {"rule": "multiple", "k": True})),
+            id="twisting-k-bool",
+        ),
+        pytest.param(
+            lambda f, t: ("ledger", "--contacts", "2,3", "--twisting",
+                          _write(t, "m.json", {"rule": "table", "entries": [
+                              {"multiset": "2,x", "value": 6}]})),
+            id="twisting-multiset",
+        ),
+        pytest.param(
+            lambda f, t: ("ledger", "--contacts", "2,3", "--twisting",
+                          _write(t, "v.json", {"rule": "table", "entries": [
+                              {"multiset": "2,3", "value": "six"}]})),
+            id="twisting-value",
+        ),
+        pytest.param(
+            lambda f, t: ("evaluate", f["problem"], f["insertions"], _table_with(
+                f, t, lambda key: _set_first(key["graph"]["vertices"], "genus", "0"))),
+            id="table-graph-genus-string",
+        ),
+        pytest.param(
+            lambda f, t: ("evaluate", f["problem"], f["insertions"], _table_with(
+                f, t, lambda key: _set_first(key["graph"]["roots"], "label", True))),
+            id="table-graph-root-bool",
+        ),
+        pytest.param(
+            lambda f, t: ("evaluate", f["problem"], f["insertions"], _table_with(
+                f, t, lambda key: _set_first(key["legs"], "m", True))),
+            id="table-key-leg-m-bool",
+        ),
+    ],
+)
+def test_cli_bad_integer_text_exits_2(probe, p1_files, tmp_path):
+    proc = run_cli(*probe(p1_files, tmp_path), expect=2)
+    assert "Traceback" not in proc.stderr
+    assert "must be an integer" in json.loads(proc.stderr)["error"]
 
 
 def test_cli_budget_exit_code(p1_files):

@@ -1,0 +1,207 @@
+"""The walk up to root relabeling against the labeled walk it replaces in
+plain evaluation: orbit counts by brute force, and equal values."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from degenkit.correlator import (
+    CONVENTIONS,
+    Insertion,
+    InvariantTable,
+    evaluate_degeneration,
+    needed_keys,
+)
+from degenkit.graphs import CurveClass, CurveClassMonoid, Generator
+from degenkit.oracle import build_p1_table, p1_problem
+from degenkit.splitting import (
+    DegenerationProblem,
+    LegSpec,
+    iter_structure_orbits,
+    iter_structures,
+)
+from helpers import (
+    DIVISOR_SHAPES,
+    brute_force_orbits,
+    covariant_random_table,
+    random_ambient_catalog,
+    random_divisor_catalog,
+    random_problem,
+    relabeling_orbit,
+    structure_key,
+)
+
+P1_GRID = [(d, g) for g in range(3) for d in range(1, 6)]
+
+# (orbits, labeled structures) of the P1 cells of degree 3 to 5
+P1_ORBIT_COUNTS = {
+    (3, 0): (6, 13), (3, 1): (19, 54), (3, 2): (42, 130),
+    (4, 0): (16, 81), (4, 1): (60, 441), (4, 2): (156, 1322),
+    (5, 0): (37, 689), (5, 1): (180, 4686), (5, 2): (545, 17005),
+}
+
+
+def _raw(structure):
+    return (
+        structure.m_labels, structure.root_data,
+        structure.blocks1, structure.weights1, structure.genera1,
+        structure.blocks2, structure.weights2, structure.genera2,
+    )
+
+
+def check_orbit_walk(problem) -> tuple[int, int]:
+    """Check the orbit walk of a problem against the brute-force orbits of
+    its labeled walk; returns (orbits, labeled structures)."""
+    labeled = list(iter_structures(problem))
+    walked = list(iter_structure_orbits(problem))
+    assert len({structure_key(s) for s in labeled}) == len(labeled)
+    raw = {_raw(s) for s in labeled}
+    orbits = {orbit: len(orbit) for orbit in brute_force_orbits(labeled)}
+    hit = set()
+    for structure, size in walked:
+        # each representative is a labeled structure, exactly as walked
+        assert _raw(structure) in raw
+        orbit = relabeling_orbit(structure)
+        assert orbits[orbit] == size
+        assert orbit not in hit
+        hit.add(orbit)
+    assert len(hit) == len(orbits)
+    assert sum(size for _, size in walked) == len(labeled)
+    return len(walked), len(labeled)
+
+
+@pytest.mark.parametrize("d,g", P1_GRID)
+def test_orbit_walk_on_the_p1_grid(d, g):
+    problem, _ = p1_problem(d, g)
+    counts = check_orbit_walk(problem)
+    if (d, g) in P1_ORBIT_COUNTS:
+        assert counts == P1_ORBIT_COUNTS[d, g]
+
+
+def _band_problem(seed: int, k: int, genus: int, shape: str = "pair"):
+    """Side degree k/2 over half-degree generators, a band-2 divisor
+    catalog and contact orders up to 2, so roots of index 2 enter; X1 has a
+    second half-degree generator so that weight splits are not forced."""
+    rng = random.Random(seed)
+    monoid = CurveClassMonoid(
+        (
+            Generator("a", "X1", Fraction(1, 2)),
+            Generator("a2", "X1", Fraction(1, 2)),
+            Generator("b", "X2", Fraction(1, 2)),
+        )
+    )
+    return DegenerationProblem(
+        monoid=monoid,
+        genus=genus,
+        legs=(),
+        beta=CurveClass({"a": k - 1, "a2": 1, "b": k}),
+        divisor=random_divisor_catalog(rng, shape),
+        c_max=2,
+        ambient=random_ambient_catalog(rng),
+    )
+
+
+@pytest.mark.parametrize(
+    "seed,k,genus,shape",
+    [(1, 3, 1, "pair"), (2, 4, 0, "pair"), (3, 4, 1, "self"), (4, 3, 2, "odd-self")],
+)
+def test_orbit_walk_with_band_two_roots(seed, k, genus, shape):
+    problem = _band_problem(seed, k, genus, shape)
+    assert 2 in problem.divisor.band_orders()
+    orbits, labeled = check_orbit_walk(problem)
+    assert orbits < labeled
+    assert any(
+        f == 2 for s, _ in iter_structure_orbits(problem) for f, _ in s.root_data
+    )
+
+
+class RecordingTable(InvariantTable):
+    """A table that records every key looked up."""
+
+    def __init__(self, table: InvariantTable):
+        super().__init__(dict(table.items()))
+        self.looked_up: set = set()
+
+    def get(self, key):
+        self.looked_up.add(key)
+        return super().get(key)
+
+
+def check_orbit_evaluation(problem, insertions, table, needed=None):
+    """Plain evaluation equals the labeled term walk in both conventions,
+    and looks up only keys that the labeled walk looks up, and that
+    ``needed`` (the keys ``needed_keys`` lists) holds when given."""
+    for convention in CONVENTIONS:
+        plain_table, labeled_table = RecordingTable(table), RecordingTable(table)
+        plain = evaluate_degeneration(problem, insertions, plain_table, convention=convention)
+        labeled = evaluate_degeneration(
+            problem, insertions, labeled_table, convention=convention, with_terms=True
+        )
+        assert plain.value == labeled.value
+        assert plain_table.looked_up <= labeled_table.looked_up
+        if needed is not None:
+            assert plain_table.looked_up <= needed
+
+
+@pytest.mark.parametrize("d,g", P1_GRID)
+def test_orbit_evaluation_on_the_p1_grid(d, g):
+    problem, insertions = p1_problem(d, g)
+    table = build_p1_table(d, g, max_legs=len(insertions))
+    # the key walk visits every leg placement: at degree 5 it takes seconds
+    needed = set(needed_keys(problem, insertions)) if d < 5 else None
+    check_orbit_evaluation(problem, insertions, table, needed)
+
+
+@pytest.mark.parametrize("seed,count", [(77, 40), (91, 60)])
+def test_orbit_evaluation_on_random_problems(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        problem, insertions = random_problem(rng)
+        keys = needed_keys(problem, insertions)
+        table = covariant_random_table(keys, problem.divisor, problem.ambient, rng)
+        check_orbit_evaluation(problem, insertions, table, set(keys))
+
+
+@st.composite
+def orbit_cases(draw):
+    """Problems with odd classes, conjugate band sectors, pinned legs and
+    genus up to 2; X1 may carry a second generator of degree 1/2 or 0, so
+    that weights split in more than one way."""
+    rng = draw(st.randoms(use_true_random=False))
+    divisor = random_divisor_catalog(rng, draw(st.sampled_from(DIVISOR_SHAPES)))
+    ambient = random_ambient_catalog(rng)
+    k = draw(st.sampled_from([2, 3]))
+    extra = draw(st.sampled_from([None, Fraction(1, 2), Fraction(0)]))
+    generators = [Generator("a", "X1", Fraction(1, 2)), Generator("b", "X2", Fraction(1, 2))]
+    beta = {"a": k, "b": k}
+    if extra is not None:
+        generators.append(Generator("z", "X1", extra))
+        beta["z"] = 1
+        beta["a"] -= int(2 * extra)
+    legs, insertions = [], []
+    classes = [b.id for b in ambient.basis]
+    for label in range(1, draw(st.integers(0, 3)) + 1):
+        legs.append(LegSpec(label, 1, draw(st.sampled_from([None, "X1", "X2"]))))
+        insertions.append(Insertion(draw(st.integers(0, 1)), draw(st.sampled_from(classes))))
+    problem = DegenerationProblem(
+        monoid=CurveClassMonoid(tuple(generators)),
+        genus=draw(st.integers(0, 2)),
+        legs=tuple(legs),
+        beta=CurveClass(beta),
+        divisor=divisor,
+        c_max=2,
+        ambient=ambient,
+    )
+    keys = needed_keys(problem, insertions)
+    return problem, insertions, keys, covariant_random_table(keys, divisor, ambient, rng)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(orbit_cases())
+def test_orbit_walk_property(case):
+    problem, insertions, keys, table = case
+    check_orbit_walk(problem)
+    check_orbit_evaluation(problem, insertions, table, set(keys))
