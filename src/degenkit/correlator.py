@@ -54,27 +54,21 @@ data and root blocks, differing only in weights and genera) what depends
 only on the skeleton: contacts, indices, basis choices and each choice's
 roots per vertex.
 
-Plain evaluation also counts repeated even terms.  Tables are taken to be
-covariant (permuting identical legs changes a value by the Koszul sign),
-which is what lets identical even legs be aggregated.  So when every sign
-of a basis choice is +1, the sum over a structure's leg placements depends
-only on the multiset of vertex data (side, genus, weight, roots), and plain
-evaluation walks the placements of each multiset once, counts structures
-per (contacts, indices, basis choice, multiset) with ints, and multiplies
-each distinct term once at the end.  The keys a walk reaches do depend on
-vertex order, since the first vertex takes the lowest free labels of an
-aggregated group; key collection and the term breakdown therefore walk
-every placement of every structure, and so does plain evaluation for a
-basis choice with an odd class in its insertion word.
+Tables are taken to be covariant (permuting identical legs changes a value
+by the Koszul sign), which is what lets identical even legs be aggregated.
+For each structure and basis choice the walk sums the leg placements, each
+signed when the choice has an odd class in its insertion word, and adds that
+sum times the orbit size, contact coefficient and expansion weight to the
+total.
 
 A missing table key aborts evaluation with ``MissingKeysError``, which lists
 the absent keys the walk reaches.  The walk does not go past a genuine zero,
-and a reused placement sum reaches no keys, so an absent key is left out
-only when every term it enters is zero anyway, or (in plain evaluation)
-when another member of its orbit stands for the structure that reaches it;
-a run that does not raise returns the value a full table gives.  Every key
-listed is genuinely absent, but plain evaluation may list fewer of them
-than the term breakdown; ``needed_keys`` lists them all.
+so an absent key is left out only when every term it enters is zero anyway,
+or (in plain evaluation) when another member of its orbit stands for the
+structure that reaches it; a run that does not raise returns the value a
+full table gives.  Every key listed is genuinely absent, but plain
+evaluation may list fewer of them than the term breakdown; ``needed_keys``
+lists them all.
 
 Term accumulation is exact rational addition, hence associative and order
 independent; the table is read-only during evaluation.
@@ -322,10 +316,6 @@ class _Context:
         self.vanishing: dict = {}  # by (weight, roots): one vertex meets many leg sets
         self.choices: dict = {}
         self.coefficients: dict = {}
-        # placement sums by sorted vertex ids; the ids stand for the vertex
-        # data (side, genus, weight exponents, roots), stored once in vertex_ids
-        self.vertex_ids: dict = {}
-        self.placement_sums: dict = {}
 
     def coefficient(
         self, contacts: tuple, indices: tuple, rule: TwistingChoice
@@ -604,9 +594,8 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     and leg placements.
 
     The structure source depends on the run.  Plain evaluation walks one
-    structure per root-relabeling orbit and adds its orbit size wherever
-    the labeled walk adds 1: in the count of a repeated even term and in
-    the signed total of a choice with an odd class.  Key collection and
+    structure per root-relabeling orbit and weights its terms by the orbit
+    size where the labeled walk weights them by 1.  Key collection and
     ``terms`` walk every labeled structure, each of size 1.
 
     What the structures of one skeleton share (contacts, indices, basis
@@ -619,15 +608,11 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     basis choices keep each root on its band, so the vanishing rules never
     fire here, and every placement of every structure is walked.
 
-    With a table and without ``terms``, a basis choice whose signs are all
-    +1 is a repeated even term: its value is the contact coefficient times
-    the expansion weight times the placement sum of the vertex data
-    multiset (the signature).  Plain evaluation counts structures per
-    (contacts, indices, choice, signature) with ints and multiplies each
-    distinct term once at the end.  A signature's placements are walked at
-    first sight, in that structure's own vertex order.  With ``terms``, or
-    for a choice with an odd class, every placement is walked, signed, and
-    (with ``terms``) each nonzero term is appended as an EvalTerm.
+    With a table, each (structure, basis choice) walks its placements and
+    sums sign * multiplicity * product, the sign being 1 when the choice is
+    all even; the total gains size * coefficient * expansion weight * that
+    sum.  With ``terms`` each nonzero placement is also appended as an
+    EvalTerm.
 
     One node budget bounds the walk: each node of the structure source
     (for plain evaluation, of the orbit walk), basis choice and placement
@@ -636,13 +621,10 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     problem = ctx.problem
     groups = _leg_groups(ctx)
     budget = _Budget(_effective_budget(problem))
-    plain = ctx.table is not None and terms is None
-    if plain:
+    if ctx.table is not None and terms is None:
         source = iter_structure_orbits(problem, budget)
     else:
         source = ((structure, 1) for structure in iter_structures(problem, budget))
-    ids, sums = ctx.vertex_ids, ctx.placement_sums
-    counts: dict = {}  # (contacts, indices, choice, signature) -> structures
     total = _ZERO
     skeleton = None
     for structure, size in source:
@@ -655,41 +637,16 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
         if skeleton.dead:
             continue
         m_labels = structure.m_labels
-        vertices = None
-        if plain:
-            genera = structure.genera1 + structure.genera2
-            exponents = [w.exponents for w in structure.weights1 + structure.weights2]
+        vertices = _structure_vertices(structure)
         for ci, (delta, rho, weight, odd) in enumerate(skeleton.choices):
             budget.tick()
             roots = skeleton.roots[ci]
-            if plain and not odd:
-                # the weight enters by its exponents, which hash in C
-                signature = tuple(
-                    sorted(
-                        ids.setdefault(v, len(ids))
-                        for v in zip(skeleton.sides, genera, exponents, roots)
-                    )
-                )
-                if signature not in sums:
-                    vertices = vertices or _structure_vertices(structure)
-                    sums[signature] = sum(
-                        (
-                            mult * product
-                            for _, mult, product in _placements(
-                                ctx, vertices, groups, roots, budget
-                            )
-                        ),
-                        _ZERO,
-                    )
-                term = (skeleton.contacts, skeleton.indices, ci, signature)
-                counts[term] = counts.get(term, 0) + size
-                continue
-            vertices = vertices or _structure_vertices(structure)
             if ctx.table is None:
                 for _ in _placements(ctx, vertices, groups, roots, budget):
                     pass
                 continue
             word = ctx.word(m_labels, delta, rho) if odd else None
+            placement_sum = _ZERO
             for placed, mult, product in _placements(ctx, vertices, groups, roots, budget):
                 sign = 1
                 if word is not None:
@@ -698,7 +655,7 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
                         vx = vertices[vi]
                         comps[vx.side == "X2"].append(_symbols(vx.side, labels, vx.block))
                     sign = _regroup_sign(word, comps)
-                total += size * sign * coeff * weight * mult * product
+                placement_sum += sign * mult * product
                 if terms is None:
                     continue
                 assignment = {
@@ -727,11 +684,8 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
                         ),
                     )
                 )
-    for (contacts, indices, ci, signature), n in counts.items():
-        placement_sum = sums[signature]
-        if placement_sum:
-            weight = ctx.basis_choices(indices)[ci][2]
-            total += n * ctx.coefficient(contacts, indices, rule) * weight * placement_sum
+            if placement_sum:
+                total += size * coeff * weight * placement_sum
     return total
 
 
@@ -762,15 +716,13 @@ def evaluate_degeneration(
     Identical even-parity legs are aggregated, so the reported terms carry a
     representative splitting and its multiplicity.  Without ``with_terms``,
     the sum runs over one structure per root-relabeling orbit, weighted by
-    the orbit size; a basis choice whose signs are all +1 reuses the
-    placement sum of an earlier structure with the same vertex data, and
-    equal terms are counted and multiplied once.  With ``with_terms`` every
-    labeled structure is walked and reported.
+    the orbit size.  With ``with_terms`` every labeled structure is walked
+    and reported.
 
     Missing table keys abort the run with ``MissingKeysError`` listing the
     absent keys the walk reaches.  The walk skips the placements a genuine
-    zero kills and the placements behind a reused sum, and without
-    ``with_terms`` it walks one member per orbit, so a missing key is listed
+    zero kills, and without ``with_terms`` it walks one member per orbit,
+    so a missing key is listed
     unless every term it enters is zero or another member of its orbit
     stands in; the list may be shorter than ``with_terms`` or
     ``needed_keys`` gives, but each key on it is absent.  A run that does

@@ -82,6 +82,12 @@ def _objects(value, what: str) -> list[dict]:
     return value
 
 
+def _field(data: dict, name: str, what: str):
+    if name not in data:
+        raise DegenkitError("%s is missing the field %r" % (what, name))
+    return data[name]
+
+
 # -- catalogs -----------------------------------------------------------------
 
 
@@ -229,8 +235,7 @@ def problem_to_dict(problem: DegenerationProblem) -> dict:
 def problem_from_dict(data: dict) -> DegenerationProblem:
     _object(data, "problem")
     for field_name in ("monoid", "genus", "legs", "beta", "divisor", "c_max"):
-        if field_name not in data:
-            raise DegenkitError("problem file is missing the field %r" % field_name)
+        _field(data, field_name, "problem file")
     return DegenerationProblem(
         monoid=monoid_from_dict(data["monoid"]),
         genus=_int(data["genus"], "genus"),
@@ -282,16 +287,19 @@ def twisting_from_obj(data) -> TwistingChoice:
         if text.endswith("*lcm"):
             return TwistingChoice("multiple", multiple=parse_int(text[:-4], "twisting multiple"))
         raise DegenkitError("unknown twisting rule %r" % text)
-    kind = data.get("rule", "lcm")
+    kind = _object(data, "twisting rule").get("rule", "lcm")
     if kind == "lcm":
         return TwistingChoice("lcm")
     if kind == "multiple":
-        return TwistingChoice("multiple", multiple=parse_int(data["k"], "twisting k"))
+        k = _field(data, "k", "multiple twisting rule")
+        return TwistingChoice("multiple", multiple=parse_int(k, "twisting k"))
     if kind == "table":
         entries = []
-        for row in data.get("entries", []):
-            contacts = tuple(parse_ints(str(row["multiset"]), "twisting multiset entry"))
-            entries.append((contacts, parse_int(row["value"], "twisting value")))
+        for row in _objects(data.get("entries", []), "twisting entries"):
+            multiset = str(_field(row, "multiset", "twisting entry"))
+            contacts = tuple(parse_ints(multiset, "twisting multiset entry"))
+            value = parse_int(_field(row, "value", "twisting entry"), "twisting value")
+            entries.append((contacts, value))
         return TwistingChoice("table", table=tuple(entries))
     raise DegenkitError("unknown twisting rule kind %r" % kind)
 
@@ -361,14 +369,25 @@ def key_to_dict(key: CorrelatorKey) -> dict:
 
 
 def key_from_dict(data: dict) -> CorrelatorKey:
-    graph = data["graph"]
-    parsed = graph_from_dict(graph) if isinstance(graph, dict) else graph_from_canonical(graph)
+    graph = _field(_object(data, "table key"), "graph", "table key")
+    if isinstance(graph, dict):
+        parsed = graph_from_dict(graph)
+    else:
+        try:
+            parsed = graph_from_canonical(graph)
+        except (ValueError, KeyError, TypeError, AttributeError):
+            raise DegenkitError("not a canonical graph: %r" % (graph,)) from None
     graph_bytes = canonical_json(rank_relabeled(parsed)).encode()
+    legs = _objects(data.get("legs", []), "table key legs")
+    roots = _objects(data.get("roots", []), "table key roots")
     return CorrelatorKey(
-        side=data["side"],
+        side=_field(data, "side", "table key"),
         graph=graph_bytes,
-        legs=tuple((_int(l["m"], "key leg m"), l["class"]) for l in data.get("legs", [])),
-        roots=tuple(r["class"] for r in data.get("roots", [])),
+        legs=tuple(
+            (_int(_field(l, "m", "key leg"), "key leg m"), _field(l, "class", "key leg"))
+            for l in legs
+        ),
+        roots=tuple(_field(r, "class", "key root") for r in roots),
     )
 
 
@@ -381,8 +400,9 @@ def table_to_obj(table: InvariantTable) -> list:
 
 def table_from_obj(data: list) -> InvariantTable:
     table = InvariantTable()
-    for row in data:
-        table.set(key_from_dict(row["key"]), fraction_from_str(row["value"]))
+    for row in _objects(data, "table"):
+        key = key_from_dict(_field(row, "key", "table row"))
+        table.set(key, fraction_from_str(_field(row, "value", "table row")))
     return table
 
 

@@ -405,7 +405,12 @@ def _effective_budget(problem: DegenerationProblem) -> Optional[int]:
     if problem.budget is not None:
         return problem.budget
     env = os.environ.get("DEGENKIT_BUDGET", "").strip()
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise DegenkitError("DEGENKIT_BUDGET must be an integer, got %r" % env) from None
 
 
 class _Decorations:

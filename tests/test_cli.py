@@ -305,6 +305,60 @@ def test_cli_bad_integer_text_exits_2(probe, p1_files, tmp_path):
     assert "must be an integer" in json.loads(proc.stderr)["error"]
 
 
+def _twisting_probe(payload):
+    return lambda t: ("ledger", "--contacts", "2,3", "--twisting",
+                      _write(t, "twisting.json", payload))
+
+
+# a one-vertex genus-0 key graph in canonical JSON
+_KEY = {"side": "X1", "graph": '{"e":[],"l":[],"r":[],"v":[[0,{}]]}'}
+
+
+def _table_probe(payload):
+    return lambda t: ("evaluate", str(DOCS / "sample_problem.json"),
+                      str(DOCS / "sample_insertions.json"),
+                      _write(t, "table.json", payload))
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        pytest.param(_twisting_probe([1]), id="twisting-not-an-object"),
+        pytest.param(
+            _twisting_probe({"rule": "table", "entries": [{"value": 6}]}),
+            id="twisting-entry-without-multiset",
+        ),
+        pytest.param(
+            _twisting_probe({"rule": "table", "entries": [{"multiset": "2,3"}]}),
+            id="twisting-entry-without-value",
+        ),
+        pytest.param(
+            _twisting_probe({"rule": "table", "entries": {"multiset": "2,3", "value": 6}}),
+            id="twisting-entries-not-a-list",
+        ),
+        pytest.param(_twisting_probe({"rule": "multiple"}), id="twisting-multiple-without-k"),
+        pytest.param(_table_probe({"rows": []}), id="table-not-a-list"),
+        pytest.param(_table_probe([{"key": "abc", "value": "1/1"}]), id="table-key-not-an-object"),
+        pytest.param(_table_probe([{"key": _KEY}]), id="table-row-without-value"),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph": "{not json"}, "value": "1/1"}]),
+            id="table-graph-not-canonical-json",
+        ),
+    ],
+)
+def test_cli_malformed_twisting_or_table_file_exits_2(probe, tmp_path):
+    proc = run_cli(*probe(tmp_path), expect=2)
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"]
+
+
+def test_cli_bad_budget_variable_exits_2(monkeypatch):
+    monkeypatch.setenv("DEGENKIT_BUDGET", "abc")
+    proc = run_cli("splittings", str(DOCS / "sample_problem.json"), expect=2)
+    assert "Traceback" not in proc.stderr
+    assert "DEGENKIT_BUDGET" in json.loads(proc.stderr)["error"]
+
+
 def test_cli_budget_exit_code(p1_files):
     proc = run_cli(
         "splittings", p1_files["problem"], "--budget", "2", expect=3

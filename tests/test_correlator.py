@@ -319,12 +319,38 @@ def test_missing_keys_listed():
     assert err.value.keys == needed_keys(problem, [])
 
 
-@pytest.mark.parametrize("d,g,k", [(3, 0, 0), (3, 1, 1)])
-def test_partial_table_lists_the_deleted_key_or_keeps_the_value(d, g, k):
+def _p1_case(d, g, k):
+    problem, insertions = p1_problem(d, g, second_side_legs=k)
+    return problem, insertions, build_p1_table(d, g, max_legs=len(insertions))
+
+
+def _random_case(seed, divisor_class):
+    """A random_problem draw whose divisor has ``divisor_class``, with a
+    covariant random table on its needed keys."""
+    rng = random.Random(seed)
+    problem, insertions = random_problem(rng)
+    assert divisor_class in {b.id for b in problem.divisor.basis}
+    keys = needed_keys(problem, insertions)
+    return problem, insertions, covariant_random_table(
+        keys, problem.divisor, problem.ambient, rng
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(lambda: _p1_case(3, 0, 0), id="3-0-0"),
+        pytest.param(lambda: _p1_case(3, 1, 1), id="3-1-1"),
+        # odd divisor classes and an odd leg: every basis choice is signed
+        pytest.param(lambda: _random_case(58, "o1"), id="random-odd-classes"),
+        # a conjugate band-2 pair and an even leg: every choice is all even
+        pytest.param(lambda: _random_case(78, "t0+"), id="random-band-2-pair"),
+    ],
+)
+def test_partial_table_lists_the_deleted_key_or_keeps_the_value(case):
     # deleting one needed key either names exactly that key or, when every
     # term it enters is zero anyway, leaves the value unchanged
-    problem, insertions = p1_problem(d, g, second_side_legs=k)
-    full = build_p1_table(d, g, max_legs=len(insertions))
+    problem, insertions, full = case()
     expected = evaluate_degeneration(problem, insertions, full).value
     raised = 0
     for key in needed_keys(problem, insertions):
