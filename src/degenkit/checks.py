@@ -226,20 +226,16 @@ def check_orbits() -> list[tuple[str, bool, str]]:
     omega = enumerate_splittings(problem)
     ok = bool(omega)
     detail = "" if ok else "sample enumeration is empty"
-    by_m: dict[int, list] = {}
-    for s in omega:
-        by_m.setdefault(len(s.m_labels), []).append(s)
-    for m, group in sorted(by_m.items()):
-        orbs = orbits(group)
-        lhs = len(group)
-        rhs = sum(math.factorial(m) // o.stabilizer_order for o in orbs)
-        if lhs != rhs:
+    counted = 0
+    for o in orbits(omega):
+        m = len(o.representative.m_labels)
+        counted += math.factorial(m) // o.stabilizer_order
+        if o.size * o.stabilizer_order != math.factorial(m):
             ok = False
-            detail = "orbit-stabilizer count fails at |M|=%d: %d vs %d" % (m, lhs, rhs)
-        for o in orbs:
-            if o.size * o.stabilizer_order != math.factorial(m):
-                ok = False
-                detail = "orbit size times stabilizer != |M|! at |M|=%d" % m
+            detail = "orbit size times stabilizer != |M|! at |M|=%d" % m
+    if len(omega) != counted:
+        ok = False
+        detail = "orbit-stabilizer count fails: %d vs %d" % (len(omega), counted)
     return [("orbit-stabilizer", ok, detail)]
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation error, 3 enumeration budget exceeded,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -77,23 +78,9 @@ def cmd_splittings(args) -> int:
     started = time.monotonic()
     problem = jsonio.problem_from_dict(_read_json(args.problem))
     if args.budget is not None:
-        problem = type(problem)(
-            monoid=problem.monoid,
-            genus=problem.genus,
-            legs=problem.legs,
-            beta=problem.beta,
-            divisor=problem.divisor,
-            c_max=problem.c_max,
-            ambient=problem.ambient,
-            budget=args.budget,
-        )
+        problem = dataclasses.replace(problem, budget=args.budget)
     omega = enumerate_splittings(problem)
-    orbit_list = None
-    if args.orbits and omega:
-        sizes = {len(s.m_labels) for s in omega}
-        orbit_list = []
-        for m in sorted(sizes):
-            orbit_list.extend(orbits([s for s in omega if len(s.m_labels) == m]))
+    orbit_list = orbits(omega) if args.orbits else None
     _emit(jsonio.splittings_to_obj(omega, orbit_list))
     _manifest(args, [args.problem], "n/a", started)
     return 0

@@ -82,7 +82,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .algebra import Parity, dual_basis, koszul_sign
+from .algebra import Parity, chen_ruan_dual, dual_basis, koszul_sign
 from .errors import DegenkitError, MissingKeysError, ParityError
 from .graphs import (
     ModularGraph,
@@ -279,7 +279,6 @@ class _Context:
         }
         self.odd_leg = any(p.is_odd for p in self.leg_parity.values())
         duals = dual_basis(self.divisor)
-        bands = self.divisor.band_weights()
         self.admissible: dict[int, list[str]] = {}
         for f in self.divisor.band_orders():
             self.admissible[f] = [
@@ -292,9 +291,10 @@ class _Context:
         self.expansion: dict[str, list[tuple[str, Fraction]]] = {}
         self.rho_parity: dict[str, Parity] = {}
         for i, b in enumerate(self.divisor.basis):
-            vec = self.divisor.involution_pullback(duals[i])
             if self.convention == "chen_ruan":
-                vec = tuple(bands[a] * vec[a] for a in range(len(vec)))
+                vec = chen_ruan_dual(b.id, self.divisor)
+            else:
+                vec = self.divisor.involution_pullback(duals[i])
             support = [
                 (self.divisor.basis[a].id, vec[a])
                 for a in range(len(vec))

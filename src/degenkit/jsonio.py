@@ -82,10 +82,32 @@ def _objects(value, what: str) -> list[dict]:
     return value
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise DegenkitError("%s must be a list, got %r" % (what, value))
+    return value
+
+
 def _field(data: dict, name: str, what: str):
     if name not in data:
         raise DegenkitError("%s is missing the field %r" % (what, name))
     return data[name]
+
+
+def _rows(value, what: str, *names: str) -> list[tuple]:
+    """A list of objects, each read as the tuple of its required fields."""
+    rows = _objects(value, what)
+    return [tuple(_field(row, n, what + " row") for n in names) for row in rows]
+
+
+def _curve_class(value, what: str) -> CurveClass:
+    return CurveClass({g: _int(e, what + " exponent") for g, e in _object(value, what).items()})
+
+
+def _parity(value) -> Parity:
+    if value not in ("even", "odd"):
+        raise DegenkitError("parity must be 'even' or 'odd', got %r" % (value,))
+    return Parity(value)
 
 
 # -- catalogs -----------------------------------------------------------------
@@ -114,23 +136,27 @@ def catalog_to_dict(cat: SectorCatalog) -> dict:
 
 
 def catalog_from_dict(data: dict) -> SectorCatalog:
+    def rows(name: str, *fields: str) -> list[tuple]:
+        return _rows(_field(data, name, "catalog"), name, *fields)
+
     inv = None
-    if "basis_involution" in data:
+    if "basis_involution" in _object(data, "catalog"):
         inv = {
-            row["id"]: (row["image"], _int(row["sign"], "involution sign"))
-            for row in _objects(data["basis_involution"], "basis_involution")
+            bid: (image, _int(sign, "involution sign"))
+            for bid, image, sign in rows("basis_involution", "id", "image", "sign")
         }
     return SectorCatalog(
         sectors=tuple(
-            Sector(s["id"], _int(s["band_order"], "band_order"), s["involution_image"])
-            for s in _objects(data["sectors"], "sectors")
+            Sector(sid, _int(band, "band_order"), image)
+            for sid, band, image in rows("sectors", "id", "band_order", "involution_image")
         ),
         basis=tuple(
-            BasisClass(b["id"], b["sector"], Parity(b["parity"]))
-            for b in _objects(data["basis"], "basis")
+            BasisClass(bid, sector, _parity(parity))
+            for bid, sector, parity in rows("basis", "id", "sector", "parity")
         ),
         pairing=tuple(
-            tuple(fraction_from_str(x) for x in row) for row in data["pairing"]
+            tuple(fraction_from_str(x) for x in _list(row, "pairing row"))
+            for row in _list(_field(data, "pairing", "catalog"), "pairing")
         ),
         basis_involution=inv,
     )
@@ -149,10 +175,13 @@ def monoid_to_dict(monoid: CurveClassMonoid) -> dict:
 
 
 def monoid_from_dict(data: dict) -> CurveClassMonoid:
+    generators = _field(_object(data, "monoid"), "generators", "monoid")
     return CurveClassMonoid(
         tuple(
-            Generator(g["id"], g["component"], fraction_from_str(g["d_degree"]))
-            for g in _objects(data["generators"], "generators")
+            Generator(gid, component, fraction_from_str(degree))
+            for gid, component, degree in _rows(
+                generators, "generators", "id", "component", "d_degree"
+            )
         )
     )
 
@@ -179,30 +208,25 @@ def graph_to_dict(graph: ModularGraph) -> dict:
 
 
 def graph_from_dict(data: dict) -> ModularGraph:
+    edges = _list(data.get("edges", []), "graph edges")
+    if not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise DegenkitError("graph edges must be pairs, got %r" % (edges,))
     return ModularGraph(
         vertices=tuple(
-            Vertex(_int(v["genus"], "vertex genus"), CurveClass(v.get("weight", {})))
-            for v in data.get("vertices", [])
-        ),
-        edges=tuple(
-            (_int(a, "edge end"), _int(b, "edge end")) for a, b in data.get("edges", [])
-        ),
-        legs=tuple(
-            Leg(
-                _int(l["label"], "leg label"),
-                _int(l["e"], "leg e"),
-                _int(l["vertex"], "leg vertex"),
+            Vertex(
+                _int(_field(v, "genus", "graph vertex"), "vertex genus"),
+                _curve_class(v.get("weight", {}), "vertex weight"),
             )
-            for l in data.get("legs", [])
+            for v in _objects(data.get("vertices", []), "graph vertices")
+        ),
+        edges=tuple((_int(a, "edge end"), _int(b, "edge end")) for a, b in edges),
+        legs=tuple(
+            Leg(*map(_int, row, ("leg label", "leg e", "leg vertex")))
+            for row in _rows(data.get("legs", []), "graph legs", "label", "e", "vertex")
         ),
         roots=tuple(
-            Root(
-                _int(r["label"], "root label"),
-                _int(r["f"], "root f"),
-                _int(r["c"], "root c"),
-                _int(r["vertex"], "root vertex"),
-            )
-            for r in data.get("roots", [])
+            Root(*map(_int, row, ("root label", "root f", "root c", "root vertex")))
+            for row in _rows(data.get("roots", []), "graph roots", "label", "f", "c", "vertex")
         ),
     )
 
@@ -240,12 +264,14 @@ def problem_from_dict(data: dict) -> DegenerationProblem:
         monoid=monoid_from_dict(data["monoid"]),
         genus=_int(data["genus"], "genus"),
         legs=tuple(
-            LegSpec(_int(l["label"], "leg label"), _int(l["e"], "leg e"), l.get("side"))
+            LegSpec(
+                _int(_field(l, "label", "leg"), "leg label"),
+                _int(_field(l, "e", "leg"), "leg e"),
+                l.get("side"),
+            )
             for l in _objects(data["legs"], "legs")
         ),
-        beta=CurveClass(
-            {g: _int(e, "beta exponent") for g, e in _object(data["beta"], "beta").items()}
-        ),
+        beta=_curve_class(data["beta"], "beta"),
         divisor=catalog_from_dict(data["divisor"]),
         c_max=_int(data["c_max"], "c_max"),
         ambient=catalog_from_dict(data["ambient"]) if "ambient" in data else None,
@@ -256,8 +282,8 @@ def problem_from_dict(data: dict) -> DegenerationProblem:
 def insertions_from_list(problem: DegenerationProblem, data: list) -> list[Insertion]:
     by_label = {}
     for row in _objects(data, "insertions"):
-        by_label[_int(row["label"], "insertion label")] = Insertion(
-            _int(row.get("m", 0), "insertion m"), row["class"]
+        by_label[_int(_field(row, "label", "insertion"), "insertion label")] = Insertion(
+            _int(row.get("m", 0), "insertion m"), _field(row, "class", "insertion")
         )
     out = []
     for spec in problem.legs:
@@ -295,11 +321,10 @@ def twisting_from_obj(data) -> TwistingChoice:
         return TwistingChoice("multiple", multiple=parse_int(k, "twisting k"))
     if kind == "table":
         entries = []
-        for row in _objects(data.get("entries", []), "twisting entries"):
-            multiset = str(_field(row, "multiset", "twisting entry"))
-            contacts = tuple(parse_ints(multiset, "twisting multiset entry"))
-            value = parse_int(_field(row, "value", "twisting entry"), "twisting value")
-            entries.append((contacts, value))
+        rows = _rows(data.get("entries", []), "twisting entries", "multiset", "value")
+        for multiset, value in rows:
+            contacts = tuple(parse_ints(str(multiset), "twisting multiset entry"))
+            entries.append((contacts, parse_int(value, "twisting value")))
         return TwistingChoice("table", table=tuple(entries))
     raise DegenkitError("unknown twisting rule kind %r" % kind)
 
@@ -338,18 +363,16 @@ def splitting_from_dict(data: dict) -> Splitting:
 
 
 def splittings_to_obj(splittings, orbit_list=None) -> list:
-    """JSON array of graph pairs; with orbits, each row gains an annotation
-    block naming its orbit, the stabilizer order, and the orbit size."""
+    """JSON array of graph pairs; with ``orbits(splittings)``, each row gains
+    a block naming its orbit, whether it is the representative, the
+    stabilizer order, and the orbit size."""
     rows = [splitting_to_dict(s) for s in splittings]
     if orbit_list is not None:
-        index = {s.canonical_pair(): i for i, s in enumerate(splittings)}
         for orbit_number, o in enumerate(orbit_list):
-            rep = index[o.representative.canonical_pair()]
-            for key in o.member_keys:
-                i = index[key]
+            for i in o.members:
                 rows[i]["orbit"] = {
                     "index": orbit_number,
-                    "representative": i == rep,
+                    "representative": i == o.members[0],
                     "stabilizer_order": o.stabilizer_order,
                     "size": o.size,
                 }
@@ -378,16 +401,14 @@ def key_from_dict(data: dict) -> CorrelatorKey:
         except (ValueError, KeyError, TypeError, AttributeError):
             raise DegenkitError("not a canonical graph: %r" % (graph,)) from None
     graph_bytes = canonical_json(rank_relabeled(parsed)).encode()
-    legs = _objects(data.get("legs", []), "table key legs")
-    roots = _objects(data.get("roots", []), "table key roots")
     return CorrelatorKey(
         side=_field(data, "side", "table key"),
         graph=graph_bytes,
         legs=tuple(
-            (_int(_field(l, "m", "key leg"), "key leg m"), _field(l, "class", "key leg"))
-            for l in legs
+            (_int(m, "key leg m"), cid)
+            for m, cid in _rows(data.get("legs", []), "table key legs", "m", "class")
         ),
-        roots=tuple(_field(r, "class", "key root") for r in roots),
+        roots=tuple(cid for (cid,) in _rows(data.get("roots", []), "table key roots", "class")),
     )
 
 
@@ -400,9 +421,8 @@ def table_to_obj(table: InvariantTable) -> list:
 
 def table_from_obj(data: list) -> InvariantTable:
     table = InvariantTable()
-    for row in _objects(data, "table"):
-        key = key_from_dict(_field(row, "key", "table row"))
-        table.set(key, fraction_from_str(_field(row, "value", "table row")))
+    for key, value in _rows(data, "table", "key", "value"):
+        table.set(key_from_dict(key), fraction_from_str(value))
     return table
 
 

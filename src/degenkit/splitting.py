@@ -802,47 +802,41 @@ def enumerate_splittings(problem: DegenerationProblem) -> list[Splitting]:
 
 @dataclass(frozen=True)
 class SplittingOrbit:
+    """One root-relabeling orbit of the input to ``orbits``.  ``members``
+    are input positions sorted by canonical pair, so the representative (the
+    member with the least canonical pair) comes first."""
+
     representative: Splitting
     stabilizer_order: int
-    size: int
-    member_keys: tuple[tuple[bytes, bytes], ...]  # canonical pairs, sorted
+    members: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
 
 
 def orbits(splittings: Sequence[Splitting]) -> list[SplittingOrbit]:
-    """Group a closed set of splittings under root relabelings.
-
-    For each orbit, size * stabilizer_order = |M|!; ``member_keys`` lists
-    the canonical pairs of its members.
+    """Group a closed set of distinct splittings, which may mix values of |M|,
+    under root relabelings.  Orbits come in (|M|, representative's canonical
+    pair) order; for each, size * stabilizer_order = |M|!.
     """
-    if not splittings:
-        return []
-    sizes = {len(s.m_labels) for s in splittings}
-    if len(sizes) != 1:
-        raise DegenkitError("orbits: all splittings must share |M|")
-    m_labels = splittings[0].m_labels
-    by_key = {s.canonical_pair(): s for s in splittings}
-    unseen = dict(by_key)
+    keys = [s.canonical_pair() for s in splittings]
+    position = {key: i for i, key in enumerate(keys)}
+    order = sorted(position.values(), key=lambda i: (len(splittings[i].m_labels), keys[i]))
+    seen: set[int] = set()
     out = []
-    for key in sorted(by_key):
-        if key not in unseen:
+    for i in order:
+        if i in seen:
             continue
-        eta = by_key[key]
-        orbit_keys = set()
-        stab = 0
-        for perm in itertools.permutations(m_labels):
-            sigma = dict(zip(m_labels, perm))
-            image = eta.relabeled(sigma)
-            ikey = image.canonical_pair()
-            if ikey == key:
-                stab += 1
-            if ikey not in by_key:
-                raise DegenkitError(
-                    "orbits: input is not closed under root relabeling"
-                )
-            orbit_keys.add(ikey)
-        for ikey in orbit_keys:
-            unseen.pop(ikey, None)
-        members = tuple(sorted(orbit_keys))
-        out.append(SplittingOrbit(by_key[members[0]], stab, len(members), members))
-        assert stab * len(orbit_keys) == math.factorial(len(m_labels))
+        eta = splittings[i]
+        found, stab = set(), 0
+        for perm in itertools.permutations(eta.m_labels):
+            ikey = eta.relabeled(dict(zip(eta.m_labels, perm))).canonical_pair()
+            if ikey not in position:
+                raise DegenkitError("orbits: input is not closed under root relabeling")
+            stab += ikey == keys[i]
+            found.add(position[ikey])
+        seen |= found
+        out.append(SplittingOrbit(eta, stab, tuple(sorted(found, key=keys.__getitem__))))
+        assert stab * len(found) == math.factorial(len(eta.m_labels))
     return out

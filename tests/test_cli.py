@@ -97,6 +97,27 @@ def test_cli_splittings_deterministic(p1_files):
     assert len(reps) == len({row["orbit"]["index"] for row in payload})
 
 
+def test_cli_splittings_orbit_annotations_on_the_sample():
+    import math
+
+    sample = Path(__file__).resolve().parents[1] / "docs" / "sample_problem.json"
+    rows = json.loads(run_cli("splittings", str(sample), "--orbits").stdout)
+    assert len(rows) == 37
+    assert {len(row["m_labels"]) for row in rows} == {1, 2}
+    by_index = {}  # in order of first appearance
+    for row in rows:
+        by_index.setdefault(row["orbit"]["index"], []).append(row["orbit"])
+    assert list(by_index) == list(range(24))
+    for index, blocks in by_index.items():
+        # the first row of an orbit is its only representative
+        assert [b["representative"] for b in blocks] == [True] + [False] * (len(blocks) - 1)
+        assert all(b == {**blocks[0], "representative": b["representative"]} for b in blocks)
+        assert len(blocks) == blocks[0]["size"]
+    for row in rows:
+        block = row["orbit"]
+        assert block["size"] * block["stabilizer_order"] == math.factorial(len(row["m_labels"]))
+
+
 def test_cli_splittings_empty_omega_is_bare_array(tmp_path):
     problem = {
         "monoid": {
@@ -195,6 +216,29 @@ def _set_d_degree(problem, value):
     problem["monoid"]["generators"][0]["d_degree"] = value
 
 
+def _drop(*path):
+    """A mutation deleting the field at ``path`` (object keys and list
+    indices)."""
+
+    def mutate(obj):
+        for step in path[:-1]:
+            obj = obj[step]
+        del obj[path[-1]]
+
+    return mutate
+
+
+def _set(*path, value):
+    """A mutation setting the field at ``path`` to ``value``."""
+
+    def mutate(obj):
+        for step in path[:-1]:
+            obj = obj[step]
+        obj[path[-1]] = value
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -204,6 +248,17 @@ def _set_d_degree(problem, value):
         pytest.param(lambda p: p.update(c_max=2.5), id="c-max-float"),
         pytest.param(lambda p: p.update(genus="1"), id="genus-string"),
         pytest.param(lambda p: p.update(genus=True), id="genus-bool"),
+        pytest.param(_drop("divisor", "sectors", 0, "id"), id="sector-without-id"),
+        pytest.param(_drop("divisor", "basis", 0, "parity"), id="basis-without-parity"),
+        pytest.param(_set("divisor", "basis", 0, "parity", value="foo"), id="parity-unknown"),
+        pytest.param(_set("divisor", "pairing", 0, value=1), id="pairing-row-not-a-list"),
+        pytest.param(_drop("monoid", "generators", 0, "id"), id="generator-without-id"),
+        pytest.param(lambda p: p.update(monoid=[]), id="monoid-list"),
+        pytest.param(lambda p: p.update(divisor=[]), id="divisor-list"),
+        pytest.param(_drop("legs", 0, "e"), id="leg-without-e"),
+        pytest.param(
+            _drop("divisor", "basis_involution", 0, "image"), id="involution-without-image"
+        ),
     ],
 )
 def test_cli_bad_problem_file_exits_2(mutate, tmp_path):
@@ -218,6 +273,23 @@ def test_cli_bad_problem_file_exits_2(mutate, tmp_path):
         proc = run_cli(*args, expect=2)
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stderr)["error"]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(_drop(0, "class"), id="insertion-without-class"),
+        pytest.param(_drop(0, "label"), id="insertion-without-label"),
+    ],
+)
+def test_cli_bad_insertion_file_exits_2(mutate, tmp_path):
+    insertions = json.loads((DOCS / "sample_insertions.json").read_text())
+    mutate(insertions)
+    bad = tmp_path / "insertions.json"
+    bad.write_text(json.dumps(insertions))
+    proc = run_cli("keys", str(DOCS / "sample_problem.json"), str(bad), expect=2)
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"]
 
 
 def test_cli_broken_json(tmp_path):
@@ -343,6 +415,26 @@ def _table_probe(payload):
         pytest.param(
             _table_probe([{"key": {**_KEY, "graph": "{not json"}, "value": "1/1"}]),
             id="table-graph-not-canonical-json",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph": {"vertices": [1]}}, "value": "1/1"}]),
+            id="table-graph-vertex-not-an-object",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph": {"vertices": [{}]}}, "value": "1/1"}]),
+            id="table-graph-vertex-without-genus",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph": {
+                "vertices": [{"genus": 0}],
+                "roots": [{"label": 1, "c": 1, "vertex": 0}],
+            }}, "value": "1/1"}]),
+            id="table-graph-root-without-f",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph": {
+                "vertices": [{"genus": 0}], "legs": "x"}}, "value": "1/1"}]),
+            id="table-graph-legs-not-a-list",
         ),
     ],
 )

@@ -549,10 +549,14 @@ def test_orbit_stabilizer_counts():
         for o in orbit_list:
             assert o.size * o.stabilizer_order == math.factorial(m)
             assert math.factorial(m) % o.stabilizer_order == 0
-            assert len(o.member_keys) == o.size
-        # the orbits' member keys partition the group
-        members = [key for o in orbit_list for key in o.member_keys]
-        assert sorted(members) == sorted(s.canonical_pair() for s in group)
+            assert len(set(o.members)) == o.size
+            # members are positions in canonical order, representative first
+            keys = [group[i].canonical_pair() for i in o.members]
+            assert keys == sorted(keys)
+            assert keys[0] == o.representative.canonical_pair()
+        # the orbits' members partition the group's positions
+        members = [i for o in orbit_list for i in o.members]
+        assert sorted(members) == list(range(len(group)))
 
 
 def test_p1_degree_five_genus_two_structure_walk():
@@ -562,8 +566,33 @@ def test_p1_degree_five_genus_two_structure_walk():
     assert len(set(structures)) == len(structures)
 
 
-def test_orbits_require_equal_m():
+def test_orbits_over_mixed_m_match_the_per_m_calls():
+    # relabeling preserves |M|, so one call over all of omega gives the
+    # per-|M| orbits in |M| order, with members read as positions in omega
     problem = _problem(genus=0, beta={"a": 2, "b": 2})
     omega = enumerate_splittings(problem)
+    assert len({len(s.m_labels) for s in omega}) > 1
+    whole = orbits(omega)
+    per_m = [
+        o
+        for m in sorted({len(s.m_labels) for s in omega})
+        for o in orbits([s for s in omega if len(s.m_labels) == m])
+    ]
+
+    def summary(o):
+        return o.stabilizer_order, o.size, o.representative.canonical_pair()
+
+    assert [summary(o) for o in whole] == [summary(o) for o in per_m]
+    for o in whole:
+        assert omega[o.members[0]] == o.representative
+        assert {len(omega[i].m_labels) for i in o.members} == {len(o.representative.m_labels)}
+    assert sorted(i for o in whole for i in o.members) == list(range(len(omega)))
+
+
+def test_orbits_reject_a_set_not_closed_under_relabeling():
+    problem = _problem(genus=0, beta={"a": 3, "b": 3}, c_max=2)
+    omega = [s for s in enumerate_splittings(problem) if len(s.m_labels) == 2]
+    asymmetric = next(o for o in orbits(omega) if o.size > 1)
+    dropped = set(asymmetric.members[1:])
     with pytest.raises(DegenkitError):
-        orbits(omega)
+        orbits([s for i, s in enumerate(omega) if i not in dropped])
