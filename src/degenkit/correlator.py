@@ -177,8 +177,8 @@ class CorrelatorKey:
         return CorrelatorKey(
             side,
             vertex_form(genus, weight, [e for e, _, _ in legs], [(f, c) for f, c, _ in roots]),
-            tuple((m, cid) for _, m, cid in legs),
-            tuple(cid for _, _, cid in roots),
+            tuple([(m, cid) for _, m, cid in legs]),
+            tuple([cid for _, _, cid in roots]),
         )
 
     def sort_token(self):

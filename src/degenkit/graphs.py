@@ -328,7 +328,9 @@ def vertex_form(genus: int, weight, leg_e, root_fc) -> bytes:
     The vertex has the given genus and weight; its legs have the indices
     ``leg_e`` and are labeled 1..n in that order, its roots have the
     (f, c) pairs ``root_fc`` and are labeled n+1..n+k.  A single vertex
-    leaves no tie to break, so the serialization is direct.
+    leaves no tie to break, so the bytes are written straight from the ints
+    in the layout of ``_dump``; only the generator ids go through
+    ``json.dumps``, which escapes them as ``_dump`` does.
     """
     if genus < 0:
         raise DegenkitError("vertex genus must be nonnegative")
@@ -336,15 +338,15 @@ def vertex_form(genus: int, weight, leg_e, root_fc) -> bytes:
         raise DegenkitError("leg index e must be positive")
     if any(f < 1 or c < 1 for f, c in root_fc):
         raise DegenkitError("root index f and contact order c must be positive")
-    n = len(leg_e)
-    return _dump(
-        {
-            "v": [[genus, list(map(list, CurveClass(weight).exponents))]],
-            "e": [],
-            "l": [[i, e, 0] for i, e in enumerate(leg_e, 1)],
-            "r": [[n + i, f, c, 0] for i, (f, c) in enumerate(root_fc, 1)],
-        }
+    legs = ",".join(["[%d,%d,0]" % leg for leg in enumerate(leg_e, 1)])
+    roots = ",".join(
+        ["[%d,%d,%d,0]" % (i, f, c) for i, (f, c) in enumerate(root_fc, len(leg_e) + 1)]
     )
+    if not isinstance(weight, CurveClass):
+        weight = CurveClass(weight)
+    exponents = ",".join(["[%s,%d]" % (json.dumps(gid), e) for gid, e in weight.exponents])
+    text = '{"e":[],"l":[%s],"r":[%s],"v":[[%d,[%s]]]}' % (legs, roots, genus, exponents)
+    return text.encode()
 
 
 def canonical_form(graph: ModularGraph) -> bytes:

@@ -100,6 +100,13 @@ def _rows(value, what: str, *names: str) -> list[tuple]:
     return [tuple(_field(row, n, what + " row") for n in names) for row in rows]
 
 
+def _str(value, what: str) -> str:
+    """A JSON string, as every id and id reference must be."""
+    if not isinstance(value, str):
+        raise DegenkitError("%s must be a string, got %r" % (what, value))
+    return value
+
+
 def _curve_class(value, what: str) -> CurveClass:
     return CurveClass({g: _int(e, what + " exponent") for g, e in _object(value, what).items()})
 
@@ -142,16 +149,22 @@ def catalog_from_dict(data: dict) -> SectorCatalog:
     inv = None
     if "basis_involution" in _object(data, "catalog"):
         inv = {
-            bid: (image, _int(sign, "involution sign"))
+            _str(bid, "involution id"): (
+                _str(image, "involution image"), _int(sign, "involution sign")
+            )
             for bid, image, sign in rows("basis_involution", "id", "image", "sign")
         }
     return SectorCatalog(
         sectors=tuple(
-            Sector(sid, _int(band, "band_order"), image)
+            Sector(
+                _str(sid, "sector id"),
+                _int(band, "band_order"),
+                _str(image, "involution_image"),
+            )
             for sid, band, image in rows("sectors", "id", "band_order", "involution_image")
         ),
         basis=tuple(
-            BasisClass(bid, sector, _parity(parity))
+            BasisClass(_str(bid, "basis id"), _str(sector, "basis sector"), _parity(parity))
             for bid, sector, parity in rows("basis", "id", "sector", "parity")
         ),
         pairing=tuple(
@@ -178,7 +191,11 @@ def monoid_from_dict(data: dict) -> CurveClassMonoid:
     generators = _field(_object(data, "monoid"), "generators", "monoid")
     return CurveClassMonoid(
         tuple(
-            Generator(gid, component, fraction_from_str(degree))
+            Generator(
+                _str(gid, "generator id"),
+                _str(component, "generator component"),
+                fraction_from_str(degree),
+            )
             for gid, component, degree in _rows(
                 generators, "generators", "id", "component", "d_degree"
             )

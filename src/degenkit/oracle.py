@@ -12,11 +12,17 @@ integer; the characters come from the Murnaghan-Nakayama rule on beta-sets
 is the full count minus the tuples whose orbit of sheet 0 is smaller, which
 factor into a transitive tuple on that orbit and any tuple on the other
 sheets.  All arithmetic is in exact ints.
+
+The relative-invariant table is read-only and lazy: it holds every
+one-vertex key up to its bounds, but a value is worked out, from these
+counts, only when its key is looked up.  Listing the table enumerates the
+keys directly, with the bytes a table storing every key would have.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +37,7 @@ from .correlator import (
     evaluate_degeneration,
 )
 from .errors import DegenkitError, InfeasibleInstanceError, ScaleError
-from .graphs import CurveClass, CurveClassMonoid, Generator
+from .graphs import CurveClass, CurveClassMonoid, Generator, vertex_form
 from .splitting import DegenerationProblem, LegSpec
 from .twisting import MINIMAL_TWIST, TwistingChoice
 
@@ -349,18 +355,126 @@ def _compositions(total: int) -> list[tuple[int, ...]]:
     return out
 
 
+# shared by all tables: the P1 problems of a grid each build a table, and
+# their evaluations look up many of the same keys
+@lru_cache(maxsize=1 << 12)
+def _line_vertex(graph: bytes) -> tuple | None:
+    """(generator id, degree, genus, leg count, root count, value) of the
+    graph bytes of a one-vertex key of the line: one generator of degree at
+    most ``MAX_DEGREE``, legs of index 1, and roots of index 1 whose contact
+    orders sum to the degree; None for any other bytes.
+
+    The bytes are decoded once and must be exactly those ``vertex_form``
+    writes for the data read, which also makes every number an int.  The
+    value is ``connected_relative_value`` with one branch insertion per leg.
+    """
+    try:
+        data = json.loads(graph)
+        ((genus, weight),) = data["v"]
+        ((gid, d),) = weight
+        s = len(data["l"])
+        pattern = [c for _, _, c, _ in data["r"]]
+        if vertex_form(genus, {gid: d}, [1] * s, [(1, c) for c in pattern]) != graph:
+            return None
+    except (ValueError, TypeError, KeyError, DegenkitError):
+        return None
+    if d > MAX_DEGREE or sum(pattern) != d:
+        return None
+    return gid, d, genus, s, len(pattern), connected_relative_value(d, genus, pattern, s)
+
+
+class P1Table(InvariantTable):
+    """Read-only table of every one-vertex relative key of the line up to a
+    degree, genus and branch-insertion budget, on both sides of the
+    degeneration; a value is worked out when its key is looked up.
+
+    A key is in the table when its legs all carry (m = 0, branch class) and
+    its roots the point class, and its graph bytes are exactly those of a
+    vertex of degree 1..d_max on its side's generator, genus 0..g_max, at
+    most ``max_legs`` legs of index 1 and roots of index 1 whose contact
+    orders sum to the degree.  ``items()`` lists those keys with their
+    values, and ``len()`` counts them, without decoding any key.
+    """
+
+    def __init__(self, d_max: int, g_max: int, max_legs: int, conventions: P1Conventions):
+        super().__init__()
+        self.d_max = d_max
+        self.g_max = g_max
+        self.max_legs = max_legs
+        self.conventions = conventions
+        self.generators = {"X1": conventions.generator_1, "X2": conventions.generator_2}
+
+    def set(self, key: CorrelatorKey, value) -> None:
+        raise DegenkitError("the P1 table is read-only")
+
+    def get(self, key: CorrelatorKey) -> Fraction | None:
+        # the memo is the base table, so every lookup still passes through it
+        value = super().get(key)
+        if value is None:
+            value = self._value(key)
+            if value is not None:
+                self._entries[key] = value
+        return value
+
+    def _value(self, key: CorrelatorKey) -> Fraction | None:
+        conv = self.conventions
+        if key.legs != ((0, conv.branch_class),) * len(key.legs):
+            return None
+        if key.roots != (conv.point_class,) * len(key.roots):
+            return None
+        vertex = _line_vertex(key.graph)
+        if vertex is None:
+            return None
+        gid, d, genus, s, roots, value = vertex
+        if (
+            gid != self.generators[key.side]
+            or d > self.d_max
+            or genus > self.g_max
+            or s > self.max_legs
+            or len(key.legs) != s
+            or len(key.roots) != roots
+        ):
+            return None
+        return value
+
+    def __len__(self) -> int:
+        return 2 * (2**self.d_max - 1) * (self.g_max + 1) * (self.max_legs + 1)
+
+    def __contains__(self, key: CorrelatorKey) -> bool:
+        return self.get(key) is not None
+
+    def items(self):
+        conv = self.conventions
+        rows = []
+        for side, gen in self.generators.items():
+            for d in range(1, self.d_max + 1):
+                weight = CurveClass({gen: d})
+                for pattern in _compositions(d):
+                    roots = tuple((1, c, conv.point_class) for c in pattern)
+                    for g in range(0, self.g_max + 1):
+                        for s in range(0, self.max_legs + 1):
+                            key = CorrelatorKey.for_vertex(
+                                side, g, weight, ((1, 0, conv.branch_class),) * s, roots
+                            )
+                            rows.append((key, connected_relative_value(d, g, pattern, s)))
+        return sorted(rows, key=lambda kv: kv[0].sort_token())
+
+
 def build_p1_table(
     d_max: int,
     g_max: int,
     conventions: P1Conventions | None = None,
     max_legs: int | None = None,
-) -> InvariantTable:
+) -> P1Table:
     """Every one-vertex relative key up to the given degree, genus, and
-    branch-insertion budget, on both sides of the degeneration.
+    branch-insertion budget, on both sides of the degeneration, as a
+    read-only ``P1Table``.
 
-    Keys whose branch count is incompatible with their genus get the value 0
-    so the evaluator can see every key it asks for.  Bounds that leave the
-    table empty (d_max < 1, g_max < 0, max_legs < 0) are rejected.
+    Values are computed when a key is looked up; the keys, ``items()`` and
+    ``len()`` are those of a table holding every key.  Keys whose branch
+    count is incompatible with their genus get the value 0 so the evaluator
+    can see every key it asks for.  Bounds that leave the table empty
+    (d_max < 1, g_max < 0, max_legs < 0) are rejected.
     """
     if d_max > MAX_DEGREE:
         raise ScaleError("d_max %d exceeds the supported bound %d" % (d_max, MAX_DEGREE))
@@ -371,23 +485,7 @@ def build_p1_table(
             "empty P1 table: need d_max >= 1, g_max >= 0 and max_legs >= 0"
             " (got %d, %d, %d)" % (d_max, g_max, max_legs)
         )
-    conv = conventions or P1Conventions()
-    table = InvariantTable()
-    for side, gen in (("X1", conv.generator_1), ("X2", conv.generator_2)):
-        for d in range(1, d_max + 1):
-            weight = CurveClass({gen: d})
-            for pattern in _compositions(d):
-                for g in range(0, g_max + 1):
-                    for s in range(0, max_legs + 1):
-                        key = CorrelatorKey.for_vertex(
-                            side,
-                            g,
-                            weight,
-                            ((1, 0, conv.branch_class),) * s,
-                            tuple((1, c, conv.point_class) for c in pattern),
-                        )
-                        table.set(key, connected_relative_value(d, g, pattern, s))
-    return table
+    return P1Table(d_max, g_max, max_legs, conventions or P1Conventions())
 
 
 def p1_problem(

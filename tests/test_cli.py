@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -258,6 +259,17 @@ def _set(*path, value):
         pytest.param(_drop("legs", 0, "e"), id="leg-without-e"),
         pytest.param(
             _drop("divisor", "basis_involution", 0, "image"), id="involution-without-image"
+        ),
+        pytest.param(_set("divisor", "sectors", 0, "id", value=[1]), id="sector-id-list"),
+        pytest.param(_set("monoid", "generators", 0, "id", value=[1]), id="generator-id-list"),
+        pytest.param(_set("divisor", "basis", 0, "id", value={}), id="basis-id-object"),
+        pytest.param(
+            _set("divisor", "sectors", 0, "involution_image", value=[1]),
+            id="involution-image-list",
+        ),
+        pytest.param(_set("divisor", "basis", 0, "sector", value=[1]), id="basis-sector-list"),
+        pytest.param(
+            _set("divisor", "basis_involution", 0, "image", value=[1]), id="involution-map-list"
         ),
     ],
 )
@@ -523,6 +535,25 @@ def test_cli_oracle_empty_table_rejected(bounds):
     proc = run_cli("oracle", "table", *bounds, expect=2)
     assert proc.stdout == ""
     assert "empty P1 table" in json.loads(proc.stderr)["error"]
+
+
+@pytest.mark.parametrize(
+    "bounds,digest",
+    [
+        (
+            ("--d-max", "3", "--g-max", "1"),
+            "485ee6e8d168d0c0a06f54333cd1ba50a82a01b980bbe7e4996169c491a2f42b",
+        ),
+        (
+            ("--d-max", "2", "--g-max", "0", "--max-legs", "0"),
+            "dcd8d01da7d7ebf94b09caa322bb5f10b08698d4b2847fc0b3bd82b28d73a9fd",
+        ),
+    ],
+)
+def test_cli_oracle_table_bytes(bounds, digest):
+    # the bytes of a table storing every key: the lazy table lists the same
+    proc = run_cli("oracle", "table", *bounds)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_cli_check_unknown_suite():

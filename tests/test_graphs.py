@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenkit.errors import DegenkitError, GluingError, ScaleError
 from degenkit.graphs import (
@@ -13,6 +15,7 @@ from degenkit.graphs import (
     ModularGraph,
     Root,
     Vertex,
+    _dump,
     canonical_form,
     d_degree,
     glue,
@@ -21,6 +24,7 @@ from degenkit.graphs import (
     rank_relabeled,
     total_genus,
     total_weight,
+    vertex_form,
 )
 
 
@@ -265,3 +269,48 @@ def test_weight_and_degree_additive_under_glue():
     assert d_degree(total_weight(glued), MONOID) == d_degree(
         total_weight(xi1), MONOID
     ) + d_degree(total_weight(xi2), MONOID)
+
+
+@st.composite
+def one_vertex_data(draw):
+    """Genus, weight over up to three generator ids (some escaped in JSON),
+    leg indices and root (f, c) pairs of a one-vertex graph."""
+    ids = draw(st.lists(st.sampled_from(["a", "line1", 'a"b', "é", "b\\c"]),
+                        max_size=3, unique=True))
+    weight = {gid: draw(st.integers(1, 5)) for gid in ids}
+    leg_e = draw(st.lists(st.integers(1, 4), max_size=6))
+    root_fc = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 6)), max_size=4))
+    return draw(st.integers(0, 3)), weight, leg_e, root_fc
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(one_vertex_data())
+def test_vertex_form_bytes(data):
+    # the direct writer gives the reference canonical form's bytes, which
+    # are the bytes of the serialized payload of that graph
+    genus, weight, leg_e, root_fc = data
+    n = len(leg_e)
+    graph = ModularGraph(
+        vertices=(Vertex(genus, CurveClass(weight)),),
+        legs=tuple(Leg(i, e, 0) for i, e in enumerate(leg_e, 1)),
+        roots=tuple(Root(n + i, f, c, 0) for i, (f, c) in enumerate(root_fc, 1)),
+    )
+    payload = {
+        "v": [[genus, list(map(list, CurveClass(weight).exponents))]],
+        "e": [],
+        "l": [[i, e, 0] for i, e in enumerate(leg_e, 1)],
+        "r": [[n + i, f, c, 0] for i, (f, c) in enumerate(root_fc, 1)],
+    }
+    blob = vertex_form(genus, weight, leg_e, root_fc)
+    assert blob == canonical_form(rank_relabeled(graph))
+    assert blob == _dump(payload)
+    assert vertex_form(genus, CurveClass(weight), leg_e, root_fc) == blob
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(-1, {}, [], []), (0, {}, [0], []), (0, {}, [], [(0, 1)]), (0, {}, [], [(1, 0)])],
+)
+def test_vertex_form_rejects_bad_data(args):
+    with pytest.raises(DegenkitError):
+        vertex_form(*args)

@@ -7,7 +7,7 @@ import pytest
 
 from degenkit import oracle
 from degenkit.algebra import BasisClass, Parity, Sector, SectorCatalog
-from degenkit.errors import InfeasibleInstanceError, ScaleError
+from degenkit.errors import DegenkitError, InfeasibleInstanceError, ScaleError
 from degenkit.oracle import (
     HurwitzInstance,
     P1Conventions,
@@ -263,6 +263,71 @@ def _p1_table_through_graphs(d_max, g_max):
 @pytest.mark.parametrize("d,g", [(2, 1), (3, 0), (3, 2)])
 def test_p1_table_keys_match_graph_built_keys(d, g):
     assert build_p1_table(d, g).items() == _p1_table_through_graphs(d, g).items()
+
+
+def _near_misses(d_max, g_max, max_legs, conv):
+    """Keys one step outside a P1 table with these bounds, by name."""
+    brp, pt = (1, 0, conv.branch_class), (1, 1, conv.point_class)
+    line1 = {conv.generator_1: 1}
+
+    def key(side="X1", genus=0, weight=line1, legs=(), roots=(pt,)):
+        return CorrelatorKey.for_vertex(side, genus, weight, legs, roots)
+
+    inside = key(legs=(brp,) * min(1, max_legs))
+    two_vertices = ModularGraph(
+        vertices=(Vertex(0, CurveClass(line1)), Vertex(0, CurveClass(line1))),
+        edges=((0, 1),),
+        roots=(Root(1, 1, 1, 0), Root(2, 1, 1, 1)),
+    )
+    return inside, {
+        "degree": key(
+            weight={conv.generator_1: d_max + 1}, roots=((1, d_max + 1, conv.point_class),)
+        ),
+        "genus": key(genus=g_max + 1),
+        "legs": key(legs=(brp,) * (max_legs + 1)),
+        "leg class": key(legs=((1, 0, conv.point_class),)),
+        "leg m": key(legs=((1, 1, conv.branch_class),)),
+        "leg e": key(legs=((2, 0, conv.branch_class),)),
+        "root class": key(roots=((1, 1, conv.branch_class),)),
+        "root f": key(roots=((2, 1, conv.point_class),)),
+        "contacts": key(roots=(pt, pt)),
+        "side": key(side="X2"),
+        "leg count": CorrelatorKey(
+            inside.side, inside.graph, inside.legs + ((0, conv.branch_class),), inside.roots
+        ),
+        "root count": CorrelatorKey(
+            inside.side, inside.graph, inside.legs, inside.roots + (conv.point_class,)
+        ),
+        "space": CorrelatorKey(
+            inside.side, inside.graph.replace(b",", b", ", 1), inside.legs, inside.roots
+        ),
+        "two vertices": CorrelatorKey.for_component(
+            "X1", two_vertices, {}, {1: conv.point_class, 2: conv.point_class}
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "d_max,g_max,max_legs", [(1, 0, 0), (2, 1, 3), (3, 0, None), (4, 2, 2), (5, 2, 12)]
+)
+def test_lazy_p1_table(d_max, g_max, max_legs):
+    # the values worked out on lookup are those listed by items(), and keys
+    # just outside the bounds or the shape are absent
+    conv = P1Conventions()
+    table = build_p1_table(d_max, g_max, conv, max_legs=max_legs)
+    legs = 2 * g_max - 2 + 2 * d_max if max_legs is None else max_legs
+    rows = table.items()
+    assert len(table) == len(rows) == 2 * (2**d_max - 1) * (g_max + 1) * (legs + 1)
+    for key, value in rows:
+        assert table.get(key) == value
+        assert key in table
+    inside, misses = _near_misses(d_max, g_max, legs, conv)
+    assert table.get(inside) == connected_relative_value(1, 0, (1,), min(1, legs))
+    for name, key in misses.items():
+        assert table.get(key) is None, name
+        assert key not in table, name
+    with pytest.raises(DegenkitError):
+        table.set(inside, Fraction(1))
 
 
 def test_degeneration_check_grid():
