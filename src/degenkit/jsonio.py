@@ -299,7 +299,10 @@ def problem_from_dict(data: dict) -> DegenerationProblem:
 def insertions_from_list(problem: DegenerationProblem, data: list) -> list[Insertion]:
     by_label = {}
     for row in _objects(data, "insertions"):
-        by_label[_int(_field(row, "label", "insertion"), "insertion label")] = Insertion(
+        label = _int(_field(row, "label", "insertion"), "insertion label")
+        if label in by_label:
+            raise DegenkitError("duplicate insertion for leg %d" % label)
+        by_label[label] = Insertion(
             _int(row.get("m", 0), "insertion m"), _field(row, "class", "insertion")
         )
     out = []

@@ -10,6 +10,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from degenkit import correlator
 from degenkit.algebra import BasisClass, Parity, Sector, SectorCatalog
 from degenkit.checks import reorder_sign_by_swaps as monomial_reorder_sign
 from degenkit.correlator import Insertion, InvariantTable
@@ -19,7 +20,7 @@ from degenkit.graphs import (
     Generator,
     graph_from_canonical,
 )
-from degenkit.splitting import DegenerationProblem, LegSpec
+from degenkit.splitting import DegenerationProblem, LegSpec, _Budget, iter_structures
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 
@@ -123,6 +124,26 @@ def random_problem(rng: random.Random, max_legs: int = 3) -> tuple[DegenerationP
         ambient=ambient,
     )
     return problem, insertions
+
+
+def placement_keys(problem: DegenerationProblem, insertions) -> list:
+    """The keys the placement walk reaches, sorted: every labeled structure,
+    basis choice and leg placement, keyed through the evaluator's memo.
+    The reference for ``needed_keys``, which finds them without placing
+    legs."""
+    ctx = correlator._Context(problem, insertions, "standard_dual", None)
+    groups = correlator._leg_groups(ctx)
+    budget = _Budget(None)
+    for structure in iter_structures(problem):
+        skeleton = correlator._Skeleton(ctx, structure, groups)
+        if skeleton.dead:
+            continue
+        vertices = correlator._structure_vertices(structure)
+        for roots in skeleton.roots:
+            for _ in correlator._placements(ctx, vertices, groups, roots, budget):
+                pass
+    keys = {key for key, _, _ in ctx.memo.values() if key is not None}
+    return sorted(keys, key=lambda k: k.sort_token())
 
 
 # -- covariant random tables ---------------------------------------------------

@@ -292,6 +292,7 @@ def test_cli_bad_problem_file_exits_2(mutate, tmp_path):
     [
         pytest.param(_drop(0, "class"), id="insertion-without-class"),
         pytest.param(_drop(0, "label"), id="insertion-without-label"),
+        pytest.param(lambda rows: rows.append(dict(rows[0])), id="duplicate-insertion"),
     ],
 )
 def test_cli_bad_insertion_file_exits_2(mutate, tmp_path):

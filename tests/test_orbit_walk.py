@@ -150,9 +150,7 @@ def check_orbit_evaluation(problem, insertions, table, needed=None):
 def test_orbit_evaluation_on_the_p1_grid(d, g):
     problem, insertions = p1_problem(d, g)
     table = build_p1_table(d, g, max_legs=len(insertions))
-    # the key walk visits every leg placement: at degree 5 it takes seconds
-    needed = set(needed_keys(problem, insertions)) if d < 5 else None
-    check_orbit_evaluation(problem, insertions, table, needed)
+    check_orbit_evaluation(problem, insertions, table, set(needed_keys(problem, insertions)))
 
 
 @pytest.mark.parametrize("seed,count", [(77, 40), (91, 60)])
