@@ -64,7 +64,7 @@ def _manifest(args, inputs: list[str], rule_text: str, started: float) -> None:
         with open(path, "rb") as fh:
             digests[path] = hashlib.sha256(fh.read()).hexdigest()
     payload = {
-        "command": " ".join(sys.argv),
+        "command": " ".join(["degenkit", *args.argv]),
         "inputs": digests,
         "engine_version": __version__,
         "twisting": rule_text,
@@ -243,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except MissingKeysError as err:
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
             "error": "missing-table-keys",
             "keys": [jsonio.key_to_dict(k) for k in err.keys],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
+        sys.stderr.write(jsonio.dumps(payload))
         return 4
     except EnumerationBudgetError as err:
         payload = {
@@ -258,7 +259,7 @@ def main(argv=None) -> int:
             "visited": err.visited,
             "partial_count": len(err.partial),
         }
-        print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
+        sys.stderr.write(jsonio.dumps(payload))
         return 3
     except DegenkitError as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)

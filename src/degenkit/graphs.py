@@ -292,15 +292,6 @@ def glue(xi1: ModularGraph, xi2: ModularGraph) -> ModularGraph:
 # -- canonical forms ---------------------------------------------------------
 
 
-def _vertex_key(graph: ModularGraph, v: int):
-    return (
-        tuple((l.label, l.e) for l in graph.legs_of_vertex(v)),
-        tuple((r.label, r.f, r.c) for r in graph.roots_of_vertex(v)),
-        graph.vertices[v].genus,
-        graph.vertices[v].weight.exponents,
-    )
-
-
 def _serialize(graph: ModularGraph, order: list[int]) -> bytes:
     pos = {v: i for i, v in enumerate(order)}
     payload = {
@@ -353,16 +344,27 @@ def canonical_form(graph: ModularGraph) -> bytes:
     """Byte string equal for two graphs iff they are isomorphic respecting
     every label, index, contact order, genus and weight.
 
-    Vertices are ordered by (incident labels, genus, weight); marked vertices
+    Vertices are ordered by (incident labels, genus, weight), a key built
+    once per vertex in one pass over the legs and roots; marked vertices
     are pinned by their unique labels, and any remaining ties are broken by
     taking the lexicographically least serialization over permutations
     within tied groups; above 40,320 such orderings it raises ScaleError.
     """
-    nv = len(graph.vertices)
-    keyed = sorted(range(nv), key=lambda v: _vertex_key(graph, v))
+    legs: list[list] = [[] for _ in graph.vertices]
+    roots: list[list] = [[] for _ in graph.vertices]
+    for l in graph.legs:
+        legs[l.vertex].append((l.label, l.e))
+    for r in graph.roots:
+        roots[r.vertex].append((r.label, r.f, r.c))
+    # labels are unique, so sorting the tuples sorts by label
+    keys = [
+        (tuple(sorted(legs[v])), tuple(sorted(roots[v])), vx.genus, vx.weight.exponents)
+        for v, vx in enumerate(graph.vertices)
+    ]
+    keyed = sorted(range(len(keys)), key=keys.__getitem__)
     groups: list[list[int]] = []
     for v in keyed:
-        if groups and _vertex_key(graph, groups[-1][0]) == _vertex_key(graph, v):
+        if groups and keys[groups[-1][0]] == keys[v]:
             groups[-1].append(v)
         else:
             groups.append([v])

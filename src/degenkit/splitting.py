@@ -131,7 +131,14 @@ class Splitting:
         return glue(self.xi1, self.xi2)
 
     def canonical_pair(self) -> tuple[bytes, bytes]:
-        return canonical_form(self.xi1), canonical_form(self.xi2)
+        """The canonical forms of the two sides, computed on the first call
+        and kept on the instance; the attribute is not a field, so equality
+        and hashing ignore it."""
+        pair = self.__dict__.get("_canonical_pair")
+        if pair is None:
+            pair = canonical_form(self.xi1), canonical_form(self.xi2)
+            object.__setattr__(self, "_canonical_pair", pair)
+        return pair
 
     def validate(self, problem: DegenerationProblem) -> None:
         """Check conditions A and B against the originating problem."""
@@ -818,7 +825,9 @@ class SplittingOrbit:
 def orbits(splittings: Sequence[Splitting]) -> list[SplittingOrbit]:
     """Group a closed set of distinct splittings, which may mix values of |M|,
     under root relabelings.  Orbits come in (|M|, representative's canonical
-    pair) order; for each, size * stabilizer_order = |M|!.
+    pair) order; for each, size * stabilizer_order = |M|!.  A splitting
+    keeps its canonical pair once computed, so the pairs
+    ``enumerate_splittings`` sorted by are not computed again here.
     """
     keys = [s.canonical_pair() for s in splittings]
     position = {key: i for i, key in enumerate(keys)}
@@ -831,7 +840,8 @@ def orbits(splittings: Sequence[Splitting]) -> list[SplittingOrbit]:
         eta = splittings[i]
         found, stab = set(), 0
         for perm in itertools.permutations(eta.m_labels):
-            ikey = eta.relabeled(dict(zip(eta.m_labels, perm))).canonical_pair()
+            twin = eta if perm == eta.m_labels else eta.relabeled(dict(zip(eta.m_labels, perm)))
+            ikey = twin.canonical_pair()
             if ikey not in position:
                 raise DegenkitError("orbits: input is not closed under root relabeling")
             stab += ikey == keys[i]

@@ -7,6 +7,7 @@ suite runs it too) and is re-exported here as monomial_reorder_sign.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,10 +15,13 @@ from degenkit import correlator
 from degenkit.algebra import BasisClass, Parity, Sector, SectorCatalog
 from degenkit.checks import reorder_sign_by_swaps as monomial_reorder_sign
 from degenkit.correlator import Insertion, InvariantTable
+from degenkit.errors import ScaleError
 from degenkit.graphs import (
     CurveClass,
     CurveClassMonoid,
     Generator,
+    ModularGraph,
+    _serialize,
     graph_from_canonical,
 )
 from degenkit.splitting import DegenerationProblem, LegSpec, _Budget, iter_structures
@@ -254,3 +258,46 @@ def brute_force_orbits(structures) -> list[frozenset]:
             seen |= orbit
             out.append(orbit)
     return out
+
+
+# -- canonical forms ------------------------------------------------------------
+
+
+def _reference_vertex_key(graph: ModularGraph, v: int):
+    return (
+        tuple((l.label, l.e) for l in graph.legs_of_vertex(v)),
+        tuple((r.label, r.f, r.c) for r in graph.roots_of_vertex(v)),
+        graph.vertices[v].genus,
+        graph.vertices[v].weight.exponents,
+    )
+
+
+def reference_canonical_form(graph: ModularGraph) -> bytes:
+    """``graphs.canonical_form`` as first written, with each vertex key
+    recomputed per comparison: the reference for its bytes and for its
+    ScaleError threshold."""
+    nv = len(graph.vertices)
+    keyed = sorted(range(nv), key=lambda v: _reference_vertex_key(graph, v))
+    groups: list[list[int]] = []
+    for v in keyed:
+        if groups and _reference_vertex_key(graph, groups[-1][0]) == _reference_vertex_key(graph, v):
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    ambiguous = [g for g in groups if len(g) > 1]
+    if not ambiguous:
+        return _serialize(graph, keyed)
+    count = 1
+    for g in ambiguous:
+        count *= math.factorial(len(g))
+        if count > 40320:
+            raise ScaleError("too many indistinguishable vertices to canonicalize")
+    best = None
+    for perm_choice in itertools.product(
+        *[itertools.permutations(g) for g in groups]
+    ):
+        order = [v for block in perm_choice for v in block]
+        blob = _serialize(graph, order)
+        if best is None or blob < best:
+            best = blob
+    return best

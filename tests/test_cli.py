@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import degenkit
-from degenkit import jsonio
+from degenkit import cli, jsonio
 from degenkit.correlator import needed_keys
 from degenkit.graphs import graph_from_canonical
 from degenkit.oracle import P1Conventions, build_p1_table, p1_problem
@@ -449,6 +449,41 @@ def _table_probe(payload):
                 "vertices": [{"genus": 0}], "legs": "x"}}, "value": "1/1"}]),
             id="table-graph-legs-not-a-list",
         ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph": {
+                "vertices": [{"genus": 0}],
+                "legs": [{"label": 1, "e": 1, "vertex": 0}],
+                "roots": [{"label": 1, "f": 1, "c": 1, "vertex": 0}],
+            }}, "value": "1/1"}]),
+            id="table-one-vertex-duplicate-label",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph": {
+                "vertices": [{"genus": 0}], "legs": [{"label": 1, "e": 1, "vertex": 1}],
+            }}, "value": "1/1"}]),
+            id="table-one-vertex-leg-on-a-missing-vertex",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph": {"vertices": [{"genus": -1}]}},
+                           "value": "1/1"}]),
+            id="table-one-vertex-negative-genus",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph": {
+                "vertices": [{"genus": 0}], "legs": [{"label": 1, "e": 0, "vertex": 0}],
+            }}, "value": "1/1"}]),
+            id="table-one-vertex-leg-e-zero",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph":
+                '{"e":[],"l":[[1,1,0],[1,2,0]],"r":[],"v":[[0,[]]]}'}, "value": "1/1"}]),
+            id="table-one-vertex-canonical-duplicate-label",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph":
+                '{"e":[],"l":[],"r":[[1,1,0,0]],"v":[[0,[]]]}'}, "value": "1/1"}]),
+            id="table-one-vertex-canonical-root-c-zero",
+        ),
     ],
 )
 def test_cli_malformed_twisting_or_table_file_exits_2(probe, tmp_path):
@@ -655,3 +690,70 @@ def test_cli_manifest_determinism(p1_files, tmp_path):
     m2 = json.loads(man2.read_text())
     assert m1["inputs"] == m2["inputs"]
     assert m1["engine_version"] == m2["engine_version"]
+    assert m1["command"] == "degenkit evaluate %s %s %s --manifest %s" % (
+        p1_files["problem"], p1_files["insertions"], p1_files["table"], man1
+    )
+
+
+def test_cli_manifest_records_the_argv_given_to_main(p1_files, tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    argv = ["splittings", p1_files["problem"], "--orbits", "--manifest", str(manifest)]
+    assert cli.main(argv) == 0
+    assert json.loads(manifest.read_text())["command"] == "degenkit " + " ".join(argv)
+
+
+# SHA-256 of stdout for the P1 file sets (degree, genus, legs on X2) and the
+# sample problem, recorded before the direct JSON writer, the stored
+# canonical pairs and the one-vertex table-key path went in; the same
+# sample digest is checked on the installed script in CI
+PINNED_STDOUT = {
+    (2, 2, 1): {
+        "splittings": "9babd494fd8c05f2d8a9a1fc6b246a80cd1cad19f140b906349cd74fee653cb9",
+        "keys": "c8a480854de4a83502a894bfd312e08ca4a41e813319b1d001be28199964b006",
+        "terms": "16bf78f3acc1f29e1bc5fa59d6465bda78d4619a4b7e24653f597fe4cc583388",
+        "chen_ruan": "8222f7fe9e894b36b4ebc71e0f304732a843534261443ccce233e1fbcc666235",
+    },
+    (3, 0, 0): {
+        "splittings": "0ad18d7713e164e4a158bf82446322e62452a2d7312631b1ad3056a79c3b8dfb",
+        "keys": "800e40b30b5402a8f518407fb2994f37a4fd6cb1e2fe82e2e075e09abfd00414",
+        "terms": "f72869800bd2a51b6eeb18e4fd2276bc4a8b579ab0db339229bfbc81fe51d9d7",
+        "chen_ruan": "c47acc00002479fdc011f72bfc50d0443fb0052389eff3ee623fea3aaf033f53",
+    },
+}
+PINNED_SAMPLE_SPLITTINGS = "6fc41f00fd20f751b41474efe75092b5e025706e8ac3f6998bf355ac5b4cb2d3"
+
+
+def _stdout_digest(capsys, argv) -> str:
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_STDOUT))
+def test_cli_stdout_digests_are_pinned(cell, tmp_path, capsys):
+    d, g, k = cell
+    problem, insertions = p1_problem(d, g, second_side_legs=k)
+    table = build_p1_table(d, g, max_legs=len(insertions))
+    paths = []
+    for part, payload in (
+        ("problem", jsonio.problem_to_dict(problem)),
+        ("insertions", jsonio.insertions_to_list(problem, insertions)),
+        ("table", jsonio.table_to_obj(table)),
+    ):
+        path = tmp_path / ("%s.json" % part)
+        path.write_text(jsonio.dumps(payload))
+        paths.append(str(path))
+    p, i, t = paths
+    commands = {
+        "splittings": ["splittings", p, "--orbits"],
+        "keys": ["keys", p, i],
+        "terms": ["evaluate", p, i, t, "--terms"],
+        "chen_ruan": ["evaluate", p, i, t, "--convention", "chen_ruan"],
+    }
+    digests = {name: _stdout_digest(capsys, argv) for name, argv in commands.items()}
+    assert digests == PINNED_STDOUT[cell]
+
+
+def test_cli_sample_splittings_digest_is_pinned(capsys):
+    argv = ["splittings", str(DOCS / "sample_problem.json"), "--orbits"]
+    assert _stdout_digest(capsys, argv) == PINNED_SAMPLE_SPLITTINGS

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenkit.errors import DegenkitError, GluingError, ScaleError
+from helpers import reference_canonical_form
 from degenkit.graphs import (
     CurveClass,
     CurveClassMonoid,
@@ -234,6 +235,47 @@ def test_canonical_form_separates_nonisomorphic_random_pairs():
                 )
             same_form = canonical_form(g1) == canonical_form(g2)
             assert same_form == iso
+
+
+def _tied_graph(rng: random.Random, nv: int) -> ModularGraph:
+    """A graph whose vertices mostly share (genus, weight), with edges,
+    loops, and legs and roots on a few of them."""
+    vertices = tuple(
+        _vertex(rng.choice((0, 0, 1)), {"a": rng.choice((0, 0, 1))}) for _ in range(nv)
+    )
+    edges = []
+    for _ in range(rng.randint(0, nv + 1)):
+        a = rng.randrange(nv)
+        edges.append((a, a if rng.random() < 0.25 else rng.randrange(nv)))
+    labels = rng.sample(range(1, 40), rng.randint(0, 4))
+    cut = rng.randint(0, len(labels))
+    legs = tuple(Leg(lab, rng.randint(1, 2), rng.randrange(nv)) for lab in labels[:cut])
+    roots = tuple(
+        Root(lab, rng.randint(1, 2), rng.randint(1, 3), rng.randrange(nv))
+        for lab in labels[cut:]
+    )
+    return ModularGraph(vertices, tuple(edges), legs, roots)
+
+
+def test_canonical_form_matches_the_reference_bytes():
+    rng = random.Random(5)
+    for _ in range(200):
+        graph = _tied_graph(rng, rng.randint(2, 6))
+        assert canonical_form(graph) == reference_canonical_form(graph)
+    # exactly 8! = 40,320 orderings of tied vertices are still tried
+    graph = ModularGraph(vertices=tuple(_vertex(0) for _ in range(8)), edges=((0, 0),))
+    assert canonical_form(graph) == reference_canonical_form(graph)
+
+
+@pytest.mark.parametrize("sizes", [(9,), (7, 2, 2, 2, 2), (6, 4, 3)])
+def test_canonical_form_scale_error_threshold_matches_the_reference(sizes):
+    # each group of tied vertices has its own genus; every product of the
+    # groups' factorials here exceeds 40,320
+    vertices = tuple(_vertex(g) for g, n in enumerate(sizes) for _ in range(n))
+    graph = ModularGraph(vertices=vertices)
+    for form in (canonical_form, reference_canonical_form):
+        with pytest.raises(ScaleError, match="indistinguishable"):
+            form(graph)
 
 
 def test_canonical_round_trip():

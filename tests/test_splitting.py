@@ -596,3 +596,20 @@ def test_orbits_reject_a_set_not_closed_under_relabeling():
     dropped = set(asymmetric.members[1:])
     with pytest.raises(DegenkitError):
         orbits([s for i, s in enumerate(omega) if i not in dropped])
+
+
+def test_orbits_do_not_depend_on_stored_canonical_pairs():
+    # enumerate_splittings leaves each splitting's pair stored on it; fresh
+    # instances of the same splittings compute theirs inside orbits
+    problem = _problem(genus=0, beta={"a": 3, "b": 3}, c_max=2)
+    omega = enumerate_splittings(problem)
+    fresh = [Splitting(s.xi1, s.xi2, s.m_labels) for s in omega]
+    assert all("_canonical_pair" in s.__dict__ for s in omega)
+    assert not any("_canonical_pair" in s.__dict__ for s in fresh)
+    assert fresh == omega and list(map(hash, fresh)) == list(map(hash, omega))
+
+    def summary(orbit_list):
+        return [(o.representative, o.stabilizer_order, o.members) for o in orbit_list]
+
+    assert summary(orbits(fresh)) == summary(orbits(omega))
+    assert [s.canonical_pair() for s in fresh] == [s.canonical_pair() for s in omega]
