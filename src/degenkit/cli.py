@@ -240,9 +240,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on the first call and reused: parsing
+    leaves it unchanged, and building it costs milliseconds per call."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)

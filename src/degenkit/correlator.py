@@ -63,7 +63,10 @@ by the Koszul sign), which is what lets identical even legs be aggregated.
 For each structure and basis choice the walk sums the leg placements, each
 signed when the choice has an odd class in its insertion word, and adds that
 sum times the orbit size, contact coefficient and expansion weight to the
-total.
+total.  The placement walk works in ints: what a vertex can take from the
+legs left is expanded once per run (``_takes``), and a placement's product
+is an unreduced numerator and denominator, so a (structure, basis choice)
+builds one Fraction, not one per placement node.
 
 A missing table key aborts evaluation with ``MissingKeysError``, which lists
 the absent keys the walk reaches.  The walk does not go past a genuine zero,
@@ -245,7 +248,14 @@ class EvaluationResult:
 
 
 class _Context:
-    """Resolved catalogs, duals, expansions, and the run's component memo."""
+    """Resolved catalogs, duals, expansions, and the run's memos.
+
+    Besides the component memo (``component``), a run keeps its basis
+    choices per index tuple, contact coefficients, leg groups
+    (``_leg_groups``) and the take expansions of the placement walk
+    (``_takes``), keyed by (vertex sides, vertex position, legs left per
+    group).  All of them live as long as the run's context.
+    """
 
     def __init__(
         self,
@@ -320,6 +330,8 @@ class _Context:
         self.vanishing: dict = {}  # by (weight, roots): one vertex meets many leg sets
         self.choices: dict = {}
         self.coefficients: dict = {}
+        self.groups = _leg_groups(self)
+        self.takes: dict = {}  # by (vertex sides, position, legs left): see _takes
 
     def coefficient(
         self, contacts: tuple, indices: tuple, rule: TwistingChoice
@@ -491,12 +503,12 @@ class _Skeleton:
     with no vertex on its side, which kills every structure of the skeleton.
     """
 
-    def __init__(self, ctx: _Context, structure: SplittingStructure, groups):
+    def __init__(self, ctx: _Context, structure: SplittingStructure):
         m_labels, blocks1, blocks2 = structure.m_labels, structure.blocks1, structure.blocks2
         self.key = (structure.root_data, blocks1, blocks2)
         self.sides = ("X1",) * len(blocks1) + ("X2",) * len(blocks2)
         self.dead = not self.sides or any(
-            g["side"] not in (None, *self.sides) for g in groups
+            g["side"] not in (None, *self.sides) for g in ctx.groups
         )
         self.contacts = tuple(c for _, c in structure.root_data)
         self.indices = tuple(f for f, _ in structure.root_data)
@@ -529,106 +541,112 @@ def _leg_groups(ctx: _Context) -> list[dict]:
     return out
 
 
-def _placements(ctx: _Context, vertices, groups, roots, budget: _Budget):
+def _takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple) -> list:
+    """Every share of the legs the vertex at ``vi`` can take, memoised.
+
+    The take rule, written once: a group not allowed on the vertex's side
+    gives it none; at the last position that allows a group, the vertex
+    takes all that is left of it; elsewhere any count up to what is left.
+    A take of ``k`` of a group's ``left`` legs gets the lowest free labels,
+    and there are comb(left, k) ways to choose them.  Which labels a take
+    gets depends on the legs left, so vertex order matters.
+
+    Each entry is (labels taken in label order, their (e, m, class id) in
+    that order, the product of binomials, legs left after).  All of it
+    depends only on the vertex sides, the position and the legs left per
+    group of ``ctx.groups``, so one run expands each such state once.
+    """
+    memo_key = (sides, vi, remaining)
+    takes = ctx.takes.get(memo_key)
+    if takes is not None:
+        return takes
+    side, later = sides[vi], sides[vi + 1 :]
+    options = [
+        (0,) if g["side"] not in (None, side)
+        else range(left + 1) if any(g["side"] in (None, s) for s in later)
+        else (left,)
+        for g, left in zip(ctx.groups, remaining)
+    ]
+    takes = ctx.takes[memo_key] = []
+    for counts in itertools.product(*options):
+        labels: list[int] = []
+        factor = 1
+        for g, left, take in zip(ctx.groups, remaining, counts):
+            if take:
+                start = g["count"] - left
+                labels += g["labels"][start : start + take]
+                factor *= math.comb(left, take)
+        labels.sort()
+        takes.append(
+            (
+                tuple(labels),
+                tuple([ctx.leg_data[lab] for lab in labels]),
+                factor,
+                tuple([left - take for left, take in zip(remaining, counts)]),
+            )
+        )
+    return takes
+
+
+def _placements(ctx: _Context, vertices, roots, budget: _Budget):
     """Distribute the leg groups over the vertices, pruning zero components.
 
-    Yields (placed, multiplicity, product of component values) per complete
-    placement; ``placed`` lists (vertex index, leg labels, key, value).
+    Yields (placed, multiplicity, numerator, denominator) per complete
+    placement; ``placed`` lists (vertex index, leg labels, key, value), and
+    the product of the values is numerator / denominator, carried as ints
+    from each value's ``numerator`` and ``denominator`` and never reduced.
     ``roots`` gives each vertex's (f, c, class id) per root.  Each node of
-    the walk, one vertex's share of the legs, ticks ``budget``.
+    the walk, one vertex's share of the legs from ``_takes``, ticks
+    ``budget``.
     """
-    # last position at which each group can still place legs
-    last = [
-        max(i for i, vx in enumerate(vertices) if g["side"] in (None, vx.side))
-        for g in groups
-    ]
+    sides = tuple(vx.side for vx in vertices)
     placed: list = []
 
-    def rec(vi: int, remaining: list[int], mult: int, product):
+    def rec(vi: int, remaining: tuple, mult: int, num: int, den: int):
         if vi == len(vertices):
-            yield tuple(placed), mult, product
+            yield tuple(placed), mult, num, den
             return
         vx = vertices[vi]
-        options = []
-        for gi, g in enumerate(groups):
-            if g["side"] not in (None, vx.side):
-                options.append((0,))
-            elif vi == last[gi]:
-                options.append((remaining[gi],))
-            else:
-                options.append(range(remaining[gi] + 1))
-        for counts in itertools.product(*options):
+        for labels, legs, factor, after in _takes(ctx, sides, vi, remaining):
             budget.tick()
-            labels: list[int] = []
-            new_mult = mult
-            new_remaining = list(remaining)
-            for gi, take in enumerate(counts):
-                if take:
-                    g = groups[gi]
-                    start = g["count"] - remaining[gi]
-                    labels += g["labels"][start : start + take]
-                    new_mult *= math.comb(remaining[gi], take)
-                    new_remaining[gi] -= take
-            labels.sort()
-            key, value, missing = ctx.component(
-                vx.side,
-                vx.genus,
-                vx.weight,
-                tuple(ctx.leg_data[lab] for lab in labels),
-                roots[vi],
-            )
-            if value == 0 and not missing:
+            key, value, missing = ctx.component(vx.side, vx.genus, vx.weight, legs, roots[vi])
+            value_num = value.numerator
+            if not value_num and not missing:
                 # a genuine zero kills the whole branch; missing keys keep the
                 # walk alive so the error can list every absent key
                 continue
-            placed.append((vi, tuple(labels), key, value))
-            yield from rec(vi + 1, new_remaining, new_mult, product * value)
+            placed.append((vi, labels, key, value))
+            yield from rec(
+                vi + 1, after, mult * factor, num * value_num, den * value.denominator
+            )
             placed.pop()
 
     try:
-        yield from rec(0, [g["count"] for g in groups], 1, 1)
+        yield from rec(0, tuple(g["count"] for g in ctx.groups), 1, 1, 1)
     finally:
         # rec refers to itself through its closure; breaking that cycle frees
         # the run's context by reference counting when the run ends
         rec = None
 
 
-def _leg_options(ctx: _Context, sides: Sequence[str], groups, budget: _Budget) -> list:
+def _leg_options(ctx: _Context, sides: tuple, budget: _Budget) -> list:
     """Each vertex's leg data tuples over every placement of the groups.
 
     A forward pass over (vertex position, legs left per group), in vertex
-    order, with the take rule of ``_placements``: each reachable state
-    adds, for every take, the (e, m, class id) of the labels taken, in
-    label order.  Which labels a take gets depends on the legs left, so
-    vertex order matters.  Each (vertex, state, take) ticks ``budget``.
-    The take rule is written out here and in ``_placements``, not shared
-    through a helper: a call per placement node slowed plain evaluation.
+    order: each reachable state adds the leg data of every take
+    ``_takes`` lists for it, which is what ``_placements`` would give the
+    vertex from that state.  Each (vertex, state, take) ticks ``budget``.
     """
-    last = [
-        max(i for i, side in enumerate(sides) if g["side"] in (None, side))
-        for g in groups
-    ]
     options: list = []
-    states = {tuple(g["count"] for g in groups)}
-    for vi, side in enumerate(sides):
+    states = {tuple(g["count"] for g in ctx.groups)}
+    for vi in range(len(sides)):
         legs: dict = {}
         after: set = set()
         for remaining in states:
-            takes = [
-                (0,) if g["side"] not in (None, side)
-                else (left,) if vi == last[gi]
-                else range(left + 1)
-                for gi, (g, left) in enumerate(zip(groups, remaining))
-            ]
-            for counts in itertools.product(*takes):
+            for _, data, _, left in _takes(ctx, sides, vi, remaining):
                 budget.tick()
-                labels: list[int] = []
-                for g, left, take in zip(groups, remaining, counts):
-                    start = g["count"] - left
-                    labels += g["labels"][start : start + take]
-                labels.sort()
-                legs[tuple(ctx.leg_data[lab] for lab in labels)] = None
-                after.add(tuple(left - take for left, take in zip(remaining, counts)))
+                legs[data] = None
+                after.add(left)
         options.append(legs)
         states = after
     return options
@@ -650,14 +668,18 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     Each (structure, basis choice) walks its placements and sums
     sign * multiplicity * product, the sign being 1 when the choice is all
     even; the total gains size * coefficient * expansion weight * that sum.
-    With ``terms`` each nonzero placement is also appended as an EvalTerm.
+    The sum is taken in ints: each placement's product comes as an
+    unreduced numerator and denominator, the signed numerators are summed
+    per denominator, and the sums are brought over the lcm of those
+    denominators, so no gcd is taken per placement.  One Fraction is built
+    per (structure, basis choice) whose sum is nonzero.  With ``terms``
+    each nonzero placement is also appended as an EvalTerm.
 
     One node budget bounds the walk: each node of the structure source
     (for plain evaluation, of the orbit walk), basis choice and placement
     node ticks it.
     """
     problem = ctx.problem
-    groups = _leg_groups(ctx)
     budget = _Budget(_effective_budget(problem))
     if terms is None:
         source = iter_structure_orbits(problem, budget)
@@ -669,7 +691,7 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
         if skeleton is None or (
             structure.root_data, structure.blocks1, structure.blocks2
         ) != skeleton.key:
-            skeleton = _Skeleton(ctx, structure, groups)
+            skeleton = _Skeleton(ctx, structure)
             if not skeleton.dead:
                 coeff = ctx.coefficient(skeleton.contacts, skeleton.indices, rule)
         if skeleton.dead:
@@ -680,8 +702,8 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
             budget.tick()
             roots = skeleton.roots[ci]
             word = ctx.word(m_labels, delta, rho) if odd else None
-            placement_sum = _ZERO
-            for placed, mult, product in _placements(ctx, vertices, groups, roots, budget):
+            sums: dict = {}  # sign * multiplicity * numerator, by denominator
+            for placed, mult, num, den in _placements(ctx, vertices, roots, budget):
                 sign = 1
                 if word is not None:
                     comps: tuple[list, list] = ([], [])
@@ -689,7 +711,8 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
                         vx = vertices[vi]
                         comps[vx.side == "X2"].append(_symbols(vx.side, labels, vx.block))
                     sign = _regroup_sign(word, comps)
-                placement_sum += sign * mult * product
+                if num:  # 0 only past a missing key
+                    sums[den] = sums.get(den, 0) + sign * mult * num
                 if terms is None:
                     continue
                 assignment = {
@@ -718,8 +741,11 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
                         ),
                     )
                 )
-            if placement_sum:
-                total += size * coeff * weight * placement_sum
+            if sums:
+                common = math.lcm(*sums)
+                placement_sum = sum(v * (common // den) for den, v in sums.items())
+                if placement_sum:
+                    total += size * coeff * weight * Fraction(placement_sum, common)
     return total
 
 
@@ -753,7 +779,6 @@ def needed_keys(
     7,760,651.
     """
     ctx = _Context(problem, insertions, "standard_dual", None)
-    groups = _leg_groups(ctx)
     budget = _Budget(_effective_budget(problem))
     leg_options_by_sides: dict = {}
     seen: set = set()
@@ -762,11 +787,11 @@ def needed_keys(
         if skeleton is None or (
             structure.root_data, structure.blocks1, structure.blocks2
         ) != skeleton.key:
-            skeleton = _Skeleton(ctx, structure, groups)
+            skeleton = _Skeleton(ctx, structure)
             if not skeleton.dead and skeleton.choices:
                 leg_options = leg_options_by_sides.get(skeleton.sides)
                 if leg_options is None:
-                    leg_options = _leg_options(ctx, skeleton.sides, groups, budget)
+                    leg_options = _leg_options(ctx, skeleton.sides, budget)
                     leg_options_by_sides[skeleton.sides] = leg_options
                 root_options = [
                     dict.fromkeys(roots[vi] for roots in skeleton.roots)

@@ -136,15 +136,14 @@ def placement_keys(problem: DegenerationProblem, insertions) -> list:
     The reference for ``needed_keys``, which finds them without placing
     legs."""
     ctx = correlator._Context(problem, insertions, "standard_dual", None)
-    groups = correlator._leg_groups(ctx)
     budget = _Budget(None)
     for structure in iter_structures(problem):
-        skeleton = correlator._Skeleton(ctx, structure, groups)
+        skeleton = correlator._Skeleton(ctx, structure)
         if skeleton.dead:
             continue
         vertices = correlator._structure_vertices(structure)
         for roots in skeleton.roots:
-            for _ in correlator._placements(ctx, vertices, groups, roots, budget):
+            for _ in correlator._placements(ctx, vertices, roots, budget):
                 pass
     keys = {key for key, _, _ in ctx.memo.values() if key is not None}
     return sorted(keys, key=lambda k: k.sort_token())
@@ -160,12 +159,21 @@ def _sorted_with_parity_sign(entries, parities):
     return tuple(entries[i] for i in order), sign
 
 
+def _small_value(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, 9), rng.randint(1, 5)) * rng.choice([1, -1])
+
+
 def covariant_random_table(
-    keys, divisor: SectorCatalog, ambient: SectorCatalog, rng: random.Random
+    keys,
+    divisor: SectorCatalog,
+    ambient: SectorCatalog,
+    rng: random.Random,
+    draw=_small_value,
 ) -> InvariantTable:
     """Fill every key with a random value respecting relabeling covariance:
     permuting identical slots changes the value by the Koszul sign, and a
-    repeated odd insertion forces zero."""
+    repeated odd insertion forces zero.  ``draw(rng)`` gives the value of
+    each new sorted vertex, before its sign."""
     table = InvariantTable()
     cache: dict = {}
     for key in keys:
@@ -204,9 +212,7 @@ def covariant_random_table(
             roots_sorted,
         )
         if token not in cache:
-            cache[token] = Fraction(rng.randint(1, 9), rng.randint(1, 5)) * rng.choice(
-                [1, -1]
-            )
+            cache[token] = draw(rng)
         table.set(key, sign1 * sign2 * cache[token])
     return table
 

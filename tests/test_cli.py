@@ -757,3 +757,30 @@ def test_cli_stdout_digests_are_pinned(cell, tmp_path, capsys):
 def test_cli_sample_splittings_digest_is_pinned(capsys):
     argv = ["splittings", str(DOCS / "sample_problem.json"), "--orbits"]
     assert _stdout_digest(capsys, argv) == PINNED_SAMPLE_SPLITTINGS
+
+
+def test_cli_main_reuses_one_parser_across_calls(capsys, monkeypatch):
+    # several subcommands in one process, one of them rejected by argparse
+    # (exit 2), all through the parser main built once; each gives the stdout
+    # and exit code of a fresh process
+    problem = str(DOCS / "sample_problem.json")
+    insertions = str(DOCS / "sample_insertions.json")
+    calls = [
+        (["splittings", problem, "--orbits"], 0),
+        (["evaluate", problem, insertions, "table.json", "--convention", "bogus"], 2),
+        (["ledger", "--contacts", "2,3"], 0),
+        (["keys", problem, insertions], 0),
+        (["ledger", "--contacts", "2,a"], 2),
+        (["lift", "--contact", "2", "--target-index", "6", "--source-index", "3"], 0),
+        (["oracle", "count", "--degree", "3", "--genus", "0", "--profiles", "3|3"], 0),
+    ]
+    cli._parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    for argv, code in calls:
+        capsys.readouterr()
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        out = capsys.readouterr().out
+        assert (out, got) == (run_cli(*argv, expect=code).stdout, code), argv

@@ -9,6 +9,7 @@ import pytest
 
 from degenkit.algebra import BasisClass, Sector, SectorCatalog
 from degenkit.correlator import (
+    CONVENTIONS,
     CorrelatorKey,
     Insertion,
     InvariantTable,
@@ -257,6 +258,27 @@ def test_budget_bounds_the_placement_walk():
         with pytest.raises(EnumerationBudgetError):
             evaluate_degeneration(limited, insertions, table, with_terms=with_terms)
     assert evaluate_degeneration(problem, insertions, table).value == 40
+
+
+@pytest.mark.parametrize(
+    "d,g,evaluate_ticks,keys_ticks",
+    [(4, 2, 2255, 3490), (5, 1, 3544, 8716), (5, 2, 11092, 24107)],
+)
+def test_budget_ticks_are_pinned(d, g, evaluate_ticks, keys_ticks):
+    # the node counts of plain evaluate and needed_keys on P1, recorded
+    # before the take expansions were memoised: the memo walks the same
+    # nodes, so a budget of exactly that many is enough and one fewer is not
+    problem, insertions = p1_problem(d, g)
+    table = build_p1_table(d, g, max_legs=len(insertions))
+    runs = (
+        (lambda p: evaluate_degeneration(p, insertions, table), evaluate_ticks),
+        (lambda p: needed_keys(p, insertions), keys_ticks),
+    )
+    for run, ticks in runs:
+        run(dataclasses.replace(problem, budget=ticks))
+        with pytest.raises(EnumerationBudgetError) as err:
+            run(dataclasses.replace(problem, budget=ticks - 1))
+        assert err.value.visited == ticks
 
 
 def test_for_vertex_matches_for_component():
@@ -530,6 +552,18 @@ def _labeled_sum_keys(problem, omega, insertions):
     return keys
 
 
+def _explicit_sum(problem, omega, insertions, table, convention="standard_dual"):
+    """The formula summed splitting by splitting: prod(c) / |M|! (and
+    1 / prod(f) for chen_ruan) times each splitting's inner sum."""
+    total = Fraction(0)
+    for s in omega:
+        coeff = Fraction(math.prod(s.contacts()), math.factorial(len(s.m_labels)))
+        if convention == "chen_ruan":
+            coeff /= math.prod(s.indices())
+        total += coeff * splitting_inner_sum(problem, s, insertions, table, convention)
+    return total
+
+
 def test_aggregated_equals_explicit_sum():
     # the walk gives a vertex the lowest free labels of an aggregated group,
     # so the labeled sum can also look up reorderings of those legs that the
@@ -552,16 +586,68 @@ def test_aggregated_equals_explicit_sum():
         result = evaluate_degeneration(problem, insertions, table)
         with_terms = evaluate_degeneration(problem, insertions, table, with_terms=True)
         assert result.value == with_terms.value
-        direct = Fraction(0)
-        for s in omega:
-            coeff = Fraction(1)
-            for c in s.contacts():
-                coeff *= c
-            coeff /= math.factorial(len(s.m_labels))
-            direct += coeff * splitting_inner_sum(
-                problem, s, insertions, full, "standard_dual"
+        assert result.value == _explicit_sum(problem, omega, insertions, full)
+
+
+_PRIMES_FROM_7 = [p for p in range(7, 500) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def _coprime_values():
+    """A value drawer for ``covariant_random_table``: each new vertex value
+    is a numerator up to 10**6 of either sign over the next prime from 7
+    on, so the values of different vertices have coprime denominators."""
+    primes = itertools.cycle(_PRIMES_FROM_7)
+    return lambda rng: Fraction(rng.randint(1, 10**6) * rng.choice([1, -1]), next(primes))
+
+
+def _coprime_case(rng):
+    problem, insertions = random_problem(rng, max_legs=2)
+    keys = needed_keys(problem, insertions)
+    table = covariant_random_table(
+        keys, problem.divisor, problem.ambient, rng, _coprime_values()
+    )
+    return problem, insertions, keys, table
+
+
+def test_exact_sums_under_coprime_denominators():
+    # placement products carry unreduced numerators and denominators and are
+    # summed over the lcm of their denominators; against values whose
+    # denominators are distinct primes, the plain sum must still equal the
+    # term breakdown and the explicit labeled sum, exactly
+    rng = random.Random(404)
+    digits = []
+    for _ in range(30):
+        problem, insertions, _, table = _coprime_case(rng)
+        omega = enumerate_splittings(problem)
+        for convention in CONVENTIONS:
+            value = evaluate_degeneration(problem, insertions, table, convention=convention).value
+            with_terms = evaluate_degeneration(
+                problem, insertions, table, convention=convention, with_terms=True
             )
-        assert result.value == direct
+            assert value == with_terms.value == sum(t.value for t in with_terms.terms)
+            assert value == _explicit_sum(problem, omega, insertions, table, convention)
+        digits.append(len(str(value.denominator)))
+    assert max(digits) > 100 and digits.count(1) < 15, digits
+
+
+def test_partial_coprime_table_lists_the_recorded_keys():
+    # the sixth draw above, with every third needed key deleted: in both
+    # conventions plain evaluate lists the positions (in needed_keys order)
+    # recorded when each placement node still multiplied Fractions, and the
+    # term breakdown lists every deleted key
+    rng = random.Random(404)
+    for _ in range(6):
+        problem, insertions, keys, table = _coprime_case(rng)
+    assert len(keys) == 58
+    partial = InvariantTable({k: v for j, (k, v) in enumerate(table.items()) if j % 3})
+    listed = [0, 6, 9, 12, 15, 18, 21, 27, 30, 36, 39, 42, 45, 48, 51, 57]
+    for convention in CONVENTIONS:
+        for with_terms, positions in ((False, listed), (True, range(0, 58, 3))):
+            with pytest.raises(MissingKeysError) as err:
+                evaluate_degeneration(
+                    problem, insertions, partial, convention=convention, with_terms=with_terms
+                )
+            assert err.value.keys == [keys[j] for j in positions]
 
 
 def test_insertion_order_irrelevant_for_even_classes():
