@@ -207,16 +207,18 @@ class SectorCatalog:
                 "pairing is not Koszul-symmetric at (%r, %r)"
                 % (self.basis[koszul[0]].id, self.basis[koszul[1]].id)
             )
-        J = self._involution_matrix()
+        # the involution is a signed permutation b -> sign * image(b), so
+        # invariance reads s_i s_j G[image(i)][image(j)] == G[i][j]
+        index = {b.id: i for i, b in enumerate(self.basis)}
+        inv = self.basis_involution
+        image = [(index[inv[b][0]], inv[b][1]) for b in index]
         G = self.pairing
-        for i in range(n):
-            for j in range(n):
-                s = sum(
-                    J[a][i] * G[a][b] * J[b][j] for a in range(n) for b in range(n)
-                )
-                if s != G[i][j]:
-                    warnings.warn("pairing is not involution-invariant")
-                    return
+        if any(
+            si * sj * G[ii][ij] != G[i][j]
+            for i, (ii, si) in enumerate(image)
+            for j, (ij, sj) in enumerate(image)
+        ):
+            warnings.warn("pairing is not involution-invariant")
 
     # -- lookups -----------------------------------------------------------
 
@@ -239,16 +241,6 @@ class SectorCatalog:
 
     def band_orders(self) -> tuple[int, ...]:
         return tuple(sorted({s.band_order for s in self.sectors}))
-
-    def _involution_matrix(self) -> Matrix:
-        """Matrix J of the pullback action: (iota* v)[img(b)] = sign_b v[b]."""
-        n = len(self.basis)
-        index = {b.id: i for i, b in enumerate(self.basis)}
-        J = [[Fraction(0)] * n for _ in range(n)]
-        for b in self.basis:
-            img_id, sign = self.basis_involution[b.id]
-            J[index[img_id]][index[b.id]] = Fraction(sign)
-        return tuple(tuple(row) for row in J)
 
     def involution_pullback(self, vec: Sequence[Fraction]) -> Vector:
         n = len(self.basis)

@@ -31,15 +31,16 @@ Evaluation and its term breakdown run the kernel, so each component is
 keyed and looked up once per run; ``splitting_inner_sum`` and
 ``evaluate_disconnected`` reuse its pieces for one explicit splitting or one
 disconnected graph.  Key collection (``needed_keys``) walks the same labeled
-structures and basis choices but places no legs: it keys each vertex with
-every leg set a placement can give it and every root tuple a basis choice
-gives it, through the same memo, and values each keyed component as the
-int 1, so it does no rational arithmetic.  Interchangeable even-parity legs
-are aggregated with multinomial weights, so instances whose literal
-splitting set is huge still evaluate exactly.  The problem's node budget
-(``problem.budget`` or ``DEGENKIT_BUDGET``) bounds the whole kernel walk
-(structures, basis choices and leg placements) and the key walk
-(structures, its forward pass over the legs and its component calls).
+structures and basis choices but places no legs and looks up no value: it
+gathers each vertex's data with every leg set a placement can give it and
+every root tuple a basis choice gives it, and builds the key of each
+distinct one once, with ``CorrelatorKey.for_vertex``.  Interchangeable
+even-parity legs are aggregated with multinomial weights, so instances
+whose literal splitting set is huge still evaluate exactly.  The problem's
+node budget (``problem.budget`` or ``DEGENKIT_BUDGET``) bounds the whole
+kernel walk (structures, basis choices and leg placements) and the key walk
+(structures, its forward pass over the legs and the leg sets of each vertex
+it keys).
 
 Plain evaluation sums over structures up to root relabeling: it walks one
 structure per orbit (``iter_structure_orbits``) and weights it by the orbit
@@ -262,7 +263,7 @@ class _Context:
         problem: DegenerationProblem,
         insertions: Sequence[Insertion],
         convention: str,
-        table: InvariantTable | None,
+        table: InvariantTable,
     ):
         if convention not in CONVENTIONS:
             raise DegenkitError("unknown convention %r" % convention)
@@ -418,13 +419,9 @@ def _vanishes(problem: DegenerationProblem, weight, roots: Sequence[tuple]) -> b
 
 
 def _keyed_value(
-    key: CorrelatorKey, table: InvariantTable | None
-) -> tuple[CorrelatorKey, Fraction | int, bool]:
-    """(key, value, missing) of a correlator that does not vanish.  Without
-    a table (key collection) it counts as the int 1, so the key walk does
-    no rational arithmetic."""
-    if table is None:
-        return key, 1, False
+    key: CorrelatorKey, table: InvariantTable
+) -> tuple[CorrelatorKey, Fraction, bool]:
+    """(key, value, missing) of a correlator that does not vanish."""
     value = table.get(key)
     if value is None:
         return key, _ZERO, True
@@ -475,38 +472,24 @@ def _regroup_sign(word: Mapping[tuple, Parity], sides) -> int:
 # -- the kernel: structures, basis choices, leg placements ---------------------
 
 
-@dataclass
-class _StructureVertex:
-    side: str
-    position: int
-    block: tuple[int, ...]
-    weight: object
-    genus: int
-
-
-def _structure_vertices(structure: SplittingStructure) -> list[_StructureVertex]:
-    out = []
-    for side in ("X1", "X2"):
-        blocks, weights, genera = structure.side(side)
-        for i, block in enumerate(blocks):
-            out.append(_StructureVertex(side, i, block, weights[i], genera[i]))
-    return out
-
-
 class _Skeleton:
     """What the structures of one (root_data, blocks1, blocks2) share.
 
     ``iter_structures`` yields them consecutively, differing only in
-    weights and genera.  Vertices run over the X1 blocks, then the X2
-    blocks; ``roots[i]`` gives, for basis choice i, each vertex's
-    (f, c, class id) per root.  ``dead`` marks a side-constrained leg group
-    with no vertex on its side, which kills every structure of the skeleton.
+    weights and genera.  The vertices are ``blocks``, the X1 blocks then the
+    X2 blocks as in ``genera1 + genera2``, with their ``sides`` and their
+    ``positions`` within their side; ``roots[i]`` gives, for basis choice i,
+    each vertex's (f, c, class id) per root.  ``dead`` marks a
+    side-constrained leg group with no vertex on its side, which kills
+    every structure of the skeleton.
     """
 
     def __init__(self, ctx: _Context, structure: SplittingStructure):
         m_labels, blocks1, blocks2 = structure.m_labels, structure.blocks1, structure.blocks2
         self.key = (structure.root_data, blocks1, blocks2)
+        self.blocks = blocks1 + blocks2
         self.sides = ("X1",) * len(blocks1) + ("X2",) * len(blocks2)
+        self.positions = tuple(range(len(blocks1))) + tuple(range(len(blocks2)))
         self.dead = not self.sides or any(
             g["side"] not in (None, *self.sides) for g in ctx.groups
         )
@@ -588,28 +571,28 @@ def _takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple) -> list:
     return takes
 
 
-def _placements(ctx: _Context, vertices, roots, budget: _Budget):
+def _placements(ctx: _Context, sides, genera, weights, roots, budget: _Budget):
     """Distribute the leg groups over the vertices, pruning zero components.
 
+    Vertex i has the side ``sides[i]``, genus ``genera[i]``, weight
+    ``weights[i]`` and, per root, the (f, c, class id) in ``roots[i]``.
     Yields (placed, multiplicity, numerator, denominator) per complete
     placement; ``placed`` lists (vertex index, leg labels, key, value), and
     the product of the values is numerator / denominator, carried as ints
     from each value's ``numerator`` and ``denominator`` and never reduced.
-    ``roots`` gives each vertex's (f, c, class id) per root.  Each node of
-    the walk, one vertex's share of the legs from ``_takes``, ticks
-    ``budget``.
+    Each node of the walk, one vertex's share of the legs from ``_takes``,
+    ticks ``budget``.
     """
-    sides = tuple(vx.side for vx in vertices)
     placed: list = []
 
     def rec(vi: int, remaining: tuple, mult: int, num: int, den: int):
-        if vi == len(vertices):
+        if vi == len(sides):
             yield tuple(placed), mult, num, den
             return
-        vx = vertices[vi]
+        side, genus, weight, vertex_roots = sides[vi], genera[vi], weights[vi], roots[vi]
         for labels, legs, factor, after in _takes(ctx, sides, vi, remaining):
             budget.tick()
-            key, value, missing = ctx.component(vx.side, vx.genus, vx.weight, legs, roots[vi])
+            key, value, missing = ctx.component(side, genus, weight, legs, vertex_roots)
             value_num = value.numerator
             if not value_num and not missing:
                 # a genuine zero kills the whole branch; missing keys keep the
@@ -662,8 +645,9 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     labeled structure, each of size 1.
 
     What the structures of one skeleton share (contacts, indices, basis
-    choices, each choice's roots per vertex, the dead-leg check) is worked
-    out once per skeleton; only the last skeleton is kept.
+    choices, the vertex layout, each choice's roots per vertex, the
+    dead-leg check) is worked out once per skeleton; only the last skeleton
+    is kept.
 
     Each (structure, basis choice) walks its placements and sums
     sign * multiplicity * product, the sign being 1 when the choice is all
@@ -696,27 +680,29 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
                 coeff = ctx.coefficient(skeleton.contacts, skeleton.indices, rule)
         if skeleton.dead:
             continue
-        m_labels = structure.m_labels
-        vertices = _structure_vertices(structure)
+        m_labels, sides, blocks = structure.m_labels, skeleton.sides, skeleton.blocks
+        genera = structure.genera1 + structure.genera2
+        weights = structure.weights1 + structure.weights2
         for ci, (delta, rho, weight, odd) in enumerate(skeleton.choices):
             budget.tick()
             roots = skeleton.roots[ci]
             word = ctx.word(m_labels, delta, rho) if odd else None
             sums: dict = {}  # sign * multiplicity * numerator, by denominator
-            for placed, mult, num, den in _placements(ctx, vertices, roots, budget):
+            for placed, mult, num, den in _placements(
+                ctx, sides, genera, weights, roots, budget
+            ):
                 sign = 1
                 if word is not None:
                     comps: tuple[list, list] = ([], [])
                     for vi, labels, _, _ in placed:
-                        vx = vertices[vi]
-                        comps[vx.side == "X2"].append(_symbols(vx.side, labels, vx.block))
+                        comps[sides[vi] == "X2"].append(_symbols(sides[vi], labels, blocks[vi]))
                     sign = _regroup_sign(word, comps)
                 if num:  # 0 only past a missing key
                     sums[den] = sums.get(den, 0) + sign * mult * num
                 if terms is None:
                     continue
                 assignment = {
-                    lab: (vertices[vi].side, vertices[vi].position)
+                    lab: (sides[vi], skeleton.positions[vi])
                     for vi, labels, _, _ in placed
                     for lab in labels
                 }
@@ -730,14 +716,10 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
                         coefficient=coeff,
                         expansion_coefficient=weight,
                         left=tuple(
-                            (key, value)
-                            for vi, _, key, value in placed
-                            if vertices[vi].side == "X1"
+                            (key, value) for vi, _, key, value in placed if sides[vi] == "X1"
                         ),
                         right=tuple(
-                            (key, value)
-                            for vi, _, key, value in placed
-                            if vertices[vi].side == "X2"
+                            (key, value) for vi, _, key, value in placed if sides[vi] == "X2"
                         ),
                     )
                 )
@@ -769,19 +751,21 @@ def needed_keys(
     leg sets depend only on the skeleton's vertex sides, so the forward
     pass runs once per sides tuple; the root tuples are listed once per
     skeleton.  A skeleton with no basis choice gives no keys.  A vertex
-    whose (vertex sides, position, genus, weight, root tuple) was keyed
-    before gives no new key, so it is keyed once per run.
+    whose (vertex sides, position, genus, weight, root tuple) was met before
+    gives nothing new.  The distinct (side, genus, weight, legs, roots) are
+    keyed with ``CorrelatorKey.for_vertex`` at the end; no value is looked up.
 
     The node budget counts the labeled structure walk, one node per
-    (vertex, legs left, take) of each forward pass and one per component
-    call: P1 degree 3, genus 1 ticks 355 nodes and degree 5, genus 2
-    ticks 24,107, where walking every placement ticked 1,388 and
-    7,760,651.
+    (vertex, legs left, take) of each forward pass and one per leg set of
+    each vertex it keys: P1 degree 3, genus 1 ticks 355 nodes and
+    degree 5, genus 2 ticks 24,107, where walking every placement ticked
+    1,388 and 7,760,651.
     """
-    ctx = _Context(problem, insertions, "standard_dual", None)
+    ctx = _Context(problem, insertions, "standard_dual", InvariantTable())
     budget = _Budget(_effective_budget(problem))
     leg_options_by_sides: dict = {}
     seen: set = set()
+    found: set = set()
     skeleton = None
     for structure in iter_structures(problem, budget):
         if skeleton is None or (
@@ -799,16 +783,18 @@ def needed_keys(
                 ]
         if skeleton.dead or not skeleton.choices:
             continue
-        for vi, vx in enumerate(_structure_vertices(structure)):
+        genera = structure.genera1 + structure.genera2
+        weights = structure.weights1 + structure.weights2
+        for vi, (side, genus, weight) in enumerate(zip(skeleton.sides, genera, weights)):
             for roots in root_options[vi]:
-                vertex = (skeleton.sides, vi, vx.genus, vx.weight, roots)
+                vertex = (skeleton.sides, vi, genus, weight, roots)
                 if vertex in seen:
                     continue
                 seen.add(vertex)
                 for legs in leg_options[vi]:
                     budget.tick()
-                    ctx.component(vx.side, vx.genus, vx.weight, legs, roots)
-    keys = {key for key, _, _ in ctx.memo.values() if key is not None}
+                    found.add((side, genus, weight, legs, roots))
+    keys = {CorrelatorKey.for_vertex(*vertex) for vertex in found}
     return sorted(keys, key=lambda k: k.sort_token())
 
 

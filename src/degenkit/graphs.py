@@ -159,6 +159,26 @@ class Root:
         return intersection_multiplicity(self.f, self.c)
 
 
+def components(count: int, pairs) -> list[list[int]]:
+    """The connected components of the nodes 0..count-1 joined by ``pairs``,
+    each sorted, in order of their least node."""
+    parent = list(range(count))
+    for a, b in pairs:
+        # find both roots, halving the paths on the way, and join them
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[a] = b
+    comps: dict[int, list[int]] = {}
+    for v in range(count):
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        comps.setdefault(root, []).append(v)
+    return list(comps.values())
+
+
 @dataclass(frozen=True)
 class ModularGraph:
     """May be disconnected or empty; loops and parallel edges are allowed."""
@@ -208,23 +228,7 @@ class ModularGraph:
         return tuple(sorted((r for r in self.roots if r.vertex == v), key=lambda r: r.label))
 
     def component_partition(self) -> list[list[int]]:
-        nv = len(self.vertices)
-        parent = list(range(nv))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        comps: dict[int, list[int]] = {}
-        for v in range(nv):
-            comps.setdefault(find(v), []).append(v)
-        return sorted(comps.values())
+        return components(len(self.vertices), self.edges)
 
     def is_connected(self) -> bool:
         return len(self.component_partition()) == 1

@@ -439,10 +439,13 @@ def key_from_dict(data: dict) -> CorrelatorKey:
         side=_field(data, "side", "table key"),
         graph=graph_bytes,
         legs=tuple(
-            (_int(m, "key leg m"), cid)
+            (_int(m, "key leg m"), _str(cid, "key leg class"))
             for m, cid in _rows(data.get("legs", []), "table key legs", "m", "class")
         ),
-        roots=tuple(cid for (cid,) in _rows(data.get("roots", []), "table key roots", "class")),
+        roots=tuple(
+            _str(cid, "key root class")
+            for (cid,) in _rows(data.get("roots", []), "table key roots", "class")
+        ),
     )
 
 

@@ -32,6 +32,7 @@ from .graphs import (
     Root,
     Vertex,
     canonical_form,
+    components,
     d_degree,
     glue,
     total_genus,
@@ -364,33 +365,14 @@ def _weight_splits(
 
 
 def _blocks_connected(blocks1, blocks2) -> bool:
-    """Bipartite connectivity of the prospective glued graph."""
-    node_of = {}
-    for i, b in enumerate(blocks1):
-        for lab in b:
-            node_of.setdefault(lab, []).append(("L", i))
-    for i, b in enumerate(blocks2):
-        for lab in b:
-            node_of.setdefault(lab, []).append(("R", i))
-    nodes = [("L", i) for i in range(len(blocks1))] + [("R", i) for i in range(len(blocks2))]
-    if not nodes:
-        return False
-    parent = {nd: nd for nd in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ends in node_of.values():
-        a = find(ends[0])
-        for other in ends[1:]:
-            b = find(other)
-            if a != b:
-                parent[b] = a
-    roots = {find(nd) for nd in nodes}
-    return len(roots) == 1
+    """Bipartite connectivity of the prospective glued graph, whose nodes
+    are the X1 blocks, then the X2 blocks, joined by shared labels."""
+    blocks = blocks1 + blocks2
+    first: dict = {}
+    pairs = [
+        (first.setdefault(lab, node), node) for node, b in enumerate(blocks) for lab in b
+    ]
+    return len(components(len(blocks), pairs)) == 1
 
 
 class _Budget:
@@ -590,27 +572,16 @@ def _root_graphs(counts: tuple[int, ...], rows: int, cols: int, budget: _Budget)
                 out.append((p, [groups[start] for start in sorted(groups)]))
         return out
 
-    def connected(graph: tuple) -> bool:
-        parent = list(range(rows + cols))
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        for i, row in enumerate(graph):
-            for p, k in enumerate(row):
-                if k:
-                    parent[find(rows + p // nc)] = find(i)
-        return len({find(x) for x in range(rows + cols)}) == 1
-
     acc: list = []
 
     def rec(rem: tuple[int, ...]):
         budget.tick()
         if len(acc) == rows:
             graph = tuple(acc)
-            if connected(graph):
+            edges = [
+                (i, rows + p // nc) for i, row in enumerate(graph) for p, k in enumerate(row) if k
+            ]
+            if len(components(rows + cols, edges)) == 1:
                 autos = automorphisms(graph)
                 if autos is not None:
                     yield graph, autos

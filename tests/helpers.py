@@ -130,20 +130,30 @@ def random_problem(rng: random.Random, max_legs: int = 3) -> tuple[DegenerationP
     return problem, insertions
 
 
+class _OnesTable(InvariantTable):
+    """A table answering 1 to every key, so no placement is pruned."""
+
+    def get(self, key):
+        return Fraction(1)
+
+
 def placement_keys(problem: DegenerationProblem, insertions) -> list:
     """The keys the placement walk reaches, sorted: every labeled structure,
-    basis choice and leg placement, keyed through the evaluator's memo.
-    The reference for ``needed_keys``, which finds them without placing
-    legs."""
-    ctx = correlator._Context(problem, insertions, "standard_dual", None)
+    basis choice and leg placement, keyed through the evaluator's memo
+    against a table answering 1.  The reference for ``needed_keys``, which
+    finds them without placing legs."""
+    ctx = correlator._Context(problem, insertions, "standard_dual", _OnesTable())
     budget = _Budget(None)
     for structure in iter_structures(problem):
         skeleton = correlator._Skeleton(ctx, structure)
         if skeleton.dead:
             continue
-        vertices = correlator._structure_vertices(structure)
+        genera = structure.genera1 + structure.genera2
+        weights = structure.weights1 + structure.weights2
         for roots in skeleton.roots:
-            for _ in correlator._placements(ctx, vertices, roots, budget):
+            for _ in correlator._placements(
+                ctx, skeleton.sides, genera, weights, roots, budget
+            ):
                 pass
     keys = {key for key, _, _ in ctx.memo.values() if key is not None}
     return sorted(keys, key=lambda k: k.sort_token())

@@ -272,3 +272,73 @@ def test_inhomogeneous_vector_parity_raises():
         cat = _catalog([[1, 0], [0, 1]], parities=[EVEN, ODD])
     with pytest.raises(ParityError):
         cat.homogeneous_parity((Fraction(1), Fraction(1)))
+
+
+def _invariance_warned(catalog_args) -> bool:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        SectorCatalog(**catalog_args)
+    return any("involution-invariant" in str(w.message) for w in caught)
+
+
+def _sign_swapped_pair(pairing):
+    # x and y are swapped by the involution, each with the sign -1
+    return dict(
+        sectors=(Sector("t+", 2, "t-"), Sector("t-", 2, "t+")),
+        basis=(BasisClass("x", "t+", EVEN), BasisClass("y", "t-", EVEN)),
+        pairing=tuple(tuple(Fraction(v) for v in row) for row in pairing),
+        basis_involution={"x": ("y", -1), "y": ("x", -1)},
+    )
+
+
+def test_involution_invariance_warning():
+    assert not _invariance_warned(_sign_swapped_pair([[2, 1], [1, 2]]))
+    assert _invariance_warned(_sign_swapped_pair([[2, 1], [1, 3]]))
+
+
+def test_involution_invariance_warning_against_the_matrix_product():
+    # the warning fires exactly when J^T G J != G, J the matrix of the pullback
+    rng = random.Random(14)
+    warned = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        ids = ["b%d" % i for i in range(n)]
+        order = list(range(n))
+        rng.shuffle(order)
+        involution = {}
+        while order:
+            i = order.pop()
+            j = order.pop() if order and rng.random() < 0.6 else i
+            sign = rng.choice([1, -1])
+            involution[ids[i]] = (ids[j], sign)
+            involution[ids[j]] = (ids[i], sign)
+        pairing = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            # average over the involution: an invariant pairing
+            image = [(ids.index(involution[b][0]), involution[b][1]) for b in ids]
+            pairing = [
+                [(pairing[i][j] + si * sj * pairing[ii][ij]) / 2
+                 for j, (ij, sj) in enumerate(image)]
+                for i, (ii, si) in enumerate(image)
+            ]
+        J = [[Fraction(0)] * n for _ in range(n)]
+        for b in ids:
+            img, sign = involution[b]
+            J[ids.index(img)][ids.index(b)] = Fraction(sign)
+        expected = any(
+            sum(J[a][i] * pairing[a][b] * J[b][j] for a in range(n) for b in range(n))
+            != pairing[i][j]
+            for i in range(n)
+            for j in range(n)
+        )
+        got = _invariance_warned(
+            dict(
+                sectors=(Sector("s", 1, "s"),),
+                basis=tuple(BasisClass(b, "s", EVEN) for b in ids),
+                pairing=tuple(map(tuple, pairing)),
+                basis_involution=involution,
+            )
+        )
+        assert got == expected
+        warned += got
+    assert 0 < warned < 300

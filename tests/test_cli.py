@@ -484,6 +484,14 @@ def _table_probe(payload):
                 '{"e":[],"l":[],"r":[[1,1,0,0]],"v":[[0,[]]]}'}, "value": "1/1"}]),
             id="table-one-vertex-canonical-root-c-zero",
         ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "legs": [{"m": 0, "class": [1]}]}, "value": "1/1"}]),
+            id="table-key-leg-class-a-list",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "roots": [{"class": {"a": 1}}]}, "value": "1/1"}]),
+            id="table-key-root-class-an-object",
+        ),
     ],
 )
 def test_cli_malformed_twisting_or_table_file_exits_2(probe, tmp_path):

@@ -18,6 +18,7 @@ from degenkit.graphs import (
     Vertex,
     _dump,
     canonical_form,
+    components,
     d_degree,
     glue,
     graph_from_canonical,
@@ -356,3 +357,40 @@ def test_vertex_form_bytes(data):
 def test_vertex_form_rejects_bad_data(args):
     with pytest.raises(DegenkitError):
         vertex_form(*args)
+
+
+def _bfs_components(count, pairs):
+    adjacent = {v: set() for v in range(count)}
+    for a, b in pairs:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    seen, out = set(), []
+    for v in range(count):
+        if v in seen:
+            continue
+        seen.add(v)
+        comp, queue = [], [v]
+        while queue:
+            x = queue.pop(0)
+            comp.append(x)
+            for y in adjacent[x] - seen:
+                seen.add(y)
+                queue.append(y)
+        out.append(sorted(comp))
+    return out
+
+
+def test_components_against_breadth_first_search():
+    rng = random.Random(14)
+    for _ in range(600):
+        count = rng.randint(0, 8)
+        pairs = []
+        if count:
+            pairs = [
+                (rng.randrange(count), rng.randrange(count))
+                for _ in range(rng.randint(0, 10))
+            ]
+            pairs += [(v, v) for v in rng.sample(range(count), rng.randint(0, count))]
+            pairs += rng.sample(pairs, rng.randint(0, len(pairs)))  # repeated pairs
+            rng.shuffle(pairs)
+        assert components(count, pairs) == _bfs_components(count, pairs)
