@@ -15,20 +15,28 @@ One kernel evaluates it from three shared pieces:
 - one sign builder, the Koszul sign of regrouping the insertion word per
   component;
 - one component memo per run, keyed by the data that fixes a correlator key:
-  side, genus, weight, each leg's (e, m, class) and each root's (f, c, class)
-  in label order.
+  side, genus, the weight's exponents, each leg's (e, m, class) and each
+  root's (f, c, class) in label order.
 
-Every component of a splitting has one vertex.  The memo builds its key with
-``CorrelatorKey.for_vertex`` straight from that data; the bytes are those
-``canonical_form(rank_relabeled(graph))`` gives for the one-vertex graph,
-which has no tie to break, so no graph is built.
+Every component of a splitting has one vertex, and the memo asks the table
+for its value by that data (``InvariantTable.vertex_value``).  A plain table
+builds the key with ``CorrelatorKey.for_vertex`` and looks it up; a table
+that can value the data directly (the P1 table of ``oracle``) builds no key.
+The kernel builds a key only when the run reports it: for a missing key
+(``MissingKeysError``) and for the term breakdown.  ``for_vertex`` writes the
+bytes ``canonical_form(rank_relabeled(graph))`` gives for the one-vertex
+graph, which has no tie to break, so no graph is built.
 ``CorrelatorKey.for_component`` stays the reference for connected graphs of
 any size and serves ``evaluate_disconnected``.  The two vanishing rules (a
 root class off the band of its index; root multiplicities against the
-weight's divisor degree) are written once, in ``_vanishes``, for both.
+weight's divisor degree) are written once, in ``_vanishes``.  The kernel
+never applies them: its structures meet condition B and its basis choices
+keep each root on its band, so no vertex it meets vanishes by rule.  Only
+``splitting_inner_sum`` and ``evaluate_disconnected``, whose splitting or
+graph comes from outside, check them.
 
 Evaluation and its term breakdown run the kernel, so each component is
-keyed and looked up once per run; ``splitting_inner_sum`` and
+looked up once per run; ``splitting_inner_sum`` and
 ``evaluate_disconnected`` reuse its pieces for one explicit splitting or one
 disconnected graph.  Key collection (``needed_keys``) walks the same labeled
 structures and basis choices but places no legs and looks up no value: it
@@ -93,6 +101,7 @@ from typing import Mapping, Optional, Sequence
 from .algebra import Parity, chen_ruan_dual, dual_basis, koszul_sign
 from .errors import DegenkitError, MissingKeysError, ParityError
 from .graphs import (
+    CurveClass,
     ModularGraph,
     canonical_form,
     d_degree,
@@ -206,6 +215,16 @@ class InvariantTable:
 
     def get(self, key: CorrelatorKey) -> Optional[Fraction]:
         return self._entries.get(key)
+
+    def vertex_value(
+        self, side: str, genus: int, weight, legs: tuple, roots: tuple
+    ) -> Optional[Fraction]:
+        """The value of the one-vertex key with this data, as ``get`` gives
+        it for ``CorrelatorKey.for_vertex(side, genus, weight, legs, roots)``.
+
+        A table that can value the data without the key bytes overrides it.
+        """
+        return self.get(CorrelatorKey.for_vertex(side, genus, weight, legs, roots))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -328,7 +347,6 @@ class _Context:
                 )
             self.rho_parity[b.id] = parities.pop() if parities else Parity.EVEN
         self.memo: dict = {}
-        self.vanishing: dict = {}  # by (weight, roots): one vertex meets many leg sets
         self.choices: dict = {}
         self.coefficients: dict = {}
         self.groups = _leg_groups(self)
@@ -348,27 +366,30 @@ class _Context:
         return coeff
 
     def component(self, side: str, genus: int, weight, legs: tuple, roots: tuple):
-        """(key, value, missing) of a one-vertex component, memoised.
+        """(value, missing) of a one-vertex component, memoised.
 
         ``legs`` holds each leg's (e, m, class id) and ``roots`` each root's
         (f, c, class id), both in label order.  Together with side, genus
         and weight that is exactly the data fixing a rank-relabeled
-        CorrelatorKey, so one memo entry stands for one key.
+        CorrelatorKey, so one memo entry stands for one key.  The memo is
+        keyed by (side, genus, weight exponents, legs, roots), all tuples of
+        strings and ints, and the table is asked by the data
+        (``InvariantTable.vertex_value``); the key itself is built only
+        when the run reports it (``key``).  A missing value counts as 0.
+        No vanishing rule is applied: the kernel's vertices never meet one.
         """
-        memo_key = (side, genus, weight, legs, roots)
+        memo_key = (side, genus, weight.exponents, legs, roots)
         entry = self.memo.get(memo_key)
         if entry is None:
-            vanishes = self.vanishing.get((weight, roots))
-            if vanishes is None:
-                vanishes = _vanishes(self.problem, weight, roots)
-                self.vanishing[weight, roots] = vanishes
-            if vanishes:
-                entry = (None, _ZERO, False)
-            else:
-                key = CorrelatorKey.for_vertex(side, genus, weight, legs, roots)
-                entry = _keyed_value(key, self.table)
-            self.memo[memo_key] = entry
+            value = self.table.vertex_value(side, genus, weight, legs, roots)
+            entry = self.memo[memo_key] = (_ZERO, True) if value is None else (value, False)
         return entry
+
+    @staticmethod
+    def key(memo_key: tuple) -> CorrelatorKey:
+        """The CorrelatorKey of a component memo key."""
+        side, genus, exponents, legs, roots = memo_key
+        return CorrelatorKey.for_vertex(side, genus, CurveClass(exponents), legs, roots)
 
     def basis_choices(self, indices: tuple[int, ...]) -> list[tuple]:
         """Every term of the delta/rho expansion for roots of the given
@@ -401,7 +422,7 @@ class _Context:
         return word
 
     def raise_if_missing(self):
-        missing = {key for key, _, was_missing in self.memo.values() if was_missing}
+        missing = [self.key(k) for k, (_, was_missing) in self.memo.items() if was_missing]
         if missing:
             raise MissingKeysError(missing)
 
@@ -410,22 +431,13 @@ def _vanishes(problem: DegenerationProblem, weight, roots: Sequence[tuple]) -> b
     """The two vanishing rules of a connected correlator, from its weight
     and each root's (f, c, class id): a root class off the band of the
     root's index, or root multiplicities c/f not summing to the weight's
-    divisor degree.  Such keys are never demanded of the table."""
+    divisor degree.  Such keys are never demanded of the table.  Only
+    splittings and graphs given from outside the kernel are checked."""
     divisor = problem.divisor
     if any(divisor.sector_of(cid).band_order != f for f, _, cid in roots):
         return True
     mult_sum = sum((Fraction(c, f) for f, c, _ in roots), _ZERO)
     return mult_sum != d_degree(weight, problem.monoid)
-
-
-def _keyed_value(
-    key: CorrelatorKey, table: InvariantTable
-) -> tuple[CorrelatorKey, Fraction, bool]:
-    """(key, value, missing) of a correlator that does not vanish."""
-    value = table.get(key)
-    if value is None:
-        return key, _ZERO, True
-    return key, value, False
 
 
 def _component_value(
@@ -442,7 +454,10 @@ def _component_value(
     if _vanishes(problem, total_weight(graph), roots):
         return None, _ZERO, False
     key = CorrelatorKey.for_component(side, graph, leg_insertions, root_classes)
-    return _keyed_value(key, table)
+    value = table.get(key)
+    if value is None:
+        return key, _ZERO, True
+    return key, value, False
 
 
 def _symbols(side: str, leg_labels: Sequence[int], root_labels: Sequence[int]) -> tuple:
@@ -577,7 +592,7 @@ def _placements(ctx: _Context, sides, genera, weights, roots, budget: _Budget):
     Vertex i has the side ``sides[i]``, genus ``genera[i]``, weight
     ``weights[i]`` and, per root, the (f, c, class id) in ``roots[i]``.
     Yields (placed, multiplicity, numerator, denominator) per complete
-    placement; ``placed`` lists (vertex index, leg labels, key, value), and
+    placement; ``placed`` lists (vertex index, leg labels, leg data, value), and
     the product of the values is numerator / denominator, carried as ints
     from each value's ``numerator`` and ``denominator`` and never reduced.
     Each node of the walk, one vertex's share of the legs from ``_takes``,
@@ -592,13 +607,13 @@ def _placements(ctx: _Context, sides, genera, weights, roots, budget: _Budget):
         side, genus, weight, vertex_roots = sides[vi], genera[vi], weights[vi], roots[vi]
         for labels, legs, factor, after in _takes(ctx, sides, vi, remaining):
             budget.tick()
-            key, value, missing = ctx.component(side, genus, weight, legs, vertex_roots)
+            value, missing = ctx.component(side, genus, weight, legs, vertex_roots)
             value_num = value.numerator
             if not value_num and not missing:
                 # a genuine zero kills the whole branch; missing keys keep the
                 # walk alive so the error can list every absent key
                 continue
-            placed.append((vi, labels, key, value))
+            placed.append((vi, labels, legs, value))
             yield from rec(
                 vi + 1, after, mult * factor, num * value_num, den * value.denominator
             )
@@ -657,7 +672,8 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     per denominator, and the sums are brought over the lcm of those
     denominators, so no gcd is taken per placement.  One Fraction is built
     per (structure, basis choice) whose sum is nonzero.  With ``terms``
-    each nonzero placement is also appended as an EvalTerm.
+    each nonzero placement is also appended as an EvalTerm, the keys of its
+    components built there from their vertex data.
 
     One node budget bounds the walk: each node of the structure source
     (for plain evaluation, of the orbit walk), basis choice and placement
@@ -706,6 +722,12 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
                     for vi, labels, _, _ in placed
                     for lab in labels
                 }
+                keyed: tuple[list, list] = ([], [])
+                for vi, _, legs, value in placed:
+                    key = CorrelatorKey.for_vertex(
+                        sides[vi], genera[vi], weights[vi], legs, roots[vi]
+                    )
+                    keyed[sides[vi] == "X2"].append((key, value))
                 terms.append(
                     EvalTerm(
                         splitting=structure.build_splitting(assignment, problem.legs),
@@ -715,12 +737,8 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
                         sign=sign,
                         coefficient=coeff,
                         expansion_coefficient=weight,
-                        left=tuple(
-                            (key, value) for vi, _, key, value in placed if sides[vi] == "X1"
-                        ),
-                        right=tuple(
-                            (key, value) for vi, _, key, value in placed if sides[vi] == "X2"
-                        ),
+                        left=tuple(keyed[0]),
+                        right=tuple(keyed[1]),
                     )
                 )
             if sums:
@@ -862,12 +880,16 @@ def splitting_inner_sum(
         classes = {"X1": dict(zip(m_labels, delta)), "X2": dict(zip(m_labels, rho))}
         product = weight
         for side, vertex, legs, roots in vertices:
-            _, value, _ = ctx.component(
+            vertex_roots = tuple((r.f, r.c, classes[side][r.label]) for r in roots)
+            if _vanishes(problem, vertex.weight, vertex_roots):
+                product = _ZERO
+                continue
+            value, _ = ctx.component(
                 side,
                 vertex.genus,
                 vertex.weight,
                 tuple((leg.e,) + ctx.leg_data[leg.label][1:] for leg in legs),
-                tuple((r.f, r.c, classes[side][r.label]) for r in roots),
+                vertex_roots,
             )
             product *= value
         if product != 0 and odd:

@@ -25,7 +25,6 @@ from .graphs import (
     Root,
     Vertex,
     canonical_json,
-    graph_from_canonical,
     rank_relabeled,
     vertex_form,
 )
@@ -95,6 +94,14 @@ def _field(data: dict, name: str, what: str):
     if name not in data:
         raise DegenkitError("%s is missing the field %r" % (what, name))
     return data[name]
+
+
+def _lists(value, size: int, what: str) -> list[list]:
+    """A list of lists of ``size`` entries each."""
+    rows = _list(value, what)
+    if not all(isinstance(row, list) and len(row) == size for row in rows):
+        raise DegenkitError("%s must be a list of %d-entry lists, got %r" % (what, size, value))
+    return rows
 
 
 def _rows(value, what: str, *names: str) -> list[tuple]:
@@ -414,27 +421,72 @@ def key_to_dict(key: CorrelatorKey) -> dict:
     }
 
 
-def key_from_dict(data: dict) -> CorrelatorKey:
-    graph = _field(_object(data, "table key"), "graph", "table key")
+def _key_graph(graph) -> bytes:
+    """The canonical bytes of a table key's graph, given as an object
+    (``graph_from_dict``) or as canonical JSON text in the layout of
+    ``canonical_form``: ``{"e": [[a, b]...], "l": [[label, e, vertex]...],
+    "r": [[label, f, c, vertex]...], "v": [[genus, [[generator, exponent]...]]...]}``.
+
+    Text is read with every number through ``_int`` and every generator id
+    through ``_str``.  Text that is already the bytes ``vertex_form`` writes
+    for the ints read is taken as it is; any other graph is built and
+    canonicalised, a one-vertex graph by ``vertex_form``.
+    """
     if isinstance(graph, dict):
         parsed = graph_from_dict(graph)
     else:
         try:
-            parsed = graph_from_canonical(graph)
-        except (ValueError, KeyError, TypeError, AttributeError):
+            data = json.loads(_str(graph, "key graph"))
+        except ValueError:
             raise DegenkitError("not a canonical graph: %r" % (graph,)) from None
+        data = _object(data, "key graph")
+
+        def rows(name: str, size: int, *what: str) -> list[tuple]:
+            return [
+                tuple(map(_int, row, what))
+                for row in _lists(_field(data, name, "key graph"), size, "key graph " + name)
+            ]
+
+        vertices = []
+        for genus, pairs in _lists(_field(data, "v", "key graph"), 2, "key graph v"):
+            weight = {
+                _str(gid, "vertex weight generator"): _int(e, "vertex weight exponent")
+                for gid, e in _lists(pairs, 2, "vertex weight")
+            }
+            if len(weight) != len(pairs):
+                raise DegenkitError("vertex weight repeats a generator: %r" % (pairs,))
+            vertices.append((_int(genus, "vertex genus"), CurveClass(weight)))
+        edges = rows("e", 2, "edge end", "edge end")
+        legs = rows("l", 3, "leg label", "leg e", "leg vertex")
+        roots = rows("r", 4, "root label", "root f", "root c", "root vertex")
+        if len(vertices) == 1 and not edges:
+            ((genus, weight),) = vertices
+            blob = vertex_form(
+                genus, weight, [e for _, e, _ in legs], [(f, c) for _, f, c, _ in roots]
+            )
+            if blob == graph.encode():
+                return blob
+        parsed = ModularGraph(
+            vertices=tuple(Vertex(genus, weight) for genus, weight in vertices),
+            edges=tuple(edges),
+            legs=tuple(Leg(*row) for row in legs),
+            roots=tuple(Root(*row) for row in roots),
+        )
     if len(parsed.vertices) == 1 and not parsed.edges:
         # vertex_form writes the bytes canonical_form(rank_relabeled(parsed))
         # gives a one-vertex graph, without relabeling or tie-breaking
         vertex = parsed.vertices[0]
-        graph_bytes = vertex_form(
+        return vertex_form(
             vertex.genus,
             vertex.weight,
             [l.e for l in sorted(parsed.legs, key=lambda l: l.label)],
             [(r.f, r.c) for r in sorted(parsed.roots, key=lambda r: r.label)],
         )
-    else:
-        graph_bytes = canonical_json(rank_relabeled(parsed)).encode()
+    return canonical_json(rank_relabeled(parsed)).encode()
+
+
+def key_from_dict(data: dict) -> CorrelatorKey:
+    graph_bytes = _key_graph(_field(_object(data, "table key"), "graph", "table key"))
     return CorrelatorKey(
         side=_field(data, "side", "table key"),
         graph=graph_bytes,
@@ -457,9 +509,17 @@ def table_to_obj(table: InvariantTable) -> list:
 
 
 def table_from_obj(data: list) -> InvariantTable:
+    """A table file; a key listed twice must have one value."""
     table = InvariantTable()
     for key, value in _rows(data, "table", "key", "value"):
-        table.set(key_from_dict(key), fraction_from_str(value))
+        key, value = key_from_dict(key), fraction_from_str(value)
+        known = table.get(key)
+        if known is not None and known != value:
+            raise DegenkitError(
+                "table lists the key %s with two values, %s and %s"
+                % (json.dumps(key_to_dict(key), sort_keys=True), known, value)
+            )
+        table.set(key, value)
     return table
 
 

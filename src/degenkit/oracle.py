@@ -15,8 +15,9 @@ sheets.  All arithmetic is in exact ints.
 
 The relative-invariant table is read-only and lazy: it holds every
 one-vertex key up to its bounds, but a value is worked out, from these
-counts, only when its key is looked up.  Listing the table enumerates the
-keys directly, with the bytes a table storing every key would have.
+counts, only when it is looked up, by vertex data or by key.  Listing the
+table enumerates the keys directly, with the bytes a table storing every key
+would have.
 """
 
 from __future__ import annotations
@@ -356,44 +357,28 @@ def _compositions(total: int) -> list[tuple[int, ...]]:
 
 
 # shared by all tables: the P1 problems of a grid each build a table, and
-# their evaluations look up many of the same keys
+# their evaluations look up many of the same vertices
 @lru_cache(maxsize=1 << 12)
-def _line_vertex(graph: bytes) -> tuple | None:
-    """(generator id, degree, genus, leg count, root count, value) of the
-    graph bytes of a one-vertex key of the line: one generator of degree at
-    most ``MAX_DEGREE``, legs of index 1, and roots of index 1 whose contact
-    orders sum to the degree; None for any other bytes.
-
-    The bytes are decoded once and must be exactly those ``vertex_form``
-    writes for the data read, which also makes every number an int.  The
-    value is ``connected_relative_value`` with one branch insertion per leg.
-    """
-    try:
-        data = json.loads(graph)
-        ((genus, weight),) = data["v"]
-        ((gid, d),) = weight
-        s = len(data["l"])
-        pattern = [c for _, _, c, _ in data["r"]]
-        if vertex_form(genus, {gid: d}, [1] * s, [(1, c) for c in pattern]) != graph:
-            return None
-    except (ValueError, TypeError, KeyError, DegenkitError):
-        return None
-    if d > MAX_DEGREE or sum(pattern) != d:
-        return None
-    return gid, d, genus, s, len(pattern), connected_relative_value(d, genus, pattern, s)
+def _line_vertex(degree: int, genus: int, pattern: tuple, legs: int) -> Fraction:
+    """The value of a one-vertex key of the line: ``connected_relative_value``
+    with one branch insertion per leg, for roots of the given contact orders
+    in label order."""
+    return connected_relative_value(degree, genus, pattern, legs)
 
 
 class P1Table(InvariantTable):
     """Read-only table of every one-vertex relative key of the line up to a
     degree, genus and branch-insertion budget, on both sides of the
-    degeneration; a value is worked out when its key is looked up.
+    degeneration; a value is worked out when it is looked up.
 
-    A key is in the table when its legs all carry (m = 0, branch class) and
-    its roots the point class, and its graph bytes are exactly those of a
-    vertex of degree 1..d_max on its side's generator, genus 0..g_max, at
-    most ``max_legs`` legs of index 1 and roots of index 1 whose contact
-    orders sum to the degree.  ``items()`` lists those keys with their
-    values, and ``len()`` counts them, without decoding any key.
+    A key is in the table when its legs all carry (e = 1, m = 0, branch
+    class) and its roots (f = 1, point class), its weight is degree 1..d_max
+    of its side's generator, its genus is 0..g_max, it has at most
+    ``max_legs`` legs, and its roots' contact orders sum to the degree.
+    ``vertex_value`` writes that rule once, on the vertex data; ``get``
+    decodes the key bytes, which must be exactly those ``vertex_form``
+    writes for the data read, and applies it.  ``items()`` lists the keys
+    with their values, and ``len()`` counts them, without decoding any key.
     """
 
     def __init__(self, d_max: int, g_max: int, max_legs: int, conventions: P1Conventions):
@@ -403,39 +388,45 @@ class P1Table(InvariantTable):
         self.max_legs = max_legs
         self.conventions = conventions
         self.generators = {"X1": conventions.generator_1, "X2": conventions.generator_2}
+        self.branch_leg = (1, 0, conventions.branch_class)
 
     def set(self, key: CorrelatorKey, value) -> None:
         raise DegenkitError("the P1 table is read-only")
 
-    def get(self, key: CorrelatorKey) -> Fraction | None:
-        # the memo is the base table, so every lookup still passes through it
-        value = super().get(key)
-        if value is None:
-            value = self._value(key)
-            if value is not None:
-                self._entries[key] = value
-        return value
+    def vertex_value(
+        self, side: str, genus: int, weight: CurveClass, legs: tuple, roots: tuple
+    ) -> Fraction | None:
+        point = self.conventions.point_class
+        if genus > self.g_max or len(legs) > self.max_legs:
+            return None
+        if any(leg != self.branch_leg for leg in legs):
+            return None
+        if any(f != 1 or cid != point for f, _, cid in roots):
+            return None
+        if len(weight.exponents) != 1:
+            return None
+        ((gid, d),) = weight.exponents
+        pattern = tuple([c for _, c, _ in roots])
+        if gid != self.generators[side] or d > self.d_max or sum(pattern) != d:
+            return None
+        return _line_vertex(d, genus, pattern, len(legs))
 
-    def _value(self, key: CorrelatorKey) -> Fraction | None:
-        conv = self.conventions
-        if key.legs != ((0, conv.branch_class),) * len(key.legs):
+    def get(self, key: CorrelatorKey) -> Fraction | None:
+        try:
+            data = json.loads(key.graph)
+            ((genus, pairs),) = data["v"]
+            weight = CurveClass(dict(pairs))
+            leg_e = [e for _, e, _ in data["l"]]
+            root_fc = [(f, c) for _, f, c, _ in data["r"]]
+            if vertex_form(genus, weight, leg_e, root_fc) != key.graph:
+                return None
+        except (ValueError, TypeError, KeyError, DegenkitError):
             return None
-        if key.roots != (conv.point_class,) * len(key.roots):
+        if len(leg_e) != len(key.legs) or len(root_fc) != len(key.roots):
             return None
-        vertex = _line_vertex(key.graph)
-        if vertex is None:
-            return None
-        gid, d, genus, s, roots, value = vertex
-        if (
-            gid != self.generators[key.side]
-            or d > self.d_max
-            or genus > self.g_max
-            or s > self.max_legs
-            or len(key.legs) != s
-            or len(key.roots) != roots
-        ):
-            return None
-        return value
+        legs = tuple((e, m, cid) for e, (m, cid) in zip(leg_e, key.legs))
+        roots = tuple((f, c, cid) for (f, c), cid in zip(root_fc, key.roots))
+        return self.vertex_value(key.side, genus, weight, legs, roots)
 
     def __len__(self) -> int:
         return 2 * (2**self.d_max - 1) * (self.g_max + 1) * (self.max_legs + 1)

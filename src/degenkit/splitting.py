@@ -466,6 +466,7 @@ def iter_structures(
     for m in range(1, m_max + 1):
         labels = tuple(range(n + 1, n + m + 1))
         partitions = list(set_partitions(labels))
+        connected: dict = {}  # _blocks_connected per pair of partition indices
         for fc in _contact_tuples(pairs, m, deg):
             budget.tick()
             dd = {lab: Fraction(c, f) for lab, (f, c) in zip(labels, fc)}
@@ -473,16 +474,19 @@ def iter_structures(
                 tuple(sum((dd[lab] for lab in b), Fraction(0)) for b in blocks)
                 for blocks in partitions
             ]
-            for blocks1, t1 in zip(partitions, targets):
+            for i1, (blocks1, t1) in enumerate(zip(partitions, targets)):
                 w1_options = options.weights(beta1, t1)
                 if not w1_options:
                     continue
-                for blocks2, t2 in zip(partitions, targets):
+                for i2, (blocks2, t2) in enumerate(zip(partitions, targets)):
                     k1, k2 = len(blocks1), len(blocks2)
                     cycles = m - k1 - k2 + 1
                     if cycles < 0 or g - cycles < 0:
                         continue
-                    if not _blocks_connected(blocks1, blocks2):
+                    ok = connected.get((i1, i2))
+                    if ok is None:
+                        ok = connected[i1, i2] = _blocks_connected(blocks1, blocks2)
+                    if not ok:
                         continue
                     w2_options = options.weights(beta2, t2)
                     if not w2_options:

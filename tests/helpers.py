@@ -139,9 +139,9 @@ class _OnesTable(InvariantTable):
 
 def placement_keys(problem: DegenerationProblem, insertions) -> list:
     """The keys the placement walk reaches, sorted: every labeled structure,
-    basis choice and leg placement, keyed through the evaluator's memo
-    against a table answering 1.  The reference for ``needed_keys``, which
-    finds them without placing legs."""
+    basis choice and leg placement, through the evaluator's memo against a
+    table answering 1, each keyed from its memo data.  The reference for
+    ``needed_keys``, which finds them without placing legs."""
     ctx = correlator._Context(problem, insertions, "standard_dual", _OnesTable())
     budget = _Budget(None)
     for structure in iter_structures(problem):
@@ -155,8 +155,7 @@ def placement_keys(problem: DegenerationProblem, insertions) -> list:
                 ctx, skeleton.sides, genera, weights, roots, budget
             ):
                 pass
-    keys = {key for key, _, _ in ctx.memo.values() if key is not None}
-    return sorted(keys, key=lambda k: k.sort_token())
+    return sorted(map(ctx.key, ctx.memo), key=lambda k: k.sort_token())
 
 
 # -- covariant random tables ---------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 import degenkit
 from degenkit import cli, jsonio
 from degenkit.correlator import needed_keys
+from degenkit.errors import DegenkitError
 from degenkit.graphs import graph_from_canonical
 from degenkit.oracle import P1Conventions, build_p1_table, p1_problem
 from degenkit.splitting import _Budget, enumerate_splittings, iter_structures
@@ -396,7 +397,7 @@ def _twisting_probe(payload):
 
 
 # a one-vertex genus-0 key graph in canonical JSON
-_KEY = {"side": "X1", "graph": '{"e":[],"l":[],"r":[],"v":[[0,{}]]}'}
+_KEY = {"side": "X1", "graph": '{"e":[],"l":[],"r":[],"v":[[0,[]]]}'}
 
 
 def _table_probe(payload):
@@ -489,6 +490,55 @@ def _table_probe(payload):
             id="table-key-leg-class-a-list",
         ),
         pytest.param(
+            _table_probe([{"key": {**_KEY, "graph":
+                '{"e":[],"l":[[1,1.5,0]],"r":[],"v":[[0,[]]]}'}, "value": "1/1"}]),
+            id="table-canonical-leg-e-float",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph":
+                '{"e":[],"l":[],"r":[[1,1,1.5,0]],"v":[[0,[]]]}'}, "value": "1/1"}]),
+            id="table-canonical-contact-float",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph":
+                '{"e":[],"l":[],"r":[],"v":[[1.5,[]]]}'}, "value": "1/1"}]),
+            id="table-canonical-genus-float",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph":
+                '{"e":[],"l":[[1,true,0]],"r":[],"v":[[0,[]]]}'}, "value": "1/1"}]),
+            id="table-canonical-leg-e-true",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph":
+                '{"e":[],"l":[["a",1,0],[2,1,0]],"r":[],"v":[[0,[]]]}'}, "value": "1/1"}]),
+            id="table-canonical-mixed-labels",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph":
+                '{"e":[],"l":[],"r":[],"v":[[0,[[1,1]]]]}'}, "value": "1/1"}]),
+            id="table-canonical-generator-not-a-string",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph":
+                '{"e":[],"l":[],"r":[],"v":[[0,[["a",1.5]]]]}'}, "value": "1/1"}]),
+            id="table-canonical-exponent-float",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph":
+                '{"e":[],"l":[],"r":[],"v":[[0,[["a",1],["a",2]]]]}'}, "value": "1/1"}]),
+            id="table-canonical-generator-twice",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph":
+                '{"e":[],"l":[[1,1]],"r":[],"v":[[0,[]]]}'}, "value": "1/1"}]),
+            id="table-canonical-leg-row-short",
+        ),
+        pytest.param(
+            _table_probe([{"key": _KEY, "value": "1/1"}, {"key": _KEY, "value": "2/1"}]),
+            id="table-key-twice-with-two-values",
+        ),
+        pytest.param(
             _table_probe([{"key": {**_KEY, "roots": [{"class": {"a": 1}}]}, "value": "1/1"}]),
             id="table-key-root-class-an-object",
         ),
@@ -498,6 +548,16 @@ def test_cli_malformed_twisting_or_table_file_exits_2(probe, tmp_path):
     proc = run_cli(*probe(tmp_path), expect=2)
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"]
+
+
+def test_table_key_listed_twice():
+    # an identical repeat is accepted; two values for one key name the key
+    row = {"key": _KEY, "value": "1/1"}
+    assert len(jsonio.table_from_obj([row, dict(row)])) == 1
+    with pytest.raises(DegenkitError, match="two values") as err:
+        jsonio.table_from_obj([row, {"key": _KEY, "value": "1/2"}])
+    key = jsonio.key_to_dict(jsonio.key_from_dict(_KEY))
+    assert json.dumps(key, sort_keys=True) in str(err.value)
 
 
 def test_cli_bad_budget_variable_exits_2(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from degenkit import correlator, jsonio
 from degenkit.algebra import BasisClass, Sector, SectorCatalog
 from degenkit.correlator import (
     CONVENTIONS,
@@ -37,13 +39,17 @@ from degenkit.oracle import build_p1_table, p1_problem
 from degenkit.splitting import (
     DegenerationProblem,
     LegSpec,
+    Splitting,
     _Budget,
+    check_condition_B,
     enumerate_splittings,
     iter_structures,
 )
+from degenkit.twisting import MINIMAL_TWIST
 from helpers import (
     EVEN,
     ODD,
+    _OnesTable,
     covariant_random_table,
     monomial_reorder_sign,
     random_problem,
@@ -339,6 +345,69 @@ def test_missing_keys_listed():
     with pytest.raises(MissingKeysError) as err:
         evaluate_degeneration(problem, [], InvariantTable())
     assert err.value.keys == needed_keys(problem, [])
+
+
+@pytest.mark.parametrize(
+    "with_terms,count,digest",
+    [
+        (False, 23, "9f1386be99e484c1a8d7d32f2803676ad42c884ddee2587044b973a5567423bc"),
+        (True, 30, "c72c4422c785c17980d9aa3cb5867b1e1c4144414a985eb74b790a0405ff94fd"),
+    ],
+)
+def test_missing_keys_pinned_on_a_short_p1_table(with_terms, count, digest):
+    # P1 degree 4, genus 1 against a table one leg short: the lists of
+    # absent keys, each built from the data of a missing component, are
+    # pinned by count and by the SHA-256 of their JSON
+    problem, insertions = p1_problem(4, 1)
+    table = build_p1_table(4, 1, max_legs=len(insertions) - 1)
+    with pytest.raises(MissingKeysError) as err:
+        evaluate_degeneration(problem, insertions, table, with_terms=with_terms)
+    keys = err.value.keys
+    assert len(keys) == count
+    assert all(len(key.legs) == len(insertions) for key in keys)
+    blob = jsonio.dumps(jsonio.keys_to_obj(keys)).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_kernel_memo_holds_no_vanishing_data():
+    # the kernel applies no vanishing rule: its structures meet condition B
+    # and its basis choices keep each root on its band, so no vertex it
+    # looks up, plain or with terms, in either convention, vanishes by rule
+    rng = random.Random(47)
+    looked_up = 0
+    for _ in range(30):
+        problem, insertions = random_problem(rng, max_legs=2)
+        keys = needed_keys(problem, insertions)
+        table = covariant_random_table(keys, problem.divisor, problem.ambient, rng)
+        for convention in CONVENTIONS:
+            for terms in (None, []):
+                ctx = correlator._Context(problem, insertions, convention, table)
+                correlator._walk(ctx, MINIMAL_TWIST, terms)
+                for _, _, exponents, _, roots in ctx.memo:
+                    assert not correlator._vanishes(problem, CurveClass(exponents), roots)
+                looked_up += len(ctx.memo)
+    assert looked_up > 100
+
+
+def test_splitting_inner_sum_is_zero_off_condition_B():
+    # a splitting given from outside the kernel is checked against the
+    # vanishing rules: one that fails condition B sums to 0, and no key of
+    # it is demanded of the table
+    problem = _problem(_untwisted_divisor(), beta={"a": 2, "b": 2}, c_max=2)
+
+    def splitting(c):
+        sides = [
+            ModularGraph(vertices=(Vertex(0, CurveClass({gid: 2})),), roots=(Root(1, 1, c, 0),))
+            for gid in ("a", "b")
+        ]
+        return Splitting(sides[0], sides[1], (1,))
+
+    off = splitting(1)
+    assert not check_condition_B(off.xi1, problem.monoid).ok
+    assert splitting_inner_sum(problem, off, [], InvariantTable()) == 0
+    assert splitting_inner_sum(problem, off, [], _OnesTable()) == 0
+    # the same splitting with contact 2 meets condition B and is looked up
+    assert splitting_inner_sum(problem, splitting(2), [], _OnesTable()) != 0
 
 
 def _p1_case(d, g, k):

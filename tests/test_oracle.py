@@ -29,7 +29,16 @@ from degenkit.correlator import (
     evaluate_degeneration,
     needed_keys,
 )
-from degenkit.graphs import CurveClass, CurveClassMonoid, Generator, Leg, ModularGraph, Root, Vertex
+from degenkit.graphs import (
+    CurveClass,
+    CurveClassMonoid,
+    Generator,
+    Leg,
+    ModularGraph,
+    Root,
+    Vertex,
+    graph_from_canonical,
+)
 from degenkit.splitting import DegenerationProblem, LegSpec
 
 from helpers import covariant_random_table
@@ -328,6 +337,53 @@ def test_lazy_p1_table(d_max, g_max, max_legs):
         assert key not in table, name
     with pytest.raises(DegenkitError):
         table.set(inside, Fraction(1))
+
+
+def _vertex_data(key):
+    """(side, genus, weight, legs, roots) of a one-vertex key whose bytes
+    ``CorrelatorKey.for_vertex`` writes for that data; None for any other
+    key, which has no vertex data to look up."""
+    graph = graph_from_canonical(key.graph)
+    if len(graph.vertices) != 1 or (len(graph.legs), len(graph.roots)) != (
+        len(key.legs),
+        len(key.roots),
+    ):
+        return None
+    legs = tuple(
+        (leg.e, m, cid)
+        for leg, (m, cid) in zip(sorted(graph.legs, key=lambda l: l.label), key.legs)
+    )
+    roots = tuple(
+        (r.f, r.c, cid)
+        for r, cid in zip(sorted(graph.roots, key=lambda r: r.label), key.roots)
+    )
+    data = (key.side, graph.vertices[0].genus, graph.vertices[0].weight, legs, roots)
+    return data if CorrelatorKey.for_vertex(*data) == key else None
+
+
+@pytest.mark.parametrize(
+    "d_max,g_max,max_legs", [(1, 0, 0), (2, 1, 3), (3, 0, None), (4, 2, 2), (5, 2, 12)]
+)
+def test_p1_vertex_value_matches_get(d_max, g_max, max_legs):
+    # the lookup by vertex data and the lookup by key bytes apply one rule:
+    # equal on every listed row, None on both for each near miss that has
+    # vertex data (the others have only key bytes, and get gives None)
+    conv = P1Conventions()
+    table = build_p1_table(d_max, g_max, conv, max_legs=max_legs)
+    legs = 2 * g_max - 2 + 2 * d_max if max_legs is None else max_legs
+    for key, value in table.items():
+        assert table.vertex_value(*_vertex_data(key)) == table.get(key) == value
+    inside, misses = _near_misses(d_max, g_max, legs, conv)
+    assert table.vertex_value(*_vertex_data(inside)) == table.get(inside) is not None
+    without_data = set()
+    for name, key in misses.items():
+        data = _vertex_data(key)
+        if data is None:
+            without_data.add(name)
+        else:
+            assert table.vertex_value(*data) is None, name
+        assert table.get(key) is None, name
+    assert without_data == {"leg count", "root count", "space", "two vertices"}
 
 
 def test_degeneration_check_grid():
