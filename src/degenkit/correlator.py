@@ -28,17 +28,17 @@ bytes ``canonical_form(rank_relabeled(graph))`` gives for the one-vertex
 graph, which has no tie to break, so no graph is built.
 ``CorrelatorKey.for_component`` stays the reference for connected graphs of
 any size and serves ``evaluate_disconnected``.  The two vanishing rules (a
-root class off the band of its index; root multiplicities against the
-weight's divisor degree) are written once, in ``_vanishes``.  The kernel
-never applies them: its structures meet condition B and its basis choices
-keep each root on its band, so no vertex it meets vanishes by rule.  Only
-``splitting_inner_sum`` and ``evaluate_disconnected``, whose splitting or
-graph comes from outside, check them.
+root class off the band of its index; condition B) are applied in
+``_vanishes``.  The kernel never applies them: its structures meet
+condition B and its basis choices keep each root on its band, so no vertex
+it meets vanishes by rule.  Only ``splitting_inner_sum`` and
+``evaluate_disconnected``, whose splitting or graph comes from outside,
+check them.
 
 Evaluation and its term breakdown run the kernel, so each component is
 looked up once per run; ``splitting_inner_sum`` and
 ``evaluate_disconnected`` reuse its pieces for one explicit splitting or one
-disconnected graph.  Key collection (``needed_keys``) walks the same labeled
+disconnected graph.  Key collection (``needed_keys``) walks the same
 structures and basis choices but places no legs and looks up no value: it
 gathers each vertex's data with every leg set a placement can give it and
 every root tuple a basis choice gives it, and builds the key of each
@@ -47,25 +47,22 @@ even-parity legs are aggregated with multinomial weights, so instances
 whose literal splitting set is huge still evaluate exactly.  The problem's
 node budget (``problem.budget`` or ``DEGENKIT_BUDGET``) bounds the whole
 kernel walk (structures, basis choices and leg placements) and the key walk
-(structures, its forward pass over the legs and the leg sets of each vertex
-it keys).
+(structures, its forward pass over the legs and the root orders it keys).
 
 Plain evaluation sums over structures up to root relabeling: it walks one
 structure per orbit (``iter_structure_orbits``) and weights it by the orbit
 size, |M|!/|stabilizer|, where the labeled walk (``iter_structures``) counts
 each member once.  A relabeling changes no term's value, so the sums agree;
 acceptance criterion 4 checks the two normalizations against each other.
-Key collection and the term breakdown keep the labeled walk: their output
-is listed per labeled structure.  Each orbit's representative is one of
-its labeled members, block order included, so plain evaluation looks up
-only keys that key collection lists.  For plain evaluation the budget
-counts the orbit walk's nodes (contact multisets, root-graph rows and
-decorations) in place of labeled structures.
+Key collection walks the orbits too, keying each vertex in every order its
+orbit's members give it; the term breakdown keeps the labeled walk, as its
+output is listed per labeled structure.  Otherwise the budget counts the
+orbit walk's nodes (contact multisets, root-graph rows and decorations).
 
-The walk works out once per skeleton (a run of structures sharing root
-data and root blocks, differing only in weights and genera) what depends
-only on the skeleton: contacts, indices, basis choices and each choice's
-roots per vertex.
+Both walks work out once per skeleton (``_skeletons``: a run of structures
+sharing root data and root blocks, differing only in weights and genera)
+what depends only on the skeleton: contacts, indices, basis choices and
+each choice's roots per vertex.
 
 Tables are taken to be covariant (permuting identical legs changes a value
 by the Koszul sign), which is what lets identical even legs be aggregated.
@@ -104,7 +101,6 @@ from .graphs import (
     CurveClass,
     ModularGraph,
     canonical_form,
-    d_degree,
     rank_relabeled,
     total_weight,
     vertex_form,
@@ -117,6 +113,7 @@ from .splitting import (
     _effective_budget,
     iter_structure_orbits,
     iter_structures,
+    meets_condition_B,
 )
 from .twisting import MINIMAL_TWIST, TwistingChoice, degeneration_ledger
 
@@ -430,14 +427,13 @@ class _Context:
 def _vanishes(problem: DegenerationProblem, weight, roots: Sequence[tuple]) -> bool:
     """The two vanishing rules of a connected correlator, from its weight
     and each root's (f, c, class id): a root class off the band of the
-    root's index, or root multiplicities c/f not summing to the weight's
-    divisor degree.  Such keys are never demanded of the table.  Only
-    splittings and graphs given from outside the kernel are checked."""
+    root's index, or a failed ``meets_condition_B``.  Such keys are never
+    demanded of the table.  Only splittings and graphs given from outside
+    the kernel are checked."""
     divisor = problem.divisor
     if any(divisor.sector_of(cid).band_order != f for f, _, cid in roots):
         return True
-    mult_sum = sum((Fraction(c, f) for f, c, _ in roots), _ZERO)
-    return mult_sum != d_degree(weight, problem.monoid)
+    return not meets_condition_B(weight, roots, problem.monoid)
 
 
 def _component_value(
@@ -490,13 +486,13 @@ def _regroup_sign(word: Mapping[tuple, Parity], sides) -> int:
 class _Skeleton:
     """What the structures of one (root_data, blocks1, blocks2) share.
 
-    ``iter_structures`` yields them consecutively, differing only in
-    weights and genera.  The vertices are ``blocks``, the X1 blocks then the
-    X2 blocks as in ``genera1 + genera2``, with their ``sides`` and their
-    ``positions`` within their side; ``roots[i]`` gives, for basis choice i,
-    each vertex's (f, c, class id) per root.  ``dead`` marks a
-    side-constrained leg group with no vertex on its side, which kills
-    every structure of the skeleton.
+    A structure source yields them consecutively (``_skeletons``), differing
+    only in weights and genera.  The vertices are ``blocks``, the X1 blocks
+    then the X2 blocks as in ``genera1 + genera2``, with their ``sides`` and
+    their ``positions`` within their side; ``roots[i]`` gives, for basis
+    choice i, each vertex's (f, c, class id) per root.  ``dead`` marks a
+    side-constrained leg group with no vertex on its side, which kills every
+    structure of the skeleton.
     """
 
     def __init__(self, ctx: _Context, structure: SplittingStructure):
@@ -627,27 +623,52 @@ def _placements(ctx: _Context, sides, genera, weights, roots, budget: _Budget):
         rec = None
 
 
-def _leg_options(ctx: _Context, sides: tuple, budget: _Budget) -> list:
-    """Each vertex's leg data tuples over every placement of the groups.
+def _leg_options(ctx: _Context, sides: tuple, budget: _Budget) -> dict:
+    """Each side's leg data tuples over every placement of the groups, at
+    any of its vertex positions.
 
     A forward pass over (vertex position, legs left per group), in vertex
     order: each reachable state adds the leg data of every take
     ``_takes`` lists for it, which is what ``_placements`` would give the
     vertex from that state.  Each (vertex, state, take) ticks ``budget``.
     """
-    options: list = []
+    options: dict = {"X1": {}, "X2": {}}
     states = {tuple(g["count"] for g in ctx.groups)}
-    for vi in range(len(sides)):
-        legs: dict = {}
+    for vi, side in enumerate(sides):
         after: set = set()
         for remaining in states:
             for _, data, _, left in _takes(ctx, sides, vi, remaining):
                 budget.tick()
-                legs[data] = None
+                options[side][data] = None
                 after.add(left)
-        options.append(legs)
         states = after
     return options
+
+
+def _orders(items: tuple):
+    """Every distinct order of ``items``, listed lazily: each distinct first
+    item, then every order of the rest."""
+    if not items:
+        yield ()
+    for first in dict.fromkeys(items):
+        i = items.index(first)
+        for rest in _orders(items[:i] + items[i + 1 :]):
+            yield (first,) + rest
+
+
+def _skeletons(ctx: _Context, source):
+    """(structure, size, skeleton) for each (structure, size) of ``source``
+    whose skeleton is not dead.  A source yields a skeleton's structures
+    consecutively, so a ``_Skeleton`` is built only when the root data or
+    the root blocks change."""
+    skeleton = None
+    for structure, size in source:
+        if skeleton is None or (
+            structure.root_data, structure.blocks1, structure.blocks2
+        ) != skeleton.key:
+            skeleton = _Skeleton(ctx, structure)
+        if not skeleton.dead:
+            yield structure, size, skeleton
 
 
 def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> Fraction:
@@ -661,8 +682,8 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
 
     What the structures of one skeleton share (contacts, indices, basis
     choices, the vertex layout, each choice's roots per vertex, the
-    dead-leg check) is worked out once per skeleton; only the last skeleton
-    is kept.
+    dead-leg check) is worked out once per skeleton (``_skeletons``), and so
+    is the contact coefficient.
 
     Each (structure, basis choice) walks its placements and sums
     sign * multiplicity * product, the sign being 1 when the choice is all
@@ -687,15 +708,10 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
         source = ((structure, 1) for structure in iter_structures(problem, budget))
     total = _ZERO
     skeleton = None
-    for structure, size in source:
-        if skeleton is None or (
-            structure.root_data, structure.blocks1, structure.blocks2
-        ) != skeleton.key:
-            skeleton = _Skeleton(ctx, structure)
-            if not skeleton.dead:
-                coeff = ctx.coefficient(skeleton.contacts, skeleton.indices, rule)
-        if skeleton.dead:
-            continue
+    for structure, size, current in _skeletons(ctx, source):
+        if current is not skeleton:
+            skeleton = current
+            coeff = ctx.coefficient(skeleton.contacts, skeleton.indices, rule)
         m_labels, sides, blocks = structure.m_labels, skeleton.sides, skeleton.blocks
         genera = structure.genera1 + structure.genera2
         weights = structure.weights1 + structure.weights2
@@ -759,61 +775,40 @@ def needed_keys(
     """Every key the evaluator will look up, deduplicated and sorted.
 
     The keys are those the placement walk of every labeled structure and
-    basis choice reaches, found without placing the legs.  A key depends
-    only on the vertex (side, genus, weight), the legs it takes and its
-    roots' (f, c, class id).  Nothing prunes the walk: structures satisfy
-    condition B and basis choices keep each root on its band, so the
-    vanishing rules never fire, and every placement completes.  So a
-    vertex meets every leg set it can take from a reachable state
-    (``_leg_options``) with every root tuple a basis choice gives it.  The
-    leg sets depend only on the skeleton's vertex sides, so the forward
-    pass runs once per sides tuple; the root tuples are listed once per
-    skeleton.  A skeleton with no basis choice gives no keys.  A vertex
-    whose (vertex sides, position, genus, weight, root tuple) was met before
-    gives nothing new.  The distinct (side, genus, weight, legs, roots) are
-    keyed with ``CorrelatorKey.for_vertex`` at the end; no value is looked up.
+    basis choice reaches, found from one structure per orbit
+    (``iter_structure_orbits``) without placing legs.  A key depends only on
+    the vertex (side, genus, weight), the legs it takes and its roots'
+    (f, c, class id) in label order, and nothing prunes the walk (structures
+    meet condition B, basis choices keep roots on their band), so a vertex
+    meets every leg set it can take at its position (``_leg_options``, one
+    forward pass per tuple of vertex sides) with every root tuple a basis
+    choice gives it.  The members of an orbit reorder each side's blocks
+    and the roots inside each block in every way, so each vertex of the
+    representative is keyed with the leg sets of every position of its side
+    and every order (``_orders``) of its root tuples.
 
-    The node budget counts the labeled structure walk, one node per
-    (vertex, legs left, take) of each forward pass and one per leg set of
-    each vertex it keys: P1 degree 3, genus 1 ticks 355 nodes and
-    degree 5, genus 2 ticks 24,107, where walking every placement ticked
-    1,388 and 7,760,651.
+    The node budget counts the orbit walk's nodes, each (vertex, legs left,
+    take) of the forward passes and each root order keyed: P1 degree 3,
+    genus 1 ticks 207 nodes and degree 5, genus 2 ticks 5,762, where walking
+    every placement ticked 1,388 and 7,760,651.
     """
     ctx = _Context(problem, insertions, "standard_dual", InvariantTable())
     budget = _Budget(_effective_budget(problem))
-    leg_options_by_sides: dict = {}
-    seen: set = set()
+    leg_options: dict = {}  # by vertex sides
     found: set = set()
-    skeleton = None
-    for structure in iter_structures(problem, budget):
-        if skeleton is None or (
-            structure.root_data, structure.blocks1, structure.blocks2
-        ) != skeleton.key:
-            skeleton = _Skeleton(ctx, structure)
-            if not skeleton.dead and skeleton.choices:
-                leg_options = leg_options_by_sides.get(skeleton.sides)
-                if leg_options is None:
-                    leg_options = _leg_options(ctx, skeleton.sides, budget)
-                    leg_options_by_sides[skeleton.sides] = leg_options
-                root_options = [
-                    dict.fromkeys(roots[vi] for roots in skeleton.roots)
-                    for vi in range(len(skeleton.sides))
-                ]
-        if skeleton.dead or not skeleton.choices:
-            continue
+    for structure, _, skeleton in _skeletons(ctx, iter_structure_orbits(problem, budget)):
+        sides = skeleton.sides
+        if sides not in leg_options:
+            leg_options[sides] = _leg_options(ctx, sides, budget)
         genera = structure.genera1 + structure.genera2
         weights = structure.weights1 + structure.weights2
-        for vi, (side, genus, weight) in enumerate(zip(skeleton.sides, genera, weights)):
-            for roots in root_options[vi]:
-                vertex = (skeleton.sides, vi, genus, weight, roots)
-                if vertex in seen:
-                    continue
-                seen.add(vertex)
-                for legs in leg_options[vi]:
+        for vi, (side, genus, weight) in enumerate(zip(sides, genera, weights)):
+            for roots in dict.fromkeys(tuple(sorted(r[vi])) for r in skeleton.roots):
+                for order in _orders(roots):
                     budget.tick()
-                    found.add((side, genus, weight, legs, roots))
-    keys = {CorrelatorKey.for_vertex(*vertex) for vertex in found}
-    return sorted(keys, key=lambda k: k.sort_token())
+                    for legs in leg_options[sides][side]:
+                        found.add((side, genus, weight, legs, order))
+    return sorted({CorrelatorKey.for_vertex(*v) for v in found}, key=lambda k: k.sort_token())
 
 
 def evaluate_degeneration(

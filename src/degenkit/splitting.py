@@ -183,19 +183,22 @@ class ConditionBReport:
         return self.ok
 
 
+def meets_condition_B(weight: CurveClass, roots: Sequence[tuple], monoid: CurveClassMonoid) -> bool:
+    """Condition B at one vertex: its roots' multiplicities c/f, from tuples
+    starting (f, c), sum exactly to the weight's divisor degree."""
+    return sum((Fraction(c, f) for f, c, *_ in roots), Fraction(0)) == d_degree(weight, monoid)
+
+
 def check_condition_B(graph: ModularGraph, monoid: CurveClassMonoid) -> ConditionBReport:
-    """Per-vertex check: the root multiplicities must sum to the weight's
-    intersection degree, exactly."""
+    """``meets_condition_B`` at every vertex, each failure with both sums."""
     if graph.edges:
         raise DegenkitError("condition B applies to edge-free graphs")
     failures = []
-    for v in range(len(graph.vertices)):
-        expected = d_degree(graph.vertices[v].weight, monoid)
-        actual = sum(
-            (r.multiplicity for r in graph.roots_of_vertex(v)), Fraction(0)
-        )
-        if expected != actual:
-            failures.append((v, expected, actual))
+    for v, vertex in enumerate(graph.vertices):
+        roots = graph.roots_of_vertex(v)
+        if not meets_condition_B(vertex.weight, [(r.f, r.c) for r in roots], monoid):
+            actual = sum((r.multiplicity for r in roots), Fraction(0))
+            failures.append((v, d_degree(vertex.weight, monoid), actual))
     return ConditionBReport(not failures, tuple(failures))
 
 

@@ -158,6 +158,64 @@ def placement_keys(problem: DegenerationProblem, insertions) -> list:
     return sorted(map(ctx.key, ctx.memo), key=lambda k: k.sort_token())
 
 
+def labeled_keys(problem: DegenerationProblem, insertions) -> list:
+    """The keys of every labeled structure, sorted: each vertex with every
+    leg set a placement can give it at its position and every root tuple a
+    basis choice gives it, without placing legs.  The reference for
+    ``needed_keys``, which walks one structure per orbit, where
+    ``placement_keys`` is too slow."""
+    ctx = correlator._Context(problem, insertions, "standard_dual", InvariantTable())
+    leg_options_by_sides: dict = {}
+    seen: set = set()
+    found: set = set()
+    skeleton = None
+    for structure in iter_structures(problem):
+        if skeleton is None or (
+            structure.root_data, structure.blocks1, structure.blocks2
+        ) != skeleton.key:
+            skeleton = correlator._Skeleton(ctx, structure)
+            if not skeleton.dead and skeleton.choices:
+                leg_options = leg_options_by_sides.get(skeleton.sides)
+                if leg_options is None:
+                    leg_options = _leg_options_per_position(ctx, skeleton.sides)
+                    leg_options_by_sides[skeleton.sides] = leg_options
+                root_options = [
+                    dict.fromkeys(roots[vi] for roots in skeleton.roots)
+                    for vi in range(len(skeleton.sides))
+                ]
+        if skeleton.dead or not skeleton.choices:
+            continue
+        genera = structure.genera1 + structure.genera2
+        weights = structure.weights1 + structure.weights2
+        for vi, (side, genus, weight) in enumerate(zip(skeleton.sides, genera, weights)):
+            for roots in root_options[vi]:
+                vertex = (skeleton.sides, vi, genus, weight, roots)
+                if vertex in seen:
+                    continue
+                seen.add(vertex)
+                for legs in leg_options[vi]:
+                    found.add((side, genus, weight, legs, roots))
+    keys = {correlator.CorrelatorKey.for_vertex(*vertex) for vertex in found}
+    return sorted(keys, key=lambda k: k.sort_token())
+
+
+def _leg_options_per_position(ctx, sides: tuple) -> list:
+    """Each vertex position's leg data tuples over every placement of the
+    groups: a forward pass over (position, legs left per group)."""
+    options: list = []
+    states = {tuple(g["count"] for g in ctx.groups)}
+    for vi in range(len(sides)):
+        legs: dict = {}
+        after: set = set()
+        for remaining in states:
+            for _, data, _, left in correlator._takes(ctx, sides, vi, remaining):
+                legs[data] = None
+                after.add(left)
+        options.append(legs)
+        states = after
+    return options
+
+
 # -- covariant random tables ---------------------------------------------------
 
 

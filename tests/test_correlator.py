@@ -268,7 +268,7 @@ def test_budget_bounds_the_placement_walk():
 
 @pytest.mark.parametrize(
     "d,g,evaluate_ticks,keys_ticks",
-    [(4, 2, 2255, 3490), (5, 1, 3544, 8716), (5, 2, 11092, 24107)],
+    [(4, 2, 2255, 1494), (5, 1, 3544, 2759), (5, 2, 11092, 5762)],
 )
 def test_budget_ticks_are_pinned(d, g, evaluate_ticks, keys_ticks):
     # the node counts of plain evaluate and needed_keys on P1, recorded
