@@ -344,6 +344,7 @@ class _Context:
                 )
             self.rho_parity[b.id] = parities.pop() if parities else Parity.EVEN
         self.memo: dict = {}
+        self.term_keys: Optional[dict] = None  # set by a term breakdown: see component
         self.choices: dict = {}
         self.coefficients: dict = {}
         self.groups = _leg_groups(self)
@@ -372,13 +373,22 @@ class _Context:
         keyed by (side, genus, weight exponents, legs, roots), all tuples of
         strings and ints, and the table is asked by the data
         (``InvariantTable.vertex_value``); the key itself is built only
-        when the run reports it (``key``).  A missing value counts as 0.
-        No vanishing rule is applied: the kernel's vertices never meet one.
+        when the run reports it (``key``).  The term breakdown reports
+        every component, so its run sets ``term_keys`` to a dict: each key is
+        then built once, kept there by memo key, and the table is asked by
+        it.  A missing value counts as 0.  No vanishing rule is applied:
+        the kernel's vertices never meet one.
         """
         memo_key = (side, genus, weight.exponents, legs, roots)
         entry = self.memo.get(memo_key)
         if entry is None:
-            value = self.table.vertex_value(side, genus, weight, legs, roots)
+            if self.term_keys is None:
+                value = self.table.vertex_value(side, genus, weight, legs, roots)
+            else:
+                key = self.term_keys[memo_key] = CorrelatorKey.for_vertex(
+                    side, genus, weight, legs, roots
+                )
+                value = self.table.get(key)
             entry = self.memo[memo_key] = (_ZERO, True) if value is None else (value, False)
         return entry
 
@@ -693,8 +703,9 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     per denominator, and the sums are brought over the lcm of those
     denominators, so no gcd is taken per placement.  One Fraction is built
     per (structure, basis choice) whose sum is nonzero.  With ``terms``
-    each nonzero placement is also appended as an EvalTerm, the keys of its
-    components built there from their vertex data.
+    each nonzero placement is also appended as an EvalTerm, with the keys
+    its components were looked up by (``_Context.component`` builds each
+    once).
 
     One node budget bounds the walk: each node of the structure source
     (for plain evaluation, of the orbit walk), basis choice and placement
@@ -705,6 +716,7 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     if terms is None:
         source = iter_structure_orbits(problem, budget)
     else:
+        ctx.term_keys = {}
         source = ((structure, 1) for structure in iter_structures(problem, budget))
     total = _ZERO
     skeleton = None
@@ -740,10 +752,8 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
                 }
                 keyed: tuple[list, list] = ([], [])
                 for vi, _, legs, value in placed:
-                    key = CorrelatorKey.for_vertex(
-                        sides[vi], genera[vi], weights[vi], legs, roots[vi]
-                    )
-                    keyed[sides[vi] == "X2"].append((key, value))
+                    memo_key = (sides[vi], genera[vi], weights[vi].exponents, legs, roots[vi])
+                    keyed[sides[vi] == "X2"].append((ctx.term_keys[memo_key], value))
                 terms.append(
                     EvalTerm(
                         splitting=structure.build_splitting(assignment, problem.legs),
@@ -807,8 +817,8 @@ def needed_keys(
                 for order in _orders(roots):
                     budget.tick()
                     for legs in leg_options[sides][side]:
-                        found.add((side, genus, weight, legs, order))
-    return sorted({CorrelatorKey.for_vertex(*v) for v in found}, key=lambda k: k.sort_token())
+                        found.add((side, genus, weight.exponents, legs, order))
+    return sorted(map(ctx.key, found), key=lambda k: k.sort_token())
 
 
 def evaluate_degeneration(

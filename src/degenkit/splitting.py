@@ -20,7 +20,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .algebra import SectorCatalog
 from .errors import DegenkitError, EnumerationBudgetError
@@ -89,10 +89,6 @@ class DegenerationProblem:
 
     def leg_labels(self) -> tuple[int, ...]:
         return tuple(sorted(l.label for l in self.legs))
-
-    def side_degrees(self) -> tuple[Fraction, Fraction]:
-        b1, b2 = self.monoid.split(self.beta)
-        return d_degree(b1, self.monoid), d_degree(b2, self.monoid)
 
 
 @dataclass(frozen=True)
@@ -292,15 +288,19 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def _contact_tuples(
-    pairs: Sequence[tuple[int, int]], m: int, target: Fraction, multisets: bool = False
+    pairs: Sequence[tuple[int, int]],
+    mults: Sequence[int],
+    m: int,
+    target: int,
+    multisets: bool = False,
 ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Ordered (f, c) tuples of length m whose multiplicities sum to target;
-    with ``multisets``, only those in the order of ``pairs``, one per
-    multiset."""
-    ds = [Fraction(c, f) for f, c in pairs]
-    d_min, d_max = min(ds), max(ds)
+    ``mults`` holds each pair's multiplicity c/f in the units of the walk's
+    scale (``_root_plan``), so all of it is int.  With ``multisets``, only
+    the tuples in the order of ``pairs``, one per multiset."""
+    d_min, d_max = min(mults), max(mults)
 
-    def rec(start: int, k: int, remaining: Fraction, acc):
+    def rec(start: int, k: int, remaining: int, acc):
         if k == m:
             if remaining == 0:
                 yield tuple(acc)
@@ -309,9 +309,9 @@ def _contact_tuples(
         if remaining < left * d_min or remaining > left * d_max:
             return
         for i in range(start, len(pairs)):
-            if ds[i] <= remaining:
+            if mults[i] <= remaining:
                 acc.append(pairs[i])
-                yield from rec(i if multisets else 0, k + 1, remaining - ds[i], acc)
+                yield from rec(i if multisets else 0, k + 1, remaining - mults[i], acc)
                 acc.pop()
 
     yield from rec(0, 0, target, [])
@@ -319,11 +319,13 @@ def _contact_tuples(
 
 def _weight_splits(
     beta: CurveClass,
-    monoid: CurveClassMonoid,
-    targets: Sequence[Fraction],
-) -> Iterator[tuple[CurveClass, ...]]:
+    degrees: Mapping[str, int],
+    targets: Sequence[int],
+) -> Iterator[tuple[tuple[tuple[str, int], ...], ...]]:
     """Decompositions of beta into len(targets) classes with the given
-    intersection degrees (condition B per prospective vertex)."""
+    intersection degrees (condition B per prospective vertex), each class
+    as its exponent tuple.  ``degrees`` and ``targets`` are in the units of
+    the walk's scale (``_root_plan``), so all of it is int."""
     gens = sorted(beta.support())
     k = len(targets)
     if k == 0:
@@ -333,32 +335,24 @@ def _weight_splits(
 
     def rec(gi: int, residual_degrees, acc_rows):
         if gi == len(gens):
-            if all(r == 0 for r in residual_degrees):
+            if not any(residual_degrees):
                 yield tuple(
-                    CurveClass({gens[j]: acc_rows[j][i] for j in range(len(gens))})
+                    tuple((gens[j], row[i]) for j, row in enumerate(acc_rows) if row[i])
                     for i in range(k)
                 )
             return
-        gid = gens[gi]
-        exp = beta[gid]
-        deg = monoid.generator(gid).d_degree
+        exp = beta[gens[gi]]
+        deg = degrees[gens[gi]]
         compositions = weak_compositions(exp, k)
         if gi == len(gens) - 1 and deg:
             # the last generator must use up every residual degree
-            forced = [r / deg for r in residual_degrees]
-            if any(q.denominator != 1 for q in forced) or sum(forced) != exp:
+            forced = [divmod(r, deg) for r in residual_degrees]
+            if any(rest for _, rest in forced) or sum(q for q, _ in forced) != exp:
                 return
-            compositions = [tuple(int(q) for q in forced)]
+            compositions = [tuple(q for q, _ in forced)]
         for comp in compositions:
-            new_res = []
-            ok = True
-            for i in range(k):
-                r = residual_degrees[i] - comp[i] * deg
-                if r < 0:
-                    ok = False
-                    break
-                new_res.append(r)
-            if not ok:
+            new_res = [r - e * deg for r, e in zip(residual_degrees, comp)]
+            if min(new_res) < 0:
                 continue
             acc_rows.append(comp)
             yield from rec(gi + 1, new_res, acc_rows)
@@ -392,6 +386,14 @@ class _Budget:
                 visited=self.visited,
             )
 
+    def advance(self, nodes: int):
+        """``nodes`` ticks at once, for a replay of a kept listing: it stops
+        with the count ticking them one by one would stop with."""
+        if nodes and self.limit is not None and self.visited + nodes > self.limit:
+            self.visited = max(self.visited, self.limit)
+            self.tick()
+        self.visited += nodes
+
 
 def _effective_budget(problem: DegenerationProblem) -> Optional[int]:
     if problem.budget is not None:
@@ -406,20 +408,28 @@ def _effective_budget(problem: DegenerationProblem) -> Optional[int]:
 
 
 class _Decorations:
-    """Weight splits by (side class, per-block degrees) and genus
-    compositions by (genus, vertex count), listed once per walk: both recur
+    """A walk's side classes and scaled generator degrees (``_root_plan``),
+    with the weight splits by (side, per-block degrees) and the genus
+    compositions by (genus, vertex count) listed once per walk: both recur
     across contact tuples and root blocks."""
 
-    def __init__(self, monoid: CurveClassMonoid):
-        self.monoid = monoid
+    def __init__(self, betas: tuple[CurveClass, CurveClass], degrees: dict[str, int]):
+        self.betas = betas
+        self.degrees = degrees
         self.splits: dict = {}
         self.compositions: dict = {}
 
-    def weights(self, beta: CurveClass, targets: tuple) -> list:
-        key = (beta, targets)
-        if key not in self.splits:
-            self.splits[key] = list(_weight_splits(beta, self.monoid, targets))
-        return self.splits[key]
+    def weights(self, side: int, targets: tuple[int, ...]) -> list:
+        """Every split of side ``side``'s class (0 for X1, 1 for X2) into
+        blocks of the given scaled degrees, as (classes, exponent tuples)."""
+        key = (side, targets)
+        out = self.splits.get(key)
+        if out is None:
+            out = self.splits[key] = [
+                (tuple(map(CurveClass, exponents)), exponents)
+                for exponents in _weight_splits(self.betas[side], self.degrees, targets)
+            ]
+        return out
 
     def genera(self, genus: int, parts: int) -> list:
         key = (genus, parts)
@@ -429,19 +439,28 @@ class _Decorations:
 
 
 def _root_plan(problem: DegenerationProblem):
-    """(beta1, beta2, side degree, admissible (f, c) pairs, largest |M|),
-    or None when the side degrees differ."""
-    beta1, beta2 = problem.monoid.split(problem.beta)
-    deg1, deg2 = problem.side_degrees()
+    """(decorations, side degree, admissible (f, c) pairs, their
+    multiplicities, largest |M|), or None when the side degrees differ.
+
+    Degrees are ints in units of 1/L, where the scale L is the lcm of the
+    admissible indices f and of the generator degrees' denominators: a
+    multiplicity c/f is c*L/f and a generator degree d is d*L.
+    """
+    betas = problem.monoid.split(problem.beta)
+    pairs = problem.root_data()
+    generators = problem.monoid.generators
+    scale = math.lcm(*(f for f, _ in pairs), *(g.d_degree.denominator for g in generators))
+    degrees = {g.id: int(g.d_degree * scale) for g in generators}
+    deg1, deg2 = (sum(e * degrees[gid] for gid, e in beta.items()) for beta in betas)
     if deg1 != deg2:
         return None
-    pairs = problem.root_data()
     if deg1 and not pairs:
         raise DegenkitError(
             "no admissible contact data: divisor catalog is empty while beta meets the divisor"
         )
-    m_max = int(deg1 / min(Fraction(c, f) for f, c in pairs)) if deg1 else 0
-    return beta1, beta2, deg1, pairs, m_max
+    mults = [c * scale // f for f, c in pairs]
+    m_max = deg1 // min(mults) if deg1 else 0
+    return _Decorations(betas, degrees), deg1, pairs, mults, m_max
 
 
 def iter_structures(
@@ -451,7 +470,9 @@ def iter_structures(
     plan = _root_plan(problem)
     if plan is None:
         return
-    beta1, beta2, deg, pairs, m_max = plan
+    options, deg, pairs, mults, m_max = plan
+    beta1, beta2 = options.betas
+    mult = dict(zip(pairs, mults))
     budget = budget or _Budget(_effective_budget(problem))
     g = problem.genus
     n = len(problem.legs)
@@ -465,20 +486,16 @@ def iter_structures(
             budget.tick()
             yield SplittingStructure((), (), (), (), (), ((),), (beta2,), (g,))
         return
-    options = _Decorations(problem.monoid)
     for m in range(1, m_max + 1):
         labels = tuple(range(n + 1, n + m + 1))
         partitions = list(set_partitions(labels))
         connected: dict = {}  # _blocks_connected per pair of partition indices
-        for fc in _contact_tuples(pairs, m, deg):
+        for fc in _contact_tuples(pairs, mults, m, deg):
             budget.tick()
-            dd = {lab: Fraction(c, f) for lab, (f, c) in zip(labels, fc)}
-            targets = [
-                tuple(sum((dd[lab] for lab in b), Fraction(0)) for b in blocks)
-                for blocks in partitions
-            ]
+            dd = {lab: mult[p] for lab, p in zip(labels, fc)}
+            targets = [tuple(sum(dd[lab] for lab in b) for b in blocks) for blocks in partitions]
             for i1, (blocks1, t1) in enumerate(zip(partitions, targets)):
-                w1_options = options.weights(beta1, t1)
+                w1_options = options.weights(0, t1)
                 if not w1_options:
                     continue
                 for i2, (blocks2, t2) in enumerate(zip(partitions, targets)):
@@ -491,12 +508,12 @@ def iter_structures(
                         ok = connected[i1, i2] = _blocks_connected(blocks1, blocks2)
                     if not ok:
                         continue
-                    w2_options = options.weights(beta2, t2)
+                    w2_options = options.weights(1, t2)
                     if not w2_options:
                         continue
                     compositions = options.genera(g - cycles, k1 + k2)
-                    for w1 in w1_options:
-                        for w2 in w2_options:
+                    for w1, _ in w1_options:
+                        for w2, _ in w2_options:
                             for genera in compositions:
                                 budget.tick()
                                 yield SplittingStructure(
@@ -514,7 +531,10 @@ def iter_structures(
 # -- the walk up to root relabeling -------------------------------------------
 
 
-def _root_graphs(counts: tuple[int, ...], rows: int, cols: int, budget: _Budget):
+_ROOT_GRAPHS: dict = {}  # completed listings by shape: see _root_graphs
+
+
+def _root_graphs(counts: tuple[int, ...], rows: int, cols: int, budget: _Budget) -> list:
     """The root graphs of one contact multiset, one per isomorphism class.
 
     The roots of a structure are the edges of a bipartite multigraph between
@@ -530,7 +550,19 @@ def _root_graphs(counts: tuple[int, ...], rows: int, cols: int, budget: _Budget)
     in ``groups[r]`` equal the rows of the r-th run of equal rows, so that
     re-sorting gives the graph back.  The identity comes first; its groups
     are the runs.  Each row choice ticks ``budget``.
+
+    The list depends only on the shape (counts, rows, cols), so a completed
+    listing is kept in a module-level dict with the number of nodes it
+    ticked.  A later call returns the kept list and replays those ticks at
+    once, so the budget counts the same nodes and stops at the same one; a
+    listing the budget cuts short keeps nothing.
     """
+    shape = (counts, rows, cols)
+    kept = _ROOT_GRAPHS.get(shape)
+    if kept is not None:
+        budget.advance(kept[1])
+        return kept[0]
+    start = budget.visited
     nc = len(counts)
     width = cols * nc
     layouts = [
@@ -604,7 +636,9 @@ def _root_graphs(counts: tuple[int, ...], rows: int, cols: int, budget: _Budget)
             yield from rec(after)
             acc.pop()
 
-    yield from rec(counts)
+    graphs = list(rec(counts))
+    _ROOT_GRAPHS[shape] = graphs, budget.visited - start
+    return graphs
 
 
 def iter_structure_orbits(
@@ -625,24 +659,52 @@ def iter_structure_orbits(
     The stabilizer is the decoration-preserving vertex automorphisms times
     mult! for each run of mult parallel roots with equal (f, c).  Every
     contact multiset, root-graph node and decoration ticks ``budget``.
+
+    A completed walk is kept on the problem instance, as a non-field
+    attribute (so equality and hashing ignore it): its (structure, size)
+    list, with the nodes ticked before each yield and after the last.  A
+    later walk of the same instance replays the list and ticks the same
+    counts in the same order, so the budget stops it where it would stop
+    the walk; a walk cut short keeps nothing.  The root graphs are kept per
+    shape across problems (``_root_graphs``).
     """
+    budget = budget or _Budget(_effective_budget(problem))
+    kept = problem.__dict__.get("_orbits")
+    if kept is not None:
+        walked, trailing = kept
+        for nodes, structure, size in walked:
+            budget.advance(nodes)
+            yield structure, size
+        budget.advance(trailing)
+        return
+    walked = []
+    start = budget.visited
+    for structure, size in _walk_orbits(problem, budget):
+        walked.append((budget.visited - start, structure, size))
+        yield structure, size
+        start = budget.visited
+    object.__setattr__(problem, "_orbits", (walked, budget.visited - start))
+
+
+def _walk_orbits(problem: DegenerationProblem, budget: _Budget):
+    """The walk of ``iter_structure_orbits``, done afresh."""
     plan = _root_plan(problem)
     if plan is None:
         return
-    beta1, beta2, deg, pairs, m_max = plan
-    budget = budget or _Budget(_effective_budget(problem))
+    options, deg, pairs, mults, m_max = plan
     if deg == 0:
         # no roots: each structure is its own orbit
         for structure in iter_structures(problem, budget):
             yield structure, 1
         return
-    options = _Decorations(problem.monoid)
-    graphs: dict = {}
+    mult = dict(zip(pairs, mults))
+    graphs: dict = {}  # the shapes this walk has listed (and ticked)
     for m in range(1, m_max + 1):
-        for multiset in _contact_tuples(pairs, m, deg, multisets=True):
+        for multiset in _contact_tuples(pairs, mults, m, deg, multisets=True):
             budget.tick()
             colors = tuple(dict.fromkeys(multiset))
             counts = tuple(multiset.count(fc) for fc in colors)
+            color_mults = [mult[fc] for fc in colors]
             for k1 in range(1, m + 1):
                 for k2 in range(1, m + 2 - k1):
                     cycles = m - k1 - k2 + 1
@@ -652,50 +714,50 @@ def iter_structure_orbits(
                     rows_x1 = k1 >= k2
                     shape = (counts, max(k1, k2), min(k1, k2))
                     if shape not in graphs:
-                        graphs[shape] = list(_root_graphs(*shape, budget))
+                        graphs[shape] = _root_graphs(*shape, budget)
                     for graph, autos in graphs[shape]:
                         yield from _decorated_orbits(
-                            graph, autos, colors, len(problem.legs) + 1, rows_x1,
-                            (beta1, beta2) if rows_x1 else (beta2, beta1),
-                            problem.genus - cycles, options, budget,
+                            graph, autos, colors, color_mults, len(problem.legs) + 1,
+                            rows_x1, problem.genus - cycles, options, budget,
                         )
 
 
 def _decorated_orbits(
-    graph, autos, colors, first_label, rows_x1, betas, genus, options, budget
+    graph, autos, colors, mults, first_label, rows_x1, genus, options, budget
 ):
     """The orbits over one root graph: its decorations up to automorphism.
 
     Labels from ``first_label`` on go to the edges row by row, column by
-    column, color by color.  The rows are the X1 side when ``rows_x1``, and
-    ``betas`` holds the classes of the row side and the column side.  A
-    decoration gives each vertex a (weight exponents, genus); it is kept
-    when no automorphism maps it to a smaller one: equal rows carry
-    ascending decorations, and no column permutation in ``autos`` gives a
-    smaller one.
+    column, color by color; ``mults`` holds each color's scaled
+    multiplicity.  The rows are the X1 side when ``rows_x1``.  A decoration
+    gives each vertex a (weight exponents, genus); it is kept when no
+    automorphism maps it to a smaller one: equal rows carry ascending
+    decorations, and no column permutation in ``autos`` gives a smaller one.
     """
     nc = len(colors)
     rows, cols = len(graph), len(graph[0]) // nc
     root_data: list = []
     row_blocks: list = [[] for _ in range(rows)]
     col_blocks: list = [[] for _ in range(cols)]
+    row_targets = [0] * rows
+    col_targets = [0] * cols
     parallel = 1
     for i, row in enumerate(graph):
         for p, k in enumerate(row):
+            if not k:
+                continue
             parallel *= math.factorial(k)
+            j, t = divmod(p, nc)
+            row_targets[i] += k * mults[t]
+            col_targets[j] += k * mults[t]
             for _ in range(k):
                 label = first_label + len(root_data)
-                root_data.append(colors[p % nc])
+                root_data.append(colors[t])
                 row_blocks[i].append(label)
-                col_blocks[p // nc].append(label)
-    labels = tuple(range(first_label, first_label + len(root_data)))
-    mult = {lab: Fraction(c, f) for lab, (f, c) in zip(labels, root_data)}
-
-    def targets(blocks):
-        return tuple(sum((mult[lab] for lab in b), Fraction(0)) for b in blocks)
-
-    row_weights = options.weights(betas[0], targets(row_blocks))
-    col_weights = options.weights(betas[1], targets(col_blocks)) if row_weights else []
+                col_blocks[j].append(label)
+    row_side = 0 if rows_x1 else 1
+    row_weights = options.weights(row_side, tuple(row_targets))
+    col_weights = options.weights(1 - row_side, tuple(col_targets)) if row_weights else []
     if not col_weights:
         return
     runs = autos[0][1]
@@ -704,16 +766,14 @@ def _decorated_orbits(
     col_order = sorted(range(cols), key=lambda j: col_blocks[j][-1])
     row_blocks = tuple(map(tuple, row_blocks))
     col_blocks = tuple(tuple(col_blocks[j]) for j in col_order)
+    labels = tuple(range(first_label, first_label + len(root_data)))
     root_data = tuple(root_data)
     m_factorial = math.factorial(len(labels))
-    for wr in row_weights:
-        for wc in col_weights:
+    for wr, er in row_weights:
+        for wc, ec in col_weights:
             for genera in options.genera(genus, rows + cols):
                 budget.tick()
-                dec = (
-                    tuple(zip((w.exponents for w in wr), genera[:rows])),
-                    tuple(zip((w.exponents for w in wc), genera[rows:])),
-                )
+                dec = (tuple(zip(er, genera[:rows])), tuple(zip(ec, genera[rows:])))
                 fixed = 0
                 for p, groups in autos:
                     image = (

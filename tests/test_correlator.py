@@ -287,6 +287,52 @@ def test_budget_ticks_are_pinned(d, g, evaluate_ticks, keys_ticks):
         assert err.value.visited == ticks
 
 
+def _keys_and_values(problem, insertions, table):
+    return needed_keys(problem, insertions), [
+        evaluate_degeneration(problem, insertions, table, convention=c).value
+        for c in CONVENTIONS
+    ]
+
+
+def test_a_problem_replays_its_kept_orbit_walk(monkeypatch):
+    # the first walk of a problem instance keeps its orbits on it; the
+    # other runs on that instance replay them, with the same keys, values
+    # and budget ticks as runs on fresh instances
+    rng = random.Random(29)
+    for _ in range(12):
+        problem, insertions = random_problem(rng, max_legs=2)
+        keys = needed_keys(dataclasses.replace(problem), insertions)
+        table = covariant_random_table(keys, problem.divisor, problem.ambient, rng)
+        fresh = _keys_and_values(dataclasses.replace(problem), insertions, table)
+        for _ in range(2):
+            assert _keys_and_values(problem, insertions, table) == fresh
+        assert "_orbits" in problem.__dict__
+    # P1 degree 4, genus 2 and its pinned ticks (test_budget_ticks_are_pinned)
+    problem, insertions = p1_problem(4, 2)
+    table = build_p1_table(4, 2, max_legs=len(insertions))
+    fresh = _keys_and_values(dataclasses.replace(problem), insertions, table)
+    assert _keys_and_values(problem, insertions, table) == fresh
+    runs = (
+        (lambda p: evaluate_degeneration(p, insertions, table), 2255),
+        (lambda p: needed_keys(p, insertions), 1494),
+    )
+    for run, ticks in runs:
+        monkeypatch.setenv("DEGENKIT_BUDGET", str(ticks - 1))
+        with pytest.raises(EnumerationBudgetError) as err:
+            run(problem)
+        assert err.value.visited == ticks
+        monkeypatch.setenv("DEGENKIT_BUDGET", str(ticks))
+        run(problem)
+    # a walk the budget stops, inside the orbit walk or past it, keeps nothing
+    for run, ticks in runs:
+        for budget in (10, ticks - 1):
+            cut = dataclasses.replace(problem)
+            monkeypatch.setenv("DEGENKIT_BUDGET", str(budget))
+            with pytest.raises(EnumerationBudgetError):
+                run(cut)
+            assert "_orbits" not in cut.__dict__
+
+
 def test_for_vertex_matches_for_component():
     # the one-vertex builder emits the reference builder's bytes
     rng = random.Random(5)
@@ -387,6 +433,25 @@ def test_kernel_memo_holds_no_vanishing_data():
                     assert not correlator._vanishes(problem, CurveClass(exponents), roots)
                 looked_up += len(ctx.memo)
     assert looked_up > 100
+
+
+def test_term_breakdown_builds_each_key_once(monkeypatch):
+    # the term breakdown looks each component up by its key and reports it
+    # in every term it enters, building the key once per run
+    built = []
+    for_vertex = CorrelatorKey.for_vertex
+    monkeypatch.setattr(
+        CorrelatorKey, "for_vertex", staticmethod(lambda *a: built.append(a) or for_vertex(*a))
+    )
+    problem, insertions = p1_problem(4, 0, second_side_legs=2)
+    table = build_p1_table(4, 0, max_legs=len(insertions))
+    ctx = correlator._Context(problem, insertions, "standard_dual", table)
+    terms: list = []
+    correlator._walk(ctx, MINIMAL_TWIST, terms)
+    reported = [key for term in terms for key, _ in term.left + term.right]
+    assert len(set(reported)) < len(reported)
+    assert len(built) == len(ctx.memo) == len(ctx.term_keys)
+    assert set(reported) <= set(ctx.term_keys.values())
 
 
 def test_splitting_inner_sum_is_zero_off_condition_B():

@@ -1,6 +1,7 @@
 """The walk up to root relabeling against the labeled walk it replaces in
 plain evaluation: orbit counts by brute force, and equal values."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenkit.algebra import BasisClass, Parity, Sector, SectorCatalog
 from degenkit.correlator import (
     CONVENTIONS,
     Insertion,
@@ -20,6 +22,7 @@ from degenkit.oracle import build_p1_table, p1_problem
 from degenkit.splitting import (
     DegenerationProblem,
     LegSpec,
+    _root_plan,
     iter_structure_orbits,
     iter_structures,
 )
@@ -81,24 +84,75 @@ def test_orbit_walk_on_the_p1_grid(d, g):
         assert counts == P1_ORBIT_COUNTS[d, g]
 
 
+def _sixths_divisor() -> SectorCatalog:
+    """Bands 1, 2 and 3: an untwisted sector, a self-conjugate band-2 sector
+    and a conjugate band-3 pair."""
+    even = Parity.EVEN
+    return SectorCatalog(
+        sectors=(
+            Sector("u", 1, "u"),
+            Sector("t", 2, "t"),
+            Sector("s+", 3, "s-"),
+            Sector("s-", 3, "s+"),
+        ),
+        basis=(
+            BasisClass("u0", "u", even),
+            BasisClass("t0", "t", even),
+            BasisClass("s0+", "s+", even),
+            BasisClass("s0-", "s-", even),
+        ),
+        pairing=(
+            (1, 0, 0, 0),
+            (0, Fraction(1, 2), 0, 0),
+            (0, 0, Fraction(1, 3), 0),
+            (0, 0, 0, Fraction(1, 3)),
+        ),
+        basis_involution={
+            "u0": ("u0", 1), "t0": ("t0", 1), "s0+": ("s0-", 1), "s0-": ("s0+", 1)
+        },
+    )
+
+
 def _band_problem(seed: int, k: int, genus: int, shape: str = "pair"):
     """Side degree k/2 over half-degree generators, a band-2 divisor
     catalog and contact orders up to 2, so roots of index 2 enter; X1 has a
-    second half-degree generator so that weight splits are not forced."""
+    second half-degree generator so that weight splits are not forced.
+
+    The shape "sixths" takes ``_sixths_divisor`` and generators of degree
+    1/3, 1/2 and 0 on X1 and 1/2 and 1/3 on X2, so that multiplicities c/f
+    and generator degrees have the denominators 1, 2, 3 and 6 and the walk
+    counts degrees in sixths.
+    """
     rng = random.Random(seed)
-    monoid = CurveClassMonoid(
-        (
-            Generator("a", "X1", Fraction(1, 2)),
-            Generator("a2", "X1", Fraction(1, 2)),
-            Generator("b", "X2", Fraction(1, 2)),
+    if shape == "sixths":
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        monoid = CurveClassMonoid(
+            (
+                Generator("a", "X1", third),
+                Generator("a2", "X1", half),
+                Generator("z", "X1", Fraction(0)),
+                Generator("b", "X2", half),
+                Generator("b3", "X2", third),
+            )
         )
-    )
+        beta = {"a": 3, "a2": k - 2, "z": 1, "b": k - 2, "b3": 3}
+        divisor = _sixths_divisor()
+    else:
+        monoid = CurveClassMonoid(
+            (
+                Generator("a", "X1", Fraction(1, 2)),
+                Generator("a2", "X1", Fraction(1, 2)),
+                Generator("b", "X2", Fraction(1, 2)),
+            )
+        )
+        beta = {"a": k - 1, "a2": 1, "b": k}
+        divisor = random_divisor_catalog(rng, shape)
     return DegenerationProblem(
         monoid=monoid,
         genus=genus,
         legs=(),
-        beta=CurveClass({"a": k - 1, "a2": 1, "b": k}),
-        divisor=random_divisor_catalog(rng, shape),
+        beta=CurveClass(beta),
+        divisor=divisor,
         c_max=2,
         ambient=random_ambient_catalog(rng),
     )
@@ -106,7 +160,10 @@ def _band_problem(seed: int, k: int, genus: int, shape: str = "pair"):
 
 @pytest.mark.parametrize(
     "seed,k,genus,shape",
-    [(1, 3, 1, "pair"), (2, 4, 0, "pair"), (3, 4, 1, "self"), (4, 3, 2, "odd-self")],
+    [
+        (1, 3, 1, "pair"), (2, 4, 0, "pair"), (3, 4, 1, "self"), (4, 3, 2, "odd-self"),
+        (5, 3, 0, "sixths"), (6, 3, 1, "sixths"), (7, 3, 2, "sixths"),
+    ],
 )
 def test_orbit_walk_with_band_two_roots(seed, k, genus, shape):
     problem = _band_problem(seed, k, genus, shape)
@@ -116,6 +173,28 @@ def test_orbit_walk_with_band_two_roots(seed, k, genus, shape):
     assert any(
         f == 2 for s, _ in iter_structure_orbits(problem) for f, _ in s.root_data
     )
+
+
+def test_the_walk_counts_degrees_in_sixths():
+    # bands 1, 2, 3 and generator degrees 1/3, 1/2, 0: the scale is 6, so
+    # each multiplicity c/f is the int 6c/f and the side degree 3/2 is 9
+    problem = _band_problem(5, 3, 0, "sixths")
+    assert sorted(problem.divisor.band_orders()) == [1, 2, 3]
+    _, deg, pairs, mults, m_max = _root_plan(problem)
+    assert dict(zip(pairs, mults)) == {(f, c): 6 * c // f for f in (1, 2, 3) for c in (1, 2)}
+    assert (deg, m_max) == (9, 4)
+    assert {f for s, _ in iter_structure_orbits(problem) for f, _ in s.root_data} == {1, 2, 3}
+    # with generators of degree 1 the scale comes from the bands alone
+    whole = dataclasses.replace(
+        problem,
+        monoid=CurveClassMonoid((Generator("a", "X1", 1), Generator("b", "X2", 1))),
+        beta=CurveClass({"a": 2, "b": 2}),
+        genus=2,
+    )
+    _, deg, pairs, mults, m_max = _root_plan(whole)
+    assert dict(zip(pairs, mults)) == {(f, c): 6 * c // f for f in (1, 2, 3) for c in (1, 2)}
+    assert (deg, m_max) == (12, 6)
+    assert check_orbit_walk(whole) == (81, 388)
 
 
 class RecordingTable(InvariantTable):

@@ -22,6 +22,7 @@ from degenkit.splitting import (
     DegenerationProblem,
     LegSpec,
     Splitting,
+    _Budget,
     check_condition_B,
     enumerate_splittings,
     iter_structures,
@@ -507,6 +508,28 @@ def test_budget_from_environment(monkeypatch):
     monkeypatch.setenv("DEGENKIT_BUDGET", "3")
     with pytest.raises(EnumerationBudgetError):
         enumerate_splittings(problem)
+
+
+def test_budget_advance_stops_where_ticking_stops():
+    # a replayed listing ticks its nodes at once; it must raise, and leave
+    # the count, exactly as ticking them one by one does
+    def outcome(limit, start, nodes, at_once):
+        budget = _Budget(limit)
+        budget.visited = start
+        try:
+            if at_once:
+                budget.advance(nodes)
+            else:
+                for _ in range(nodes):
+                    budget.tick()
+        except EnumerationBudgetError as err:
+            return "raised", err.visited
+        return "ok", budget.visited
+
+    for limit in (None, -2, 0, 1, 4, 7):
+        for start in range(max(limit or 0, 0) + 1):
+            for nodes in range(8):
+                assert outcome(limit, start, nodes, True) == outcome(limit, start, nodes, False)
 
 
 # -- orbits ---------------------------------------------------------------------
