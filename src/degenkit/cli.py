@@ -42,6 +42,8 @@ def _read_json(path: str):
         raise DegenkitError("no such file: %s" % path)
     except json.JSONDecodeError as err:
         raise DegenkitError("malformed JSON in %s: %s" % (path, err))
+    except RecursionError:
+        raise DegenkitError("malformed JSON in %s: nested too deeply" % path) from None
 
 
 def _twisting_arg(spec: str | None):

@@ -227,7 +227,7 @@ class InvariantTable:
         return len(self._entries)
 
     def __contains__(self, key: CorrelatorKey) -> bool:
-        return key in self._entries
+        return self.get(key) is not None
 
     def items(self):
         return sorted(self._entries.items(), key=lambda kv: kv[0].sort_token())

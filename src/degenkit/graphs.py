@@ -344,6 +344,22 @@ def vertex_form(genus: int, weight, leg_e, root_fc) -> bytes:
     return text.encode()
 
 
+def vertex_data(blob: bytes):
+    """The inverse of ``vertex_form``: the (genus, weight, leg indices, root
+    (f, c) pairs) for which it writes exactly ``blob``, with string generator
+    ids, or None when there are none.  It never raises, whatever the text."""
+    try:
+        data = json.loads(blob)
+        ((genus, pairs),) = data["v"]
+        leg_e = [e for _, e, _ in data["l"]]
+        found = genus, CurveClass(pairs), leg_e, [(f, c) for _, f, c, _ in data["r"]]
+        if vertex_form(*found) == blob and all(isinstance(gid, str) for gid, _ in pairs):
+            return found
+    except (ValueError, TypeError, KeyError, ArithmeticError, RecursionError, DegenkitError):
+        pass
+    return None
+
+
 def canonical_form(graph: ModularGraph) -> bytes:
     """Byte string equal for two graphs iff they are isomorphic respecting
     every label, index, contact order, genus and weight.

@@ -24,9 +24,9 @@ from .graphs import (
     ModularGraph,
     Root,
     Vertex,
-    canonical_json,
+    canonical_form,
     rank_relabeled,
-    vertex_form,
+    vertex_data,
 )
 from .splitting import DegenerationProblem, LegSpec, Splitting
 from .twisting import TwistingChoice
@@ -421,23 +421,29 @@ def key_to_dict(key: CorrelatorKey) -> dict:
     }
 
 
-def _key_graph(graph) -> bytes:
-    """The canonical bytes of a table key's graph, given as an object
-    (``graph_from_dict``) or as canonical JSON text in the layout of
-    ``canonical_form``: ``{"e": [[a, b]...], "l": [[label, e, vertex]...],
-    "r": [[label, f, c, vertex]...], "v": [[genus, [[generator, exponent]...]]...]}``.
+def _key_graph(graph) -> tuple[bytes, int, int]:
+    """The canonical bytes of a table key's graph, with its leg and root
+    counts, given as an object (``graph_from_dict``) or as canonical JSON
+    text in the layout of ``canonical_form``: ``{"e": [[a, b]...], "l":
+    [[label, e, vertex]...], "r": [[label, f, c, vertex]...], "v": [[genus,
+    [[generator, exponent]...]]...]}``.
 
-    Text is read with every number through ``_int`` and every generator id
-    through ``_str``.  Text that is already the bytes ``vertex_form`` writes
-    for the ints read is taken as it is; any other graph is built and
-    canonicalised, a one-vertex graph by ``vertex_form``.
+    Text that ``graphs.vertex_data`` reads is the bytes ``vertex_form``
+    writes, and is taken as it is.  Any other text is read with every number
+    through ``_int`` and every generator id through ``_str``, and any other
+    graph is built and canonicalised.
     """
     if isinstance(graph, dict):
         parsed = graph_from_dict(graph)
     else:
+        # a lone surrogate passes into bytes that vertex_data refuses
+        blob = _str(graph, "key graph").encode("utf-8", "surrogatepass")
+        found = vertex_data(blob)
+        if found is not None:
+            return blob, len(found[2]), len(found[3])
         try:
-            data = json.loads(_str(graph, "key graph"))
-        except ValueError:
+            data = json.loads(graph)
+        except (ValueError, RecursionError):
             raise DegenkitError("not a canonical graph: %r" % (graph,)) from None
         data = _object(data, "key graph")
 
@@ -459,37 +465,22 @@ def _key_graph(graph) -> bytes:
         edges = rows("e", 2, "edge end", "edge end")
         legs = rows("l", 3, "leg label", "leg e", "leg vertex")
         roots = rows("r", 4, "root label", "root f", "root c", "root vertex")
-        if len(vertices) == 1 and not edges:
-            ((genus, weight),) = vertices
-            blob = vertex_form(
-                genus, weight, [e for _, e, _ in legs], [(f, c) for _, f, c, _ in roots]
-            )
-            if blob == graph.encode():
-                return blob
         parsed = ModularGraph(
             vertices=tuple(Vertex(genus, weight) for genus, weight in vertices),
             edges=tuple(edges),
             legs=tuple(Leg(*row) for row in legs),
             roots=tuple(Root(*row) for row in roots),
         )
-    if len(parsed.vertices) == 1 and not parsed.edges:
-        # vertex_form writes the bytes canonical_form(rank_relabeled(parsed))
-        # gives a one-vertex graph, without relabeling or tie-breaking
-        vertex = parsed.vertices[0]
-        return vertex_form(
-            vertex.genus,
-            vertex.weight,
-            [l.e for l in sorted(parsed.legs, key=lambda l: l.label)],
-            [(r.f, r.c) for r in sorted(parsed.roots, key=lambda r: r.label)],
-        )
-    return canonical_json(rank_relabeled(parsed)).encode()
+    return canonical_form(rank_relabeled(parsed)), len(parsed.legs), len(parsed.roots)
 
 
 def key_from_dict(data: dict) -> CorrelatorKey:
-    graph_bytes = _key_graph(_field(_object(data, "table key"), "graph", "table key"))
-    return CorrelatorKey(
+    """A table key; a ``legs`` or ``roots`` list it gives holds one
+    insertion per leg or root of its graph, in label order."""
+    graph, *counts = _key_graph(_field(_object(data, "table key"), "graph", "table key"))
+    key = CorrelatorKey(
         side=_field(data, "side", "table key"),
-        graph=graph_bytes,
+        graph=graph,
         legs=tuple(
             (_int(m, "key leg m"), _str(cid, "key leg class"))
             for m, cid in _rows(data.get("legs", []), "table key legs", "m", "class")
@@ -499,6 +490,13 @@ def key_from_dict(data: dict) -> CorrelatorKey:
             for (cid,) in _rows(data.get("roots", []), "table key roots", "class")
         ),
     )
+    for name, listed, count in zip(("legs", "roots"), (key.legs, key.roots), counts):
+        if name in data and len(listed) != count:
+            raise DegenkitError(
+                "table key lists %d %s for the graph %s, which has %d"
+                % (len(listed), name, key.graph.decode(), count)
+            )
+    return key
 
 
 def table_to_obj(table: InvariantTable) -> list:

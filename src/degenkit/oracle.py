@@ -23,7 +23,6 @@ would have.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,7 @@ from .correlator import (
     evaluate_degeneration,
 )
 from .errors import DegenkitError, InfeasibleInstanceError, ScaleError
-from .graphs import CurveClass, CurveClassMonoid, Generator, vertex_form
+from .graphs import CurveClass, CurveClassMonoid, Generator, vertex_data
 from .splitting import DegenerationProblem, LegSpec
 from .twisting import MINIMAL_TWIST, TwistingChoice
 
@@ -376,9 +375,9 @@ class P1Table(InvariantTable):
     of its side's generator, its genus is 0..g_max, it has at most
     ``max_legs`` legs, and its roots' contact orders sum to the degree.
     ``vertex_value`` writes that rule once, on the vertex data; ``get``
-    decodes the key bytes, which must be exactly those ``vertex_form``
-    writes for the data read, and applies it.  ``items()`` lists the keys
-    with their values, and ``len()`` counts them, without decoding any key.
+    reads the data back from the key bytes (``vertex_data``) and applies it.
+    ``items()`` lists the keys with their values, and ``len()`` counts them,
+    without reading any key.
     """
 
     def __init__(self, d_max: int, g_max: int, max_legs: int, conventions: P1Conventions):
@@ -412,27 +411,16 @@ class P1Table(InvariantTable):
         return _line_vertex(d, genus, pattern, len(legs))
 
     def get(self, key: CorrelatorKey) -> Fraction | None:
-        try:
-            data = json.loads(key.graph)
-            ((genus, pairs),) = data["v"]
-            weight = CurveClass(dict(pairs))
-            leg_e = [e for _, e, _ in data["l"]]
-            root_fc = [(f, c) for _, f, c, _ in data["r"]]
-            if vertex_form(genus, weight, leg_e, root_fc) != key.graph:
-                return None
-        except (ValueError, TypeError, KeyError, DegenkitError):
+        data = vertex_data(key.graph)
+        if data is None or (len(data[2]), len(data[3])) != (len(key.legs), len(key.roots)):
             return None
-        if len(leg_e) != len(key.legs) or len(root_fc) != len(key.roots):
-            return None
+        genus, weight, leg_e, root_fc = data
         legs = tuple((e, m, cid) for e, (m, cid) in zip(leg_e, key.legs))
         roots = tuple((f, c, cid) for (f, c), cid in zip(root_fc, key.roots))
         return self.vertex_value(key.side, genus, weight, legs, roots)
 
     def __len__(self) -> int:
         return 2 * (2**self.d_max - 1) * (self.g_max + 1) * (self.max_legs + 1)
-
-    def __contains__(self, key: CorrelatorKey) -> bool:
-        return self.get(key) is not None
 
     def items(self):
         conv = self.conventions

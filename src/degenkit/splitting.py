@@ -278,9 +278,10 @@ def set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]
 
 
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
+    if parts <= 1:
+        # one part holds the whole total, and no parts hold only 0
+        if parts or not total:
+            yield (total,) * parts
         return
     for head in range(total + 1):
         for tail in weak_compositions(total - head, parts - 1):
@@ -431,11 +432,20 @@ class _Decorations:
             ]
         return out
 
-    def genera(self, genus: int, parts: int) -> list:
+    def genera(self, genus: int, parts: int):
+        """The weak compositions of ``genus`` into ``parts``.  The first
+        iteration lists them as the consumer takes them, so its ticks bound
+        the listing, and keeps the list once it is complete."""
         key = (genus, parts)
-        if key not in self.compositions:
-            self.compositions[key] = list(weak_compositions(genus, parts))
-        return self.compositions[key]
+        listed = self.compositions.get(key)
+        return listed if listed is not None else self._listing(key)
+
+    def _listing(self, key):
+        listed = []
+        for composition in weak_compositions(*key):
+            listed.append(composition)
+            yield composition
+        self.compositions[key] = listed
 
 
 def _root_plan(problem: DegenerationProblem):
@@ -511,10 +521,9 @@ def iter_structures(
                     w2_options = options.weights(1, t2)
                     if not w2_options:
                         continue
-                    compositions = options.genera(g - cycles, k1 + k2)
                     for w1, _ in w1_options:
                         for w2, _ in w2_options:
-                            for genera in compositions:
+                            for genera in options.genera(g - cycles, k1 + k2):
                                 budget.tick()
                                 yield SplittingStructure(
                                     labels,

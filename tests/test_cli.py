@@ -1,8 +1,11 @@
+import copy
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -319,6 +322,16 @@ def _write(tmp_path, name, payload):
     return str(path)
 
 
+def _write_text(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+# deeper than the JSON decoder's recursion limit
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
 def _table_with(p1_files, tmp_path, mutate):
     """The P1 table file with its first key's graph given as a dict and
     changed by ``mutate(key)``."""
@@ -542,6 +555,48 @@ def _table_probe(payload):
             _table_probe([{"key": {**_KEY, "roots": [{"class": {"a": 1}}]}, "value": "1/1"}]),
             id="table-key-root-class-an-object",
         ),
+        pytest.param(
+            lambda t: ("keys", _write_text(t, "problem.json", _DEEP),
+                       str(DOCS / "sample_insertions.json")),
+            id="problem-nested-100000-deep",
+        ),
+        pytest.param(
+            lambda t: ("evaluate", str(DOCS / "sample_problem.json"),
+                       str(DOCS / "sample_insertions.json"), _write_text(t, "table.json", _DEEP)),
+            id="table-nested-100000-deep",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph": _DEEP}, "value": "1/1"}]),
+            id="table-graph-nested-100000-deep",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph":
+                '{"e":[],"l":[[1,1,0]],"r":[],"v":[[0,[]]]}', "legs": []}, "value": "1/1"}]),
+            id="table-one-vertex-key-without-its-leg",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "roots": [{"class": "u0"}]}, "value": "1/1"}]),
+            id="table-one-vertex-key-with-an-extra-root",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph": {
+                "vertices": [{"genus": 0}], "roots": [{"label": 1, "f": 1, "c": 1, "vertex": 0}],
+            }, "roots": []}, "value": "1/1"}]),
+            id="table-one-vertex-graph-object-key-without-its-root",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph":
+                '{"e":[[0,1]],"l":[[1,1,1]],"r":[],"v":[[0,[]],[0,[]]]}', "legs": []},
+                "value": "1/1"}]),
+            id="table-two-vertex-key-without-its-leg",
+        ),
+        pytest.param(
+            _table_probe([{"key": {**_KEY, "graph": {
+                "vertices": [{"genus": 0}, {"genus": 1}], "edges": [[0, 1]],
+                "legs": [{"label": 1, "e": 1, "vertex": 1}],
+            }, "legs": [{"m": 0, "class": "pt"}] * 2}, "value": "1/1"}]),
+            id="table-two-vertex-graph-object-key-with-an-extra-leg",
+        ),
     ],
 )
 def test_cli_malformed_twisting_or_table_file_exits_2(probe, tmp_path):
@@ -558,6 +613,111 @@ def test_table_key_listed_twice():
         jsonio.table_from_obj([row, {"key": _KEY, "value": "1/2"}])
     key = jsonio.key_to_dict(jsonio.key_from_dict(_KEY))
     assert json.dumps(key, sort_keys=True) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda key: key["legs"].pop(), id="one-of-two-legs-dropped"),
+        pytest.param(lambda key: key["roots"].clear(), id="roots-emptied"),
+        pytest.param(lambda key: key["legs"].append(dict(key["legs"][0])), id="leg-added"),
+    ],
+)
+def test_cli_table_key_insertions_match_its_graph(mutate, p1_files, tmp_path, capsys):
+    # a key whose insertion lists miss a leg or root of its graph, or name
+    # one it lacks, is refused when the table is read, not left unused
+    rows = json.loads(open(p1_files["table"]).read())
+    key = next(row["key"] for row in rows if len(row["key"]["legs"]) == 2)
+    mutate(key)
+    table = _write(tmp_path, "table.json", rows)
+    assert cli.main(["evaluate", p1_files["problem"], p1_files["insertions"], table]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith("table key lists") and key["graph"] in error
+
+
+def _sample_docs() -> dict:
+    """The sample problem and insertions, and a table giving each key they
+    need the value 1."""
+    problem = json.loads((DOCS / "sample_problem.json").read_text())
+    insertions = json.loads((DOCS / "sample_insertions.json").read_text())
+    parsed = jsonio.problem_from_dict(problem)
+    keys = needed_keys(parsed, jsonio.insertions_from_list(parsed, insertions))
+    table = [{"key": jsonio.key_to_dict(key), "value": "1/1"} for key in keys]
+    return {"problem": problem, "insertions": insertions, "table": table}
+
+
+def _commands(paths: dict) -> dict:
+    """The commands that read each file, by the file's name."""
+    p, i, t = paths["problem"], paths["insertions"], paths["table"]
+    evaluate = [["evaluate", p, i, t], ["evaluate", p, i, t, "--terms"]]
+    keys = [["keys", p, i]] + evaluate
+    return {"problem": [["splittings", p]] + keys, "insertions": keys, "table": evaluate}
+
+
+def test_cli_genus_of_a_million_stops_at_the_budget(tmp_path, capsys, monkeypatch):
+    # the genus compositions are listed as the walks tick them, so the
+    # budget stops a genus of 10**6 as early as a genus of 10
+    docs = _sample_docs()
+    docs["problem"]["genus"] = 10**6
+    paths = {name: _write(tmp_path, name + ".json", doc) for name, doc in docs.items()}
+    monkeypatch.setenv("DEGENKIT_BUDGET", "1000")
+    for argv in _commands(paths)["problem"]:
+        start = time.process_time()
+        assert cli.main(argv) == 3, argv
+        assert time.process_time() - start < 2, argv
+        assert json.loads(capsys.readouterr().err)["error"] == "enumeration-budget-exceeded"
+
+
+_OTHER_TYPES = (None, True, 1.5, -1, "x", [], {})
+
+
+def _spots(doc, path=()):
+    """The path of every value in a JSON document, its own path () first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for step, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _spots(value, path + (step,))
+
+
+def _mutated(rng: random.Random, doc):
+    """A copy of ``doc`` with one value dropped, swapped for a value of
+    another type, or wrapped in a list."""
+    holder = [copy.deepcopy(doc)]
+    path = (0,) + rng.choice(list(_spots(holder[0])))
+    parent = holder
+    for step in path[:-1]:
+        parent = parent[step]
+    value = parent[path[-1]]
+    kind = rng.choice(("drop", "swap", "wrap") if len(path) > 1 else ("swap", "wrap"))
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "swap":
+        parent[path[-1]] = rng.choice([x for x in _OTHER_TYPES if type(x) is not type(value)])
+    else:
+        parent[path[-1]] = [value]
+    return holder[0]
+
+
+# mutated catalogs warn that their pairing is not symmetric, as they should
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_cli_mutated_inputs_end_with_a_documented_exit_code(tmp_path, capsys, monkeypatch):
+    # one mutation of one file at a time, through every command that reads
+    # it: no traceback, and each failure is a JSON error with exit 2, 3 or 4
+    monkeypatch.setenv("DEGENKIT_BUDGET", "20000")
+    docs = _sample_docs()
+    paths = {name: _write(tmp_path, name + ".json", doc) for name, doc in docs.items()}
+    rng = random.Random(18)
+    codes = {}
+    for _ in range(600):
+        name = rng.choice(sorted(docs))
+        mutated = {**paths, name: _write(tmp_path, "mutated.json", _mutated(rng, docs[name]))}
+        for argv in _commands(mutated)[name]:
+            code = cli.main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4), argv
+            assert code == 0 or json.loads(err)["error"], argv
+            codes[code] = codes.get(code, 0) + 1
+    assert codes.keys() >= {0, 2}, codes
 
 
 def test_cli_bad_budget_variable_exits_2(monkeypatch):

@@ -26,6 +26,7 @@ from degenkit.graphs import (
     rank_relabeled,
     total_genus,
     total_weight,
+    vertex_data,
     vertex_form,
 )
 
@@ -357,6 +358,82 @@ def test_vertex_form_bytes(data):
 def test_vertex_form_rejects_bad_data(args):
     with pytest.raises(DegenkitError):
         vertex_form(*args)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(one_vertex_data())
+def test_vertex_data_inverts_vertex_form(data):
+    genus, weight, leg_e, root_fc = data
+    blob = vertex_form(genus, weight, leg_e, root_fc)
+    assert vertex_data(blob) == (genus, CurveClass(weight), leg_e, root_fc)
+
+
+def _text(v='[[0,[["a",1]]]]', l="[[1,1,0]]", r="[[2,1,2,0]]", e="[]"):
+    """Key bytes in the layout of ``vertex_form``, with these fields."""
+    return ('{"e":%s,"l":%s,"r":%s,"v":%s}' % (e, l, r, v)).encode()
+
+
+def test_vertex_data_reads_the_text_helper():
+    # the helper writes vertex_form's bytes, so each refused text below
+    # differs from them in one place
+    assert _text() == vertex_form(0, {"a": 1}, [1], [(1, 2)])
+    assert vertex_data(_text()) == (0, CurveClass({"a": 1}), [1], [(1, 2)])
+    escaped = _text(v=r'[[0,[["\u00e9",1]]]]')
+    assert vertex_data(escaped) == (0, CurveClass({"é": 1}), [1], [(1, 2)])
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        pytest.param(_text(v='[[true,[["a",1]]]]'), id="genus-bool"),
+        pytest.param(_text(v='[[0,[["a",true]]]]'), id="exponent-bool"),
+        pytest.param(_text(l="[[1,true,0]]"), id="leg-e-bool"),
+        pytest.param(_text(r="[[2,1,true,0]]"), id="contact-bool"),
+        pytest.param(_text(v='[[0.0,[["a",1]]]]'), id="genus-float"),
+        pytest.param(_text(v='[[0,[["a",1.0]]]]'), id="exponent-float"),
+        pytest.param(_text(r="[[2,1.0,2,0]]"), id="root-f-float"),
+        pytest.param(_text(v='[[NaN,[["a",1]]]]'), id="genus-nan"),
+        pytest.param(_text(v='[[0,[["a",Infinity]]]]'), id="exponent-infinity"),
+        pytest.param(_text(v="[[0,[[1,1]]]]"), id="generator-int"),
+        pytest.param(_text(v="[[0,[[true,1]]]]"), id="generator-bool"),
+        pytest.param(_text(v="[[0,[[null,1]]]]"), id="generator-null"),
+        pytest.param(_text(v="[[0,[[1.5,1]]]]"), id="generator-float"),
+        pytest.param(_text(v='[[0,[["a",1],["a",1]]]]'), id="generator-repeated"),
+        pytest.param(_text(v='[[0,[["a",1],["a",2]]]]'), id="generator-two-exponents"),
+        pytest.param(_text(v='[[0,[["a",0]]]]'), id="exponent-zero"),
+        pytest.param(_text(v='[[0,[["a",-1]]]]'), id="exponent-negative"),
+        pytest.param(_text(v='[[-1,[["a",1]]]]'), id="genus-negative"),
+        pytest.param(_text(l="[[1,0,0]]"), id="leg-e-zero"),
+        pytest.param(_text(r="[[2,1,0,0]]"), id="contact-zero"),
+        pytest.param(_text(v='[[0,[["é",1]]]]'), id="generator-raw-non-ascii"),
+        pytest.param(_text(v=r'[[0,[["\u00E9",1]]]]'), id="generator-escape-upper-case"),
+        pytest.param(_text(l="[[2,1,0]]", r="[[1,1,2,0]]"), id="labels-out-of-order"),
+        pytest.param(_text(l="[[1,1,1]]"), id="leg-on-vertex-1"),
+        pytest.param(_text(e="[[0,0]]"), id="loop"),
+        pytest.param(_text(v='[[0,[["a",1]]],[0,[]]]'), id="two-vertices"),
+        pytest.param(_text().replace(b",", b", ", 1), id="space"),
+        pytest.param(_text() + b"\n", id="trailing-newline"),
+        pytest.param(_text().replace(b"{", b'{"x":[],', 1), id="extra-field"),
+        pytest.param(_text().replace(b'"e":[],', b""), id="missing-field"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-100000-deep"),
+        pytest.param(b'{"v":' * 100_000 + b"1" + b"}" * 100_000, id="objects-100000-deep"),
+        pytest.param(b"\xff" + _text(), id="not-utf-8"),
+        pytest.param(b"", id="empty"),
+        pytest.param(b"[]", id="list"),
+        pytest.param(b'"v"', id="string"),
+        pytest.param(b"null", id="null"),
+        pytest.param(b'{"v":1,"l":[],"r":[]}', id="v-an-int"),
+        pytest.param(b'{"v":["ab"],"l":[],"r":[]}', id="v-a-string"),
+        pytest.param(_text(v='[[0,"ab"]]'), id="weight-a-string"),
+        pytest.param(_text(v='[[0,{"a":1}]]'), id="weight-an-object"),
+        pytest.param(_text(v='[[0,[[["a"],1]]]]'), id="generator-a-list"),
+        pytest.param(_text(l='{"abc":1}'), id="legs-an-object"),
+        pytest.param(_text(l='[[1,"1",0]]'), id="leg-e-a-string"),
+        pytest.param(_text(v='[[' + "9" * 5000 + ',[]]]'), id="genus-5000-digits"),
+    ],
+)
+def test_vertex_data_refuses_other_bytes(blob):
+    assert vertex_data(blob) is None
 
 
 def _bfs_components(count, pairs):

@@ -38,10 +38,11 @@ from degenkit.graphs import (
     Root,
     Vertex,
     graph_from_canonical,
+    vertex_data,
 )
 from degenkit.splitting import DegenerationProblem, LegSpec
 
-from helpers import covariant_random_table
+from helpers import covariant_random_table, random_problem
 
 
 def _naive_count(d, profiles, b):
@@ -384,6 +385,37 @@ def test_p1_vertex_value_matches_get(d_max, g_max, max_legs):
             assert table.vertex_value(*data) is None, name
         assert table.get(key) is None, name
     assert without_data == {"leg count", "root count", "space", "two vertices"}
+
+
+def _read_back(key):
+    """``_vertex_data`` through ``graphs.vertex_data``: the vertex data read
+    from the key bytes, with the key's insertions when they match in count."""
+    data = vertex_data(key.graph)
+    if data is None or (len(data[2]), len(data[3])) != (len(key.legs), len(key.roots)):
+        return None
+    genus, weight, leg_e, root_fc = data
+    legs = tuple((e, m, cid) for e, (m, cid) in zip(leg_e, key.legs))
+    roots = tuple((f, c, cid) for (f, c), cid in zip(root_fc, key.roots))
+    return key.side, genus, weight, legs, roots
+
+
+def test_vertex_data_agrees_with_the_reference_on_p1_keys():
+    conv = P1Conventions()
+    for d_max in range(1, 6):
+        for g_max in range(3):
+            table = build_p1_table(d_max, g_max, conv)
+            inside, misses = _near_misses(d_max, g_max, table.max_legs, conv)
+            for key in [key for key, _ in table.items()] + [inside, *misses.values()]:
+                assert _read_back(key) == _vertex_data(key), key
+
+
+def test_vertex_data_agrees_with_the_reference_on_needed_keys():
+    rng = random.Random(2031)
+    for _ in range(60):
+        problem, insertions = random_problem(rng)
+        for key in needed_keys(problem, insertions):
+            data = _read_back(key)
+            assert data is not None and data == _vertex_data(key), key
 
 
 def test_degeneration_check_grid():
