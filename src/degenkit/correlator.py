@@ -111,6 +111,7 @@ from .splitting import (
     SplittingStructure,
     _Budget,
     _effective_budget,
+    _listing,
     iter_structure_orbits,
     iter_structures,
     meets_condition_B,
@@ -545,7 +546,7 @@ def _leg_groups(ctx: _Context) -> list[dict]:
     return out
 
 
-def _takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple) -> list:
+def _takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple):
     """Every share of the legs the vertex at ``vi`` can take, memoised.
 
     The take rule, written once: a group not allowed on the vertex's side
@@ -558,7 +559,9 @@ def _takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple) -> list:
     Each entry is (labels taken in label order, their (e, m, class id) in
     that order, the product of binomials, legs left after).  All of it
     depends only on the vertex sides, the position and the legs left per
-    group of ``ctx.groups``, so one run expands each such state once.
+    group of ``ctx.groups``, so one run expands each such state once.  A
+    state with n odd legs left has up to 2^n takes, and its consumers tick
+    per take, so the expansion is listed lazily (``_listing``).
     """
     memo_key = (sides, vi, remaining)
     takes = ctx.takes.get(memo_key)
@@ -571,25 +574,24 @@ def _takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple) -> list:
         else (left,)
         for g, left in zip(ctx.groups, remaining)
     ]
-    takes = ctx.takes[memo_key] = []
-    for counts in itertools.product(*options):
+
+    def take(counts: tuple) -> tuple:
         labels: list[int] = []
         factor = 1
-        for g, left, take in zip(ctx.groups, remaining, counts):
-            if take:
+        for g, left, k in zip(ctx.groups, remaining, counts):
+            if k:
                 start = g["count"] - left
-                labels += g["labels"][start : start + take]
-                factor *= math.comb(left, take)
+                labels += g["labels"][start : start + k]
+                factor *= math.comb(left, k)
         labels.sort()
-        takes.append(
-            (
-                tuple(labels),
-                tuple([ctx.leg_data[lab] for lab in labels]),
-                factor,
-                tuple([left - take for left, take in zip(remaining, counts)]),
-            )
+        return (
+            tuple(labels),
+            tuple([ctx.leg_data[lab] for lab in labels]),
+            factor,
+            tuple([left - k for left, k in zip(remaining, counts)]),
         )
-    return takes
+
+    return _listing(ctx.takes, memo_key, map(take, itertools.product(*options)))
 
 
 def _placements(ctx: _Context, sides, genera, weights, roots, budget: _Budget):

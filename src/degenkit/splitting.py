@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .algebra import SectorCatalog
-from .errors import DegenkitError, EnumerationBudgetError
+from .errors import DegenkitError, EnumerationBudgetError, ScaleError
 from .graphs import (
     CurveClass,
     CurveClassMonoid,
@@ -378,18 +378,16 @@ class _Budget:
         self.limit = limit
         self.visited = 0
 
-    def tick(self, partial=()):
+    def tick(self):
         self.visited += 1
         if self.limit is not None and self.visited > self.limit:
             raise EnumerationBudgetError(
-                "enumeration budget of %d nodes exceeded" % self.limit,
-                partial=partial,
-                visited=self.visited,
+                "enumeration budget of %d nodes exceeded" % self.limit, visited=self.visited
             )
 
     def advance(self, nodes: int):
-        """``nodes`` ticks at once, for a replay of a kept listing: it stops
-        with the count ticking them one by one would stop with."""
+        """``nodes`` ticks at once, for a replay (``_kept``): it stops with
+        the count ticking them one by one would stop with."""
         if nodes and self.limit is not None and self.visited + nodes > self.limit:
             self.visited = max(self.visited, self.limit)
             self.tick()
@@ -408,11 +406,52 @@ def _effective_budget(problem: DegenerationProblem) -> Optional[int]:
         raise DegenkitError("DEGENKIT_BUDGET must be an integer, got %r" % env) from None
 
 
+def _kept(store: dict, key, walk: Iterator, budget: _Budget):
+    """The items of ``walk``, a walk that ticks ``budget``, done once per
+    ``key`` of ``store``.
+
+    A completed walk is kept in ``store`` under ``key``: its items, each
+    with the nodes ticked since the one before (not counting the consumer's
+    ticks in between), and the nodes ticked after the last.  A later call
+    with that key leaves ``walk`` unstarted and replays the items, ticking
+    the same counts in the same order (``_Budget.advance``), so the budget
+    counts the same nodes and stops at the same one.  A walk cut short, by
+    the budget or by its consumer, keeps nothing.
+    """
+    kept = store.get(key)
+    if kept is None:
+        items, start = [], budget.visited
+        for item in walk:
+            items.append((budget.visited - start, item))
+            yield item
+            start = budget.visited
+        store[key] = items, budget.visited - start
+        return
+    items, trailing = kept
+    for nodes, item in items:
+        budget.advance(nodes)
+        yield item
+    budget.advance(trailing)
+
+
+def _listing(store: dict, key, items: Iterator):
+    """``items``, listed as the consumer takes them; the list is kept in
+    ``store`` under ``key`` once it is complete.  It serves listings whose
+    consumer ticks the budget per item, so that the ticks bound the
+    listing; the caller looks up a kept list first."""
+    listed = []
+    for item in items:
+        listed.append(item)
+        yield item
+    store[key] = listed
+
+
 class _Decorations:
     """A walk's side classes and scaled generator degrees (``_root_plan``),
     with the weight splits by (side, per-block degrees) and the genus
     compositions by (genus, vertex count) listed once per walk: both recur
-    across contact tuples and root blocks."""
+    across contact tuples and root blocks.  The consumer ticks per genus
+    composition, so those are listed lazily (``_listing``)."""
 
     def __init__(self, betas: tuple[CurveClass, CurveClass], degrees: dict[str, int]):
         self.betas = betas
@@ -433,24 +472,20 @@ class _Decorations:
         return out
 
     def genera(self, genus: int, parts: int):
-        """The weak compositions of ``genus`` into ``parts``.  The first
-        iteration lists them as the consumer takes them, so its ticks bound
-        the listing, and keeps the list once it is complete."""
-        key = (genus, parts)
-        listed = self.compositions.get(key)
-        return listed if listed is not None else self._listing(key)
+        """The weak compositions of ``genus`` into ``parts``."""
+        listed = self.compositions.get((genus, parts))
+        if listed is None:
+            listed = _listing(self.compositions, (genus, parts), weak_compositions(genus, parts))
+        return listed
 
-    def _listing(self, key):
-        listed = []
-        for composition in weak_compositions(*key):
-            listed.append(composition)
-            yield composition
-        self.compositions[key] = listed
+
+MAX_ROOTS = 256  # largest |M| a walk takes; its deepest recursion is about |M| frames
 
 
 def _root_plan(problem: DegenerationProblem):
     """(decorations, side degree, admissible (f, c) pairs, their
     multiplicities, largest |M|), or None when the side degrees differ.
+    Raises ScaleError when the largest |M| exceeds ``MAX_ROOTS``.
 
     Degrees are ints in units of 1/L, where the scale L is the lcm of the
     admissible indices f and of the generator degrees' denominators: a
@@ -470,6 +505,11 @@ def _root_plan(problem: DegenerationProblem):
         )
     mults = [c * scale // f for f, c in pairs]
     m_max = deg1 // min(mults) if deg1 else 0
+    if m_max > MAX_ROOTS:
+        raise ScaleError(
+            "the contact data allow up to %d roots; the walks support at most %d"
+            % (m_max, MAX_ROOTS)
+        )
     return _Decorations(betas, degrees), deg1, pairs, mults, m_max
 
 
@@ -540,10 +580,11 @@ def iter_structures(
 # -- the walk up to root relabeling -------------------------------------------
 
 
-_ROOT_GRAPHS: dict = {}  # completed listings by shape: see _root_graphs
+_ROOT_GRAPHS: dict = {}  # completed root-graph listings by shape (_kept)
+_ORBITS: dict = {}  # completed orbit walks by what they read (_kept)
 
 
-def _root_graphs(counts: tuple[int, ...], rows: int, cols: int, budget: _Budget) -> list:
+def _root_graphs(counts: tuple[int, ...], rows: int, cols: int, budget: _Budget):
     """The root graphs of one contact multiset, one per isomorphism class.
 
     The roots of a structure are the edges of a bipartite multigraph between
@@ -559,19 +600,7 @@ def _root_graphs(counts: tuple[int, ...], rows: int, cols: int, budget: _Budget)
     in ``groups[r]`` equal the rows of the r-th run of equal rows, so that
     re-sorting gives the graph back.  The identity comes first; its groups
     are the runs.  Each row choice ticks ``budget``.
-
-    The list depends only on the shape (counts, rows, cols), so a completed
-    listing is kept in a module-level dict with the number of nodes it
-    ticked.  A later call returns the kept list and replays those ticks at
-    once, so the budget counts the same nodes and stops at the same one; a
-    listing the budget cuts short keeps nothing.
     """
-    shape = (counts, rows, cols)
-    kept = _ROOT_GRAPHS.get(shape)
-    if kept is not None:
-        budget.advance(kept[1])
-        return kept[0]
-    start = budget.visited
     nc = len(counts)
     width = cols * nc
     layouts = [
@@ -645,9 +674,7 @@ def _root_graphs(counts: tuple[int, ...], rows: int, cols: int, budget: _Budget)
             yield from rec(after)
             acc.pop()
 
-    graphs = list(rec(counts))
-    _ROOT_GRAPHS[shape] = graphs, budget.visited - start
-    return graphs
+    yield from rec(counts)
 
 
 def iter_structure_orbits(
@@ -669,30 +696,13 @@ def iter_structure_orbits(
     mult! for each run of mult parallel roots with equal (f, c).  Every
     contact multiset, root-graph node and decoration ticks ``budget``.
 
-    A completed walk is kept on the problem instance, as a non-field
-    attribute (so equality and hashing ignore it): its (structure, size)
-    list, with the nodes ticked before each yield and after the last.  A
-    later walk of the same instance replays the list and ticks the same
-    counts in the same order, so the budget stops it where it would stop
-    the walk; a walk cut short keeps nothing.  The root graphs are kept per
-    shape across problems (``_root_graphs``).
+    The walk reads only the monoid, beta, root data, genus and leg count,
+    so it is done once per process for each of those (``_kept``), and each
+    root-graph listing once per shape.
     """
     budget = budget or _Budget(_effective_budget(problem))
-    kept = problem.__dict__.get("_orbits")
-    if kept is not None:
-        walked, trailing = kept
-        for nodes, structure, size in walked:
-            budget.advance(nodes)
-            yield structure, size
-        budget.advance(trailing)
-        return
-    walked = []
-    start = budget.visited
-    for structure, size in _walk_orbits(problem, budget):
-        walked.append((budget.visited - start, structure, size))
-        yield structure, size
-        start = budget.visited
-    object.__setattr__(problem, "_orbits", (walked, budget.visited - start))
+    key = (problem.monoid, problem.beta, problem.root_data(), problem.genus, len(problem.legs))
+    yield from _kept(_ORBITS, key, _walk_orbits(problem, budget), budget)
 
 
 def _walk_orbits(problem: DegenerationProblem, budget: _Budget):
@@ -723,7 +733,9 @@ def _walk_orbits(problem: DegenerationProblem, budget: _Budget):
                     rows_x1 = k1 >= k2
                     shape = (counts, max(k1, k2), min(k1, k2))
                     if shape not in graphs:
-                        graphs[shape] = _root_graphs(*shape, budget)
+                        graphs[shape] = list(
+                            _kept(_ROOT_GRAPHS, shape, _root_graphs(*shape, budget), budget)
+                        )
                     for graph, autos in graphs[shape]:
                         yield from _decorated_orbits(
                             graph, autos, colors, color_mults, len(problem.legs) + 1,
@@ -838,7 +850,7 @@ def enumerate_splittings(problem: DegenerationProblem) -> list[Splitting]:
             if any(not allowed for _, allowed in slots):
                 continue
             for choice in itertools.product(*[allowed for _, allowed in slots]):
-                budget.tick(partial=out)
+                budget.tick()
                 assignment = {
                     spec.label: slot for (spec, _), slot in zip(slots, choice)
                 }

@@ -333,6 +333,12 @@ def brute_force_orbits(structures) -> list[frozenset]:
     return out
 
 
+def orbit_key(problem: DegenerationProblem) -> tuple:
+    """The key of a problem's orbit walk in ``splitting._ORBITS``: all the
+    walk reads of the problem."""
+    return (problem.monoid, problem.beta, problem.root_data(), problem.genus, len(problem.legs))
+
+
 # -- canonical forms ------------------------------------------------------------
 
 

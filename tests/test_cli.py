@@ -14,7 +14,7 @@ import pytest
 import degenkit
 from degenkit import cli, jsonio
 from degenkit.correlator import needed_keys
-from degenkit.errors import DegenkitError
+from degenkit.errors import DegenkitError, EnumerationBudgetError
 from degenkit.graphs import graph_from_canonical
 from degenkit.oracle import P1Conventions, build_p1_table, p1_problem
 from degenkit.splitting import _Budget, enumerate_splittings, iter_structures
@@ -666,6 +666,48 @@ def test_cli_genus_of_a_million_stops_at_the_budget(tmp_path, capsys, monkeypatc
         assert cli.main(argv) == 3, argv
         assert time.process_time() - start < 2, argv
         assert json.loads(capsys.readouterr().err)["error"] == "enumeration-budget-exceeded"
+
+
+def test_keys_stop_at_the_budget_with_many_odd_legs():
+    # 22 unpinned odd legs give a vertex 2^22 takes; they are listed as
+    # the key walk ticks them, so the budget stops the walk
+    problem = json.loads((DOCS / "sample_problem.json").read_text())
+    problem["ambient"] = {
+        "sectors": [{"id": "m", "band_order": 1, "involution_image": "m"}],
+        "basis": [
+            {"id": "p", "sector": "m", "parity": "odd"},
+            {"id": "q", "sector": "m", "parity": "odd"},
+        ],
+        "pairing": [["0/1", "1/1"], ["-1/1", "0/1"]],
+    }
+    problem["legs"] = [{"label": i, "e": 1} for i in range(1, 23)]
+    problem["budget"] = 1000
+    parsed = jsonio.problem_from_dict(problem)
+    insertions = jsonio.insertions_from_list(
+        parsed, [{"label": i, "class": "p", "m": 0} for i in range(1, 23)]
+    )
+    start = time.process_time()
+    with pytest.raises(EnumerationBudgetError):
+        needed_keys(parsed, insertions)
+    assert time.process_time() - start < 1
+
+
+def test_cli_too_many_roots_exit_2(tmp_path, capsys, monkeypatch):
+    # beta {a: 2000, b: 2000} with contact order 1 allows 2,000 roots, past
+    # splitting.MAX_ROOTS: every walk refuses it before it starts
+    docs = _sample_docs()
+    docs["problem"].update(beta={"a": 2000, "b": 2000}, c_max=1)
+    paths = {name: _write(tmp_path, name + ".json", doc) for name, doc in docs.items()}
+    commands = _commands(paths)["problem"]
+    for budget in ("1000", None):
+        if budget is None:
+            monkeypatch.delenv("DEGENKIT_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("DEGENKIT_BUDGET", budget)
+        # splittings last: without the bound it does not end
+        for argv in commands[1:] + commands[:1]:
+            assert cli.main(argv) == 2, argv
+            assert "roots" in json.loads(capsys.readouterr().err)["error"], argv
 
 
 _OTHER_TYPES = (None, True, 1.5, -1, "x", [], {})

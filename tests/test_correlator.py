@@ -41,6 +41,7 @@ from degenkit.splitting import (
     LegSpec,
     Splitting,
     _Budget,
+    _ORBITS,
     check_condition_B,
     enumerate_splittings,
     iter_structures,
@@ -52,6 +53,7 @@ from helpers import (
     _OnesTable,
     covariant_random_table,
     monomial_reorder_sign,
+    orbit_key,
     random_problem,
 )
 
@@ -295,9 +297,9 @@ def _keys_and_values(problem, insertions, table):
 
 
 def test_a_problem_replays_its_kept_orbit_walk(monkeypatch):
-    # the first walk of a problem instance keeps its orbits on it; the
-    # other runs on that instance replay them, with the same keys, values
-    # and budget ticks as runs on fresh instances
+    # the first walk of a problem keeps its orbits in the store; the other
+    # runs on that problem replay them, with the same keys, values and
+    # budget ticks as runs on fresh instances
     rng = random.Random(29)
     for _ in range(12):
         problem, insertions = random_problem(rng, max_legs=2)
@@ -306,7 +308,7 @@ def test_a_problem_replays_its_kept_orbit_walk(monkeypatch):
         fresh = _keys_and_values(dataclasses.replace(problem), insertions, table)
         for _ in range(2):
             assert _keys_and_values(problem, insertions, table) == fresh
-        assert "_orbits" in problem.__dict__
+        assert orbit_key(problem) in _ORBITS
     # P1 degree 4, genus 2 and its pinned ticks (test_budget_ticks_are_pinned)
     problem, insertions = p1_problem(4, 2)
     table = build_p1_table(4, 2, max_legs=len(insertions))
@@ -327,10 +329,11 @@ def test_a_problem_replays_its_kept_orbit_walk(monkeypatch):
     for run, ticks in runs:
         for budget in (10, ticks - 1):
             cut = dataclasses.replace(problem)
+            _ORBITS.pop(orbit_key(cut), None)
             monkeypatch.setenv("DEGENKIT_BUDGET", str(budget))
             with pytest.raises(EnumerationBudgetError):
                 run(cut)
-            assert "_orbits" not in cut.__dict__
+            assert orbit_key(cut) not in _ORBITS
 
 
 def test_for_vertex_matches_for_component():

@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from degenkit import correlator, splitting
 from degenkit.algebra import BasisClass, Parity, Sector, SectorCatalog
 from degenkit.errors import DegenkitError, EnumerationBudgetError
 from degenkit.graphs import (
@@ -17,7 +20,8 @@ from degenkit.graphs import (
     total_genus,
     total_weight,
 )
-from degenkit.oracle import p1_problem
+from degenkit.correlator import Insertion, evaluate_degeneration, needed_keys
+from degenkit.oracle import build_p1_table, p1_problem
 from degenkit.splitting import (
     DegenerationProblem,
     LegSpec,
@@ -25,9 +29,11 @@ from degenkit.splitting import (
     _Budget,
     check_condition_B,
     enumerate_splittings,
+    iter_structure_orbits,
     iter_structures,
     orbits,
 )
+from helpers import covariant_random_table, random_problem
 
 
 def _divisor(bands=(1,)):
@@ -636,3 +642,103 @@ def test_orbits_do_not_depend_on_stored_canonical_pairs():
 
     assert summary(orbits(fresh)) == summary(orbits(omega))
     assert [s.canonical_pair() for s in fresh] == [s.canonical_pair() for s in omega]
+
+
+# -- kept walks -----------------------------------------------------------------
+
+
+@pytest.fixture()
+def stores(monkeypatch):
+    """Empty kept-walk stores for one test; the process's own come back
+    after it."""
+    for name in ("_ORBITS", "_ROOT_GRAPHS"):
+        monkeypatch.setattr(splitting, name, {})
+    return splitting
+
+
+def _base(**changes):
+    kwargs = dict(
+        genus=1, legs=(LegSpec(1, 1), LegSpec(2, 1)), beta={"a": 2, "b": 2}, bands=(1, 2)
+    )
+    return _problem(**{**kwargs, **changes})
+
+
+def test_equal_problems_share_one_orbit_walk(stores):
+    # the walk reads only the monoid, beta, root data, genus and leg count:
+    # problems built separately that agree on those share one walk
+    walked = list(iter_structure_orbits(_base()))
+    assert walked and len(stores._ORBITS) == 1
+    shared = (
+        _base(),
+        _base(legs=(LegSpec(5, 1), LegSpec(9, 3))),
+        _base(legs=(LegSpec(1, 1, "X1"), LegSpec(2, 1, "X2"))),
+        _base(bands=(2, 1)),
+        dataclasses.replace(_base(), budget=10**6),
+    )
+    for problem in shared:
+        assert list(iter_structure_orbits(problem)) == walked
+    for m in (0, 1):
+        needed_keys(_base(), [Insertion(m, "ins")] * 2)
+    assert len(stores._ORBITS) == 1
+
+
+def test_each_walk_input_gets_its_own_orbit_walk(stores):
+    list(iter_structure_orbits(_base()))
+    degree_two = (Generator("a", "X1", Fraction(2)), Generator("b", "X2", Fraction(2)))
+    changed = (
+        _base(gens=degree_two),
+        _base(beta={"a": 3, "b": 3}),
+        _base(c_max=1),
+        _base(bands=(1,)),
+        _base(genus=0),
+        _base(legs=(LegSpec(1, 1),)),
+    )
+    for count, problem in enumerate(changed, 2):
+        list(iter_structure_orbits(problem))
+        assert len(stores._ORBITS) == count
+
+
+def test_replayed_walks_give_the_results_and_ticks_of_cold_ones(stores, monkeypatch):
+    # keys, values and budget ticks from kept walks equal those of runs
+    # with emptied stores, and a budget one node short of the cold count
+    # stops a replay at that count
+    budgets = []
+
+    class Recorded(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(correlator, "_Budget", Recorded)
+
+    def runs(problem, insertions, table):
+        out = [needed_keys(problem, insertions)]
+        ticks = [budgets[-1].visited]
+        for convention in correlator.CONVENTIONS:
+            result = evaluate_degeneration(problem, insertions, table, convention=convention)
+            out.append(result.value)
+            ticks.append(budgets[-1].visited)
+        return out, ticks
+
+    rng = random.Random(19)
+    for _ in range(10):
+        problem, insertions = random_problem(rng, max_legs=2)
+        keys = needed_keys(problem, insertions)
+        table = covariant_random_table(keys, problem.divisor, problem.ambient, rng)
+        stores._ORBITS.clear()
+        stores._ROOT_GRAPHS.clear()
+        cold = runs(problem, insertions, table)
+        assert runs(dataclasses.replace(problem), insertions, table) == cold
+    problem, insertions = p1_problem(3, 1)
+    table = build_p1_table(3, 1, max_legs=len(insertions))
+    stores._ORBITS.clear()
+    stores._ROOT_GRAPHS.clear()
+    _, ticks = runs(problem, insertions, table)
+    replays = (
+        (lambda p: needed_keys(p, insertions), ticks[0]),
+        (lambda p: evaluate_degeneration(p, insertions, table), ticks[1]),
+    )
+    for run, count in replays:
+        with pytest.raises(EnumerationBudgetError) as err:
+            run(dataclasses.replace(problem, budget=count - 1))
+        assert err.value.visited == count
