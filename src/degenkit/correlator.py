@@ -20,12 +20,14 @@ One kernel evaluates it from three shared pieces:
 
 Every component of a splitting has one vertex, and the memo asks the table
 for its value by that data (``InvariantTable.vertex_value``).  A plain table
-builds the key with ``CorrelatorKey.for_vertex`` and looks it up; a table
-that can value the data directly (the P1 table of ``oracle``) builds no key.
-The kernel builds a key only when the run reports it: for a missing key
-(``MissingKeysError``) and for the term breakdown.  ``for_vertex`` writes the
-bytes ``canonical_form(rank_relabeled(graph))`` gives for the one-vertex
-graph, which has no tie to break, so no graph is built.
+reads it from an index by vertex data, which ``set`` fills from each key's
+``CorrelatorKey.vertex``; a table that values the data by a rule (the P1
+table of ``oracle``) reads its keys through the same ``vertex``.  Neither
+builds key bytes.  The kernel builds a key only when the run reports it:
+for a missing key (``MissingKeysError``) and for the term breakdown.
+``for_vertex`` writes the bytes ``canonical_form(rank_relabeled(graph))``
+gives for the one-vertex graph, which has no tie to break, so no graph is
+built.
 ``CorrelatorKey.for_component`` stays the reference for connected graphs of
 any size and serves ``evaluate_disconnected``.  The two vanishing rules (a
 root class off the band of its index; condition B) are applied in
@@ -103,6 +105,7 @@ from .graphs import (
     canonical_form,
     rank_relabeled,
     total_weight,
+    vertex_data,
     vertex_form,
 )
 from .splitting import (
@@ -148,6 +151,12 @@ class CorrelatorKey:
     ``canonical_form(rank_relabeled(graph))`` and is the reference.  Every
     component of a splitting has one vertex, and ``for_vertex`` builds such
     a key straight from the vertex data, with the same bytes.
+
+    A one-vertex key also answers with the vertex data it stands for
+    (``vertex``), kept on the key in a non-field attribute, so equality and
+    hashing ignore it.  ``for_vertex`` keeps the data it was given, and
+    ``keep_reading`` a reading of the bytes already made (a table file's
+    text keys); any other key reads its bytes once, on the first call.
     """
 
     side: str
@@ -185,31 +194,89 @@ class CorrelatorKey:
     ) -> "CorrelatorKey":
         """Key of a one-vertex graph of the given genus and weight.
 
-        ``legs`` holds each leg's (e, m, class id) and ``roots`` each root's
-        (f, c, class id), both in label order.  Equal to ``for_component``
-        on that graph with legs labeled 1..n and roots n+1..n+k.
+        ``legs`` holds each leg's (e, m, class id) tuple and ``roots`` each
+        root's (f, c, class id) tuple, both in label order.  Equal to
+        ``for_component`` on that graph with legs labeled 1..n and roots
+        n+1..n+k.  The key keeps this data, so its ``vertex`` reads no
+        bytes.
         """
-        return CorrelatorKey(
+        if not isinstance(weight, CurveClass):
+            weight = CurveClass(weight)
+        legs, roots = tuple(legs), tuple(roots)
+        key = CorrelatorKey(
             side,
             vertex_form(genus, weight, [e for e, _, _ in legs], [(f, c) for f, c, _ in roots]),
             tuple([(m, cid) for _, m, cid in legs]),
             tuple([cid for _, _, cid in roots]),
         )
+        object.__setattr__(key, "_vertex", (side, genus, weight.exponents, legs, roots))
+        return key
+
+    def vertex(self) -> Optional[tuple]:
+        """(side, genus, weight, legs, roots), the data ``for_vertex`` builds
+        this key from, or None for a key that no vertex data gives: a graph
+        of several vertices, bytes other than ``vertex_form`` writes, or leg
+        or root lists whose lengths differ from the graph's."""
+        data = self._data()
+        if data is None:
+            return None
+        side, genus, exponents, legs, roots = data
+        return side, genus, CurveClass(exponents), legs, roots
+
+    def _data(self) -> Optional[tuple]:
+        """``vertex`` with the weight given by its exponents, the form of
+        the component memo key and of a table's index.  Worked out on the
+        first call, from the kept reading of the bytes or else by reading
+        them (``graphs.vertex_data``), and kept.  It holds only tuples of
+        strings and ints, which the garbage collector stops tracking, so the
+        keys of a large table cost its collections nothing more."""
+        if hasattr(self, "_vertex"):
+            return self._vertex
+        if not hasattr(self, "_read"):
+            self.keep_reading(vertex_data(self.graph))
+        data = None
+        if self._read is not None:
+            genus, exponents, leg_e, root_fc = self._read
+            if (len(leg_e), len(root_fc)) == (len(self.legs), len(self.roots)):
+                legs = tuple([(e, m, cid) for e, (m, cid) in zip(leg_e, self.legs)])
+                roots = tuple([(f, c, cid) for (f, c), cid in zip(root_fc, self.roots)])
+                data = (self.side, genus, exponents, legs, roots)
+        object.__setattr__(self, "_vertex", data)
+        return data
+
+    def keep_reading(self, found) -> None:
+        """Keep ``found``, the reading ``graphs.vertex_data`` gave of this
+        key's bytes, so that ``vertex`` does not read them again.  It is
+        kept as tuples of strings and ints, as ``_data`` keeps its data."""
+        if found is not None:
+            genus, weight, leg_e, root_fc = found
+            found = genus, weight.exponents, tuple(leg_e), tuple(root_fc)
+        object.__setattr__(self, "_read", found)
 
     def sort_token(self):
         return (self.side, self.graph, self.legs, self.roots)
 
 
 class InvariantTable:
-    """Exact-rational correlator values; absent keys stay detectable."""
+    """Exact-rational correlator values; absent keys stay detectable.
+
+    Entries are held by key (``get``, ``items()``, ``len()``, ``in``) and
+    those of one-vertex keys also by their vertex data (``vertex_value``).
+    That index is brought up to date on the first lookup by data after a
+    ``set``, so a table only ever looked up by key (``--terms``) never
+    works out the data of its keys.
+    """
 
     def __init__(self, entries: Mapping[CorrelatorKey, Fraction] | None = None):
         self._entries: dict[CorrelatorKey, Fraction] = {}
+        self._by_vertex: dict[tuple, Fraction] = {}
+        self._unindexed: list[CorrelatorKey] = []
         for k, v in (entries or {}).items():
             self.set(k, v)
 
     def set(self, key: CorrelatorKey, value) -> None:
         self._entries[key] = Fraction(value)
+        self._unindexed.append(key)
 
     def get(self, key: CorrelatorKey) -> Optional[Fraction]:
         return self._entries.get(key)
@@ -218,11 +285,26 @@ class InvariantTable:
         self, side: str, genus: int, weight, legs: tuple, roots: tuple
     ) -> Optional[Fraction]:
         """The value of the one-vertex key with this data, as ``get`` gives
-        it for ``CorrelatorKey.for_vertex(side, genus, weight, legs, roots)``.
+        it for ``CorrelatorKey.for_vertex(side, genus, weight, legs, roots)``,
+        read from the index by vertex data, so no key is built.  ``weight``
+        is a CurveClass, and ``legs`` and ``roots`` are tuples of tuples, as
+        ``for_vertex`` keeps them.
 
-        A table that can value the data without the key bytes overrides it.
+        A table that overrides ``get`` overrides this too; one that values
+        the data by a rule (the P1 table of ``oracle``) holds no entries.
         """
-        return self.get(CorrelatorKey.for_vertex(side, genus, weight, legs, roots))
+        if self._unindexed:
+            self._index()
+        return self._by_vertex.get((side, genus, weight.exponents, legs, roots))
+
+    def _index(self) -> None:
+        """Index by vertex data the keys set since the last lookup by data;
+        a key set twice is indexed with its last value."""
+        for key in self._unindexed:
+            data = key._data()
+            if data is not None:
+                self._by_vertex[data] = self._entries[key]
+        self._unindexed = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -373,12 +455,13 @@ class _Context:
         CorrelatorKey, so one memo entry stands for one key.  The memo is
         keyed by (side, genus, weight exponents, legs, roots), all tuples of
         strings and ints, and the table is asked by the data
-        (``InvariantTable.vertex_value``); the key itself is built only
-        when the run reports it (``key``).  The term breakdown reports
-        every component, so its run sets ``term_keys`` to a dict: each key is
-        then built once, kept there by memo key, and the table is asked by
-        it.  A missing value counts as 0.  No vanishing rule is applied:
-        the kernel's vertices never meet one.
+        (``InvariantTable.vertex_value``, a dict lookup on a plain table, a
+        rule on the P1 table); the key itself is built only when the run
+        reports it (``key``).  The term breakdown reports every component,
+        so its run sets ``term_keys`` to a dict: each key is then built
+        once, kept there by memo key, and the table is asked by it.  A
+        missing value counts as 0.  No vanishing rule is applied: the
+        kernel's vertices never meet one.
         """
         memo_key = (side, genus, weight.exponents, legs, roots)
         entry = self.memo.get(memo_key)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
+from typing import Any, Optional
 
 from .algebra import BasisClass, Parity, Sector, SectorCatalog
 from .correlator import CorrelatorKey, EvaluationResult, Insertion, InvariantTable
@@ -421,17 +421,19 @@ def key_to_dict(key: CorrelatorKey) -> dict:
     }
 
 
-def _key_graph(graph) -> tuple[bytes, int, int]:
-    """The canonical bytes of a table key's graph, with its leg and root
-    counts, given as an object (``graph_from_dict``) or as canonical JSON
+def _key_graph(graph) -> tuple[bytes, int, int, Optional[tuple]]:
+    """The canonical bytes of a table key's graph, its leg and root counts,
+    and its vertex data as ``graphs.vertex_data`` reads it, or None.  The
+    graph is given as an object (``graph_from_dict``) or as canonical JSON
     text in the layout of ``canonical_form``: ``{"e": [[a, b]...], "l":
     [[label, e, vertex]...], "r": [[label, f, c, vertex]...], "v": [[genus,
     [[generator, exponent]...]]...]}``.
 
     Text that ``graphs.vertex_data`` reads is the bytes ``vertex_form``
-    writes, and is taken as it is.  Any other text is read with every number
-    through ``_int`` and every generator id through ``_str``, and any other
-    graph is built and canonicalised.
+    writes, and is taken as it is, with the data read.  Any other text is
+    read with every number through ``_int`` and every generator id through
+    ``_str``, and any other graph is built and canonicalised; neither comes
+    with vertex data.
     """
     if isinstance(graph, dict):
         parsed = graph_from_dict(graph)
@@ -440,7 +442,7 @@ def _key_graph(graph) -> tuple[bytes, int, int]:
         blob = _str(graph, "key graph").encode("utf-8", "surrogatepass")
         found = vertex_data(blob)
         if found is not None:
-            return blob, len(found[2]), len(found[3])
+            return blob, len(found[2]), len(found[3]), found
         try:
             data = json.loads(graph)
         except (ValueError, RecursionError):
@@ -471,13 +473,17 @@ def _key_graph(graph) -> tuple[bytes, int, int]:
             legs=tuple(Leg(*row) for row in legs),
             roots=tuple(Root(*row) for row in roots),
         )
-    return canonical_form(rank_relabeled(parsed)), len(parsed.legs), len(parsed.roots)
+    return canonical_form(rank_relabeled(parsed)), len(parsed.legs), len(parsed.roots), None
 
 
 def key_from_dict(data: dict) -> CorrelatorKey:
     """A table key; a ``legs`` or ``roots`` list it gives holds one
-    insertion per leg or root of its graph, in label order."""
-    graph, *counts = _key_graph(_field(_object(data, "table key"), "graph", "table key"))
+    insertion per leg or root of its graph, in label order.  Graph text
+    already read as vertex data hands that reading to the key
+    (``CorrelatorKey.keep_reading``), so the key is not read twice."""
+    graph, *counts, found = _key_graph(
+        _field(_object(data, "table key"), "graph", "table key")
+    )
     key = CorrelatorKey(
         side=_field(data, "side", "table key"),
         graph=graph,
@@ -496,6 +502,8 @@ def key_from_dict(data: dict) -> CorrelatorKey:
                 "table key lists %d %s for the graph %s, which has %d"
                 % (len(listed), name, key.graph.decode(), count)
             )
+    if found is not None:
+        key.keep_reading(found)
     return key
 
 

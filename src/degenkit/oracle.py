@@ -37,7 +37,7 @@ from .correlator import (
     evaluate_degeneration,
 )
 from .errors import DegenkitError, InfeasibleInstanceError, ScaleError
-from .graphs import CurveClass, CurveClassMonoid, Generator, vertex_data
+from .graphs import CurveClass, CurveClassMonoid, Generator
 from .splitting import DegenerationProblem, LegSpec
 from .twisting import MINIMAL_TWIST, TwistingChoice
 
@@ -375,7 +375,9 @@ class P1Table(InvariantTable):
     of its side's generator, its genus is 0..g_max, it has at most
     ``max_legs`` legs, and its roots' contact orders sum to the degree.
     ``vertex_value`` writes that rule once, on the vertex data; ``get``
-    reads the data back from the key bytes (``vertex_data``) and applies it.
+    applies it to the key's data (``CorrelatorKey.vertex``, the reader a
+    plain table indexes its entries by), so a key ``for_vertex`` built is
+    never read back from its bytes.
     ``items()`` lists the keys with their values, and ``len()`` counts them,
     without reading any key.
     """
@@ -411,13 +413,8 @@ class P1Table(InvariantTable):
         return _line_vertex(d, genus, pattern, len(legs))
 
     def get(self, key: CorrelatorKey) -> Fraction | None:
-        data = vertex_data(key.graph)
-        if data is None or (len(data[2]), len(data[3])) != (len(key.legs), len(key.roots)):
-            return None
-        genus, weight, leg_e, root_fc = data
-        legs = tuple((e, m, cid) for e, (m, cid) in zip(leg_e, key.legs))
-        roots = tuple((f, c, cid) for (f, c), cid in zip(root_fc, key.roots))
-        return self.vertex_value(key.side, genus, weight, legs, roots)
+        data = key.vertex()
+        return None if data is None else self.vertex_value(*data)
 
     def __len__(self) -> int:
         return 2 * (2**self.d_max - 1) * (self.g_max + 1) * (self.max_legs + 1)

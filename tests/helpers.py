@@ -131,9 +131,13 @@ def random_problem(rng: random.Random, max_legs: int = 3) -> tuple[DegenerationP
 
 
 class _OnesTable(InvariantTable):
-    """A table answering 1 to every key, so no placement is pruned."""
+    """A table answering 1 to every key and every vertex's data, so no
+    placement is pruned."""
 
     def get(self, key):
+        return Fraction(1)
+
+    def vertex_value(self, side, genus, weight, legs, roots):
         return Fraction(1)
 
 

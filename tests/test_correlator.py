@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenkit import correlator, jsonio
 from degenkit.algebra import BasisClass, Sector, SectorCatalog
@@ -34,6 +36,7 @@ from degenkit.graphs import (
     ModularGraph,
     Root,
     Vertex,
+    graph_from_canonical,
 )
 from degenkit.oracle import build_p1_table, p1_problem
 from degenkit.splitting import (
@@ -455,6 +458,144 @@ def test_term_breakdown_builds_each_key_once(monkeypatch):
     assert len(set(reported)) < len(reported)
     assert len(built) == len(ctx.memo) == len(ctx.term_keys)
     assert set(reported) <= set(ctx.term_keys.values())
+
+
+class _DataRecordingTable(InvariantTable):
+    """Answers as ``table`` does and records every vertex data it is asked."""
+
+    def __init__(self, table: InvariantTable):
+        super().__init__()
+        self.table = table
+        self.asked: set = set()
+
+    def vertex_value(self, *data):
+        self.asked.add(data)
+        return self.table.vertex_value(*data)
+
+
+def _asked_data(problem, insertions, table) -> set:
+    """Every vertex data plain evaluation asks the table, in both conventions."""
+    recording = _DataRecordingTable(table)
+    for convention in CONVENTIONS:
+        evaluate_degeneration(problem, insertions, recording, convention=convention)
+    return recording.asked
+
+
+def _same_keys_rebuilt(rows):
+    """The rows read by ``table_from_obj`` with text graphs and with object
+    graphs, and keyed by ``for_component`` on each key's graph: tables whose
+    keys do not keep the data ``for_vertex`` was given.  The text keys keep
+    the reading the parse made; the others read their bytes."""
+    obj = jsonio.table_to_obj(InvariantTable(dict(rows)))
+    as_objects = []
+    for row in obj:
+        graph = jsonio.graph_to_dict(graph_from_canonical(row["key"]["graph"]))
+        as_objects.append({**row, "key": {**row["key"], "graph": graph}})
+    by_component = InvariantTable()
+    for key, value in rows:
+        graph = graph_from_canonical(key.graph)
+        legs, roots = graph.leg_labels(), graph.root_labels()
+        by_component.set(
+            CorrelatorKey.for_component(
+                key.side,
+                graph,
+                {lab: Insertion(m, cid) for lab, (m, cid) in zip(legs, key.legs)},
+                dict(zip(roots, key.roots)),
+            ),
+            value,
+        )
+    return [jsonio.table_from_obj(obj), jsonio.table_from_obj(as_objects), by_component]
+
+
+def _draws_and_cells():
+    rng = random.Random(4242)
+    for _ in range(30):
+        problem, insertions = random_problem(rng, max_legs=2)
+        keys = needed_keys(problem, insertions)
+        yield problem, insertions, covariant_random_table(
+            keys, problem.divisor, problem.ambient, rng
+        )
+    for d, g in itertools.product(range(1, 4), range(3)):
+        problem, insertions = p1_problem(d, g, second_side_legs=int(d > 1))
+        p1 = build_p1_table(d, g, max_legs=len(insertions))
+        yield problem, insertions, InvariantTable(dict(p1.items()))
+
+
+def test_vertex_value_answers_as_get_by_key():
+    # a plain table answers the kernel's vertex data as its key lookup does,
+    # whichever way its keys were built; with every other entry left out,
+    # the data of a left-out key answers None both ways
+    asked_total = 0
+    for problem, insertions, table in _draws_and_cells():
+        asked = _asked_data(problem, insertions, table)
+        asked_total += len(asked)
+        rows = table.items()
+        assert all(key.vertex() is not None for key, _ in rows)
+        for kept in (rows, rows[::2]):
+            for variant in [InvariantTable(dict(kept))] + _same_keys_rebuilt(kept):
+                assert variant.items() == kept
+                for key, _ in variant.items():
+                    assert CorrelatorKey.for_vertex(*key.vertex()) == key
+                for data in asked:
+                    assert variant.vertex_value(*data) == variant.get(
+                        CorrelatorKey.for_vertex(*data)
+                    ), data
+                    if kept is rows:
+                        assert variant.vertex_value(*data) is not None
+    assert asked_total > 1000
+
+
+def test_vertex_value_skips_keys_without_vertex_data():
+    full = CorrelatorKey.for_vertex(
+        "X1", 1, CurveClass({"a": 2}), ((1, 0, "g"), (1, 1, "g")), ((1, 2, "d0"),)
+    )
+    data = full.vertex()
+    assert data == ("X1", 1, CurveClass({"a": 2}), ((1, 0, "g"), (1, 1, "g")), ((1, 2, "d0"),))
+    # a hand-built key listing one leg fewer than its graph has no vertex
+    # data; the data with that leg dropped is another key's
+    short = CorrelatorKey(full.side, full.graph, full.legs[:1], full.roots)
+    dropped = data[:3] + (data[3][:1], data[4])
+    assert short.vertex() is None and CorrelatorKey.for_vertex(*dropped) != short
+    two_vertices = CorrelatorKey.for_component(
+        "X1",
+        ModularGraph(
+            vertices=(Vertex(0, CurveClass({"a": 1})), Vertex(0, CurveClass({"a": 1}))),
+            edges=((0, 1),),
+            roots=(Root(1, 1, 1, 0), Root(2, 1, 1, 1)),
+        ),
+        {},
+        {1: "d0", 2: "d0"},
+    )
+    assert two_vertices.vertex() is None
+    table = InvariantTable({short: Fraction(5), two_vertices: Fraction(7)})
+    assert (table.get(short), table.get(two_vertices), len(table)) == (5, 7, 2)
+    for asked in (data, dropped):
+        assert table.vertex_value(*asked) is None
+        assert table.get(CorrelatorKey.for_vertex(*asked)) is None
+    # a key set twice, the second time as an equal key read from its bytes,
+    # answers the last value both ways, whether or not it was looked up by
+    # data in between
+    table.set(full, Fraction(1))
+    assert table.vertex_value(*data) == table.get(full) == 1
+    table.set(CorrelatorKey(full.side, full.graph, full.legs, full.roots), Fraction(3))
+    table.set(full, Fraction(4))
+    assert table.vertex_value(*data) == table.get(full) == 4
+    assert len(table) == 3
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_convention_equivalence_property(rng):
+    # acceptance criterion 2 as a property: on a random problem with a
+    # covariant table, both dual conventions give one value
+    problem, insertions = random_problem(rng)
+    keys = needed_keys(problem, insertions)
+    table = covariant_random_table(keys, problem.divisor, problem.ambient, rng)
+    std, crn = (
+        evaluate_degeneration(problem, insertions, table, convention=convention).value
+        for convention in CONVENTIONS
+    )
+    assert std == crn
 
 
 def test_splitting_inner_sum_is_zero_off_condition_B():

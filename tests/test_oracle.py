@@ -409,6 +409,28 @@ def test_vertex_data_agrees_with_the_reference_on_p1_keys():
                 assert _read_back(key) == _vertex_data(key), key
 
 
+def test_key_vertex_is_the_p1_table_decode():
+    # CorrelatorKey.vertex is None exactly where P1Table.get's own decode
+    # (``_read_back``) gave None, and otherwise gives its data, for keys
+    # that keep the data of for_vertex and for the same keys read from
+    # their bytes
+    conv = P1Conventions()
+    rng = random.Random(2032)
+    keys = []
+    for d_max, g_max in itertools.product(range(1, 4), range(3)):
+        table = build_p1_table(d_max, g_max, conv)
+        inside, misses = _near_misses(d_max, g_max, table.max_legs, conv)
+        keys += [key for key, _ in table.items()] + [inside, *misses.values()]
+    for _ in range(20):
+        keys += needed_keys(*random_problem(rng))
+    without = 0
+    for key in keys:
+        rebuilt = CorrelatorKey(key.side, key.graph, key.legs, key.roots)
+        assert key.vertex() == rebuilt.vertex() == _read_back(key), key
+        without += key.vertex() is None
+    assert without == 4 * 9
+
+
 def test_vertex_data_agrees_with_the_reference_on_needed_keys():
     rng = random.Random(2031)
     for _ in range(60):

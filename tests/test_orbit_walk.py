@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from degenkit.algebra import BasisClass, Parity, Sector, SectorCatalog
 from degenkit.correlator import (
     CONVENTIONS,
+    CorrelatorKey,
     Insertion,
     InvariantTable,
     evaluate_degeneration,
@@ -198,7 +199,8 @@ def test_the_walk_counts_degrees_in_sixths():
 
 
 class RecordingTable(InvariantTable):
-    """A table that records every key looked up."""
+    """A table that records every key looked up, by key or by the vertex
+    data of its key."""
 
     def __init__(self, table: InvariantTable):
         super().__init__(dict(table.items()))
@@ -207,6 +209,10 @@ class RecordingTable(InvariantTable):
     def get(self, key):
         self.looked_up.add(key)
         return super().get(key)
+
+    def vertex_value(self, side, genus, weight, legs, roots):
+        self.looked_up.add(CorrelatorKey.for_vertex(side, genus, weight, legs, roots))
+        return super().vertex_value(side, genus, weight, legs, roots)
 
 
 def check_orbit_evaluation(problem, insertions, table, needed=None):
@@ -220,6 +226,7 @@ def check_orbit_evaluation(problem, insertions, table, needed=None):
             problem, insertions, labeled_table, convention=convention, with_terms=True
         )
         assert plain.value == labeled.value
+        assert plain_table.looked_up or not len(table)
         assert plain_table.looked_up <= labeled_table.looked_up
         if needed is not None:
             assert plain_table.looked_up <= needed
