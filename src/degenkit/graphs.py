@@ -72,7 +72,9 @@ class CurveClass:
 
     def __init__(self, exponents=()):
         if isinstance(exponents, CurveClass):
-            exponents = exponents.exponents
+            # already normalised: nonnegative ints, sorted, no zeros
+            object.__setattr__(self, "exponents", exponents.exponents)
+            return
         items = dict(exponents)
         for gid, e in items.items():
             if int(e) != e or e < 0:
@@ -296,24 +298,46 @@ def glue(xi1: ModularGraph, xi2: ModularGraph) -> ModularGraph:
 # -- canonical forms ---------------------------------------------------------
 
 
-def _serialize(graph: ModularGraph, order: list[int]) -> bytes:
-    pos = {v: i for i, v in enumerate(order)}
-    payload = {
-        "v": [
-            [graph.vertices[v].genus, list(map(list, graph.vertices[v].weight.exponents))]
-            for v in order
-        ],
-        "e": sorted(
-            sorted((pos[a], pos[b])) for a, b in graph.edges
+def vertex_keys(graph: ModularGraph) -> list[tuple]:
+    """Each vertex's key (legs as sorted (label, e), roots as sorted (label,
+    f, c), genus, weight exponents), built in one pass over the legs and
+    roots; labels are unique, so sorting the tuples sorts by label."""
+    legs: list[list] = [[] for _ in graph.vertices]
+    roots: list[list] = [[] for _ in graph.vertices]
+    for l in graph.legs:
+        legs[l.vertex].append((l.label, l.e))
+    for r in graph.roots:
+        roots[r.vertex].append((r.label, r.f, r.c))
+    return [
+        (tuple(sorted(legs[v])), tuple(sorted(roots[v])), vx.genus, vx.weight.exponents)
+        for v, vx in enumerate(graph.vertices)
+    ]
+
+
+_quote = json.encoder.encode_basestring_ascii  # json.dumps of a str
+
+
+def keyed_form(keys, edges=()) -> bytes:
+    """The canonical-form text of the graph whose vertex i has the key
+    ``keys[i]`` (``vertex_keys``) and whose edges join the positions in
+    ``edges``, written straight from the rows.  It is what ``json.dumps``
+    with sorted keys and no spaces gives for {"e": sorted edges, "l":
+    sorted [label, e, vertex], "r": sorted [label, f, c, vertex], "v":
+    [genus, exponents] per vertex}."""
+    legs = sorted((lab, e, i) for i, key in enumerate(keys) for lab, e in key[0])
+    roots = sorted((lab, f, c, i) for i, key in enumerate(keys) for lab, f, c in key[1])
+    text = '{"e":[%s],"l":[%s],"r":[%s],"v":[%s]}' % (
+        ",".join(["[%d,%d]" % e for e in sorted((min(e), max(e)) for e in edges)]),
+        ",".join(["[%d,%d,%d]" % leg for leg in legs]),
+        ",".join(["[%d,%d,%d,%d]" % root for root in roots]),
+        ",".join(
+            [
+                "[%d,[%s]]" % (genus, ",".join(["[%s,%d]" % (_quote(gid), e) for gid, e in exps]))
+                for _, _, genus, exps in keys
+            ]
         ),
-        "l": sorted([l.label, l.e, pos[l.vertex]] for l in graph.legs),
-        "r": sorted([r.label, r.f, r.c, pos[r.vertex]] for r in graph.roots),
-    }
-    return _dump(payload)
-
-
-def _dump(payload: dict) -> bytes:
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+    )
+    return text.encode()
 
 
 def vertex_form(genus: int, weight, leg_e, root_fc) -> bytes:
@@ -324,8 +348,8 @@ def vertex_form(genus: int, weight, leg_e, root_fc) -> bytes:
     ``leg_e`` and are labeled 1..n in that order, its roots have the
     (f, c) pairs ``root_fc`` and are labeled n+1..n+k.  A single vertex
     leaves no tie to break, so the bytes are written straight from the ints
-    in the layout of ``_dump``; only the generator ids go through
-    ``json.dumps``, which escapes them as ``_dump`` does.
+    in the layout of ``keyed_form``, with the generator ids escaped by
+    ``json.dumps``.
     """
     if genus < 0:
         raise DegenkitError("vertex genus must be nonnegative")
@@ -364,23 +388,13 @@ def canonical_form(graph: ModularGraph) -> bytes:
     """Byte string equal for two graphs iff they are isomorphic respecting
     every label, index, contact order, genus and weight.
 
-    Vertices are ordered by (incident labels, genus, weight), a key built
-    once per vertex in one pass over the legs and roots; marked vertices
-    are pinned by their unique labels, and any remaining ties are broken by
-    taking the lexicographically least serialization over permutations
-    within tied groups; above 40,320 such orderings it raises ScaleError.
+    Vertices are ordered by their keys (``vertex_keys``: incident labels,
+    genus, weight); marked vertices are pinned by their unique labels, and
+    any remaining ties are broken by taking the lexicographically least
+    text over permutations within tied groups; above 40,320 such orderings
+    it raises ScaleError.  Each ordering is written by ``keyed_form``.
     """
-    legs: list[list] = [[] for _ in graph.vertices]
-    roots: list[list] = [[] for _ in graph.vertices]
-    for l in graph.legs:
-        legs[l.vertex].append((l.label, l.e))
-    for r in graph.roots:
-        roots[r.vertex].append((r.label, r.f, r.c))
-    # labels are unique, so sorting the tuples sorts by label
-    keys = [
-        (tuple(sorted(legs[v])), tuple(sorted(roots[v])), vx.genus, vx.weight.exponents)
-        for v, vx in enumerate(graph.vertices)
-    ]
+    keys = vertex_keys(graph)
     keyed = sorted(range(len(keys)), key=keys.__getitem__)
     groups: list[list[int]] = []
     for v in keyed:
@@ -390,7 +404,7 @@ def canonical_form(graph: ModularGraph) -> bytes:
             groups.append([v])
     ambiguous = [g for g in groups if len(g) > 1]
     if not ambiguous:
-        return _serialize(graph, keyed)
+        return _ordered_form(keys, keyed, graph.edges)
     count = 1
     for g in ambiguous:
         count *= math.factorial(len(g))
@@ -401,10 +415,16 @@ def canonical_form(graph: ModularGraph) -> bytes:
         *[itertools.permutations(g) for g in groups]
     ):
         order = [v for block in perm_choice for v in block]
-        blob = _serialize(graph, order)
+        blob = _ordered_form(keys, order, graph.edges)
         if best is None or blob < best:
             best = blob
     return best
+
+
+def _ordered_form(keys, order, edges) -> bytes:
+    """``keyed_form`` of the graph with its vertices put in ``order``."""
+    pos = {v: i for i, v in enumerate(order)}
+    return keyed_form([keys[v] for v in order], [(pos[a], pos[b]) for a, b in edges])
 
 
 def canonical_json(graph: ModularGraph) -> str:

@@ -35,8 +35,10 @@ from .graphs import (
     components,
     d_degree,
     glue,
+    keyed_form,
     total_genus,
     total_weight,
+    vertex_keys,
 )
 
 
@@ -106,17 +108,16 @@ class Splitting:
             raise DegenkitError("splitting sides must have no edges")
         if self.xi1.root_labels() != self.m_labels or self.xi2.root_labels() != self.m_labels:
             raise DegenkitError("both sides must carry exactly the shared root labels")
-        for lab in self.m_labels:
-            r1, r2 = self.xi1.root_by_label(lab), self.xi2.root_by_label(lab)
-            if (r1.f, r1.c) != (r2.f, r2.c):
-                raise DegenkitError("matched roots must agree in (f, c)")
+        fc1 = {r.label: (r.f, r.c) for r in self.xi1.roots}
+        if any(fc1[r.label] != (r.f, r.c) for r in self.xi2.roots):
+            raise DegenkitError("matched roots must agree in (f, c)")
         if self.m_labels:
             for side in (self.xi1, self.xi2):
-                for v in range(len(side.vertices)):
-                    if not side.roots_of_vertex(v):
-                        raise DegenkitError(
-                            "every vertex must touch a root when M is nonempty"
-                        )
+                # root vertices are in range, so this holds iff each has a root
+                if len({r.vertex for r in side.roots}) != len(side.vertices):
+                    raise DegenkitError(
+                        "every vertex must touch a root when M is nonempty"
+                    )
 
     def contacts(self) -> tuple[int, ...]:
         return tuple(self.xi1.root_by_label(lab).c for lab in self.m_labels)
@@ -155,19 +156,6 @@ class Splitting:
             report = check_condition_B(side, problem.monoid)
             if not report.ok:
                 raise DegenkitError("condition B fails: %s" % (report.failures,))
-
-    def relabeled(self, sigma: dict[int, int]) -> "Splitting":
-        """Apply a root-relabeling permutation to both sides."""
-
-        def remap(g: ModularGraph) -> ModularGraph:
-            return ModularGraph(
-                vertices=g.vertices,
-                edges=g.edges,
-                legs=g.legs,
-                roots=tuple(Root(sigma[r.label], r.f, r.c, r.vertex) for r in g.roots),
-            )
-
-        return Splitting(remap(self.xi1), remap(self.xi2), tuple(sorted(sigma.values())))
 
 
 @dataclass(frozen=True)
@@ -228,28 +216,25 @@ class SplittingStructure:
             return self.blocks1, self.weights1, self.genera1
         return self.blocks2, self.weights2, self.genera2
 
-    def fc_of(self, label: int) -> tuple[int, int]:
-        return self.root_data[self.m_labels.index(label)]
-
     def build_splitting(self, leg_assignment: dict[int, tuple[str, int]], legs: Sequence[LegSpec]) -> Splitting:
         """Materialize with legs placed via {label: (side, vertex index)}."""
-        spec_by_label = {l.label: l for l in legs}
+        e_of = {l.label: l.e for l in legs}
+        fc_of = dict(zip(self.m_labels, self.root_data))
 
         def build(which: str) -> ModularGraph:
             blocks, weights, genera = self.side(which)
-            roots = []
-            for vi, block in enumerate(blocks):
-                for lab in block:
-                    f, c = self.fc_of(lab)
-                    roots.append(Root(lab, f, c, vi))
-            gl = []
-            for lab, (side, vi) in leg_assignment.items():
-                if side == which:
-                    gl.append(Leg(lab, spec_by_label[lab].e, vi))
+            roots = [
+                Root(lab, *fc_of[lab], vi) for vi, block in enumerate(blocks) for lab in block
+            ]
+            gl = [
+                Leg(lab, e_of[lab], vi)
+                for lab, (side, vi) in sorted(leg_assignment.items())
+                if side == which
+            ]
             return ModularGraph(
                 vertices=tuple(Vertex(g, w) for g, w in zip(genera, weights)),
                 edges=(),
-                legs=tuple(sorted(gl, key=lambda l: l.label)),
+                legs=tuple(gl),
                 roots=tuple(sorted(roots, key=lambda r: r.label)),
             )
 
@@ -513,10 +498,22 @@ def _root_plan(problem: DegenerationProblem):
     return _Decorations(betas, degrees), deg1, pairs, mults, m_max
 
 
+def _partitions(listed: dict, labels: tuple[int, ...]):
+    """``enumerate(set_partitions(labels))``, listed as the consumer takes
+    them and kept in ``listed`` once complete (``_listing``)."""
+    kept = listed.get(labels)
+    if kept is None:
+        kept = _listing(listed, labels, set_partitions(labels))
+    return enumerate(kept)
+
+
 def iter_structures(
     problem: DegenerationProblem, budget: Optional[_Budget] = None
 ) -> Iterator[SplittingStructure]:
-    """Walk all leg-free splitting structures in a deterministic order."""
+    """Walk all leg-free splitting structures in a deterministic order.
+
+    Every contact tuple, first-side root partition, pair of partitions
+    examined and structure ticks ``budget``."""
     plan = _root_plan(problem)
     if plan is None:
         return
@@ -536,19 +533,30 @@ def iter_structures(
             budget.tick()
             yield SplittingStructure((), (), (), (), (), ((),), (beta2,), (g,))
         return
+    listed: dict = {}  # each label tuple's partitions, once a listing completes
     for m in range(1, m_max + 1):
         labels = tuple(range(n + 1, n + m + 1))
-        partitions = list(set_partitions(labels))
         connected: dict = {}  # _blocks_connected per pair of partition indices
         for fc in _contact_tuples(pairs, mults, m, deg):
             budget.tick()
             dd = {lab: mult[p] for lab, p in zip(labels, fc)}
-            targets = [tuple(sum(dd[lab] for lab in b) for b in blocks) for blocks in partitions]
-            for i1, (blocks1, t1) in enumerate(zip(partitions, targets)):
-                w1_options = options.weights(0, t1)
+            targets: dict = {}  # per-block degrees by partition index
+
+            def target(i: int, blocks) -> tuple:
+                t = targets.get(i)
+                if t is None:
+                    t = targets[i] = tuple(sum(dd[lab] for lab in b) for b in blocks)
+                return t
+
+            # each partition and each pair of them ticks as it is examined,
+            # so the budget bounds the Bell(m) + Bell(m)^2 of them per tuple
+            for i1, blocks1 in _partitions(listed, labels):
+                budget.tick()
+                w1_options = options.weights(0, target(i1, blocks1))
                 if not w1_options:
                     continue
-                for i2, (blocks2, t2) in enumerate(zip(partitions, targets)):
+                for i2, blocks2 in _partitions(listed, labels):
+                    budget.tick()
                     k1, k2 = len(blocks1), len(blocks2)
                     cycles = m - k1 - k2 + 1
                     if cycles < 0 or g - cycles < 0:
@@ -558,7 +566,7 @@ def iter_structures(
                         ok = connected[i1, i2] = _blocks_connected(blocks1, blocks2)
                     if not ok:
                         continue
-                    w2_options = options.weights(1, t2)
+                    w2_options = options.weights(1, target(i2, blocks2))
                     if not w2_options:
                         continue
                     for w1, _ in w1_options:
@@ -887,6 +895,16 @@ def orbits(splittings: Sequence[Splitting]) -> list[SplittingOrbit]:
     pair) order; for each, size * stabilizer_order = |M|!.  A splitting
     keeps its canonical pair once computed, so the pairs
     ``enumerate_splittings`` sorted by are not computed again here.
+
+    Each twin (the image of a representative under a root permutation) is
+    keyed without building it: the representative's vertex keys
+    (``graphs.vertex_keys``) are taken once per side, and for each
+    permutation the root labels in them are mapped, the vertices re-sorted
+    by key and the pair written by ``graphs.keyed_form``.  No tie between
+    vertices arises to break: a splitting with M nonempty has a root on
+    every vertex of each side, and root labels are unique, so the keys of
+    a side's vertices differ; with M empty the only permutation is the
+    identity, whose pair is the representative's own.
     """
     keys = [s.canonical_pair() for s in splittings]
     position = {key: i for i, key in enumerate(keys)}
@@ -897,10 +915,22 @@ def orbits(splittings: Sequence[Splitting]) -> list[SplittingOrbit]:
         if i in seen:
             continue
         eta = splittings[i]
+        sides = vertex_keys(eta.xi1), vertex_keys(eta.xi2)
         found, stab = set(), 0
         for perm in itertools.permutations(eta.m_labels):
-            twin = eta if perm == eta.m_labels else eta.relabeled(dict(zip(eta.m_labels, perm)))
-            ikey = twin.canonical_pair()
+            if perm == eta.m_labels:
+                ikey = keys[i]
+            else:
+                sigma = dict(zip(eta.m_labels, perm))
+                ikey = tuple(
+                    keyed_form(
+                        sorted(
+                            (legs, tuple(sorted((sigma[lab], f, c) for lab, f, c in roots)), g, w)
+                            for legs, roots, g, w in side
+                        )
+                    )
+                    for side in sides
+                )
             if ikey not in position:
                 raise DegenkitError("orbits: input is not closed under root relabeling")
             stab += ikey == keys[i]

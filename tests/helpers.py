@@ -7,6 +7,7 @@ suite runs it too) and is re-exported here as monomial_reorder_sign.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -21,10 +22,17 @@ from degenkit.graphs import (
     CurveClassMonoid,
     Generator,
     ModularGraph,
-    _serialize,
+    Root,
     graph_from_canonical,
 )
-from degenkit.splitting import DegenerationProblem, LegSpec, _Budget, iter_structures
+from degenkit.splitting import (
+    DegenerationProblem,
+    LegSpec,
+    Splitting,
+    SplittingOrbit,
+    _Budget,
+    iter_structures,
+)
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 
@@ -346,6 +354,29 @@ def orbit_key(problem: DegenerationProblem) -> tuple:
 # -- canonical forms ------------------------------------------------------------
 
 
+def _dump(payload: dict) -> bytes:
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+
+
+def _serialize(graph: ModularGraph, order: list[int]) -> bytes:
+    """The canonical text of ``graph`` with its vertices in ``order``, built
+    as a dict and written by ``json.dumps``: the reference for the layout
+    ``graphs.keyed_form`` writes directly."""
+    pos = {v: i for i, v in enumerate(order)}
+    payload = {
+        "v": [
+            [graph.vertices[v].genus, list(map(list, graph.vertices[v].weight.exponents))]
+            for v in order
+        ],
+        "e": sorted(
+            sorted((pos[a], pos[b])) for a, b in graph.edges
+        ),
+        "l": sorted([l.label, l.e, pos[l.vertex]] for l in graph.legs),
+        "r": sorted([r.label, r.f, r.c, pos[r.vertex]] for r in graph.roots),
+    }
+    return _dump(payload)
+
+
 def _reference_vertex_key(graph: ModularGraph, v: int):
     return (
         tuple((l.label, l.e) for l in graph.legs_of_vertex(v)),
@@ -384,3 +415,46 @@ def reference_canonical_form(graph: ModularGraph) -> bytes:
         if best is None or blob < best:
             best = blob
     return best
+
+
+# -- orbits of splittings ---------------------------------------------------------
+
+
+def relabeled(splitting: Splitting, sigma: dict[int, int]) -> Splitting:
+    """Apply a root-relabeling permutation to both sides."""
+
+    def remap(g: ModularGraph) -> ModularGraph:
+        return ModularGraph(
+            vertices=g.vertices,
+            edges=g.edges,
+            legs=g.legs,
+            roots=tuple(Root(sigma[r.label], r.f, r.c, r.vertex) for r in g.roots),
+        )
+
+    return Splitting(remap(splitting.xi1), remap(splitting.xi2), tuple(sorted(sigma.values())))
+
+
+def reference_orbits(splittings) -> list[SplittingOrbit]:
+    """``splitting.orbits`` with every twin built as a relabeled splitting
+    and keyed by ``reference_canonical_form``: the reference for its
+    representatives, stabilizer orders and members."""
+    keys = [
+        (reference_canonical_form(s.xi1), reference_canonical_form(s.xi2)) for s in splittings
+    ]
+    position = {key: i for i, key in enumerate(keys)}
+    order = sorted(range(len(splittings)), key=lambda i: (len(splittings[i].m_labels), keys[i]))
+    seen: set[int] = set()
+    out = []
+    for i in order:
+        if i in seen:
+            continue
+        eta = splittings[i]
+        found, stab = set(), 0
+        for perm in itertools.permutations(eta.m_labels):
+            twin = relabeled(eta, dict(zip(eta.m_labels, perm)))
+            key = reference_canonical_form(twin.xi1), reference_canonical_form(twin.xi2)
+            stab += key == keys[i]
+            found.add(position[key])
+        seen |= found
+        out.append(SplittingOrbit(eta, stab, tuple(sorted(found, key=keys.__getitem__))))
+    return out

@@ -692,6 +692,24 @@ def test_keys_stop_at_the_budget_with_many_odd_legs():
     assert time.process_time() - start < 1
 
 
+def test_cli_labeled_walk_stops_at_the_budget_with_24_roots(tmp_path, capsys, monkeypatch):
+    # beta {a: 24, b: 24} with contact order 1 allows up to 24 roots; the
+    # labeled walk of splittings and evaluate --terms lists the Bell(|M|)
+    # partitions of the roots as it ticks each one and each pair of them,
+    # so the budget stops it before it lists them all
+    problem = json.loads((DOCS / "sample_problem.json").read_text())
+    problem.update(beta={"a": 24, "b": 24}, c_max=1)
+    p = _write(tmp_path, "problem.json", problem)
+    i = str(DOCS / "sample_insertions.json")
+    t = _write(tmp_path, "table.json", [])
+    monkeypatch.setenv("DEGENKIT_BUDGET", "1000")
+    for argv in (["splittings", p], ["evaluate", p, i, t, "--terms"]):
+        start = time.process_time()
+        assert cli.main(argv) == 3, argv
+        assert time.process_time() - start < 1, argv
+        assert json.loads(capsys.readouterr().err)["error"] == "enumeration-budget-exceeded"
+
+
 def test_cli_too_many_roots_exit_2(tmp_path, capsys, monkeypatch):
     # beta {a: 2000, b: 2000} with contact order 1 allows 2,000 roots, past
     # splitting.MAX_ROOTS: every walk refuses it before it starts
@@ -991,6 +1009,10 @@ PINNED_STDOUT = {
     },
 }
 PINNED_SAMPLE_SPLITTINGS = "6fc41f00fd20f751b41474efe75092b5e025706e8ac3f6998bf355ac5b4cb2d3"
+# `splittings --orbits` of P1 (degree, genus, legs on X2) = (3, 0, 2): 131
+# rows with legs on both sides, recorded before twins were keyed from vertex
+# keys; also checked on the installed script in CI
+PINNED_P1_SPLITTINGS = "de92a9e5c04eb778681134a368bd941382082f7aa759137cfea12ceccb833cba"
 
 
 def _stdout_digest(capsys, argv) -> str:
@@ -1027,6 +1049,12 @@ def test_cli_stdout_digests_are_pinned(cell, tmp_path, capsys):
 def test_cli_sample_splittings_digest_is_pinned(capsys):
     argv = ["splittings", str(DOCS / "sample_problem.json"), "--orbits"]
     assert _stdout_digest(capsys, argv) == PINNED_SAMPLE_SPLITTINGS
+
+
+def test_cli_p1_splittings_digest_is_pinned(tmp_path, capsys):
+    problem, _ = p1_problem(3, 0, second_side_legs=2)
+    path = _write(tmp_path, "problem.json", jsonio.problem_to_dict(problem))
+    assert _stdout_digest(capsys, ["splittings", path, "--orbits"]) == PINNED_P1_SPLITTINGS
 
 
 def test_cli_main_reuses_one_parser_across_calls(capsys, monkeypatch):

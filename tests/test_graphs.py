@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenkit.errors import DegenkitError, GluingError, ScaleError
-from helpers import reference_canonical_form
+from helpers import _dump, reference_canonical_form
 from degenkit.graphs import (
     CurveClass,
     CurveClassMonoid,
@@ -16,7 +16,6 @@ from degenkit.graphs import (
     ModularGraph,
     Root,
     Vertex,
-    _dump,
     canonical_form,
     components,
     d_degree,
@@ -259,10 +258,35 @@ def _tied_graph(rng: random.Random, nv: int) -> ModularGraph:
     return ModularGraph(vertices, tuple(edges), legs, roots)
 
 
+def _side_graph(rng: random.Random, nv: int) -> ModularGraph:
+    """An edge-free graph shaped like a splitting side: every vertex has a
+    root, legs on some vertices, and weights over escaped generator ids."""
+    ids = ("a", "line1", 'a"b', "é")
+    vertices = tuple(
+        _vertex(rng.choice((0, 0, 1)), {gid: rng.randint(1, 3) for gid in rng.sample(ids, 2)})
+        for _ in range(nv)
+    )
+    labels = rng.sample(range(1, 40), 2 * nv + 3)
+    owners = list(range(nv)) + [rng.randrange(nv) for _ in range(rng.randint(0, nv))]
+    rng.shuffle(owners)
+    roots = tuple(
+        Root(lab, rng.randint(1, 2), rng.randint(1, 3), v) for lab, v in zip(labels, owners)
+    )
+    legs = tuple(
+        Leg(lab, rng.randint(1, 2), rng.randrange(nv))
+        for lab in labels[len(owners):][: rng.randint(0, 3)]
+    )
+    return ModularGraph(vertices, (), legs, roots)
+
+
 def test_canonical_form_matches_the_reference_bytes():
     rng = random.Random(5)
     for _ in range(200):
         graph = _tied_graph(rng, rng.randint(2, 6))
+        assert canonical_form(graph) == reference_canonical_form(graph)
+    # edge-free graphs of the shape of splitting sides
+    for _ in range(200):
+        graph = _side_graph(rng, rng.randint(1, 6))
         assert canonical_form(graph) == reference_canonical_form(graph)
     # exactly 8! = 40,320 orderings of tied vertices are still tried
     graph = ModularGraph(vertices=tuple(_vertex(0) for _ in range(8)), edges=((0, 0),))

@@ -33,7 +33,7 @@ from degenkit.splitting import (
     iter_structures,
     orbits,
 )
-from helpers import covariant_random_table, random_problem
+from helpers import covariant_random_table, random_problem, reference_orbits
 
 
 def _divisor(bands=(1,)):
@@ -642,6 +642,29 @@ def test_orbits_do_not_depend_on_stored_canonical_pairs():
 
     assert summary(orbits(fresh)) == summary(orbits(omega))
     assert [s.canonical_pair() for s in fresh] == [s.canonical_pair() for s in omega]
+
+
+def test_orbits_match_the_relabeled_reference():
+    # twins keyed from the representative's vertex keys give the orbits of
+    # relabeled splittings keyed by the dict-and-json.dumps reference
+    rng = random.Random(41)
+    problems = [random_problem(rng, max_legs=2)[0] for _ in range(20)]
+    problems += [
+        p1_problem(d, g, second_side_legs=k)[0]
+        for d in (1, 2, 3)
+        for g in (0, 1)
+        for k in sorted({0, d + g - 1})  # no legs or half the legs on X2
+    ]
+
+    def summary(orbit_list):
+        return [(o.representative, o.stabilizer_order, o.members) for o in orbit_list]
+
+    sizes = set()
+    for problem in problems:
+        omega = enumerate_splittings(problem)
+        assert summary(orbits(omega)) == summary(reference_orbits(omega))
+        sizes.update(len(s.m_labels) for s in omega)
+    assert max(sizes) >= 3
 
 
 # -- kept walks -----------------------------------------------------------------
