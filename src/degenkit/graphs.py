@@ -427,10 +427,6 @@ def _ordered_form(keys, order, edges) -> bytes:
     return keyed_form([keys[v] for v in order], [(pos[a], pos[b]) for a, b in edges])
 
 
-def canonical_json(graph: ModularGraph) -> str:
-    return canonical_form(graph).decode()
-
-
 def graph_from_canonical(blob: str | bytes) -> ModularGraph:
     data = json.loads(blob if isinstance(blob, str) else blob.decode())
     return ModularGraph(

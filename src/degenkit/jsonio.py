@@ -376,27 +376,20 @@ def twisting_to_obj(rule: TwistingChoice):
 # -- splittings ---------------------------------------------------------------
 
 
-def splitting_to_dict(s: Splitting) -> dict:
-    return {
-        "xi1": graph_to_dict(s.xi1),
-        "xi2": graph_to_dict(s.xi2),
-        "m_labels": list(s.m_labels),
-    }
-
-
-def splitting_from_dict(data: dict) -> Splitting:
-    return Splitting(
-        graph_from_dict(data["xi1"]),
-        graph_from_dict(data["xi2"]),
-        tuple(_int(x, "root label") for x in data["m_labels"]),
-    )
+def _splitting_row(s: Splitting) -> dict:
+    """A splitting's row, its graphs kept as they are: ``dumps`` writes
+    each one (``_graph_text``)."""
+    return {"xi1": s.xi1, "xi2": s.xi2, "m_labels": list(s.m_labels)}
 
 
 def splittings_to_obj(splittings, orbit_list=None) -> list:
-    """JSON array of graph pairs; with ``orbits(splittings)``, each row gains
-    a block naming its orbit, whether it is the representative, the
-    stabilizer order, and the orbit size."""
-    rows = [splitting_to_dict(s) for s in splittings]
+    """The rows ``splittings`` prints: each splitting's graph pair and root
+    labels; with ``orbits(splittings)``, each row gains a block naming its
+    orbit, whether it is the representative, the stabilizer order, and the
+    orbit size.  The graphs stay ``ModularGraph`` objects, which ``dumps``
+    writes in the bytes of their ``graph_to_dict`` form; ``json.loads`` of
+    those bytes gives that form."""
+    rows = [_splitting_row(s) for s in splittings]
     if orbit_list is not None:
         for orbit_number, o in enumerate(orbit_list):
             for i in o.members:
@@ -545,7 +538,7 @@ def result_to_obj(result: EvaluationResult) -> dict:
     if result.terms is not None:
         out["terms"] = [
             {
-                "splitting": splitting_to_dict(t.splitting),
+                "splitting": _splitting_row(t.splitting),
                 "multiplicity": t.multiplicity,
                 "delta_choice": [
                     {"label": lab, "class": cid} for lab, cid in t.delta_choice
@@ -571,12 +564,54 @@ def result_to_obj(result: EvaluationResult) -> dict:
     return out
 
 
+def _graph_text(graph: ModularGraph, indent: str) -> str:
+    """``json.dumps(graph_to_dict(graph), indent=2, sort_keys=True)``, its
+    lines after the first indented by ``indent``, written straight from the
+    graph's fields: no dict is built and no key sorted.  The keys of each
+    object are written in sorted order, and a weight's generators already
+    are (``CurveClass``)."""
+    i1 = indent + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    i4 = i3 + "  "
+    edge = "[\n" + i3 + "%d,\n" + i3 + "%d\n" + i2 + "]"
+    leg = "{\n" + i3 + '"e": %d,\n' + i3 + '"label": %d,\n' + i3 + '"vertex": %d\n' + i2 + "}"
+    root = (
+        "{\n" + i3 + '"c": %d,\n' + i3 + '"f": %d,\n' + i3 + '"label": %d,\n'
+        + i3 + '"vertex": %d\n' + i2 + "}"
+    )
+    vertex = "{\n" + i3 + '"genus": %d,\n' + i3 + '"weight": %s\n' + i2 + "}"
+    exponent = ",\n" + i4
+
+    def array(items: list) -> str:
+        if not items:
+            return "[]"
+        return "[\n" + i2 + (",\n" + i2).join(items) + "\n" + i1 + "]"
+
+    def weight(exponents) -> str:
+        if not exponents:
+            return "{}"
+        pairs = exponent.join(["%s: %d" % (_quote(gid), e) for gid, e in exponents])
+        return "{\n" + i4 + pairs + "\n" + i3 + "}"
+
+    return (
+        "{\n" + i1 + '"edges": ' + array([edge % e for e in graph.edges])
+        + ",\n" + i1 + '"legs": ' + array([leg % (l.e, l.label, l.vertex) for l in graph.legs])
+        + ",\n" + i1 + '"roots": '
+        + array([root % (r.c, r.f, r.label, r.vertex) for r in graph.roots])
+        + ",\n" + i1 + '"vertices": '
+        + array([vertex % (v.genus, weight(v.weight.exponents)) for v in graph.vertices])
+        + "\n" + indent + "}"
+    )
+
+
 def _append_json(obj, indent: str, out: list) -> None:
     """Append the pieces of ``json.dumps(obj, indent=2, sort_keys=True)``
     to ``out``; ``indent`` is the indent of the line ``obj`` starts on.
     Keys must be strings (``_quote`` raises TypeError on others).  The
     str and int values of dicts and the ints of lists, the bulk of every
-    output, are written without a call."""
+    output, are written without a call.  A ``ModularGraph`` is written as
+    its ``graph_to_dict`` form would be (``_graph_text``)."""
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -609,6 +644,8 @@ def _append_json(obj, indent: str, out: list) -> None:
                 _append_json(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
+    elif type(obj) is ModularGraph:
+        out.append(_graph_text(obj, indent))
     elif isinstance(obj, str):
         out.append(_quote(obj))
     elif type(obj) is int:
@@ -628,7 +665,10 @@ def dumps(obj) -> str:
     written directly: below Python 3.13 ``indent`` turns the C encoder off,
     and this writer takes about half the time of the pure-Python encoder
     (0.055 s against 0.127 s of CPU on the 20 outputs of bench cli_files,
-    Python 3.11).  Non-str keys raise TypeError on every version."""
+    Python 3.11).  ``obj`` may also hold ``ModularGraph`` objects, as the
+    rows of ``splittings_to_obj`` and ``result_to_obj`` do; each is written
+    as ``graph_to_dict`` of it would be.  Non-str keys raise TypeError on
+    every version."""
     out: list[str] = []
     _append_json(obj, "", out)
     out.append("\n")

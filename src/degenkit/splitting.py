@@ -36,8 +36,6 @@ from .graphs import (
     d_degree,
     glue,
     keyed_form,
-    total_genus,
-    total_weight,
     vertex_keys,
 )
 
@@ -138,26 +136,6 @@ class Splitting:
             object.__setattr__(self, "_canonical_pair", pair)
         return pair
 
-    def validate(self, problem: DegenerationProblem) -> None:
-        """Check conditions A and B against the originating problem."""
-        glued = self.glued()
-        if not glued.is_connected():
-            raise DegenkitError("condition A fails: glued graph is disconnected")
-        if total_genus(glued) != problem.genus:
-            raise DegenkitError("condition A fails: glued genus mismatch")
-        if total_weight(glued) != problem.beta:
-            raise DegenkitError("condition A fails: glued weight mismatch")
-        if glued.leg_labels() != problem.leg_labels():
-            raise DegenkitError("condition A fails: leg labels mismatch")
-        b1, b2 = problem.monoid.split(problem.beta)
-        if total_weight(self.xi1) != b1 or total_weight(self.xi2) != b2:
-            raise DegenkitError("side weights do not lie in the proper submonoids")
-        for side in (self.xi1, self.xi2):
-            report = check_condition_B(side, problem.monoid)
-            if not report.ok:
-                raise DegenkitError("condition B fails: %s" % (report.failures,))
-
-
 @dataclass(frozen=True)
 class ConditionBReport:
     ok: bool
@@ -211,34 +189,44 @@ class SplittingStructure:
     weights2: tuple[CurveClass, ...]
     genera2: tuple[int, ...]
 
-    def side(self, which: str):
-        if which == "X1":
-            return self.blocks1, self.weights1, self.genera1
-        return self.blocks2, self.weights2, self.genera2
+    def sides(self) -> tuple:
+        """Each side's (vertices, roots in label order), built on the first
+        call and kept on the instance, as ``Splitting.canonical_pair`` is:
+        every splitting built from the structure shares them.  The
+        attribute is not a field, so equality and hashing ignore it."""
+        sides = self.__dict__.get("_sides")
+        if sides is None:
+            fc_of = dict(zip(self.m_labels, self.root_data))
+
+            def side(blocks, weights, genera) -> tuple:
+                roots = [Root(lab, *fc_of[lab], vi) for vi, block in enumerate(blocks) for lab in block]
+                return tuple(map(Vertex, genera, weights)), tuple(sorted(roots, key=lambda r: r.label))
+
+            sides = (
+                side(self.blocks1, self.weights1, self.genera1),
+                side(self.blocks2, self.weights2, self.genera2),
+            )
+            object.__setattr__(self, "_sides", sides)
+        return sides
 
     def build_splitting(self, leg_assignment: dict[int, tuple[str, int]], legs: Sequence[LegSpec]) -> Splitting:
-        """Materialize with legs placed via {label: (side, vertex index)}."""
+        """Materialize with legs placed via {label: (side, vertex index)}.
+
+        Only the legs are built per call; the vertices and roots are the
+        structure's own (``sides``).  The graphs and the splitting run
+        their checks as any others do."""
         e_of = {l.label: l.e for l in legs}
-        fc_of = dict(zip(self.m_labels, self.root_data))
-
-        def build(which: str) -> ModularGraph:
-            blocks, weights, genera = self.side(which)
-            roots = [
-                Root(lab, *fc_of[lab], vi) for vi, block in enumerate(blocks) for lab in block
-            ]
-            gl = [
-                Leg(lab, e_of[lab], vi)
-                for lab, (side, vi) in sorted(leg_assignment.items())
-                if side == which
-            ]
-            return ModularGraph(
-                vertices=tuple(Vertex(g, w) for g, w in zip(genera, weights)),
-                edges=(),
-                legs=tuple(gl),
-                roots=tuple(sorted(roots, key=lambda r: r.label)),
+        placed = sorted(leg_assignment.items())
+        xi1, xi2 = (
+            ModularGraph(
+                vertices,
+                (),
+                tuple(Leg(lab, e_of[lab], vi) for lab, (side, vi) in placed if side == which),
+                roots,
             )
-
-        return Splitting(build("X1"), build("X2"), self.m_labels)
+            for which, (vertices, roots) in zip(("X1", "X2"), self.sides())
+        )
+        return Splitting(xi1, xi2, self.m_labels)
 
 
 def set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -12,18 +12,23 @@ import math
 import random
 from fractions import Fraction
 
-from degenkit import correlator
+from degenkit import correlator, jsonio
 from degenkit.algebra import BasisClass, Parity, Sector, SectorCatalog
 from degenkit.checks import reorder_sign_by_swaps as monomial_reorder_sign
 from degenkit.correlator import Insertion, InvariantTable
-from degenkit.errors import ScaleError
+from degenkit.errors import DegenkitError, ScaleError
 from degenkit.graphs import (
     CurveClass,
     CurveClassMonoid,
     Generator,
+    Leg,
     ModularGraph,
     Root,
+    Vertex,
+    canonical_form,
     graph_from_canonical,
+    total_genus,
+    total_weight,
 )
 from degenkit.splitting import (
     DegenerationProblem,
@@ -31,6 +36,7 @@ from degenkit.splitting import (
     Splitting,
     SplittingOrbit,
     _Budget,
+    check_condition_B,
     iter_structures,
 )
 
@@ -377,6 +383,10 @@ def _serialize(graph: ModularGraph, order: list[int]) -> bytes:
     return _dump(payload)
 
 
+def canonical_json(graph: ModularGraph) -> str:
+    return canonical_form(graph).decode()
+
+
 def _reference_vertex_key(graph: ModularGraph, v: int):
     return (
         tuple((l.label, l.e) for l in graph.legs_of_vertex(v)),
@@ -458,3 +468,95 @@ def reference_orbits(splittings) -> list[SplittingOrbit]:
         seen |= found
         out.append(SplittingOrbit(eta, stab, tuple(sorted(found, key=keys.__getitem__))))
     return out
+
+
+# -- splittings as first built and written ------------------------------------------
+
+
+def validate_splitting(splitting: Splitting, problem: DegenerationProblem) -> None:
+    """Check conditions A and B of ``splitting`` against the originating
+    problem."""
+    glued = splitting.glued()
+    if not glued.is_connected():
+        raise DegenkitError("condition A fails: glued graph is disconnected")
+    if total_genus(glued) != problem.genus:
+        raise DegenkitError("condition A fails: glued genus mismatch")
+    if total_weight(glued) != problem.beta:
+        raise DegenkitError("condition A fails: glued weight mismatch")
+    if glued.leg_labels() != problem.leg_labels():
+        raise DegenkitError("condition A fails: leg labels mismatch")
+    b1, b2 = problem.monoid.split(problem.beta)
+    if total_weight(splitting.xi1) != b1 or total_weight(splitting.xi2) != b2:
+        raise DegenkitError("side weights do not lie in the proper submonoids")
+    for side in (splitting.xi1, splitting.xi2):
+        report = check_condition_B(side, problem.monoid)
+        if not report.ok:
+            raise DegenkitError("condition B fails: %s" % (report.failures,))
+
+
+def fresh_splitting(structure, leg_assignment: dict, legs) -> Splitting:
+    """``SplittingStructure.build_splitting`` as first written: new
+    ``Vertex``, ``Root`` and ``Leg`` objects on every call, from the
+    structure's fields alone."""
+    e_of = {l.label: l.e for l in legs}
+    fc_of = dict(zip(structure.m_labels, structure.root_data))
+
+    def build(blocks, weights, genera, which: str) -> ModularGraph:
+        roots = [Root(lab, *fc_of[lab], vi) for vi, block in enumerate(blocks) for lab in block]
+        return ModularGraph(
+            vertices=tuple(Vertex(g, CurveClass(dict(w.exponents))) for g, w in zip(genera, weights)),
+            edges=(),
+            legs=tuple(
+                Leg(lab, e_of[lab], vi)
+                for lab, (side, vi) in sorted(leg_assignment.items())
+                if side == which
+            ),
+            roots=tuple(sorted(roots, key=lambda r: r.label)),
+        )
+
+    return Splitting(
+        build(structure.blocks1, structure.weights1, structure.genera1, "X1"),
+        build(structure.blocks2, structure.weights2, structure.genera2, "X2"),
+        structure.m_labels,
+    )
+
+
+def reference_splittings(problem: DegenerationProblem) -> dict:
+    """Every splitting of ``problem``, by canonical pair: ``fresh_splitting``
+    of each labeled structure with each leg placement its side constraints
+    allow, each one validated."""
+    out = {}
+    for structure in iter_structures(problem):
+        slots = []
+        for spec in problem.legs:
+            slots.append(
+                [("X1", i) for i in range(len(structure.blocks1)) if spec.side in (None, "X1")]
+                + [("X2", i) for i in range(len(structure.blocks2)) if spec.side in (None, "X2")]
+            )
+        for choice in itertools.product(*slots):
+            assignment = {spec.label: slot for spec, slot in zip(problem.legs, choice)}
+            s = fresh_splitting(structure, assignment, problem.legs)
+            validate_splitting(s, problem)
+            out[canonical_form(s.xi1), canonical_form(s.xi2)] = s
+    return out
+
+
+def splitting_from_dict(data: dict) -> Splitting:
+    return Splitting(
+        jsonio.graph_from_dict(data["xi1"]),
+        jsonio.graph_from_dict(data["xi2"]),
+        tuple(jsonio._int(x, "root label") for x in data["m_labels"]),
+    )
+
+
+def graphs_as_dicts(obj):
+    """``obj`` with each ``ModularGraph`` in it replaced by
+    ``jsonio.graph_to_dict`` of it: with ``json.dumps``, the reference for
+    the bytes ``jsonio.dumps`` writes."""
+    if isinstance(obj, ModularGraph):
+        return jsonio.graph_to_dict(obj)
+    if isinstance(obj, dict):
+        return {key: graphs_as_dicts(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [graphs_as_dicts(item) for item in obj]
+    return obj

@@ -19,6 +19,12 @@ from degenkit.graphs import graph_from_canonical
 from degenkit.oracle import P1Conventions, build_p1_table, p1_problem
 from degenkit.splitting import _Budget, enumerate_splittings, iter_structures
 from degenkit.twisting import TwistingChoice
+from helpers import (
+    covariant_random_table,
+    graphs_as_dicts,
+    random_problem,
+    splitting_from_dict,
+)
 
 
 # source root of the degenkit these tests import; the child process gets it
@@ -87,7 +93,8 @@ def test_twisting_round_trip():
 def test_splitting_round_trip(p1_files):
     problem = jsonio.problem_from_dict(json.loads(open(p1_files["problem"]).read()))
     for s in enumerate_splittings(problem):
-        again = jsonio.splitting_from_dict(jsonio.splitting_to_dict(s))
+        (row,) = json.loads(jsonio.dumps(jsonio.splittings_to_obj([s])))
+        again = splitting_from_dict(row)
         assert again.canonical_pair() == s.canonical_pair()
 
 
@@ -651,7 +658,8 @@ def _commands(paths: dict) -> dict:
     p, i, t = paths["problem"], paths["insertions"], paths["table"]
     evaluate = [["evaluate", p, i, t], ["evaluate", p, i, t, "--terms"]]
     keys = [["keys", p, i]] + evaluate
-    return {"problem": [["splittings", p]] + keys, "insertions": keys, "table": evaluate}
+    splittings = [["splittings", p], ["splittings", p, "--orbits"]]
+    return {"problem": splittings + keys, "insertions": keys, "table": evaluate}
 
 
 def test_cli_genus_of_a_million_stops_at_the_budget(tmp_path, capsys, monkeypatch):
@@ -777,6 +785,33 @@ def test_cli_mutated_inputs_end_with_a_documented_exit_code(tmp_path, capsys, mo
             assert code in (0, 2, 3, 4), argv
             assert code == 0 or json.loads(err)["error"], argv
             codes[code] = codes.get(code, 0) + 1
+    assert codes.keys() >= {0, 2}, codes
+
+
+_TWISTING_DOCS = (
+    {"rule": "lcm"},
+    {"rule": "multiple", "k": 3},
+    {"rule": "table", "entries": [{"multiset": "1", "value": 2}, {"multiset": "1,2", "value": 4}]},
+    "2*lcm",
+)
+
+
+def test_cli_mutated_twisting_files_end_with_a_documented_exit_code(tmp_path, capsys, monkeypatch):
+    # one mutation of a twisting file at a time, read by evaluate --twisting
+    # FILE: no traceback, and each failure is a JSON error with exit 2, 3 or 4
+    monkeypatch.setenv("DEGENKIT_BUDGET", "20000")
+    docs = _sample_docs()
+    paths = {name: _write(tmp_path, name + ".json", doc) for name, doc in docs.items()}
+    rng = random.Random(22)
+    codes = {}
+    for _ in range(200):
+        twisting = _write(tmp_path, "twisting.json", _mutated(rng, rng.choice(_TWISTING_DOCS)))
+        argv = ["evaluate", paths["problem"], paths["insertions"], paths["table"], "--twisting", twisting]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), argv
+        assert code == 0 or json.loads(err)["error"], argv
+        codes[code] = codes.get(code, 0) + 1
     assert codes.keys() >= {0, 2}, codes
 
 
@@ -1015,10 +1050,14 @@ PINNED_SAMPLE_SPLITTINGS = "6fc41f00fd20f751b41474efe75092b5e025706e8ac3f6998bf3
 PINNED_P1_SPLITTINGS = "de92a9e5c04eb778681134a368bd941382082f7aa759137cfea12ceccb833cba"
 
 
-def _stdout_digest(capsys, argv) -> str:
+def _stdout(capsys, argv) -> str:
     capsys.readouterr()
-    assert cli.main(argv) == 0
-    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert cli.main(argv) == 0, argv
+    return capsys.readouterr().out
+
+
+def _stdout_digest(capsys, argv) -> str:
+    return hashlib.sha256(_stdout(capsys, argv).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("cell", sorted(PINNED_STDOUT))
@@ -1055,6 +1094,81 @@ def test_cli_p1_splittings_digest_is_pinned(tmp_path, capsys):
     problem, _ = p1_problem(3, 0, second_side_legs=2)
     path = _write(tmp_path, "problem.json", jsonio.problem_to_dict(problem))
     assert _stdout_digest(capsys, ["splittings", path, "--orbits"]) == PINNED_P1_SPLITTINGS
+
+
+def _terms_files(tmp_path, problem, insertions, table) -> list[str]:
+    return [
+        _write_text(tmp_path, name + ".json", jsonio.dumps(payload))
+        for name, payload in (
+            ("problem", jsonio.problem_to_dict(problem)),
+            ("insertions", jsonio.insertions_to_list(problem, insertions)),
+            ("table", jsonio.table_to_obj(table)),
+        )
+    ]
+
+
+def _p1_terms_files(tmp_path) -> list[str]:
+    problem, insertions = p1_problem(3, 0, second_side_legs=2)
+    table = build_p1_table(3, 0, max_legs=len(insertions))
+    return _terms_files(tmp_path, problem, insertions, table)
+
+
+def _sample_terms_files(tmp_path) -> list[str]:
+    docs = _sample_docs()
+    problem = jsonio.problem_from_dict(docs["problem"])
+    insertions = jsonio.insertions_from_list(problem, docs["insertions"])
+    keys = needed_keys(problem, insertions)
+    table = covariant_random_table(keys, problem.divisor, problem.ambient, random.Random(22))
+    return _terms_files(tmp_path, problem, insertions, table)
+
+
+# SHA-256 of `evaluate --terms` stdout, recorded before each structure kept
+# its sides and graphs were written straight from their fields: P1 (degree,
+# genus, legs on X2) = (3, 0, 2), whose terms put legs on both sides (also
+# checked on the installed script in CI), and the sample problem with a
+# seeded covariant random table
+PINNED_TERMS = {
+    "p1_d3g0k2": (
+        _p1_terms_files,
+        "4a9d987babe7540c9d44fb9d208a6dde16bc832cc2156db69ff574db88ccfd07",
+    ),
+    "sample": (
+        _sample_terms_files,
+        "88c88af172e0ff929b48557341013987961015d2a2787f0a5b6d1296d6a3b47d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TERMS))
+def test_cli_terms_digests_are_pinned(name, tmp_path, capsys):
+    files, digest = PINNED_TERMS[name]
+    argv = ["evaluate", *files(tmp_path), "--terms"]
+    assert _stdout_digest(capsys, argv) == digest
+
+
+def test_cli_rows_match_the_dict_path(tmp_path, capsys, monkeypatch):
+    # splittings --orbits and evaluate --terms write their graphs straight
+    # from the graph objects; the bytes are those of the dict path, each
+    # graph as its graph_to_dict form through the writer test_jsonio checks
+    # against json.dumps
+    emitted = []
+    dumps = jsonio.dumps
+    monkeypatch.setattr(jsonio, "dumps", lambda obj: emitted.append(obj) or dumps(obj))
+    rng = random.Random(22)
+    rows = 0
+    for _ in range(40):
+        problem, insertions = random_problem(rng, max_legs=2)
+        table = covariant_random_table(
+            needed_keys(problem, insertions), problem.divisor, problem.ambient, rng
+        )
+        p, i, t = _terms_files(tmp_path, problem, insertions, table)
+        for argv in (["splittings", p, "--orbits"], ["evaluate", p, i, t, "--terms"]):
+            emitted.clear()
+            out = _stdout(capsys, argv)
+            (obj,) = emitted
+            assert out == dumps(graphs_as_dicts(obj)), argv
+            rows += len(obj) if argv[0] == "splittings" else len(obj["terms"])
+    assert rows > 1000
 
 
 def test_cli_main_reuses_one_parser_across_calls(capsys, monkeypatch):

@@ -13,9 +13,9 @@ from degenkit.graphs import (
     ModularGraph,
     Root,
     Vertex,
-    canonical_json,
     rank_relabeled,
 )
+from helpers import canonical_json
 
 
 # keys and strings that need escaping: empty, quotes, backslashes, control
@@ -106,3 +106,51 @@ def test_multi_vertex_key_bytes_keep_the_canonical_form_path():
     loop = ModularGraph((Vertex(0, CurveClass()),), ((0, 0),), (Leg(3, 1, 0),))
     key = jsonio.key_from_dict({"side": "X1", "graph": jsonio.graph_to_dict(loop)})
     assert key.graph == canonical_json(rank_relabeled(loop)).encode()
+
+
+_GENERATOR_IDS = ("a", "b", 'q"', "back\\slash", "é", "ü😀", "")
+
+
+def _random_graph(rng: random.Random) -> ModularGraph:
+    """A graph with 0-4 vertices, parallel edges and loops, weights over
+    0-3 generators (ids that need escaping among them) and unique leg and
+    root labels, all listed in no particular order."""
+    nv = rng.randint(0, 4)
+    vertices = tuple(
+        Vertex(
+            rng.randint(0, 12),
+            CurveClass({gid: rng.randint(0, 11) for gid in rng.sample(_GENERATOR_IDS, rng.randint(0, 3))}),
+        )
+        for _ in range(nv)
+    )
+    if not nv:
+        return ModularGraph(vertices)
+    edges = tuple((rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 4)))
+    labels = rng.sample(range(1, 40), rng.randint(0, 7))
+    cut = rng.randint(0, len(labels))
+    legs = tuple(Leg(lab, rng.randint(1, 12), rng.randrange(nv)) for lab in labels[:cut])
+    roots = tuple(
+        Root(lab, rng.randint(1, 4), rng.randint(1, 12), rng.randrange(nv)) for lab in labels[cut:]
+    )
+    return ModularGraph(vertices, edges, legs, roots)
+
+
+def test_graph_writer_matches_the_dict_path():
+    # a graph written straight from its fields, alone and nested at several
+    # indents, gives the bytes of json.dumps of its graph_to_dict form
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(400):
+        graph = _random_graph(rng)
+        gids = {gid for v in graph.vertices for gid in v.weight.support()}
+        seen |= {
+            "edge" if graph.edges else None,
+            "loop" if any(a == b for a, b in graph.edges) else None,
+            "several generators" if len(gids) > 1 else None,
+            "empty weight" if any(v.weight.is_zero() for v in graph.vertices) else None,
+            "escaped id" if gids & {'q"', "back\\slash", "é", "ü😀"} else None,
+        }
+        as_dict = jsonio.graph_to_dict(graph)
+        for wrap in (lambda g: g, lambda g: [g], lambda g: {"row": {"xi1": g, "m": [1, g]}}):
+            assert jsonio.dumps(wrap(graph)) == json.dumps(wrap(as_dict), indent=2, sort_keys=True) + "\n"
+    assert len(seen - {None}) == 5

@@ -33,7 +33,13 @@ from degenkit.splitting import (
     iter_structures,
     orbits,
 )
-from helpers import covariant_random_table, random_problem, reference_orbits
+from helpers import (
+    covariant_random_table,
+    random_problem,
+    reference_orbits,
+    reference_splittings,
+    validate_splitting,
+)
 
 
 def _divisor(bands=(1,)):
@@ -385,7 +391,31 @@ def test_every_splitting_validates():
     omega = enumerate_splittings(problem)
     assert omega
     for s in omega:
-        s.validate(problem)
+        validate_splitting(s, problem)
+
+
+def test_built_splittings_equal_fresh_validated_builds():
+    # a structure builds its vertices and roots once, for all its splittings;
+    # each splitting of enumerate_splittings and of a term breakdown equals
+    # the one built from new objects, which validates, with the same
+    # canonical pair
+    rng = random.Random(6)
+    terms = 0
+    for _ in range(15):
+        problem, insertions = random_problem(rng, max_legs=2)
+        reference = reference_splittings(problem)
+        omega = enumerate_splittings(problem)
+        assert len(omega) == len(reference)
+        for s in omega:
+            assert s == reference[s.canonical_pair()]
+        table = covariant_random_table(
+            needed_keys(problem, insertions), problem.divisor, problem.ambient, rng
+        )
+        result = evaluate_degeneration(problem, insertions, table, with_terms=True)
+        for term in result.terms:
+            assert term.splitting == reference[term.splitting.canonical_pair()]
+        terms += len(result.terms)
+    assert terms > 500
 
 
 @pytest.mark.parametrize(
