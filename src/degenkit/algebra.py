@@ -273,14 +273,6 @@ class SectorCatalog:
                     total += ua * row[b] * vb
         return total
 
-    def chen_ruan_pairing(
-        self, u: Sequence[Fraction], v: Sequence[Fraction]
-    ) -> Fraction:
-        """Pairing with the 1/r weight on the left and iota* on the right."""
-        r = self.band_weights()
-        u_scaled = tuple(Fraction(u[a]) / r[a] for a in range(len(r)))
-        return self.standard_pairing(u_scaled, self.involution_pullback(v))
-
     def homogeneous_parity(self, vec: Sequence[Fraction]) -> Parity:
         found: Parity | None = None
         for i, b in enumerate(self.basis):
@@ -366,9 +358,3 @@ def chen_ruan_dual(basis_id: str, catalog: SectorCatalog) -> Vector:
     out = tuple(r[a] * pulled[a] for a in range(len(pulled)))
     catalog._dual_cache[("cr", basis_id)] = out
     return out
-
-
-def basis_vector(catalog: SectorCatalog, basis_id: str) -> Vector:
-    n = len(catalog.basis)
-    i = catalog.basis_index(basis_id)
-    return tuple(Fraction(1 if a == i else 0) for a in range(n))

@@ -19,12 +19,13 @@ One kernel evaluates it from three shared pieces:
   root's (f, c, class) in label order.
 
 Every component of a splitting has one vertex, and the memo asks the table
-for its value by that data (``InvariantTable.vertex_value``).  A plain table
-reads it from an index by vertex data, which ``set`` fills from each key's
-``CorrelatorKey.vertex``; a table that values the data by a rule (the P1
-table of ``oracle``) reads its keys through the same ``vertex``.  Neither
-builds key bytes.  The kernel builds a key only when the run reports it:
-for a missing key (``MissingKeysError``) and for the term breakdown.
+for its value by that data (``InvariantTable.vertex_value``), in every run.
+A plain table holds one dict, in which each one-vertex key's entry sits
+under the key's vertex data (``CorrelatorKey.vertex``, kept on the key); a
+table that values the data by a rule (the P1 table of ``oracle``) reads
+its keys through the same ``vertex``.  Neither builds key bytes.  The
+kernel builds a key, from its memo key, only when the run reports it: for
+a missing key (``MissingKeysError``) and for the term breakdown.
 ``for_vertex`` writes the bytes ``canonical_form(rank_relabeled(graph))``
 gives for the one-vertex graph, which has no tie to break, so no graph is
 built.
@@ -98,7 +99,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .algebra import Parity, chen_ruan_dual, dual_basis, koszul_sign
-from .errors import DegenkitError, MissingKeysError, ParityError
+from .errors import DegenkitError, MissingKeysError
 from .graphs import (
     CurveClass,
     ModularGraph,
@@ -153,10 +154,11 @@ class CorrelatorKey:
     a key straight from the vertex data, with the same bytes.
 
     A one-vertex key also answers with the vertex data it stands for
-    (``vertex``), kept on the key in a non-field attribute, so equality and
-    hashing ignore it.  ``for_vertex`` keeps the data it was given, and
-    ``keep_reading`` a reading of the bytes already made (a table file's
-    text keys); any other key reads its bytes once, on the first call.
+    (``vertex``), kept on the key in its one non-field attribute, so
+    equality and hashing ignore it.  ``for_vertex`` keeps the data it was
+    given, and a table file's key text in ``vertex_form`` bytes hands over
+    the reading its parse made (``keep_reading``); any other key reads its
+    bytes once, on first use.
     """
 
     side: str
@@ -225,33 +227,27 @@ class CorrelatorKey:
 
     def _data(self) -> Optional[tuple]:
         """``vertex`` with the weight given by its exponents, the form of
-        the component memo key and of a table's index.  Worked out on the
-        first call, from the kept reading of the bytes or else by reading
-        them (``graphs.vertex_data``), and kept.  It holds only tuples of
-        strings and ints, which the garbage collector stops tracking, so the
-        keys of a large table cost its collections nothing more."""
-        if hasattr(self, "_vertex"):
-            return self._vertex
-        if not hasattr(self, "_read"):
+        the component memo key and of a table's slot.  A key that was not
+        given it reads its bytes (``graphs.vertex_data``) on the first
+        call."""
+        if not hasattr(self, "_vertex"):
             self.keep_reading(vertex_data(self.graph))
+        return self._vertex
+
+    def keep_reading(self, found) -> None:
+        """Keep this key's vertex data, from ``found``, the reading
+        ``graphs.vertex_data`` gives of its bytes, and its legs and roots.
+        It is kept as tuples of strings and ints, which the garbage
+        collector stops tracking, so the keys of a large table cost its
+        collections nothing more."""
         data = None
-        if self._read is not None:
-            genus, exponents, leg_e, root_fc = self._read
+        if found is not None:
+            genus, weight, leg_e, root_fc = found
             if (len(leg_e), len(root_fc)) == (len(self.legs), len(self.roots)):
                 legs = tuple([(e, m, cid) for e, (m, cid) in zip(leg_e, self.legs)])
                 roots = tuple([(f, c, cid) for (f, c), cid in zip(root_fc, self.roots)])
-                data = (self.side, genus, exponents, legs, roots)
+                data = (self.side, genus, weight.exponents, legs, roots)
         object.__setattr__(self, "_vertex", data)
-        return data
-
-    def keep_reading(self, found) -> None:
-        """Keep ``found``, the reading ``graphs.vertex_data`` gave of this
-        key's bytes, so that ``vertex`` does not read them again.  It is
-        kept as tuples of strings and ints, as ``_data`` keeps its data."""
-        if found is not None:
-            genus, weight, leg_e, root_fc = found
-            found = genus, weight.exponents, tuple(leg_e), tuple(root_fc)
-        object.__setattr__(self, "_read", found)
 
     def sort_token(self):
         return (self.side, self.graph, self.legs, self.roots)
@@ -260,51 +256,44 @@ class CorrelatorKey:
 class InvariantTable:
     """Exact-rational correlator values; absent keys stay detectable.
 
-    Entries are held by key (``get``, ``items()``, ``len()``, ``in``) and
-    those of one-vertex keys also by their vertex data (``vertex_value``).
-    That index is brought up to date on the first lookup by data after a
-    ``set``, so a table only ever looked up by key (``--terms``) never
-    works out the data of its keys.
+    One dict holds each entry as (key, value), in the key's slot: its vertex
+    data (``CorrelatorKey._data``) for a one-vertex key, the key itself for
+    any other.  ``set``, ``get``, ``vertex_value``, ``items()``, ``len()``
+    and ``in`` all read that dict, so a key set twice answers its last
+    value every way.
     """
 
     def __init__(self, entries: Mapping[CorrelatorKey, Fraction] | None = None):
-        self._entries: dict[CorrelatorKey, Fraction] = {}
-        self._by_vertex: dict[tuple, Fraction] = {}
-        self._unindexed: list[CorrelatorKey] = []
+        self._entries: dict = {}
         for k, v in (entries or {}).items():
             self.set(k, v)
 
+    @staticmethod
+    def _slot(key: CorrelatorKey):
+        data = key._data()
+        return key if data is None else data
+
     def set(self, key: CorrelatorKey, value) -> None:
-        self._entries[key] = Fraction(value)
-        self._unindexed.append(key)
+        self._entries[self._slot(key)] = key, Fraction(value)
 
     def get(self, key: CorrelatorKey) -> Optional[Fraction]:
-        return self._entries.get(key)
+        entry = self._entries.get(self._slot(key))
+        return None if entry is None else entry[1]
 
     def vertex_value(
         self, side: str, genus: int, weight, legs: tuple, roots: tuple
     ) -> Optional[Fraction]:
         """The value of the one-vertex key with this data, as ``get`` gives
         it for ``CorrelatorKey.for_vertex(side, genus, weight, legs, roots)``,
-        read from the index by vertex data, so no key is built.  ``weight``
-        is a CurveClass, and ``legs`` and ``roots`` are tuples of tuples, as
+        read from the data's slot, so no key is built.  ``weight`` is a
+        CurveClass, and ``legs`` and ``roots`` are tuples of tuples, as
         ``for_vertex`` keeps them.
 
         A table that overrides ``get`` overrides this too; one that values
         the data by a rule (the P1 table of ``oracle``) holds no entries.
         """
-        if self._unindexed:
-            self._index()
-        return self._by_vertex.get((side, genus, weight.exponents, legs, roots))
-
-    def _index(self) -> None:
-        """Index by vertex data the keys set since the last lookup by data;
-        a key set twice is indexed with its last value."""
-        for key in self._unindexed:
-            data = key._data()
-            if data is not None:
-                self._by_vertex[data] = self._entries[key]
-        self._unindexed = []
+        entry = self._entries.get((side, genus, weight.exponents, legs, roots))
+        return None if entry is None else entry[1]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -313,7 +302,7 @@ class InvariantTable:
         return self.get(key) is not None
 
     def items(self):
-        return sorted(self._entries.items(), key=lambda kv: kv[0].sort_token())
+        return sorted(self._entries.values(), key=lambda kv: kv[0].sort_token())
 
 
 @dataclass(frozen=True)
@@ -420,14 +409,8 @@ class _Context:
                 for cid, w in support
                 if self.divisor.sector_of(cid).band_order == band
             ]
-            parities = {self.divisor.parity_of(cid) for cid, _ in support}
-            if len(parities) > 1:
-                raise ParityError(
-                    "dual of %r mixes parities; sign bookkeeping is inconsistent" % b.id
-                )
-            self.rho_parity[b.id] = parities.pop() if parities else Parity.EVEN
+            self.rho_parity[b.id] = self.divisor.homogeneous_parity(vec)
         self.memo: dict = {}
-        self.term_keys: Optional[dict] = None  # set by a term breakdown: see component
         self.choices: dict = {}
         self.coefficients: dict = {}
         self.groups = _leg_groups(self)
@@ -454,25 +437,17 @@ class _Context:
         and weight that is exactly the data fixing a rank-relabeled
         CorrelatorKey, so one memo entry stands for one key.  The memo is
         keyed by (side, genus, weight exponents, legs, roots), all tuples of
-        strings and ints, and the table is asked by the data
+        strings and ints, and every run asks the table by the data
         (``InvariantTable.vertex_value``, a dict lookup on a plain table, a
-        rule on the P1 table); the key itself is built only when the run
-        reports it (``key``).  The term breakdown reports every component,
-        so its run sets ``term_keys`` to a dict: each key is then built
-        once, kept there by memo key, and the table is asked by it.  A
-        missing value counts as 0.  No vanishing rule is applied: the
-        kernel's vertices never meet one.
+        rule on the P1 table).  The key itself is built only where the run
+        reports it, from the memo key (``key``): for a missing key and for
+        the term breakdown.  A missing value counts as 0.  No vanishing rule
+        is applied: the kernel's vertices never meet one.
         """
         memo_key = (side, genus, weight.exponents, legs, roots)
         entry = self.memo.get(memo_key)
         if entry is None:
-            if self.term_keys is None:
-                value = self.table.vertex_value(side, genus, weight, legs, roots)
-            else:
-                key = self.term_keys[memo_key] = CorrelatorKey.for_vertex(
-                    side, genus, weight, legs, roots
-                )
-                value = self.table.get(key)
+            value = self.table.vertex_value(side, genus, weight, legs, roots)
             entry = self.memo[memo_key] = (_ZERO, True) if value is None else (value, False)
         return entry
 
@@ -789,8 +764,8 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     denominators, so no gcd is taken per placement.  One Fraction is built
     per (structure, basis choice) whose sum is nonzero.  With ``terms``
     each nonzero placement is also appended as an EvalTerm, with the keys
-    its components were looked up by (``_Context.component`` builds each
-    once).
+    of its components, each built once per run from its memo key
+    (``_Context.key``).
 
     One node budget bounds the walk: each node of the structure source
     (for plain evaluation, of the orbit walk), basis choice and placement
@@ -801,8 +776,8 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     if terms is None:
         source = iter_structure_orbits(problem, budget)
     else:
-        ctx.term_keys = {}
         source = ((structure, 1) for structure in iter_structures(problem, budget))
+        keys: dict = {}  # the reported keys, by memo key
     total = _ZERO
     skeleton = None
     for structure, size, current in _skeletons(ctx, source):
@@ -838,7 +813,10 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
                 keyed: tuple[list, list] = ([], [])
                 for vi, _, legs, value in placed:
                     memo_key = (sides[vi], genera[vi], weights[vi].exponents, legs, roots[vi])
-                    keyed[sides[vi] == "X2"].append((ctx.term_keys[memo_key], value))
+                    key = keys.get(memo_key)
+                    if key is None:
+                        key = keys[memo_key] = ctx.key(memo_key)
+                    keyed[sides[vi] == "X2"].append((key, value))
                 terms.append(
                     EvalTerm(
                         splitting=structure.build_splitting(assignment, problem.legs),

@@ -359,20 +359,6 @@ def twisting_from_obj(data) -> TwistingChoice:
     raise DegenkitError("unknown twisting rule kind %r" % kind)
 
 
-def twisting_to_obj(rule: TwistingChoice):
-    if rule.kind == "lcm":
-        return {"rule": "lcm"}
-    if rule.kind == "multiple":
-        return {"rule": "multiple", "k": rule.multiple}
-    return {
-        "rule": "table",
-        "entries": [
-            {"multiset": ",".join(str(c) for c in key), "value": value}
-            for key, value in rule.table
-        ],
-    }
-
-
 # -- splittings ---------------------------------------------------------------
 
 
@@ -472,8 +458,9 @@ def _key_graph(graph) -> tuple[bytes, int, int, Optional[tuple]]:
 def key_from_dict(data: dict) -> CorrelatorKey:
     """A table key; a ``legs`` or ``roots`` list it gives holds one
     insertion per leg or root of its graph, in label order.  Graph text
-    already read as vertex data hands that reading to the key
-    (``CorrelatorKey.keep_reading``), so the key is not read twice."""
+    already read as vertex data hands that reading to the key, which keeps
+    its vertex data from it (``CorrelatorKey.keep_reading``) and never reads
+    its bytes again."""
     graph, *counts, found = _key_graph(
         _field(_object(data, "table key"), "graph", "table key")
     )

@@ -375,8 +375,8 @@ class P1Table(InvariantTable):
     of its side's generator, its genus is 0..g_max, it has at most
     ``max_legs`` legs, and its roots' contact orders sum to the degree.
     ``vertex_value`` writes that rule once, on the vertex data; ``get``
-    applies it to the key's data (``CorrelatorKey.vertex``, the reader a
-    plain table indexes its entries by), so a key ``for_vertex`` built is
+    applies it to the key's data (``CorrelatorKey.vertex``, the data a
+    plain table keeps its entries under), so a key ``for_vertex`` built is
     never read back from its bytes.
     ``items()`` lists the keys with their values, and ``len()`` counts them,
     without reading any key.

@@ -74,6 +74,8 @@ class DegenerationProblem:
             raise DegenkitError("genus must be nonnegative")
         if self.c_max < 1:
             raise DegenkitError("c_max must be >= 1")
+        if self.budget is not None and self.budget < 0:
+            raise DegenkitError("budget must be nonnegative, got %d" % self.budget)
         labels = [l.label for l in self.legs]
         if len(set(labels)) != len(labels):
             raise DegenkitError("duplicate leg labels")
@@ -374,9 +376,12 @@ def _effective_budget(problem: DegenerationProblem) -> Optional[int]:
     if not env:
         return None
     try:
-        return int(env)
+        budget = int(env)
     except ValueError:
         raise DegenkitError("DEGENKIT_BUDGET must be an integer, got %r" % env) from None
+    if budget < 0:
+        raise DegenkitError("DEGENKIT_BUDGET must be nonnegative, got %r" % env)
+    return budget
 
 
 def _kept(store: dict, key, walk: Iterator, budget: _Budget):

@@ -39,8 +39,26 @@ from degenkit.splitting import (
     check_condition_B,
     iter_structures,
 )
+from degenkit.twisting import TwistingChoice
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
+
+
+# -- catalog vectors ----------------------------------------------------------
+
+
+def basis_vector(catalog: SectorCatalog, basis_id: str) -> tuple:
+    """The coordinate vector of one basis class."""
+    n = len(catalog.basis)
+    i = catalog.basis_index(basis_id)
+    return tuple(Fraction(1 if a == i else 0) for a in range(n))
+
+
+def chen_ruan_pairing(catalog: SectorCatalog, u, v) -> Fraction:
+    """Pairing with the 1/r weight on the left and iota* on the right."""
+    r = catalog.band_weights()
+    u_scaled = tuple(Fraction(u[a]) / r[a] for a in range(len(r)))
+    return catalog.standard_pairing(u_scaled, catalog.involution_pullback(v))
 
 
 # -- random catalogs ----------------------------------------------------------
@@ -547,6 +565,22 @@ def splitting_from_dict(data: dict) -> Splitting:
         jsonio.graph_from_dict(data["xi2"]),
         tuple(jsonio._int(x, "root label") for x in data["m_labels"]),
     )
+
+
+def twisting_to_obj(rule: TwistingChoice):
+    """The twisting file object that ``jsonio.twisting_from_obj`` reads back
+    as ``rule``."""
+    if rule.kind == "lcm":
+        return {"rule": "lcm"}
+    if rule.kind == "multiple":
+        return {"rule": "multiple", "k": rule.multiple}
+    return {
+        "rule": "table",
+        "entries": [
+            {"multiset": ",".join(str(c) for c in key), "value": value}
+            for key, value in rule.table
+        ],
+    }
 
 
 def graphs_as_dicts(obj):

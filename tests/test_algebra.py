@@ -9,14 +9,13 @@ from degenkit.algebra import (
     BasisClass,
     Sector,
     SectorCatalog,
-    basis_vector,
     chen_ruan_dual,
     dual_basis,
     koszul_sign,
 )
 from degenkit.errors import CatalogError, ParityError, SingularPairingError
 
-from helpers import EVEN, ODD, monomial_reorder_sign
+from helpers import EVEN, ODD, basis_vector, chen_ruan_pairing, monomial_reorder_sign
 
 
 def test_koszul_all_even_is_plus_one():
@@ -220,7 +219,7 @@ def test_chen_ruan_pairing_gives_identity_matrix():
     for j, bj in enumerate(cat.basis):
         tilde = chen_ruan_dual(bj.id, cat)
         for i, bi in enumerate(cat.basis):
-            got = cat.chen_ruan_pairing(tilde, basis_vector(cat, bi.id))
+            got = chen_ruan_pairing(cat, tilde, basis_vector(cat, bi.id))
             assert got == (1 if i == j else 0)
 
 

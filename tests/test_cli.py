@@ -24,6 +24,7 @@ from helpers import (
     graphs_as_dicts,
     random_problem,
     splitting_from_dict,
+    twisting_to_obj,
 )
 
 
@@ -87,7 +88,7 @@ def test_twisting_round_trip():
         TwistingChoice("multiple", multiple=3),
         TwistingChoice("table", table=(((2, 3), 12),)),
     ):
-        assert jsonio.twisting_from_obj(jsonio.twisting_to_obj(rule)) == rule
+        assert jsonio.twisting_from_obj(twisting_to_obj(rule)) == rule
 
 
 def test_splitting_round_trip(p1_files):
@@ -820,6 +821,41 @@ def test_cli_bad_budget_variable_exits_2(monkeypatch):
     proc = run_cli("splittings", str(DOCS / "sample_problem.json"), expect=2)
     assert "Traceback" not in proc.stderr
     assert "DEGENKIT_BUDGET" in json.loads(proc.stderr)["error"]
+
+
+def _budget_refused(capsys, argv) -> str:
+    """The error text of ``argv``, which must exit 2 with no traceback."""
+    assert cli.main(argv) == 2
+    return json.loads(capsys.readouterr().err)["error"]
+
+
+def test_cli_negative_budget_option_exits_2(capsys, monkeypatch):
+    monkeypatch.delenv("DEGENKIT_BUDGET", raising=False)
+    sample = str(DOCS / "sample_problem.json")
+    assert "budget" in _budget_refused(capsys, ["splittings", sample, "--budget", "-1"])
+    # a budget of 0 is valid: the first node exceeds it
+    assert cli.main(["splittings", sample, "--budget", "0"]) == 3
+    assert json.loads(capsys.readouterr().err)["visited"] == 1
+
+
+def test_cli_negative_budget_in_the_problem_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DEGENKIT_BUDGET", raising=False)
+    problem = json.loads((DOCS / "sample_problem.json").read_text())
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**problem, "budget": -1}))
+    assert "budget" in _budget_refused(capsys, ["splittings", str(path)])
+    assert "budget" in _budget_refused(
+        capsys, ["keys", str(path), str(DOCS / "sample_insertions.json")]
+    )
+
+
+def test_cli_negative_budget_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("DEGENKIT_BUDGET", "-1")
+    sample = str(DOCS / "sample_problem.json")
+    assert "DEGENKIT_BUDGET" in _budget_refused(capsys, ["splittings", sample])
+    monkeypatch.setenv("DEGENKIT_BUDGET", "0")
+    assert cli.main(["splittings", sample]) == 3
+    assert json.loads(capsys.readouterr().err)["visited"] == 1
 
 
 def test_cli_budget_exit_code(p1_files):

@@ -442,8 +442,9 @@ def test_kernel_memo_holds_no_vanishing_data():
 
 
 def test_term_breakdown_builds_each_key_once(monkeypatch):
-    # the term breakdown looks each component up by its key and reports it
-    # in every term it enters, building the key once per run
+    # the term breakdown reports each component in every term it enters and
+    # builds its key once per run: one for_vertex per distinct reported key,
+    # and at most one per memo entry
     built = []
     for_vertex = CorrelatorKey.for_vertex
     monkeypatch.setattr(
@@ -456,8 +457,8 @@ def test_term_breakdown_builds_each_key_once(monkeypatch):
     correlator._walk(ctx, MINIMAL_TWIST, terms)
     reported = [key for term in terms for key, _ in term.left + term.right]
     assert len(set(reported)) < len(reported)
-    assert len(built) == len(ctx.memo) == len(ctx.term_keys)
-    assert set(reported) <= set(ctx.term_keys.values())
+    assert len(built) == len(set(reported)) <= len(ctx.memo)
+    assert {for_vertex(*data) for data in built} == set(reported)
 
 
 class _DataRecordingTable(InvariantTable):
@@ -534,6 +535,7 @@ def test_vertex_value_answers_as_get_by_key():
         for kept in (rows, rows[::2]):
             for variant in [InvariantTable(dict(kept))] + _same_keys_rebuilt(kept):
                 assert variant.items() == kept
+                assert len(variant) == len(kept)
                 for key, _ in variant.items():
                     assert CorrelatorKey.for_vertex(*key.vertex()) == key
                 for data in asked:
@@ -542,7 +544,46 @@ def test_vertex_value_answers_as_get_by_key():
                     ), data
                     if kept is rows:
                         assert variant.vertex_value(*data) is not None
+                # every key set a second time keeps one entry each
+                for key, value in kept:
+                    variant.set(key, value)
+                assert len(variant) == len(kept) and variant.items() == kept
     assert asked_total > 1000
+
+
+def _terms_cases():
+    problem, insertions = p1_problem(3, 0, second_side_legs=2)
+    yield problem, insertions, build_p1_table(3, 0, max_legs=len(insertions))
+    rng = random.Random(2324)
+    for _ in range(12):
+        problem, insertions = random_problem(rng, max_legs=2)
+        keys = needed_keys(problem, insertions)
+        yield problem, insertions, covariant_random_table(
+            keys, problem.divisor, problem.ambient, rng
+        )
+
+
+def test_term_breakdown_asks_the_table_by_vertex_data_only():
+    # evaluate --terms against a table that answers only by vertex data and
+    # holds no entries gives the bytes of the full table's breakdown
+    reported = 0
+    for problem, insertions, table in _terms_cases():
+        recording = _DataRecordingTable(table)
+        assert len(recording) == 0
+        for convention in CONVENTIONS:
+            full, by_data = (
+                jsonio.dumps(
+                    jsonio.result_to_obj(
+                        evaluate_degeneration(
+                            problem, insertions, t, convention=convention, with_terms=True
+                        )
+                    )
+                )
+                for t in (table, recording)
+            )
+            assert by_data == full
+            reported += full.count('"term_value"')
+    assert reported > 100
 
 
 def test_vertex_value_skips_keys_without_vertex_data():
