@@ -9,11 +9,11 @@ One kernel evaluates it from three shared pieces:
 - the delta/rho expansion, in either dual convention: contact-order
   coefficients with plain involuted duals, or intersection-multiplicity
   coefficients with band-weighted duals.  Its basis choices are listed once
-  per run for each tuple of root indices, each flagged with whether any
-  sign can differ from +1, so the insertion word is built only when
-  something is odd;
+  per run for each tuple of root indices, as the walk ticks them, each
+  flagged with whether any sign can differ from +1, so the insertion word
+  is built only when something is odd;
 - one sign builder, the Koszul sign of regrouping the insertion word per
-  component;
+  component, read off the ranks of the word's odd symbols;
 - one component memo per run, keyed by the data that fixes a correlator key:
   side, genus, the weight's exponents, each leg's (e, m, class) and each
   root's (f, c, class) in label order.
@@ -72,10 +72,11 @@ by the Koszul sign), which is what lets identical even legs be aggregated.
 For each structure and basis choice the walk sums the leg placements, each
 signed when the choice has an odd class in its insertion word, and adds that
 sum times the orbit size, contact coefficient and expansion weight to the
-total.  The placement walk works in ints: what a vertex can take from the
-legs left is expanded once per run (``_takes``), and a placement's product
-is an unreduced numerator and denominator, so a (structure, basis choice)
-builds one Fraction, not one per placement node.
+total.  The whole sum works in ints: what a vertex can take from the legs
+left is expanded once per run (``_takes``), a placement's product is an
+unreduced numerator and denominator, and the total is kept as numerators
+by denominator, so a run builds one Fraction, not one per placement or per
+(structure, basis choice).
 
 A missing table key aborts evaluation with ``MissingKeysError``, which lists
 the absent keys the walk reaches.  The walk does not go past a genuine zero,
@@ -94,6 +95,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -377,10 +379,10 @@ class _Context:
             lab: self.ambient.parity_of(cid)
             for lab, (_, _, cid) in self.leg_data.items()
         }
-        self.leg_word = {
-            ("leg", lab): self.leg_parity[lab] for lab in sorted(self.leg_parity)
-        }
-        self.odd_leg = any(p.is_odd for p in self.leg_parity.values())
+        # the odd legs' ranks, which lead every basis choice's word (``word``)
+        odd_legs = sorted(lab for lab, p in self.leg_parity.items() if p.is_odd)
+        self.leg_ranks = {("leg", lab): rank for rank, lab in enumerate(odd_legs)}
+        self.odd_leg = bool(odd_legs)
         duals = dual_basis(self.divisor)
         self.admissible: dict[int, list[str]] = {}
         for f in self.divisor.band_orders():
@@ -457,35 +459,45 @@ class _Context:
         side, genus, exponents, legs, roots = memo_key
         return CorrelatorKey.for_vertex(side, genus, CurveClass(exponents), legs, roots)
 
-    def basis_choices(self, indices: tuple[int, ...]) -> list[tuple]:
+    def basis_choices(self, indices: tuple[int, ...]):
         """Every term of the delta/rho expansion for roots of the given
-        indices, listed once per index tuple: (delta classes, rho classes,
-        expansion weight, odd), aligned with the roots.  ``odd`` is False
-        when no leg and no chosen class is odd, so every sign is +1."""
+        indices: (delta classes, rho classes, expansion weight, odd),
+        aligned with the roots.  ``odd`` is False when no leg and no chosen
+        class is odd, so every sign is +1.  There are up to 2^n terms for n
+        roots with two classes each, and their consumers tick per term, so
+        they are listed lazily (``_listing``) and kept once per index tuple
+        when complete."""
         choices = self.choices.get(indices)
         if choices is None:
-            choices = self.choices[indices] = []
-            for delta in itertools.product(*(self.admissible.get(f, []) for f in indices)):
-                for rho in itertools.product(*(self.expansion[d] for d in delta)):
-                    weight = Fraction(1)
-                    for _, w in rho:
-                        weight *= w
-                    rho_ids = tuple(cid for cid, _ in rho)
-                    odd = self.odd_leg or any(
-                        self.divisor.parity_of(d).is_odd or self.rho_parity[r].is_odd
-                        for d, r in zip(delta, rho_ids)
-                    )
-                    choices.append((delta, rho_ids, weight, odd))
+            choices = _listing(self.choices, indices, self._expand(indices))
         return choices
 
-    def word(self, m_labels: Sequence[int], delta: Sequence[str], rho: Sequence[str]):
-        """Source word of one basis choice as {symbol: parity}, in order:
-        legs by label, then delta_j rho_j by root label."""
-        word = dict(self.leg_word)
+    def _expand(self, indices: tuple[int, ...]):
+        for delta in itertools.product(*(self.admissible.get(f, []) for f in indices)):
+            for rho in itertools.product(*(self.expansion[d] for d in delta)):
+                weight = Fraction(1)
+                for _, w in rho:
+                    weight *= w
+                rho_ids = tuple(cid for cid, _ in rho)
+                odd = self.odd_leg or any(
+                    self.divisor.parity_of(d).is_odd or self.rho_parity[r].is_odd
+                    for d, r in zip(delta, rho_ids)
+                )
+                yield delta, rho_ids, weight, odd
+
+    def word(self, m_labels: Sequence[int], delta: Sequence[str], rho: Sequence[str]) -> dict:
+        """Source word of one basis choice, legs by label and then
+        delta_j rho_j by root label, as {symbol: rank} over its odd symbols:
+        each one's rank among the odd symbols in word order.  Even symbols
+        commute with everything, so they are left out.  The symbols are
+        ("leg", label), ("X1", j) for delta_j and ("X2", j) for rho_j."""
+        ranks = dict(self.leg_ranks)
         for j, d, r in zip(m_labels, delta, rho):
-            word["X1", j] = self.divisor.parity_of(d)
-            word["X2", j] = self.rho_parity[r]
-        return word
+            if self.divisor.parity_of(d).is_odd:
+                ranks["X1", j] = len(ranks)
+            if self.rho_parity[r].is_odd:
+                ranks["X2", j] = len(ranks)
+        return ranks
 
     def raise_if_missing(self):
         missing = [self.key(k) for k, (_, was_missing) in self.memo.items() if was_missing]
@@ -525,28 +537,31 @@ def _component_value(
     return key, value, False
 
 
-def _symbols(side: str, leg_labels: Sequence[int], root_labels: Sequence[int]) -> tuple:
-    """One component's part of the target word: legs, then roots."""
-    return tuple(("leg", lab) for lab in leg_labels) + tuple(
-        (side, lab) for lab in root_labels
+def _component(ranks: Mapping[tuple, int], side: str, leg_labels, root_labels) -> tuple:
+    """One component's part of the target word, as ``_regroup_sign`` takes
+    it: its least label, then the ranks (``_Context.word``) of its odd legs
+    and then of its odd roots, in the order given."""
+    symbols = [("leg", lab) for lab in leg_labels] + [(side, lab) for lab in root_labels]
+    return (
+        min((*leg_labels, *root_labels), default=0),
+        [ranks[sym] for sym in symbols if sym in ranks],
     )
 
 
-def _regroup_sign(word: Mapping[tuple, Parity], sides) -> int:
+def _regroup_sign(sides) -> int:
     """Koszul sign of regrouping the insertion word per component.
 
-    ``word`` maps the symbols of the source word, in word order, to their
-    parities.  The target takes ``sides`` in order; within a side its
-    components go by least label, each given by ``_symbols``.
+    Only odd symbols move the sign, so the word is given by their ranks
+    (``_Context.word``).  The target takes ``sides`` in order; within a
+    side its components go by least label, each given by ``_component`` as
+    (least label, odd ranks of its legs then its roots).  The sign counts
+    the inversions of the ranks the target lists, every parity odd.
     """
-    index = {sym: i for i, sym in enumerate(word)}
+    by_least = operator.itemgetter(0)
     target = [
-        index[sym]
-        for comps in sides
-        for comp in sorted(comps, key=lambda c: min((lab for _, lab in c), default=0))
-        for sym in comp
+        rank for comps in sides for _, ranks in sorted(comps, key=by_least) for rank in ranks
     ]
-    return koszul_sign(target, list(word.values()))
+    return koszul_sign(target, [Parity.ODD] * len(target))
 
 
 # -- the kernel: structures, basis choices, leg placements ---------------------
@@ -558,8 +573,8 @@ class _Skeleton:
     A structure source yields them consecutively (``_skeletons``), differing
     only in weights and genera.  The vertices are ``blocks``, the X1 blocks
     then the X2 blocks as in ``genera1 + genera2``, with their ``sides`` and
-    their ``positions`` within their side; ``roots[i]`` gives, for basis
-    choice i, each vertex's (f, c, class id) per root.  ``dead`` marks a
+    their ``positions`` within their side; ``choices()`` gives each basis
+    choice with each vertex's (f, c, class id) per root.  ``dead`` marks a
     side-constrained leg group with no vertex on its side, which kills every
     structure of the skeleton.
     """
@@ -575,15 +590,31 @@ class _Skeleton:
         )
         self.contacts = tuple(c for _, c in structure.root_data)
         self.indices = tuple(f for f, _ in structure.root_data)
-        self.choices = ctx.basis_choices(self.indices)
-        fc_of = dict(zip(m_labels, structure.root_data))
-        self.roots = []
-        for delta, rho, _, _ in self.choices:
-            cls1, cls2 = dict(zip(m_labels, delta)), dict(zip(m_labels, rho))
-            self.roots.append(
-                tuple(tuple(fc_of[lab] + (cls1[lab],) for lab in b) for b in blocks1)
-                + tuple(tuple(fc_of[lab] + (cls2[lab],) for lab in b) for b in blocks2)
-            )
+        self.ctx = ctx
+        self.m_labels = m_labels
+        self.fc_of = dict(zip(m_labels, structure.root_data))
+        self.listed: dict = {}  # the complete listing of ``choices``, under None
+
+    def choices(self):
+        """(delta, rho, weight, odd, roots) for each basis choice of
+        ``_Context.basis_choices``, where ``roots`` gives each vertex's
+        (f, c, class id) per root.  Listed lazily, as the basis choices are,
+        and kept on the skeleton once complete, so its later structures
+        reuse them."""
+        listed = self.listed.get(None)
+        if listed is None:
+            choices = self.ctx.basis_choices(self.indices)
+            listed = _listing(self.listed, None, map(self._with_roots, choices))
+        return listed
+
+    def _with_roots(self, choice: tuple) -> tuple:
+        delta, rho, _, _ = choice
+        classes = {"X1": dict(zip(self.m_labels, delta)), "X2": dict(zip(self.m_labels, rho))}
+        roots = tuple(
+            tuple(self.fc_of[lab] + (classes[side][lab],) for lab in block)
+            for side, block in zip(self.sides, self.blocks)
+        )
+        return choice + (roots,)
 
 
 def _leg_groups(ctx: _Context) -> list[dict]:
@@ -652,24 +683,23 @@ def _takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple):
     return _listing(ctx.takes, memo_key, map(take, itertools.product(*options)))
 
 
-def _placements(ctx: _Context, sides, genera, weights, roots, budget: _Budget):
+def _placements(ctx: _Context, sides, genera, weights, roots, budget: _Budget, leaf):
     """Distribute the leg groups over the vertices, pruning zero components.
 
     Vertex i has the side ``sides[i]``, genus ``genera[i]``, weight
     ``weights[i]`` and, per root, the (f, c, class id) in ``roots[i]``.
-    Yields (placed, multiplicity, numerator, denominator) per complete
-    placement; ``placed`` lists (vertex index, leg labels, leg data, value), and
-    the product of the values is numerator / denominator, carried as ints
-    from each value's ``numerator`` and ``denominator`` and never reduced.
-    Each node of the walk, one vertex's share of the legs from ``_takes``,
-    ticks ``budget``.
+    Calls ``leaf(placed, multiplicity, numerator, denominator)`` once per
+    complete placement; ``placed`` lists (vertex index, leg labels, leg
+    data, value), and the product of the values is numerator / denominator,
+    carried as ints from each value's ``numerator`` and ``denominator`` and
+    never reduced.  ``placed`` is the walk's own list, valid only during the
+    call.  Each node of the walk, one vertex's share of the legs from
+    ``_takes``, ticks ``budget``.
     """
     placed: list = []
+    last = len(sides)
 
     def rec(vi: int, remaining: tuple, mult: int, num: int, den: int):
-        if vi == len(sides):
-            yield tuple(placed), mult, num, den
-            return
         side, genus, weight, vertex_roots = sides[vi], genera[vi], weights[vi], roots[vi]
         for labels, legs, factor, after in _takes(ctx, sides, vi, remaining):
             budget.tick()
@@ -680,16 +710,17 @@ def _placements(ctx: _Context, sides, genera, weights, roots, budget: _Budget):
                 # walk alive so the error can list every absent key
                 continue
             placed.append((vi, labels, legs, value))
-            yield from rec(
-                vi + 1, after, mult * factor, num * value_num, den * value.denominator
-            )
+            if vi + 1 == last:
+                leaf(placed, mult * factor, num * value_num, den * value.denominator)
+            else:
+                rec(vi + 1, after, mult * factor, num * value_num, den * value.denominator)
             placed.pop()
 
     try:
-        yield from rec(0, tuple(g["count"] for g in ctx.groups), 1, 1, 1)
+        rec(0, tuple(g["count"] for g in ctx.groups), 1, 1, 1)
     finally:
         # rec refers to itself through its closure; breaking that cycle frees
-        # the run's context by reference counting when the run ends
+        # the walk's frames by reference counting when it ends
         rec = None
 
 
@@ -755,17 +786,20 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     dead-leg check) is worked out once per skeleton (``_skeletons``), and so
     is the contact coefficient.
 
-    Each (structure, basis choice) walks its placements and sums
+    Each (structure, basis choice) walks its placements once
+    (``_placements``), and each complete placement adds
     sign * multiplicity * product, the sign being 1 when the choice is all
-    even; the total gains size * coefficient * expansion weight * that sum.
-    The sum is taken in ints: each placement's product comes as an
-    unreduced numerator and denominator, the signed numerators are summed
-    per denominator, and the sums are brought over the lcm of those
-    denominators, so no gcd is taken per placement.  One Fraction is built
-    per (structure, basis choice) whose sum is nonzero.  With ``terms``
-    each nonzero placement is also appended as an EvalTerm, with the keys
-    of its components, each built once per run from its memo key
-    (``_Context.key``).
+    even and otherwise read off its odd symbols' ranks (``_Context.word``).
+    The whole sum is taken in ints.  A placement's product comes as an
+    unreduced numerator and denominator, and the signed numerators are
+    summed per denominator.  A walk whose sums are not all zero then forms
+    coefficient * expansion weight and adds size times its numerator times
+    each sum to the run's sums, under that denominator times its
+    denominator.  One Fraction is built per run, over the lcm of the run's
+    denominators, so no gcd is taken per placement or per walk.  With
+    ``terms`` each nonzero placement is also appended as an EvalTerm, at the
+    same leaf, with the keys of its components, each built once per run
+    from its memo key (``_Context.key``).
 
     One node budget bounds the walk: each node of the structure source
     (for plain evaluation, of the orbit walk), basis choice and placement
@@ -778,64 +812,73 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     else:
         source = ((structure, 1) for structure in iter_structures(problem, budget))
         keys: dict = {}  # the reported keys, by memo key
-    total = _ZERO
+    run: dict = {}  # the run's numerators, by denominator
     skeleton = None
+
+    def leaf(placed: list, mult: int, num: int, den: int):
+        # reads the current walk's structure, basis choice, ranks and sums
+        sign = 1
+        if ranks is not None:
+            comps: tuple[list, list] = ([], [])
+            for vi, labels, _, _ in placed:
+                comp = _component(ranks, sides[vi], labels, blocks[vi])
+                if comp[1]:
+                    comps[vi >= first_x2].append(comp)
+            sign = _regroup_sign(comps)
+        if num:  # 0 only past a missing key
+            sums[den] = sums.get(den, 0) + sign * mult * num
+        if terms is None:
+            return
+        assignment = {
+            lab: (sides[vi], skeleton.positions[vi])
+            for vi, labels, _, _ in placed
+            for lab in labels
+        }
+        keyed: tuple[list, list] = ([], [])
+        for vi, _, legs, value in placed:
+            memo_key = (sides[vi], genera[vi], weights[vi].exponents, legs, roots[vi])
+            key = keys.get(memo_key)
+            if key is None:
+                key = keys[memo_key] = ctx.key(memo_key)
+            keyed[vi >= first_x2].append((key, value))
+        terms.append(
+            EvalTerm(
+                splitting=structure.build_splitting(assignment, problem.legs),
+                multiplicity=mult,
+                delta_choice=tuple(zip(m_labels, delta)),
+                dual_choice=tuple(zip(m_labels, rho)),
+                sign=sign,
+                coefficient=coeff,
+                expansion_coefficient=weight,
+                left=tuple(keyed[0]),
+                right=tuple(keyed[1]),
+            )
+        )
+
     for structure, size, current in _skeletons(ctx, source):
         if current is not skeleton:
             skeleton = current
             coeff = ctx.coefficient(skeleton.contacts, skeleton.indices, rule)
-        m_labels, sides, blocks = structure.m_labels, skeleton.sides, skeleton.blocks
+            sides, blocks = skeleton.sides, skeleton.blocks
+            first_x2 = sides.count("X1")
+        m_labels = structure.m_labels
         genera = structure.genera1 + structure.genera2
         weights = structure.weights1 + structure.weights2
-        for ci, (delta, rho, weight, odd) in enumerate(skeleton.choices):
+        for delta, rho, weight, odd, roots in skeleton.choices():
             budget.tick()
-            roots = skeleton.roots[ci]
-            word = ctx.word(m_labels, delta, rho) if odd else None
+            ranks = ctx.word(m_labels, delta, rho) if odd else None
             sums: dict = {}  # sign * multiplicity * numerator, by denominator
-            for placed, mult, num, den in _placements(
-                ctx, sides, genera, weights, roots, budget
-            ):
-                sign = 1
-                if word is not None:
-                    comps: tuple[list, list] = ([], [])
-                    for vi, labels, _, _ in placed:
-                        comps[sides[vi] == "X2"].append(_symbols(sides[vi], labels, blocks[vi]))
-                    sign = _regroup_sign(word, comps)
-                if num:  # 0 only past a missing key
-                    sums[den] = sums.get(den, 0) + sign * mult * num
-                if terms is None:
-                    continue
-                assignment = {
-                    lab: (sides[vi], skeleton.positions[vi])
-                    for vi, labels, _, _ in placed
-                    for lab in labels
-                }
-                keyed: tuple[list, list] = ([], [])
-                for vi, _, legs, value in placed:
-                    memo_key = (sides[vi], genera[vi], weights[vi].exponents, legs, roots[vi])
-                    key = keys.get(memo_key)
-                    if key is None:
-                        key = keys[memo_key] = ctx.key(memo_key)
-                    keyed[sides[vi] == "X2"].append((key, value))
-                terms.append(
-                    EvalTerm(
-                        splitting=structure.build_splitting(assignment, problem.legs),
-                        multiplicity=mult,
-                        delta_choice=tuple(zip(m_labels, delta)),
-                        dual_choice=tuple(zip(m_labels, rho)),
-                        sign=sign,
-                        coefficient=coeff,
-                        expansion_coefficient=weight,
-                        left=tuple(keyed[0]),
-                        right=tuple(keyed[1]),
-                    )
-                )
-            if sums:
-                common = math.lcm(*sums)
-                placement_sum = sum(v * (common // den) for den, v in sums.items())
-                if placement_sum:
-                    total += size * coeff * weight * Fraction(placement_sum, common)
-    return total
+            _placements(ctx, sides, genera, weights, roots, budget, leaf)
+            if any(sums.values()):
+                scaled = coeff * weight
+                factor, scale = size * scaled.numerator, scaled.denominator
+                for den, v in sums.items():
+                    if v:
+                        run[den * scale] = run.get(den * scale, 0) + factor * v
+    if not run:
+        return _ZERO
+    common = math.lcm(*run)
+    return Fraction(sum(v * (common // den) for den, v in run.items()), common)
 
 
 # -- public operations --------------------------------------------------------
@@ -860,23 +903,32 @@ def needed_keys(
     representative is keyed with the leg sets of every position of its side
     and every order (``_orders``) of its root tuples.
 
-    The node budget counts the orbit walk's nodes, each (vertex, legs left,
-    take) of the forward passes and each root order keyed: P1 degree 3,
-    genus 1 ticks 207 nodes and degree 5, genus 2 ticks 5,762, where walking
-    every placement ticked 1,388 and 7,760,651.
+    The node budget counts the orbit walk's nodes, each basis choice of a
+    skeleton (listed lazily, so 2^n choices of n roots are bounded too),
+    each (vertex, legs left, take) of the forward passes and each root
+    order keyed: P1 degree 3, genus 1 ticks 216 nodes and degree 5, genus 2
+    ticks 5,856, where walking every placement ticked 1,388 and 7,760,651.
     """
     ctx = _Context(problem, insertions, "standard_dual", InvariantTable())
     budget = _Budget(_effective_budget(problem))
     leg_options: dict = {}  # by vertex sides
     found: set = set()
-    for structure, _, skeleton in _skeletons(ctx, iter_structure_orbits(problem, budget)):
-        sides = skeleton.sides
+    skeleton = None
+    for structure, _, current in _skeletons(ctx, iter_structure_orbits(problem, budget)):
+        sides = current.sides
+        if current is not skeleton:
+            skeleton = current
+            vertex_roots: list[dict] = [{} for _ in sides]  # sorted root tuples
+            for *_, roots in skeleton.choices():
+                budget.tick()
+                for vi, vertex in enumerate(roots):
+                    vertex_roots[vi][tuple(sorted(vertex))] = None
         if sides not in leg_options:
             leg_options[sides] = _leg_options(ctx, sides, budget)
         genera = structure.genera1 + structure.genera2
         weights = structure.weights1 + structure.weights2
         for vi, (side, genus, weight) in enumerate(zip(sides, genera, weights)):
-            for roots in dict.fromkeys(tuple(sorted(r[vi])) for r in skeleton.roots):
+            for roots in vertex_roots[vi]:
                 for order in _orders(roots):
                     budget.tick()
                     for legs in leg_options[sides][side]:
@@ -961,12 +1013,13 @@ def splitting_inner_sum(
             )
             product *= value
         if product != 0 and odd:
+            ranks = ctx.word(m_labels, delta, rho)
             comps: tuple[list, list] = ([], [])
             for side, _, legs, roots in vertices:
                 comps[side == "X2"].append(
-                    _symbols(side, [l.label for l in legs], [r.label for r in roots])
+                    _component(ranks, side, [l.label for l in legs], [r.label for r in roots])
                 )
-            product *= _regroup_sign(ctx.word(m_labels, delta, rho), comps)
+            product *= _regroup_sign(comps)
         total += product
     ctx.raise_if_missing()
     return total
@@ -999,16 +1052,17 @@ def evaluate_disconnected(
                 "unsupported input: a component carries no legs and no roots"
             )
         comps.append(comp)
-    word = {
-        ("leg", lab): problem.ambient.parity_of(leg_insertions[lab].class_id)
-        for lab in sorted(leg_insertions)
-    }
-    for lab in sorted(root_classes):
-        word[side, lab] = problem.divisor.parity_of(root_classes[lab])
+    # the word is the legs by label, then the roots by label
+    odd = [
+        ("leg", lab) for lab in sorted(leg_insertions)
+        if problem.ambient.parity_of(leg_insertions[lab].class_id).is_odd
+    ] + [
+        (side, lab) for lab in sorted(root_classes)
+        if problem.divisor.parity_of(root_classes[lab]).is_odd
+    ]
+    ranks = {sym: rank for rank, sym in enumerate(odd)}
     product = Fraction(
-        _regroup_sign(
-            word, [[_symbols(side, c.leg_labels(), c.root_labels()) for c in comps]]
-        )
+        _regroup_sign([[_component(ranks, side, c.leg_labels(), c.root_labels()) for c in comps]])
     )
     missing = set()
     for comp in comps:

@@ -290,7 +290,12 @@ def _contact_tuples(
                 yield from rec(i if multisets else 0, k + 1, remaining - mults[i], acc)
                 acc.pop()
 
-    yield from rec(0, 0, target, [])
+    try:
+        yield from rec(0, 0, target, [])
+    finally:
+        # rec refers to itself through its closure; breaking that cycle frees
+        # the walk by reference counting, with no garbage collection
+        rec = None
 
 
 def _weight_splits(
@@ -334,7 +339,10 @@ def _weight_splits(
             yield from rec(gi + 1, new_res, acc_rows)
             acc_rows.pop()
 
-    yield from rec(0, list(targets), [])
+    try:
+        yield from rec(0, list(targets), [])
+    finally:
+        rec = None  # as in _contact_tuples
 
 
 def _blocks_connected(blocks1, blocks2) -> bool:
@@ -632,6 +640,7 @@ def _root_graphs(counts: tuple[int, ...], rows: int, cols: int, budget: _Budget)
                     left[t] += v
 
             rec(0)
+            rec = None  # as in _contact_tuples
         return out
 
     def automorphisms(graph: tuple) -> Optional[list]:
@@ -675,7 +684,10 @@ def _root_graphs(counts: tuple[int, ...], rows: int, cols: int, budget: _Budget)
             yield from rec(after)
             acc.pop()
 
-    yield from rec(counts)
+    try:
+        yield from rec(counts)
+    finally:
+        rec = None  # as in _contact_tuples
 
 
 def iter_structure_orbits(

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from degenkit import correlator, jsonio
-from degenkit.algebra import BasisClass, Parity, Sector, SectorCatalog
+from degenkit.algebra import BasisClass, Parity, Sector, SectorCatalog, koszul_sign
 from degenkit.checks import reorder_sign_by_swaps as monomial_reorder_sign
 from degenkit.correlator import Insertion, InvariantTable
 from degenkit.errors import DegenkitError, ScaleError
@@ -186,11 +186,10 @@ def placement_keys(problem: DegenerationProblem, insertions) -> list:
             continue
         genera = structure.genera1 + structure.genera2
         weights = structure.weights1 + structure.weights2
-        for roots in skeleton.roots:
-            for _ in correlator._placements(
-                ctx, skeleton.sides, genera, weights, roots, budget
-            ):
-                pass
+        for *_, roots in skeleton.choices():
+            correlator._placements(
+                ctx, skeleton.sides, genera, weights, roots, budget, lambda *leaf: None
+            )
     return sorted(map(ctx.key, ctx.memo), key=lambda k: k.sort_token())
 
 
@@ -210,16 +209,17 @@ def labeled_keys(problem: DegenerationProblem, insertions) -> list:
             structure.root_data, structure.blocks1, structure.blocks2
         ) != skeleton.key:
             skeleton = correlator._Skeleton(ctx, structure)
-            if not skeleton.dead and skeleton.choices:
+            choices = list(skeleton.choices())
+            if not skeleton.dead and choices:
                 leg_options = leg_options_by_sides.get(skeleton.sides)
                 if leg_options is None:
                     leg_options = _leg_options_per_position(ctx, skeleton.sides)
                     leg_options_by_sides[skeleton.sides] = leg_options
                 root_options = [
-                    dict.fromkeys(roots[vi] for roots in skeleton.roots)
+                    dict.fromkeys(roots[vi] for *_, roots in choices)
                     for vi in range(len(skeleton.sides))
                 ]
-        if skeleton.dead or not skeleton.choices:
+        if skeleton.dead or not choices:
             continue
         genera = structure.genera1 + structure.genera2
         weights = structure.weights1 + structure.weights2
@@ -250,6 +250,35 @@ def _leg_options_per_position(ctx, sides: tuple) -> list:
         options.append(legs)
         states = after
     return options
+
+
+# -- the symbol-dict sign ------------------------------------------------------
+
+
+def symbols(side: str, leg_labels, root_labels) -> tuple:
+    """One component's part of the target word: legs, then roots."""
+    return tuple(("leg", lab) for lab in leg_labels) + tuple(
+        (side, lab) for lab in root_labels
+    )
+
+
+def reference_regroup_sign(word: dict, sides) -> int:
+    """Koszul sign of regrouping the insertion word per component, from
+    every symbol's parity.  The reference for ``correlator._regroup_sign``,
+    which reads odd symbols' ranks.
+
+    ``word`` maps the symbols of the source word, in word order, to their
+    parities.  The target takes ``sides`` in order; within a side its
+    components go by least label, each given by ``symbols``.
+    """
+    index = {sym: i for i, sym in enumerate(word)}
+    target = [
+        index[sym]
+        for comps in sides
+        for comp in sorted(comps, key=lambda c: min((lab for _, lab in c), default=0))
+        for sym in comp
+    ]
+    return koszul_sign(target, list(word.values()))
 
 
 # -- covariant random tables ---------------------------------------------------

@@ -719,6 +719,36 @@ def test_cli_labeled_walk_stops_at_the_budget_with_24_roots(tmp_path, capsys, mo
         assert json.loads(capsys.readouterr().err)["error"] == "enumeration-budget-exceeded"
 
 
+def test_cli_basis_choices_stop_at_the_budget(tmp_path, capsys, monkeypatch):
+    # two even divisor classes of band 1 and beta {a: 16, b: 16} over
+    # degree-1 generators with contact order 1: the 16-root skeleton has
+    # 2^16 basis choices, listed as keys and evaluate tick them, so the
+    # budget stops both before they list them all
+    problem = json.loads((DOCS / "sample_problem.json").read_text())
+    problem.update(beta={"a": 16, "b": 16}, c_max=1, genus=0, legs=[])
+    problem["monoid"] = {
+        "generators": [
+            {"id": "a", "component": "X1", "d_degree": "1/1"},
+            {"id": "b", "component": "X2", "d_degree": "1/1"},
+        ]
+    }
+    problem["divisor"] = {
+        "sectors": [{"id": "u", "band_order": 1, "involution_image": "u"}],
+        "basis": [{"id": c, "sector": "u", "parity": "even"} for c in ("u0", "u1")],
+        "basis_involution": [{"id": c, "image": c, "sign": 1} for c in ("u0", "u1")],
+        "pairing": [["1/1", "0/1"], ["0/1", "1/1"]],
+    }
+    p = _write(tmp_path, "problem.json", problem)
+    i = _write(tmp_path, "insertions.json", [])
+    t = _write(tmp_path, "table.json", [])
+    monkeypatch.setenv("DEGENKIT_BUDGET", "1000")
+    for argv in (["evaluate", p, i, t], ["keys", p, i]):
+        start = time.process_time()
+        assert cli.main(argv) == 3, argv
+        assert time.process_time() - start < 1, argv
+        assert json.loads(capsys.readouterr().err)["error"] == "enumeration-budget-exceeded"
+
+
 def test_cli_too_many_roots_exit_2(tmp_path, capsys, monkeypatch):
     # beta {a: 2000, b: 2000} with contact order 1 allows 2,000 roots, past
     # splitting.MAX_ROOTS: every walk refuses it before it starts

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -57,7 +58,10 @@ from helpers import (
     covariant_random_table,
     monomial_reorder_sign,
     orbit_key,
+    random_divisor_catalog,
     random_problem,
+    reference_regroup_sign,
+    symbols,
 )
 
 
@@ -273,12 +277,13 @@ def test_budget_bounds_the_placement_walk():
 
 @pytest.mark.parametrize(
     "d,g,evaluate_ticks,keys_ticks",
-    [(4, 2, 2255, 1494), (5, 1, 3544, 2759), (5, 2, 11092, 5762)],
+    [(4, 2, 2255, 1527), (5, 1, 3544, 2834), (5, 2, 11092, 5856)],
 )
 def test_budget_ticks_are_pinned(d, g, evaluate_ticks, keys_ticks):
     # the node counts of plain evaluate and needed_keys on P1, recorded
     # before the take expansions were memoised: the memo walks the same
-    # nodes, so a budget of exactly that many is enough and one fewer is not
+    # nodes, so a budget of exactly that many is enough and one fewer is not.
+    # The needed_keys counts also tick each basis choice of each skeleton
     problem, insertions = p1_problem(d, g)
     table = build_p1_table(d, g, max_legs=len(insertions))
     runs = (
@@ -319,7 +324,7 @@ def test_a_problem_replays_its_kept_orbit_walk(monkeypatch):
     assert _keys_and_values(problem, insertions, table) == fresh
     runs = (
         (lambda p: evaluate_degeneration(p, insertions, table), 2255),
-        (lambda p: needed_keys(p, insertions), 1494),
+        (lambda p: needed_keys(p, insertions), 1527),
     )
     for run, ticks in runs:
         monkeypatch.setenv("DEGENKIT_BUDGET", str(ticks - 1))
@@ -637,6 +642,83 @@ def test_convention_equivalence_property(rng):
         for convention in CONVENTIONS
     )
     assert std == crn
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_regroup_sign_from_odd_ranks_matches_the_symbol_reference(rng):
+    # the sign read off the odd symbols' ranks (_Context.word, _component,
+    # _regroup_sign) equals the sign from every symbol's parity and the
+    # monomial model, on words with odd legs and odd divisor classes and
+    # components grouped at random
+    problem, insertions = random_problem(rng, max_legs=4)
+    problem = dataclasses.replace(
+        problem, divisor=random_divisor_catalog(rng, rng.choice(("odd", "odd-self")))
+    )
+    ctx = correlator._Context(problem, insertions, rng.choice(CONVENTIONS), InvariantTable())
+    legs = sorted(ctx.leg_data)
+    m_labels = tuple(range(len(legs) + 1, len(legs) + 1 + rng.randint(0, 4)))
+    delta = [rng.choice(problem.divisor.basis).id for _ in m_labels]
+    rho = [rng.choice(sorted(ctx.rho_parity)) for _ in m_labels]
+    word = {("leg", lab): ctx.leg_parity[lab] for lab in legs}
+    for j, d, r in zip(m_labels, delta, rho):
+        word["X1", j] = problem.divisor.parity_of(d)
+        word["X2", j] = ctx.rho_parity[r]
+    # each side's components as (leg labels, root labels), in a random order
+    grouped = {side: [([], []) for _ in range(rng.randint(1, 3))] for side in ("X1", "X2")}
+    for lab in legs:
+        rng.choice(grouped[rng.choice(("X1", "X2"))])[0].append(lab)
+    for side in ("X1", "X2"):
+        for j in m_labels:
+            rng.choice(grouped[side])[1].append(j)
+        for comp_legs, comp_roots in grouped[side]:
+            rng.shuffle(comp_legs)
+            rng.shuffle(comp_roots)
+    ranks = ctx.word(m_labels, delta, rho)
+    assert sorted(ranks.values()) == list(range(len(ranks)))
+    assert set(ranks) == {sym for sym, parity in word.items() if parity.is_odd}
+    got = correlator._regroup_sign(
+        [[correlator._component(ranks, side, *comp) for comp in grouped[side]] for side in grouped]
+    )
+    sides = [[symbols(side, *comp) for comp in grouped[side]] for side in grouped]
+    index = {sym: i for i, sym in enumerate(word)}
+    target = [
+        index[sym]
+        for comps in sides
+        for comp in sorted(comps, key=lambda c: min((lab for _, lab in c), default=0))
+        for sym in comp
+    ]
+    assert got == reference_regroup_sign(word, sides) == monomial_reorder_sign(
+        target, list(word.values())
+    )
+
+
+def test_runs_leave_no_reference_cycles():
+    # every run frees what it made by reference counting: with the collector
+    # off, evaluation (both conventions, with and without terms) and key
+    # collection on a P1 cell and on 20 random draws leave nothing for it
+    cases = []
+    problem, insertions = p1_problem(3, 1)
+    cases.append((problem, insertions, build_p1_table(3, 1, max_legs=len(insertions))))
+    rng = random.Random(2024)
+    for _ in range(20):
+        problem, insertions = random_problem(rng)
+        keys = needed_keys(problem, insertions)
+        table = covariant_random_table(keys, problem.divisor, problem.ambient, rng)
+        cases.append((problem, insertions, table))
+    gc.collect()
+    gc.disable()
+    try:
+        for problem, insertions, table in cases:
+            needed_keys(problem, insertions)
+            for convention in CONVENTIONS:
+                for with_terms in (False, True):
+                    evaluate_degeneration(
+                        problem, insertions, table, convention=convention, with_terms=with_terms
+                    )
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_splitting_inner_sum_is_zero_off_condition_B():
