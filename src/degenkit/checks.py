@@ -25,9 +25,6 @@ from .twisting import (
     required_source_index,
 )
 
-SUITES = ("algebra", "lifts", "ledger", "orbits", "hurwitz")
-
-
 def reorder_sign_by_swaps(permutation, parities) -> int:
     """Oracle: apply the permutation by adjacent transpositions in a free
     graded-commutative monomial model, tracking the sign of each swap."""
@@ -254,19 +251,18 @@ def check_hurwitz() -> list[tuple[str, bool, str]]:
     return out
 
 
+SUITES = {
+    "algebra": check_algebra,
+    "lifts": check_lifts,
+    "ledger": check_ledger,
+    "orbits": check_orbits,
+    "hurwitz": check_hurwitz,
+}
+
+
 def run_suite(name: str) -> list[tuple[str, bool, str]]:
-    table = {
-        "algebra": check_algebra,
-        "lifts": check_lifts,
-        "ledger": check_ledger,
-        "orbits": check_orbits,
-        "hurwitz": check_hurwitz,
-    }
+    """The results of the suite ``name``, or of every suite in ``SUITES``
+    order for "all"; raises KeyError for an unknown name."""
     if name == "all":
-        out = []
-        for suite in SUITES:
-            out.extend(table[suite]())
-        return out
-    if name not in table:
-        raise KeyError(name)
-    return table[name]()
+        return [result for suite in SUITES.values() for result in suite()]
+    return SUITES[name]()

@@ -72,11 +72,13 @@ by the Koszul sign), which is what lets identical even legs be aggregated.
 For each structure and basis choice the walk sums the leg placements, each
 signed when the choice has an odd class in its insertion word, and adds that
 sum times the orbit size, contact coefficient and expansion weight to the
-total.  The whole sum works in ints: what a vertex can take from the legs
-left is expanded once per run (``_takes``), a placement's product is an
-unreduced numerator and denominator, and the total is kept as numerators
-by denominator, so a run builds one Fraction, not one per placement or per
-(structure, basis choice).
+total.  The vertices a leg may sit at are its slots, from the one
+leg-placement rule ``splitting.leg_slots`` that ``enumerate_splittings``
+also reads.  The whole sum works in ints: what a vertex can take from the
+legs left is expanded once per run (``_takes``), a placement's product is
+an unreduced numerator and denominator, and the total is kept as
+numerators by denominator, so a run builds one Fraction, not one per
+placement or per (structure, basis choice).
 
 A missing table key aborts evaluation with ``MissingKeysError``, which lists
 the absent keys the walk reaches.  The walk does not go past a genuine zero,
@@ -120,6 +122,7 @@ from .splitting import (
     _listing,
     iter_structure_orbits,
     iter_structures,
+    leg_slots,
     meets_condition_B,
 )
 from .twisting import MINIMAL_TWIST, TwistingChoice, degeneration_ledger
@@ -572,22 +575,19 @@ class _Skeleton:
 
     A structure source yields them consecutively (``_skeletons``), differing
     only in weights and genera.  The vertices are ``blocks``, the X1 blocks
-    then the X2 blocks as in ``genera1 + genera2``, with their ``sides`` and
-    their ``positions`` within their side; ``choices()`` gives each basis
-    choice with each vertex's (f, c, class id) per root.  ``dead`` marks a
-    side-constrained leg group with no vertex on its side, which kills every
-    structure of the skeleton.
+    then the X2 blocks as in ``genera1 + genera2``, with their ``sides``; a
+    vertex's index in that order is its position (``splitting.leg_slots``).
+    ``choices()`` gives each basis choice with each vertex's (f, c, class
+    id) per root.  ``dead`` marks a leg group with no slot, which kills
+    every structure of the skeleton.
     """
 
     def __init__(self, ctx: _Context, structure: SplittingStructure):
         m_labels, blocks1, blocks2 = structure.m_labels, structure.blocks1, structure.blocks2
         self.key = (structure.root_data, blocks1, blocks2)
         self.blocks = blocks1 + blocks2
-        self.sides = ("X1",) * len(blocks1) + ("X2",) * len(blocks2)
-        self.positions = tuple(range(len(blocks1))) + tuple(range(len(blocks2)))
-        self.dead = not self.sides or any(
-            g["side"] not in (None, *self.sides) for g in ctx.groups
-        )
+        self.sides = structure.vertex_sides()
+        self.dead = any(not leg_slots(g["side"], self.sides) for g in ctx.groups)
         self.contacts = tuple(c for _, c in structure.root_data)
         self.indices = tuple(f for f, _ in structure.root_data)
         self.ctx = ctx
@@ -638,12 +638,13 @@ def _leg_groups(ctx: _Context) -> list[dict]:
 def _takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple):
     """Every share of the legs the vertex at ``vi`` can take, memoised.
 
-    The take rule, written once: a group not allowed on the vertex's side
-    gives it none; at the last position that allows a group, the vertex
-    takes all that is left of it; elsewhere any count up to what is left.
-    A take of ``k`` of a group's ``left`` legs gets the lowest free labels,
-    and there are comb(left, k) ways to choose them.  Which labels a take
-    gets depends on the legs left, so vertex order matters.
+    The take rule reads each group's slots (``splitting.leg_slots``): a
+    group gives a vertex that is not one of its slots none; at the group's
+    last slot the vertex takes all that is left of it; at any other slot,
+    any count up to what is left.  A take of ``k`` of a group's ``left``
+    legs gets the lowest free labels, and there are comb(left, k) ways to
+    choose them.  Which labels a take gets depends on the legs left, so
+    vertex order matters.
 
     Each entry is (labels taken in label order, their (e, m, class id) in
     that order, the product of binomials, legs left after).  All of it
@@ -656,12 +657,10 @@ def _takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple):
     takes = ctx.takes.get(memo_key)
     if takes is not None:
         return takes
-    side, later = sides[vi], sides[vi + 1 :]
     options = [
-        (0,) if g["side"] not in (None, side)
-        else range(left + 1) if any(g["side"] in (None, s) for s in later)
-        else (left,)
+        (0,) if vi not in slots else (left,) if vi == slots[-1] else range(left + 1)
         for g, left in zip(ctx.groups, remaining)
+        for slots in [leg_slots(g["side"], sides)]
     ]
 
     def take(counts: tuple) -> tuple:
@@ -829,11 +828,7 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
             sums[den] = sums.get(den, 0) + sign * mult * num
         if terms is None:
             return
-        assignment = {
-            lab: (sides[vi], skeleton.positions[vi])
-            for vi, labels, _, _ in placed
-            for lab in labels
-        }
+        positions = {lab: vi for vi, labels, _, _ in placed for lab in labels}
         keyed: tuple[list, list] = ([], [])
         for vi, _, legs, value in placed:
             memo_key = (sides[vi], genera[vi], weights[vi].exponents, legs, roots[vi])
@@ -843,7 +838,7 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
             keyed[vi >= first_x2].append((key, value))
         terms.append(
             EvalTerm(
-                splitting=structure.build_splitting(assignment, problem.legs),
+                splitting=structure.build_splitting(positions, problem.legs),
                 multiplicity=mult,
                 delta_choice=tuple(zip(m_labels, delta)),
                 dual_choice=tuple(zip(m_labels, rho)),
@@ -987,8 +982,13 @@ def splitting_inner_sum(
     Multiplying by prod(c)/|M|! and summing over all splittings reproduces
     evaluate_degeneration; multiplying by prod(c)/|Eq| and summing over orbit
     representatives is the other normalization of the same sum.
+
+    Each basis choice ticks the problem's node budget, as in ``_walk``; the
+    choices are listed as they are ticked, so the budget bounds the 2^n
+    choices of n roots over two classes.
     """
     ctx = _Context(problem, insertions, convention, table)
+    budget = _Budget(_effective_budget(problem))
     m_labels = splitting.m_labels
     vertices = [
         (side, graph.vertices[v], graph.legs_of_vertex(v), graph.roots_of_vertex(v))
@@ -997,6 +997,7 @@ def splitting_inner_sum(
     ]
     total = _ZERO
     for delta, rho, weight, odd in ctx.basis_choices(splitting.indices()):
+        budget.tick()
         classes = {"X1": dict(zip(m_labels, delta)), "X2": dict(zip(m_labels, rho))}
         product = weight
         for side, vertex, legs, roots in vertices:

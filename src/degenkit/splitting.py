@@ -2,11 +2,12 @@
 
 A splitting is an ordered pair of edge-free graphs sharing root labels.  The
 enumerator walks structures (contact data, root partitions, weights, genera)
-first and attaches legs afterwards, so the evaluator can reuse the structure
-walk while aggregating interchangeable legs.  ``iter_structures`` walks
-every labeled structure; ``iter_structure_orbits`` walks one per orbit of
-the root relabelings, with the orbit size, for sums that only need each
-orbit once.
+first and attaches legs afterwards, each at a vertex position that
+``leg_slots`` allows it, so the evaluator can reuse the structure walk and
+the one placement rule while aggregating interchangeable legs.
+``iter_structures`` walks every labeled structure;
+``iter_structure_orbits`` walks one per orbit of the root relabelings, with
+the orbit size, for sums that only need each orbit once.
 
 Enumeration branches are independent of each other; the implementation runs
 them sequentially and the output order is fixed by a canonical sort, so
@@ -51,6 +52,18 @@ class LegSpec:
             raise DegenkitError("leg index e must be positive")
         if self.side not in (None, "X1", "X2"):
             raise DegenkitError("leg side constraint must be 'X1', 'X2' or None")
+
+
+def leg_slots(side: Optional[str], sides: Sequence[str]) -> tuple[int, ...]:
+    """The leg-placement rule: the vertex positions a leg constrained to
+    ``side`` (None for either side) may sit at, in ascending order.
+
+    ``sides`` gives each vertex's side in the kernel's vertex order, the X1
+    blocks and then the X2 blocks of a structure
+    (``SplittingStructure.vertex_sides``), so a position indexes that
+    order.  Both ``enumerate_splittings`` and the evaluation kernel
+    (``correlator._takes``) place legs by this rule alone."""
+    return tuple([i for i, s in enumerate(sides) if side in (None, s)])
 
 
 @dataclass(frozen=True)
@@ -211,22 +224,32 @@ class SplittingStructure:
             object.__setattr__(self, "_sides", sides)
         return sides
 
-    def build_splitting(self, leg_assignment: dict[int, tuple[str, int]], legs: Sequence[LegSpec]) -> Splitting:
-        """Materialize with legs placed via {label: (side, vertex index)}.
+    def vertex_sides(self) -> tuple[str, ...]:
+        """Each vertex's side in the vertex order of leg positions
+        (``leg_slots``): the X1 blocks, then the X2 blocks."""
+        return ("X1",) * len(self.blocks1) + ("X2",) * len(self.blocks2)
 
-        Only the legs are built per call; the vertices and roots are the
-        structure's own (``sides``).  The graphs and the splitting run
-        their checks as any others do."""
+    def build_splitting(self, positions: dict[int, int], legs: Sequence[LegSpec]) -> Splitting:
+        """Materialize with legs placed via {label: vertex position}.
+
+        Positions follow ``vertex_sides``: the X1 blocks, then the X2
+        blocks.  Only the legs are built per call; the vertices and roots
+        are the structure's own (``sides``).  The graphs and the splitting
+        run their checks as any others do."""
         e_of = {l.label: l.e for l in legs}
-        placed = sorted(leg_assignment.items())
+        placed = sorted(positions.items())
         xi1, xi2 = (
             ModularGraph(
                 vertices,
                 (),
-                tuple(Leg(lab, e_of[lab], vi) for lab, (side, vi) in placed if side == which),
+                tuple(
+                    Leg(lab, e_of[lab], p - start)
+                    for lab, p in placed
+                    if start <= p < start + len(vertices)
+                ),
                 roots,
             )
-            for which, (vertices, roots) in zip(("X1", "X2"), self.sides())
+            for start, (vertices, roots) in zip((0, len(self.blocks1)), self.sides())
         )
         return Splitting(xi1, xi2, self.m_labels)
 
@@ -836,38 +859,25 @@ def _decorated_orbits(
                     )
 
 
-def _leg_slots(problem: DegenerationProblem, structure: SplittingStructure):
-    """For each leg, the (side, vertex) slots its constraint allows."""
-    slots = []
-    for spec in problem.legs:
-        allowed = []
-        if spec.side in (None, "X1"):
-            allowed += [("X1", i) for i in range(len(structure.blocks1))]
-        if spec.side in (None, "X2"):
-            allowed += [("X2", i) for i in range(len(structure.blocks2))]
-        slots.append((spec, allowed))
-    return slots
-
-
 def enumerate_splittings(problem: DegenerationProblem) -> list[Splitting]:
     """The full list of splittings, canonical and duplicate-free.
 
+    Each labeled structure gets every assignment of its legs to the vertex
+    positions ``leg_slots`` allows them; a leg with no slot leaves the
+    structure with none.  Each complete assignment ticks the node budget.
     Raises EnumerationBudgetError (carrying the partial list) when the node
     budget runs out.
     """
     budget = _Budget(_effective_budget(problem))
+    labels = [spec.label for spec in problem.legs]
     out: list[Splitting] = []
     try:
         for structure in iter_structures(problem, budget):
-            slots = _leg_slots(problem, structure)
-            if any(not allowed for _, allowed in slots):
-                continue
-            for choice in itertools.product(*[allowed for _, allowed in slots]):
+            sides = structure.vertex_sides()
+            slots = [leg_slots(spec.side, sides) for spec in problem.legs]
+            for choice in itertools.product(*slots):
                 budget.tick()
-                assignment = {
-                    spec.label: slot for (spec, _), slot in zip(slots, choice)
-                }
-                out.append(structure.build_splitting(assignment, problem.legs))
+                out.append(structure.build_splitting(dict(zip(labels, choice)), problem.legs))
     except EnumerationBudgetError as err:
         raise EnumerationBudgetError(str(err), partial=out, visited=err.visited)
     keyed = sorted(

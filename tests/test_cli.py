@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -819,6 +820,53 @@ def test_cli_mutated_inputs_end_with_a_documented_exit_code(tmp_path, capsys, mo
     assert codes.keys() >= {0, 2}, codes
 
 
+def test_cli_grown_sample_problems_end_within_the_budget(tmp_path, capsys, monkeypatch):
+    # the sample problem grown, draw by draw, up to beta {a: 40, b: 40},
+    # genus 20, c_max 6 and 24 legs, half of them pinned to a random side.
+    # Under a budget of 2,000 nodes every command ends within 1 s CPU, and
+    # each failure is a JSON error with exit 2, 3 or 4
+    monkeypatch.setenv("DEGENKIT_BUDGET", "2000")
+    docs = _sample_docs()
+    t = _write(tmp_path, "table.json", docs["table"])
+    rng = random.Random(25)
+
+    def size(draw: int, largest: int, least: int = 0) -> int:
+        # draw d of 25 takes a size up to d/25 of the largest
+        return rng.randint(least, max(least, largest * draw // 25))
+
+    codes = {}
+    for draw in range(1, 26):
+        k, n = size(draw, 40, 1), size(draw, 24)
+        problem = dict(
+            docs["problem"],
+            beta={"a": k, "b": k},
+            genus=size(draw, 20),
+            c_max=size(draw, 6, 1),
+            legs=[{"label": lab, "e": 1} for lab in range(1, n + 1)],
+        )
+        for leg in rng.sample(problem["legs"], n // 2):
+            leg["side"] = rng.choice(["X1", "X2"])
+        insertions = [
+            {"label": lab, "class": "pt", "m": rng.randint(0, 1)} for lab in range(1, n + 1)
+        ]
+        p = _write(tmp_path, "problem.json", problem)
+        i = _write(tmp_path, "insertions.json", insertions)
+        for argv in (
+            ["splittings", p, "--orbits"],
+            ["keys", p, i],
+            ["evaluate", p, i, t],
+            ["evaluate", p, i, t, "--terms"],
+        ):
+            start = time.process_time()
+            code = cli.main(argv)
+            assert time.process_time() - start < 1, argv
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4), argv
+            assert code == 0 or json.loads(err)["error"], argv
+            codes[code] = codes.get(code, 0) + 1
+    assert codes.keys() >= {0, 3, 4}, codes
+
+
 _TWISTING_DOCS = (
     {"rule": "lcm"},
     {"rule": "multiple", "k": 3},
@@ -1210,6 +1258,36 @@ def test_cli_terms_digests_are_pinned(name, tmp_path, capsys):
     files, digest = PINNED_TERMS[name]
     argv = ["evaluate", *files(tmp_path), "--terms"]
     assert _stdout_digest(capsys, argv) == digest
+
+
+def _mixed_sides_files(tmp_path) -> list[str]:
+    """P1 (3, 0, 2) with leg 1's side constraint removed: its legs are free,
+    on X1, on X2 and on X2, so both walks meet all three constraints."""
+    problem, insertions = p1_problem(3, 0, second_side_legs=2)
+    legs = (dataclasses.replace(problem.legs[0], side=None),) + problem.legs[1:]
+    table = build_p1_table(3, 0, max_legs=len(insertions))
+    return _terms_files(tmp_path, dataclasses.replace(problem, legs=legs), insertions, table)
+
+
+# SHA-256 of `splittings --orbits` (278 rows) and `evaluate --terms` stdout
+# for _mixed_sides_files, recorded before the kernel and enumerate_splittings
+# read one leg-placement rule (splitting.leg_slots); also checked on the
+# installed script in CI
+PINNED_MIXED_SIDES = {
+    "splittings": "f499b3973673bb69b038f9c1eecca2911bc8a4216d689847e4bf521c03365367",
+    "terms": "83ba41f280f5ca0143584cacae939b06c86052be2093222cd9ca3fc729a574a5",
+}
+
+
+def test_cli_mixed_side_constraints_digests_are_pinned(tmp_path, capsys):
+    p, i, t = _mixed_sides_files(tmp_path)
+    rows = _stdout(capsys, ["splittings", p, "--orbits"])
+    assert len(json.loads(rows)) == 278
+    digests = {
+        "splittings": hashlib.sha256(rows.encode()).hexdigest(),
+        "terms": _stdout_digest(capsys, ["evaluate", p, i, t, "--terms"]),
+    }
+    assert digests == PINNED_MIXED_SIDES
 
 
 def test_cli_rows_match_the_dict_path(tmp_path, capsys, monkeypatch):

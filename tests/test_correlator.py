@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -740,6 +741,66 @@ def test_splitting_inner_sum_is_zero_off_condition_B():
     assert splitting_inner_sum(problem, off, [], _OnesTable()) == 0
     # the same splitting with contact 2 meets condition B and is looked up
     assert splitting_inner_sum(problem, splitting(2), [], _OnesTable()) != 0
+
+
+def test_splitting_inner_sum_stops_at_the_budget():
+    # the star splitting with 16 roots over two even band-1 divisor classes
+    # has 2^16 basis choices; each ticks the problem's budget as it is
+    # listed, so a budget of 1,000 stops the sum long before it lists them
+    n = 16
+    problem = dataclasses.replace(
+        _problem(_untwisted_divisor(2), beta={"a": n, "b": n}, c_max=1), budget=1000
+    )
+    hub = ModularGraph(
+        vertices=(Vertex(0, CurveClass({"a": n})),),
+        roots=tuple(Root(lab, 1, 1, 0) for lab in range(1, n + 1)),
+    )
+    spokes = ModularGraph(
+        vertices=tuple(Vertex(0, CurveClass({"b": 1})) for _ in range(n)),
+        roots=tuple(Root(lab, 1, 1, lab - 1) for lab in range(1, n + 1)),
+    )
+    star = Splitting(hub, spokes, tuple(range(1, n + 1)))
+    start = time.process_time()
+    with pytest.raises(EnumerationBudgetError) as err:
+        splitting_inner_sum(problem, star, [], _OnesTable())
+    assert time.process_time() - start < 1
+    assert err.value.visited == 1001
+
+
+def _structure_of(splitting: Splitting) -> tuple:
+    """The labeled structure a splitting is built from: the splitting with
+    its legs stripped."""
+    return splitting.m_labels, tuple(
+        (side.vertices, side.roots) for side in (splitting.xi1, splitting.xi2)
+    )
+
+
+def test_kernel_and_enumerator_place_legs_alike():
+    # the kernel places legs by the take rule and enumerate_splittings by a
+    # product over slots, both from splitting.leg_slots.  Against a table
+    # answering 1 no placement is pruned, so for each labeled structure the
+    # multiplicities of one basis choice's terms add up to the number of
+    # splittings enumerate_splittings builds on that structure
+    rng = random.Random(25)
+    pinned = structures = 0
+    for _ in range(20):
+        problem, insertions = random_problem(rng)
+        pinned += sum(spec.side is not None for spec in problem.legs)
+        expected: dict = {}
+        for s in enumerate_splittings(problem):
+            expected[_structure_of(s)] = expected.get(_structure_of(s), 0) + 1
+        per_choice: dict = {}
+        result = evaluate_degeneration(problem, insertions, _OnesTable(), with_terms=True)
+        for term in result.terms:
+            key = (_structure_of(term.splitting), term.delta_choice, term.dual_choice)
+            per_choice[key] = per_choice.get(key, 0) + term.multiplicity
+        got: dict = {}
+        for (structure, _, _), count in per_choice.items():
+            # every basis choice of a structure places the legs alike
+            assert got.setdefault(structure, count) == count
+        assert got == expected
+        structures += len(got)
+    assert pinned >= 10 and structures > 400
 
 
 def _p1_case(d, g, k):
