@@ -15,8 +15,9 @@ One kernel evaluates it from three shared pieces:
 - one sign builder, the Koszul sign of regrouping the insertion word per
   component, read off the ranks of the word's odd symbols;
 - one component memo per run, keyed by the data that fixes a correlator key:
-  side, genus, the weight's exponents, each leg's (e, m, class) and each
-  root's (f, c, class) in label order.
+  per vertex by side, genus, the weight's exponents and each root's
+  (f, c, class) in label order, and within a vertex by each leg's
+  (e, m, class) in label order.
 
 Every component of a splitting has one vertex, and the memo asks the table
 for its value by that data (``InvariantTable.vertex_value``), in every run.
@@ -28,7 +29,8 @@ kernel builds a key, from its memo key, only when the run reports it: for
 a missing key (``MissingKeysError``) and for the term breakdown.
 ``for_vertex`` writes the bytes ``canonical_form(rank_relabeled(graph))``
 gives for the one-vertex graph, which has no tie to break, so no graph is
-built.
+built; a problem's keys repeat few graphs, so the bytes of each are kept
+(``_vertex_text``).
 ``CorrelatorKey.for_component`` stays the reference for connected graphs of
 any size and serves ``evaluate_disconnected``.  The two vanishing rules (a
 root class off the band of its index; condition B) are applied in
@@ -62,23 +64,28 @@ orbit's members give it; the term breakdown keeps the labeled walk, as its
 output is listed per labeled structure.  Otherwise the budget counts the
 orbit walk's nodes (contact multisets, root-graph rows and decorations).
 
-Both walks work out once per skeleton (``_skeletons``: a run of structures
-sharing root data and root blocks, differing only in weights and genera)
-what depends only on the skeleton: contacts, indices, basis choices and
-each choice's roots per vertex.
+Both walks take the structures a skeleton at a time (``_skeletons``: the
+structures sharing root data and root blocks, differing only in weights
+and genera, which either structure source hands over together) and work
+out once per skeleton what depends only on it: contacts, indices, basis
+choices and each choice's roots per vertex.
 
 Tables are taken to be covariant (permuting identical legs changes a value
 by the Koszul sign), which is what lets identical even legs be aggregated.
-For each structure and basis choice the walk sums the leg placements, each
-signed when the choice has an odd class in its insertion word, and adds that
-sum times the orbit size, contact coefficient and expansion weight to the
-total.  The vertices a leg may sit at are its slots, from the one
-leg-placement rule ``splitting.leg_slots`` that ``enumerate_splittings``
-also reads.  The whole sum works in ints: what a vertex can take from the
-legs left is expanded once per run (``_takes``), a placement's product is
-an unreduced numerator and denominator, and the total is kept as
-numerators by denominator, so a run builds one Fraction, not one per
-placement or per (structure, basis choice).
+Every (structure, basis choice) of a skeleton has the same vertex sides,
+hence the same leg placements, so the walk places the legs once per
+skeleton and carries all of its (structure, basis choice) pairs along; a
+pair drops out of a branch where one of its components is a genuine zero.
+Each pair sums its placements, each signed when the choice has an odd
+class in its insertion word (the sign is read once per choice and
+placement), and adds that sum times the orbit size, contact coefficient
+and expansion weight to the total.  The vertices a leg may sit at are its
+slots, from the one leg-placement rule ``splitting.leg_slots`` that
+``enumerate_splittings`` also reads.  The whole sum works in ints: what a
+vertex can take from the legs left is expanded once per run (``_takes``),
+a placement's product is an unreduced numerator and denominator, and the
+total is kept as numerators by denominator, so a run builds one Fraction,
+not one per placement or per (structure, basis choice).
 
 A missing table key aborts evaluation with ``MissingKeysError``, which lists
 the absent keys the walk reaches.  The walk does not go past a genuine zero,
@@ -100,6 +107,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from .algebra import Parity, chen_ruan_dual, dual_basis, koszul_sign
@@ -120,10 +128,10 @@ from .splitting import (
     _Budget,
     _effective_budget,
     _listing,
-    iter_structure_orbits,
     iter_structures,
     leg_slots,
     meets_condition_B,
+    orbit_runs,
 )
 from .twisting import MINIMAL_TWIST, TwistingChoice, degeneration_ledger
 
@@ -141,6 +149,15 @@ class Insertion:
     def __post_init__(self):
         if self.m < 0:
             raise DegenkitError("descendant exponent must be nonnegative")
+
+
+# the keys of a problem differ mostly in their legs' (m, class) and roots'
+# classes, so their graphs repeat a few hundred one-vertex texts
+@lru_cache(maxsize=1 << 12)
+def _vertex_text(genus: int, exponents: tuple, leg_e: tuple, root_fc: tuple) -> bytes:
+    """``vertex_form`` of the vertex, for the weight given by its
+    exponents."""
+    return vertex_form(genus, CurveClass(exponents), leg_e, root_fc)
 
 
 @dataclass(frozen=True)
@@ -212,7 +229,12 @@ class CorrelatorKey:
         legs, roots = tuple(legs), tuple(roots)
         key = CorrelatorKey(
             side,
-            vertex_form(genus, weight, [e for e, _, _ in legs], [(f, c) for f, c, _ in roots]),
+            _vertex_text(
+                genus,
+                weight.exponents,
+                tuple([e for e, _, _ in legs]),
+                tuple([(f, c) for f, c, _ in roots]),
+            ),
             tuple([(m, cid) for _, m, cid in legs]),
             tuple([cid for _, _, cid in roots]),
         )
@@ -341,10 +363,36 @@ class EvaluationResult:
 # -- shared machinery ---------------------------------------------------------
 
 
+class _VertexMemo(dict):
+    """One vertex's part of the component memo (``_Context.vertex``): for
+    one (side, genus, weight, roots), each leg data tuple's (numerator,
+    denominator, missing), asked of the table on its first lookup.  A
+    missing value is (0, 1, True)."""
+
+    __slots__ = ("table", "side", "genus", "weight", "roots")
+
+    def __init__(self, table: "InvariantTable", side: str, genus: int, weight, roots: tuple):
+        # the empty dict is made by dict.__new__, so dict.__init__ is not called
+        self.table, self.side, self.genus, self.weight, self.roots = (
+            table, side, genus, weight, roots
+        )
+
+    def __missing__(self, legs: tuple) -> tuple:
+        value = self.table.vertex_value(self.side, self.genus, self.weight, legs, self.roots)
+        entry = self[legs] = (
+            (0, 1, True) if value is None else (value.numerator, value.denominator, False)
+        )
+        return entry
+
+    def key(self, legs: tuple) -> tuple:
+        """The component memo key of this vertex taking ``legs``."""
+        return self.side, self.genus, self.weight.exponents, legs, self.roots
+
+
 class _Context:
     """Resolved catalogs, duals, expansions, and the run's memos.
 
-    Besides the component memo (``component``), a run keeps its basis
+    Besides the component memo (``vertex``), a run keeps its basis
     choices per index tuple, contact coefficients, leg groups
     (``_leg_groups``) and the take expansions of the placement walk
     (``_takes``), keyed by (vertex sides, vertex position, legs left per
@@ -415,7 +463,7 @@ class _Context:
                 if self.divisor.sector_of(cid).band_order == band
             ]
             self.rho_parity[b.id] = self.divisor.homogeneous_parity(vec)
-        self.memo: dict = {}
+        self.memo: dict = {}  # by vertex: see vertex
         self.choices: dict = {}
         self.coefficients: dict = {}
         self.groups = _leg_groups(self)
@@ -434,27 +482,32 @@ class _Context:
             self.coefficients[memo_key] = coeff
         return coeff
 
-    def component(self, side: str, genus: int, weight, legs: tuple, roots: tuple):
-        """(value, missing) of a one-vertex component, memoised.
+    def vertex(self, side: str, genus: int, weight, roots: tuple) -> "_VertexMemo":
+        """One vertex's part of the component memo.
 
-        ``legs`` holds each leg's (e, m, class id) and ``roots`` each root's
-        (f, c, class id), both in label order.  Together with side, genus
-        and weight that is exactly the data fixing a rank-relabeled
-        CorrelatorKey, so one memo entry stands for one key.  The memo is
-        keyed by (side, genus, weight exponents, legs, roots), all tuples of
-        strings and ints, and every run asks the table by the data
-        (``InvariantTable.vertex_value``, a dict lookup on a plain table, a
-        rule on the P1 table).  The key itself is built only where the run
-        reports it, from the memo key (``key``): for a missing key and for
-        the term breakdown.  A missing value counts as 0.  No vanishing rule
-        is applied: the kernel's vertices never meet one.
+        ``roots`` holds each root's (f, c, class id) in label order, and the
+        part answers each leg data tuple (each leg's (e, m, class id), in
+        label order).  Together with side, genus and weight that is exactly
+        the data fixing a rank-relabeled CorrelatorKey, so one entry stands
+        for one key.  The memo is keyed by (side, genus, weight exponents,
+        roots), all tuples of strings and ints, and every run asks the table
+        by the data (``InvariantTable.vertex_value``, a dict lookup on a
+        plain table, a rule on the P1 table).  The key itself is built only
+        where the run reports it, from the memo key (``key``): for a missing
+        key and for the term breakdown.  No vanishing rule is applied: the
+        kernel's vertices never meet one.
         """
-        memo_key = (side, genus, weight.exponents, legs, roots)
-        entry = self.memo.get(memo_key)
-        if entry is None:
-            value = self.table.vertex_value(side, genus, weight, legs, roots)
-            entry = self.memo[memo_key] = (_ZERO, True) if value is None else (value, False)
-        return entry
+        memo_key = (side, genus, weight.exponents, roots)
+        memo = self.memo.get(memo_key)
+        if memo is None:
+            memo = self.memo[memo_key] = _VertexMemo(self.table, side, genus, weight, roots)
+        return memo
+
+    def component(self, side: str, genus: int, weight, legs: tuple, roots: tuple):
+        """(value, missing) of a one-vertex component, from the memo
+        (``vertex``).  A missing value counts as 0."""
+        value_num, value_den, missing = self.vertex(side, genus, weight, roots)[legs]
+        return Fraction(value_num, value_den), missing
 
     @staticmethod
     def key(memo_key: tuple) -> CorrelatorKey:
@@ -503,7 +556,12 @@ class _Context:
         return ranks
 
     def raise_if_missing(self):
-        missing = [self.key(k) for k, (_, was_missing) in self.memo.items() if was_missing]
+        missing = [
+            self.key(memo.key(legs))
+            for memo in self.memo.values()
+            for legs, (_, _, was_missing) in memo.items()
+            if was_missing
+        ]
         if missing:
             raise MissingKeysError(missing)
 
@@ -573,18 +631,17 @@ def _regroup_sign(sides) -> int:
 class _Skeleton:
     """What the structures of one (root_data, blocks1, blocks2) share.
 
-    A structure source yields them consecutively (``_skeletons``), differing
-    only in weights and genera.  The vertices are ``blocks``, the X1 blocks
-    then the X2 blocks as in ``genera1 + genera2``, with their ``sides``; a
-    vertex's index in that order is its position (``splitting.leg_slots``).
-    ``choices()`` gives each basis choice with each vertex's (f, c, class
-    id) per root.  ``dead`` marks a leg group with no slot, which kills
-    every structure of the skeleton.
+    A structure source hands them over as one run (``_skeletons``),
+    differing only in weights and genera.  The vertices are ``blocks``, the
+    X1 blocks then the X2 blocks as in ``genera1 + genera2``, with their
+    ``sides``; a vertex's index in that order is its position
+    (``splitting.leg_slots``).  ``choices()`` gives each basis choice with
+    each vertex's (f, c, class id) per root.  ``dead`` marks a leg group
+    with no slot, which kills every structure of the skeleton.
     """
 
     def __init__(self, ctx: _Context, structure: SplittingStructure):
         m_labels, blocks1, blocks2 = structure.m_labels, structure.blocks1, structure.blocks2
-        self.key = (structure.root_data, blocks1, blocks2)
         self.blocks = blocks1 + blocks2
         self.sides = structure.vertex_sides()
         self.dead = any(not leg_slots(g["side"], self.sides) for g in ctx.groups)
@@ -593,19 +650,12 @@ class _Skeleton:
         self.ctx = ctx
         self.m_labels = m_labels
         self.fc_of = dict(zip(m_labels, structure.root_data))
-        self.listed: dict = {}  # the complete listing of ``choices``, under None
 
     def choices(self):
         """(delta, rho, weight, odd, roots) for each basis choice of
         ``_Context.basis_choices``, where ``roots`` gives each vertex's
-        (f, c, class id) per root.  Listed lazily, as the basis choices are,
-        and kept on the skeleton once complete, so its later structures
-        reuse them."""
-        listed = self.listed.get(None)
-        if listed is None:
-            choices = self.ctx.basis_choices(self.indices)
-            listed = _listing(self.listed, None, map(self._with_roots, choices))
-        return listed
+        (f, c, class id) per root, listed lazily as the basis choices are."""
+        return map(self._with_roots, self.ctx.basis_choices(self.indices))
 
     def _with_roots(self, choice: tuple) -> tuple:
         delta, rho, _, _ = choice
@@ -682,41 +732,66 @@ def _takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple):
     return _listing(ctx.takes, memo_key, map(take, itertools.product(*options)))
 
 
-def _placements(ctx: _Context, sides, genera, weights, roots, budget: _Budget, leaf):
-    """Distribute the leg groups over the vertices, pruning zero components.
+class _Element:
+    """One (structure, basis choice) of a skeleton, as the placement walk
+    carries it: each vertex's part of the component memo
+    (``_Context.vertex``), the indices of its structure in the skeleton's
+    run (``_skeletons``) and of its choice in the skeleton's list, its
+    signed numerators by denominator (``sums``) and, with ``terms``, its
+    EvalTerms (``rows``)."""
 
-    Vertex i has the side ``sides[i]``, genus ``genera[i]``, weight
-    ``weights[i]`` and, per root, the (f, c, class id) in ``roots[i]``.
-    Calls ``leaf(placed, multiplicity, numerator, denominator)`` once per
-    complete placement; ``placed`` lists (vertex index, leg labels, leg
-    data, value), and the product of the values is numerator / denominator,
-    carried as ints from each value's ``numerator`` and ``denominator`` and
-    never reduced.  ``placed`` is the walk's own list, valid only during the
-    call.  Each node of the walk, one vertex's share of the legs from
-    ``_takes``, ticks ``budget``.
+    __slots__ = ("memos", "structure", "choice", "sums", "rows")
+
+    def __init__(
+        self, ctx: _Context, sides, genera, weights, roots, structure=0, choice=0, rows=None
+    ):
+        self.memos = tuple(map(ctx.vertex, sides, genera, weights, roots))
+        self.structure = structure
+        self.choice = choice
+        self.sums: dict = {}
+        self.rows = rows
+
+
+def _placements(ctx: _Context, sides, elements: list, budget: _Budget, leaf):
+    """Distribute the leg groups over the vertices once for every element,
+    pruning each element's zero components.
+
+    The elements (``_Element``) share the vertex ``sides``, so the same
+    takes (``_takes``).  The walk goes down that take tree once and carries
+    the elements still active, each with the unreduced numerator and
+    denominator of its product so far: at each take every active element
+    ticks ``budget`` and looks its component up, and an element whose value
+    is a genuine zero drops out of the branch.  A take no element survives
+    ends the branch.  Calls ``leaf(placed, multiplicity, active)`` once per
+    complete placement some element survives; ``placed`` lists (vertex
+    index, leg labels, leg data), shared by every element, and ``active``
+    lists (element, numerator, denominator).  Both are valid only during
+    the call.
     """
     placed: list = []
     last = len(sides)
 
-    def rec(vi: int, remaining: tuple, mult: int, num: int, den: int):
-        side, genus, weight, vertex_roots = sides[vi], genera[vi], weights[vi], roots[vi]
+    def rec(vi: int, remaining: tuple, mult: int, active: list):
         for labels, legs, factor, after in _takes(ctx, sides, vi, remaining):
-            budget.tick()
-            value, missing = ctx.component(side, genus, weight, legs, vertex_roots)
-            value_num = value.numerator
-            if not value_num and not missing:
-                # a genuine zero kills the whole branch; missing keys keep the
-                # walk alive so the error can list every absent key
+            budget.advance(len(active))
+            survivors = []
+            for element, num, den in active:
+                value_num, value_den, missing = element.memos[vi][legs]
+                # a genuine zero kills the element's branch; missing keys
+                # keep it alive so the error can list every absent key
+                if value_num or missing:
+                    survivors.append((element, num * value_num, den * value_den))
+            if not survivors:
                 continue
-            placed.append((vi, labels, legs, value))
+            placed.append((vi, labels, legs))
             if vi + 1 == last:
-                leaf(placed, mult * factor, num * value_num, den * value.denominator)
+                leaf(placed, mult * factor, survivors)
             else:
-                rec(vi + 1, after, mult * factor, num * value_num, den * value.denominator)
+                rec(vi + 1, after, mult * factor, survivors)
             placed.pop()
 
     try:
-        rec(0, tuple(g["count"] for g in ctx.groups), 1, 1, 1)
+        rec(0, tuple(g["count"] for g in ctx.groups), 1, [(e, 1, 1) for e in elements])
     finally:
         # rec refers to itself through its closure; breaking that cycle frees
         # the walk's frames by reference counting when it ends
@@ -756,124 +831,159 @@ def _orders(items: tuple):
             yield (first,) + rest
 
 
-def _skeletons(ctx: _Context, source):
-    """(structure, size, skeleton) for each (structure, size) of ``source``
-    whose skeleton is not dead.  A source yields a skeleton's structures
-    consecutively, so a ``_Skeleton`` is built only when the root data or
-    the root blocks change."""
-    skeleton = None
-    for structure, size in source:
-        if skeleton is None or (
-            structure.root_data, structure.blocks1, structure.blocks2
-        ) != skeleton.key:
-            skeleton = _Skeleton(ctx, structure)
+def _skeletons(ctx: _Context, runs):
+    """(skeleton, run) for each run of ``runs`` whose skeleton is not dead.
+    A run lists the (structure, size) pairs of one skeleton, as
+    ``splitting.orbit_runs`` and ``_labeled_runs`` hand them over, so a
+    ``_Skeleton`` is built once per run."""
+    for run in runs:
+        skeleton = _Skeleton(ctx, run[0][0])
         if not skeleton.dead:
-            yield structure, size, skeleton
+            yield skeleton, run
+
+
+def _labeled_runs(problem: DegenerationProblem, budget: _Budget):
+    """The structures of ``iter_structures`` as runs of one skeleton each,
+    every structure of size 1.  It yields a skeleton's structures
+    consecutively; telling where a run ends reads the next structure, which
+    is harmless here, as the labeled walk keeps nothing (``_kept``)."""
+    skeleton = operator.attrgetter("root_data", "blocks1", "blocks2")
+    for _, run in itertools.groupby(iter_structures(problem, budget), key=skeleton):
+        yield [(structure, 1) for structure in run]
 
 
 def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> Fraction:
     """The evaluation kernel: sum the formula over structures, basis choices
     and leg placements.
 
-    The structure source depends on the run.  Plain evaluation walks one
+    The structure source depends on the call.  Plain evaluation walks one
     structure per root-relabeling orbit and weights its terms by the orbit
     size where the labeled walk weights them by 1.  ``terms`` walks every
-    labeled structure, each of size 1.
+    labeled structure, each of size 1.  Either source hands over a
+    skeleton's structures as one run (``_skeletons``).
 
     What the structures of one skeleton share (contacts, indices, basis
     choices, the vertex layout, each choice's roots per vertex, the
-    dead-leg check) is worked out once per skeleton (``_skeletons``), and so
-    is the contact coefficient.
+    dead-leg check) is worked out once per skeleton, and so are the contact
+    coefficient and each choice's word ranks (``_Context.word``).  Each
+    basis choice ticks the budget once per structure of the skeleton.
 
-    Each (structure, basis choice) walks its placements once
-    (``_placements``), and each complete placement adds
+    Every (structure, basis choice) of the skeleton is one element
+    (``_Element``), and one placement walk (``_placements``) serves them
+    all.  Each complete placement adds, for each element it reaches,
     sign * multiplicity * product, the sign being 1 when the choice is all
-    even and otherwise read off its odd symbols' ranks (``_Context.word``).
-    The whole sum is taken in ints.  A placement's product comes as an
-    unreduced numerator and denominator, and the signed numerators are
-    summed per denominator.  A walk whose sums are not all zero then forms
+    even and otherwise read off its odd symbols' ranks, once per (choice,
+    placement) for all the structures of that choice.  The whole sum is
+    taken in ints.  A placement's product comes as an unreduced numerator
+    and denominator, and the signed numerators are summed per element and
+    denominator.  An element whose sums are not all zero then forms
     coefficient * expansion weight and adds size times its numerator times
-    each sum to the run's sums, under that denominator times its
-    denominator.  One Fraction is built per run, over the lcm of the run's
-    denominators, so no gcd is taken per placement or per walk.  With
-    ``terms`` each nonzero placement is also appended as an EvalTerm, at the
-    same leaf, with the keys of its components, each built once per run
-    from its memo key (``_Context.key``).
+    each sum to the call's sums, under that denominator times its
+    denominator.  One Fraction is built per call, over the lcm of those
+    denominators, so no gcd is taken per placement or per element.  With
+    ``terms`` each element also buffers an EvalTerm per placement it
+    reaches, with the keys of its components, each built once per call from
+    its memo key (``_Context.key``); the buffers are flushed after the
+    skeleton's walk in (structure, basis choice) order, so the terms come
+    in the order of one walk per (structure, basis choice).
 
     One node budget bounds the walk: each node of the structure source
-    (for plain evaluation, of the orbit walk), basis choice and placement
-    node ticks it.
+    (for plain evaluation, of the orbit walk), each basis choice per
+    structure and each placement node per element ticks it.
     """
     problem = ctx.problem
     budget = _Budget(_effective_budget(problem))
     if terms is None:
-        source = iter_structure_orbits(problem, budget)
+        runs = orbit_runs(problem, budget)
     else:
-        source = ((structure, 1) for structure in iter_structures(problem, budget))
-        keys: dict = {}  # the reported keys, by memo key
-    run: dict = {}  # the run's numerators, by denominator
-    skeleton = None
+        runs = _labeled_runs(problem, budget)
+        keys: dict = {}  # the reported keys with their values, by memo key
+    total: dict = {}  # the call's numerators, by denominator
 
-    def leaf(placed: list, mult: int, num: int, den: int):
-        # reads the current walk's structure, basis choice, ranks and sums
-        sign = 1
-        if ranks is not None:
-            comps: tuple[list, list] = ([], [])
-            for vi, labels, _, _ in placed:
-                comp = _component(ranks, sides[vi], labels, blocks[vi])
-                if comp[1]:
-                    comps[vi >= first_x2].append(comp)
-            sign = _regroup_sign(comps)
-        if num:  # 0 only past a missing key
-            sums[den] = sums.get(den, 0) + sign * mult * num
-        if terms is None:
-            return
-        positions = {lab: vi for vi, labels, _, _ in placed for lab in labels}
-        keyed: tuple[list, list] = ([], [])
-        for vi, _, legs, value in placed:
-            memo_key = (sides[vi], genera[vi], weights[vi].exponents, legs, roots[vi])
-            key = keys.get(memo_key)
-            if key is None:
-                key = keys[memo_key] = ctx.key(memo_key)
-            keyed[vi >= first_x2].append((key, value))
-        terms.append(
-            EvalTerm(
-                splitting=structure.build_splitting(positions, problem.legs),
-                multiplicity=mult,
-                delta_choice=tuple(zip(m_labels, delta)),
-                dual_choice=tuple(zip(m_labels, rho)),
-                sign=sign,
-                coefficient=coeff,
-                expansion_coefficient=weight,
-                left=tuple(keyed[0]),
-                right=tuple(keyed[1]),
+    def leaf(placed: list, mult: int, active: list):
+        # reads the current skeleton, its run, choices, ranks and coefficient
+        signs: dict = {}  # by choice
+        splittings: dict = {}  # by structure, with terms
+        for element, num, den in active:
+            c = element.choice
+            sign = 1 if ranks[c] is None else signs.get(c)
+            if sign is None:
+                comps: tuple[list, list] = ([], [])
+                for vi, labels, _ in placed:
+                    comp = _component(ranks[c], sides[vi], labels, blocks[vi])
+                    if comp[1]:
+                        comps[vi >= first_x2].append(comp)
+                sign = signs[c] = _regroup_sign(comps)
+            if num:  # 0 only past a missing key
+                element.sums[den] = element.sums.get(den, 0) + sign * mult * num
+            if element.rows is None:
+                continue
+            s = element.structure
+            if s not in splittings:
+                positions = {lab: vi for vi, labels, _ in placed for lab in labels}
+                splittings[s] = run[s][0].build_splitting(positions, problem.legs)
+            keyed: tuple[list, list] = ([], [])
+            for vi, _, legs in placed:
+                memo = element.memos[vi]
+                memo_key = memo.key(legs)
+                entry = keys.get(memo_key)
+                if entry is None:
+                    value_num, value_den, _ = memo[legs]
+                    entry = keys[memo_key] = (ctx.key(memo_key), Fraction(value_num, value_den))
+                keyed[vi >= first_x2].append(entry)
+            delta, rho, weight, _, _ = choices[c]
+            element.rows.append(
+                EvalTerm(
+                    splitting=splittings[s],
+                    multiplicity=mult,
+                    delta_choice=tuple(zip(m_labels, delta)),
+                    dual_choice=tuple(zip(m_labels, rho)),
+                    sign=sign,
+                    coefficient=coeff,
+                    expansion_coefficient=weight,
+                    left=tuple(keyed[0]),
+                    right=tuple(keyed[1]),
+                )
             )
-        )
 
-    for structure, size, current in _skeletons(ctx, source):
-        if current is not skeleton:
-            skeleton = current
-            coeff = ctx.coefficient(skeleton.contacts, skeleton.indices, rule)
-            sides, blocks = skeleton.sides, skeleton.blocks
-            first_x2 = sides.count("X1")
-        m_labels = structure.m_labels
-        genera = structure.genera1 + structure.genera2
-        weights = structure.weights1 + structure.weights2
-        for delta, rho, weight, odd, roots in skeleton.choices():
-            budget.tick()
-            ranks = ctx.word(m_labels, delta, rho) if odd else None
-            sums: dict = {}  # sign * multiplicity * numerator, by denominator
-            _placements(ctx, sides, genera, weights, roots, budget, leaf)
-            if any(sums.values()):
-                scaled = coeff * weight
-                factor, scale = size * scaled.numerator, scaled.denominator
-                for den, v in sums.items():
+    for skeleton, run in _skeletons(ctx, runs):
+        coeff = ctx.coefficient(skeleton.contacts, skeleton.indices, rule)
+        sides, blocks, m_labels = skeleton.sides, skeleton.blocks, skeleton.m_labels
+        first_x2 = sides.count("X1")
+        choices = []
+        for choice in skeleton.choices():
+            budget.advance(len(run))  # once per structure, as the choices are listed
+            choices.append(choice)
+        ranks = [
+            ctx.word(m_labels, delta, rho) if odd else None for delta, rho, _, odd, _ in choices
+        ]
+        elements = []
+        for s, (structure, _) in enumerate(run):
+            genera = structure.genera1 + structure.genera2
+            weights = structure.weights1 + structure.weights2
+            for c, choice in enumerate(choices):
+                rows = None if terms is None else []
+                elements.append(_Element(ctx, sides, genera, weights, choice[4], s, c, rows))
+        if not elements:
+            continue
+        _placements(ctx, sides, elements, budget, leaf)
+        scaled: dict = {}  # coefficient * expansion weight, by choice
+        for element in elements:
+            if any(element.sums.values()):
+                c = element.choice
+                if c not in scaled:
+                    scaled[c] = coeff * choices[c][2]
+                factor = run[element.structure][1] * scaled[c].numerator
+                for den, v in element.sums.items():
                     if v:
-                        run[den * scale] = run.get(den * scale, 0) + factor * v
-    if not run:
+                        den *= scaled[c].denominator
+                        total[den] = total.get(den, 0) + factor * v
+            if terms is not None:
+                terms.extend(element.rows)
+    if not total:
         return _ZERO
-    common = math.lcm(*run)
-    return Fraction(sum(v * (common // den) for den, v in run.items()), common)
+    common = math.lcm(*total)
+    return Fraction(sum(v * (common // den) for den, v in total.items()), common)
 
 
 # -- public operations --------------------------------------------------------
@@ -908,26 +1018,24 @@ def needed_keys(
     budget = _Budget(_effective_budget(problem))
     leg_options: dict = {}  # by vertex sides
     found: set = set()
-    skeleton = None
-    for structure, _, current in _skeletons(ctx, iter_structure_orbits(problem, budget)):
-        sides = current.sides
-        if current is not skeleton:
-            skeleton = current
-            vertex_roots: list[dict] = [{} for _ in sides]  # sorted root tuples
-            for *_, roots in skeleton.choices():
-                budget.tick()
-                for vi, vertex in enumerate(roots):
-                    vertex_roots[vi][tuple(sorted(vertex))] = None
+    for skeleton, run in _skeletons(ctx, orbit_runs(problem, budget)):
+        sides = skeleton.sides
+        vertex_roots: list[dict] = [{} for _ in sides]  # sorted root tuples
+        for *_, roots in skeleton.choices():
+            budget.tick()
+            for vi, vertex in enumerate(roots):
+                vertex_roots[vi][tuple(sorted(vertex))] = None
         if sides not in leg_options:
             leg_options[sides] = _leg_options(ctx, sides, budget)
-        genera = structure.genera1 + structure.genera2
-        weights = structure.weights1 + structure.weights2
-        for vi, (side, genus, weight) in enumerate(zip(sides, genera, weights)):
-            for roots in vertex_roots[vi]:
-                for order in _orders(roots):
-                    budget.tick()
-                    for legs in leg_options[sides][side]:
-                        found.add((side, genus, weight.exponents, legs, order))
+        for structure, _ in run:
+            genera = structure.genera1 + structure.genera2
+            weights = structure.weights1 + structure.weights2
+            for vi, (side, genus, weight) in enumerate(zip(sides, genera, weights)):
+                for roots in vertex_roots[vi]:
+                    for order in _orders(roots):
+                        budget.tick()
+                        for legs in leg_options[sides][side]:
+                            found.add((side, genus, weight.exponents, legs, order))
     return sorted(map(ctx.key, found), key=lambda k: k.sort_token())
 
 

@@ -7,7 +7,9 @@ first and attaches legs afterwards, each at a vertex position that
 the one placement rule while aggregating interchangeable legs.
 ``iter_structures`` walks every labeled structure;
 ``iter_structure_orbits`` walks one per orbit of the root relabelings, with
-the orbit size, for sums that only need each orbit once.
+the orbit size, for sums that only need each orbit once; ``orbit_runs``
+hands the same walk over one skeleton (root data and root blocks) at a
+time.
 
 Enumeration branches are independent of each other; the implementation runs
 them sequentially and the output order is fixed by a canonical sort, so
@@ -734,23 +736,37 @@ def iter_structure_orbits(
 
     The walk reads only the monoid, beta, root data, genus and leg count,
     so it is done once per process for each of those (``_kept``), and each
-    root-graph listing once per shape.
+    root-graph listing once per shape.  It is ``orbit_runs`` taken one
+    structure at a time.
     """
+    for run in orbit_runs(problem, budget):
+        yield from run
+
+
+def orbit_runs(
+    problem: DegenerationProblem, budget: Optional[_Budget] = None
+) -> Iterator[list[tuple[SplittingStructure, int]]]:
+    """The walk of ``iter_structure_orbits`` handed over a skeleton at a
+    time: each item lists the (structure, orbit size) pairs of one root
+    graph's decorations, which share root data and root blocks and differ
+    only in weights and genera.  A consumer that works per skeleton gets
+    each whole run without asking for the next, so a budget that stops
+    its work on the last run stops the walk before it is kept."""
     budget = budget or _Budget(_effective_budget(problem))
     key = (problem.monoid, problem.beta, problem.root_data(), problem.genus, len(problem.legs))
     yield from _kept(_ORBITS, key, _walk_orbits(problem, budget), budget)
 
 
 def _walk_orbits(problem: DegenerationProblem, budget: _Budget):
-    """The walk of ``iter_structure_orbits``, done afresh."""
+    """The walk of ``orbit_runs``, done afresh."""
     plan = _root_plan(problem)
     if plan is None:
         return
     options, deg, pairs, mults, m_max = plan
     if deg == 0:
-        # no roots: each structure is its own orbit
+        # no roots: each structure is its own orbit and its own skeleton
         for structure in iter_structures(problem, budget):
-            yield structure, 1
+            yield [(structure, 1)]
         return
     mult = dict(zip(pairs, mults))
     graphs: dict = {}  # the shapes this walk has listed (and ticked)
@@ -773,16 +789,19 @@ def _walk_orbits(problem: DegenerationProblem, budget: _Budget):
                             _kept(_ROOT_GRAPHS, shape, _root_graphs(*shape, budget), budget)
                         )
                     for graph, autos in graphs[shape]:
-                        yield from _decorated_orbits(
+                        run = list(_decorated_orbits(
                             graph, autos, colors, color_mults, len(problem.legs) + 1,
                             rows_x1, problem.genus - cycles, options, budget,
-                        )
+                        ))
+                        if run:
+                            yield run
 
 
 def _decorated_orbits(
     graph, autos, colors, mults, first_label, rows_x1, genus, options, budget
 ):
-    """The orbits over one root graph: its decorations up to automorphism.
+    """The orbits over one root graph: its decorations up to automorphism,
+    all with the same root data and root blocks.
 
     Labels from ``first_label`` on go to the edges row by row, column by
     column, color by color; ``mults`` holds each color's scaled

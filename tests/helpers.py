@@ -173,6 +173,12 @@ class _OnesTable(InvariantTable):
         return Fraction(1)
 
 
+def memo_keys(ctx) -> list:
+    """The memo key of every component a run's kernel looked up: (side,
+    genus, weight exponents, legs, roots)."""
+    return [memo.key(legs) for memo in ctx.memo.values() for legs in memo]
+
+
 def placement_keys(problem: DegenerationProblem, insertions) -> list:
     """The keys the placement walk reaches, sorted: every labeled structure,
     basis choice and leg placement, through the evaluator's memo against a
@@ -186,11 +192,12 @@ def placement_keys(problem: DegenerationProblem, insertions) -> list:
             continue
         genera = structure.genera1 + structure.genera2
         weights = structure.weights1 + structure.weights2
-        for *_, roots in skeleton.choices():
-            correlator._placements(
-                ctx, skeleton.sides, genera, weights, roots, budget, lambda *leaf: None
-            )
-    return sorted(map(ctx.key, ctx.memo), key=lambda k: k.sort_token())
+        elements = [
+            correlator._Element(ctx, skeleton.sides, genera, weights, roots)
+            for *_, roots in skeleton.choices()
+        ]
+        correlator._placements(ctx, skeleton.sides, elements, budget, lambda *leaf: None)
+    return sorted(map(ctx.key, memo_keys(ctx)), key=lambda k: k.sort_token())
 
 
 def labeled_keys(problem: DegenerationProblem, insertions) -> list:
@@ -203,11 +210,10 @@ def labeled_keys(problem: DegenerationProblem, insertions) -> list:
     leg_options_by_sides: dict = {}
     seen: set = set()
     found: set = set()
-    skeleton = None
+    skeleton_key = None
     for structure in iter_structures(problem):
-        if skeleton is None or (
-            structure.root_data, structure.blocks1, structure.blocks2
-        ) != skeleton.key:
+        if (structure.root_data, structure.blocks1, structure.blocks2) != skeleton_key:
+            skeleton_key = (structure.root_data, structure.blocks1, structure.blocks2)
             skeleton = correlator._Skeleton(ctx, structure)
             choices = list(skeleton.choices())
             if not skeleton.dead and choices:

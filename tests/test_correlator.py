@@ -57,6 +57,7 @@ from helpers import (
     ODD,
     _OnesTable,
     covariant_random_table,
+    memo_keys,
     monomial_reorder_sign,
     orbit_key,
     random_divisor_catalog,
@@ -298,6 +299,24 @@ def test_budget_ticks_are_pinned(d, g, evaluate_ticks, keys_ticks):
         assert err.value.visited == ticks
 
 
+@pytest.mark.parametrize("d,g,ticks", [(4, 2, 20390), (5, 1, 98355)])
+def test_terms_budget_ticks_are_pinned(d, g, ticks):
+    # the node counts of evaluate with the term breakdown on P1, recorded
+    # when each (structure, basis choice) walked its own placements: the
+    # labeled walk over every structure, each basis choice per structure
+    # and each placement node per (structure, basis choice) still tick once
+    problem, insertions = p1_problem(d, g)
+    table = build_p1_table(d, g, max_legs=len(insertions))
+    evaluate_degeneration(
+        dataclasses.replace(problem, budget=ticks), insertions, table, with_terms=True
+    )
+    with pytest.raises(EnumerationBudgetError) as err:
+        evaluate_degeneration(
+            dataclasses.replace(problem, budget=ticks - 1), insertions, table, with_terms=True
+        )
+    assert err.value.visited == ticks
+
+
 def _keys_and_values(problem, insertions, table):
     return needed_keys(problem, insertions), [
         evaluate_degeneration(problem, insertions, table, convention=c).value
@@ -427,6 +446,32 @@ def test_missing_keys_pinned_on_a_short_p1_table(with_terms, count, digest):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "with_terms,count,digest",
+    [
+        (False, 44, "0713d35f9004cd2cc3a98c35808652a9874391699de3cb520c3e512f6193fb79"),
+        (True, 56, "dcb4a60d423550623f71223bc2d08ef513f0477fc2923b9fb2c600ab54ca5c7b"),
+    ],
+)
+def test_missing_keys_pinned_on_a_short_odd_table(with_terms, count, digest):
+    # a random problem with odd divisor classes and odd leg insertions
+    # against a table without every third of its keys: the lists of absent
+    # keys, recorded when each (structure, basis choice) walked its own
+    # placements, are pinned by count and by the SHA-256 of their JSON
+    rng = random.Random(29)
+    problem, insertions = random_problem(rng)
+    assert any(b.parity is ODD for b in problem.divisor.basis)
+    assert any(problem.ambient.parity_of(i.class_id) is ODD for i in insertions)
+    keys = needed_keys(problem, insertions)
+    full = covariant_random_table(keys, problem.divisor, problem.ambient, rng)
+    table = InvariantTable({key: v for i, (key, v) in enumerate(full.items()) if i % 3})
+    with pytest.raises(MissingKeysError) as err:
+        evaluate_degeneration(problem, insertions, table, with_terms=with_terms)
+    assert len(err.value.keys) == count
+    blob = jsonio.dumps(jsonio.keys_to_obj(err.value.keys)).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_kernel_memo_holds_no_vanishing_data():
     # the kernel applies no vanishing rule: its structures meet condition B
     # and its basis choices keep each root on its band, so no vertex it
@@ -441,9 +486,10 @@ def test_kernel_memo_holds_no_vanishing_data():
             for terms in (None, []):
                 ctx = correlator._Context(problem, insertions, convention, table)
                 correlator._walk(ctx, MINIMAL_TWIST, terms)
-                for _, _, exponents, _, roots in ctx.memo:
+                looked_up_keys = memo_keys(ctx)
+                for _, _, exponents, _, roots in looked_up_keys:
                     assert not correlator._vanishes(problem, CurveClass(exponents), roots)
-                looked_up += len(ctx.memo)
+                looked_up += len(looked_up_keys)
     assert looked_up > 100
 
 
@@ -463,7 +509,7 @@ def test_term_breakdown_builds_each_key_once(monkeypatch):
     correlator._walk(ctx, MINIMAL_TWIST, terms)
     reported = [key for term in terms for key, _ in term.left + term.right]
     assert len(set(reported)) < len(reported)
-    assert len(built) == len(set(reported)) <= len(ctx.memo)
+    assert len(built) == len(set(reported)) <= len(memo_keys(ctx))
     assert {for_vertex(*data) for data in built} == set(reported)
 
 

@@ -27,6 +27,7 @@ from degenkit.splitting import (
     iter_structure_orbits,
     iter_structures,
 )
+from degenkit.twisting import MINIMAL_TWIST, TwistingChoice
 from helpers import (
     DIVISOR_SHAPES,
     brute_force_orbits,
@@ -289,3 +290,22 @@ def test_orbit_walk_property(case):
     problem, insertions, keys, table = case
     check_orbit_walk(problem)
     check_orbit_evaluation(problem, insertions, table, set(keys))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(orbit_cases())
+def test_twisting_independence_property(case):
+    # the minimal twist and its double give the same value, in either
+    # convention, plain and with the term breakdown
+    problem, insertions, _, table = case
+    doubled = TwistingChoice("multiple", multiple=2)
+    for convention in CONVENTIONS:
+        for with_terms in (False, True):
+            values = [
+                evaluate_degeneration(
+                    problem, insertions, table, rule=rule, convention=convention,
+                    with_terms=with_terms,
+                ).value
+                for rule in (MINIMAL_TWIST, doubled)
+            ]
+            assert values[0] == values[1]
