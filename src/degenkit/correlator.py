@@ -178,9 +178,9 @@ class CorrelatorKey:
     A one-vertex key also answers with the vertex data it stands for
     (``vertex``), kept on the key in its one non-field attribute, so
     equality and hashing ignore it.  ``for_vertex`` keeps the data it was
-    given, and a table file's key text in ``vertex_form`` bytes hands over
-    the reading its parse made (``keep_reading``); any other key reads its
-    bytes once, on first use.
+    given, and a table file's key in ``vertex_form`` bytes is built holding
+    the data its row gave (``_holding``, from ``jsonio.table_from_obj``);
+    any other key reads its bytes once, on first use.
     """
 
     side: str
@@ -227,18 +227,25 @@ class CorrelatorKey:
         if not isinstance(weight, CurveClass):
             weight = CurveClass(weight)
         legs, roots = tuple(legs), tuple(roots)
-        key = CorrelatorKey(
-            side,
-            _vertex_text(
-                genus,
-                weight.exponents,
-                tuple([e for e, _, _ in legs]),
-                tuple([(f, c) for f, c, _ in roots]),
-            ),
-            tuple([(m, cid) for _, m, cid in legs]),
-            tuple([cid for _, _, cid in roots]),
+        text = _vertex_text(
+            genus,
+            weight.exponents,
+            tuple([e for e, _, _ in legs]),
+            tuple([(f, c) for f, c, _ in roots]),
         )
-        object.__setattr__(key, "_vertex", (side, genus, weight.exponents, legs, roots))
+        return CorrelatorKey._holding(text, (side, genus, weight.exponents, legs, roots))
+
+    @staticmethod
+    def _holding(graph: bytes, data: tuple) -> "CorrelatorKey":
+        """The key whose vertex data (``_data``) is ``data``, the slot
+        (side, genus, exponents, legs, roots), and whose graph bytes are
+        ``graph``, the ``vertex_form`` text of that vertex, which the caller
+        has written or read."""
+        side, _, _, legs, roots = data
+        key = CorrelatorKey(
+            side, graph, tuple([(m, cid) for _, m, cid in legs]), tuple([cid for _, _, cid in roots])
+        )
+        object.__setattr__(key, "_vertex", data)
         return key
 
     def vertex(self) -> Optional[tuple]:
@@ -256,25 +263,19 @@ class CorrelatorKey:
         """``vertex`` with the weight given by its exponents, the form of
         the component memo key and of a table's slot.  A key that was not
         given it reads its bytes (``graphs.vertex_data``) on the first
-        call."""
+        call.  The data is kept as tuples of strings and ints, which the
+        garbage collector stops tracking, so the keys of a large table cost
+        its collections nothing more."""
         if not hasattr(self, "_vertex"):
-            self.keep_reading(vertex_data(self.graph))
+            data, found = None, vertex_data(self.graph)
+            if found is not None:
+                genus, weight, leg_e, root_fc = found
+                if (len(leg_e), len(root_fc)) == (len(self.legs), len(self.roots)):
+                    legs = tuple([(e, m, cid) for e, (m, cid) in zip(leg_e, self.legs)])
+                    roots = tuple([(f, c, cid) for (f, c), cid in zip(root_fc, self.roots)])
+                    data = (self.side, genus, weight.exponents, legs, roots)
+            object.__setattr__(self, "_vertex", data)
         return self._vertex
-
-    def keep_reading(self, found) -> None:
-        """Keep this key's vertex data, from ``found``, the reading
-        ``graphs.vertex_data`` gives of its bytes, and its legs and roots.
-        It is kept as tuples of strings and ints, which the garbage
-        collector stops tracking, so the keys of a large table cost its
-        collections nothing more."""
-        data = None
-        if found is not None:
-            genus, weight, leg_e, root_fc = found
-            if (len(leg_e), len(root_fc)) == (len(self.legs), len(self.roots)):
-                legs = tuple([(e, m, cid) for e, (m, cid) in zip(leg_e, self.legs)])
-                roots = tuple([(f, c, cid) for (f, c), cid in zip(root_fc, self.roots)])
-                data = (self.side, genus, weight.exponents, legs, roots)
-        object.__setattr__(self, "_vertex", data)
 
     def sort_token(self):
         return (self.side, self.graph, self.legs, self.roots)
@@ -302,6 +303,13 @@ class InvariantTable:
 
     def set(self, key: CorrelatorKey, value) -> None:
         self._entries[self._slot(key)] = key, Fraction(value)
+
+    def _setdefault(self, key: CorrelatorKey, value: Fraction) -> Fraction:
+        """The value the table holds for ``key``: the one it had, or else
+        ``value``, a Fraction, which is set as it is.  A table file's reader
+        (``jsonio.table_from_obj``) checks a repeated key with it, in the
+        one lookup of the key's slot."""
+        return self._entries.setdefault(self._slot(key), (key, value))[1]
 
     def get(self, key: CorrelatorKey) -> Optional[Fraction]:
         entry = self._entries.get(self._slot(key))

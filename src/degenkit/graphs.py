@@ -348,8 +348,9 @@ def vertex_form(genus: int, weight, leg_e, root_fc) -> bytes:
     ``leg_e`` and are labeled 1..n in that order, its roots have the
     (f, c) pairs ``root_fc`` and are labeled n+1..n+k.  A single vertex
     leaves no tie to break, so the bytes are written straight from the ints
-    in the layout of ``keyed_form``, with the generator ids escaped by
-    ``json.dumps``.
+    in the layout of ``keyed_form``, each generator id quoted as
+    ``keyed_form`` quotes it (``_quote``); an id that is not a string raises
+    TypeError.
     """
     if genus < 0:
         raise DegenkitError("vertex genus must be nonnegative")
@@ -363,21 +364,23 @@ def vertex_form(genus: int, weight, leg_e, root_fc) -> bytes:
     )
     if not isinstance(weight, CurveClass):
         weight = CurveClass(weight)
-    exponents = ",".join(["[%s,%d]" % (json.dumps(gid), e) for gid, e in weight.exponents])
+    exponents = ",".join(["[%s,%d]" % (_quote(gid), e) for gid, e in weight.exponents])
     text = '{"e":[],"l":[%s],"r":[%s],"v":[[%d,[%s]]]}' % (legs, roots, genus, exponents)
     return text.encode()
 
 
 def vertex_data(blob: bytes):
     """The inverse of ``vertex_form``: the (genus, weight, leg indices, root
-    (f, c) pairs) for which it writes exactly ``blob``, with string generator
-    ids, or None when there are none.  It never raises, whatever the text."""
+    (f, c) pairs) for which it writes exactly ``blob``, or None when there are
+    none.  The generator ids are strings, as ``vertex_form`` quotes no other.
+    It never raises, whatever the text."""
     try:
-        data = json.loads(blob)
+        # vertex_form writes ASCII only: other bytes fail here, unparsed
+        data = json.loads(blob.decode("ascii"))
         ((genus, pairs),) = data["v"]
         leg_e = [e for _, e, _ in data["l"]]
         found = genus, CurveClass(pairs), leg_e, [(f, c) for _, f, c, _ in data["r"]]
-        if vertex_form(*found) == blob and all(isinstance(gid, str) for gid, _ in pairs):
+        if vertex_form(*found) == blob:
             return found
     except (ValueError, TypeError, KeyError, ArithmeticError, RecursionError, DegenkitError):
         pass

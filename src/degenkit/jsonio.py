@@ -400,19 +400,19 @@ def key_to_dict(key: CorrelatorKey) -> dict:
     }
 
 
-def _key_graph(graph) -> tuple[bytes, int, int, Optional[tuple]]:
-    """The canonical bytes of a table key's graph, its leg and root counts,
-    and its vertex data as ``graphs.vertex_data`` reads it, or None.  The
-    graph is given as an object (``graph_from_dict``) or as canonical JSON
-    text in the layout of ``canonical_form``: ``{"e": [[a, b]...], "l":
-    [[label, e, vertex]...], "r": [[label, f, c, vertex]...], "v": [[genus,
-    [[generator, exponent]...]]...]}``.
+def _key_graph(graph) -> tuple[bytes, int, int]:
+    """The canonical bytes of a table key's graph and its leg and root
+    counts.  The graph is given as an object (``graph_from_dict``) or as
+    canonical JSON text in the layout of ``canonical_form``: ``{"e": [[a,
+    b]...], "l": [[label, e, vertex]...], "r": [[label, f, c, vertex]...],
+    "v": [[genus, [[generator, exponent]...]]...]}``.
 
     Text that ``graphs.vertex_data`` reads is the bytes ``vertex_form``
-    writes, and is taken as it is, with the data read.  Any other text is
-    read with every number through ``_int`` and every generator id through
-    ``_str``, and any other graph is built and canonicalised; neither comes
-    with vertex data.
+    writes, and is taken as it is; a table file's rows of such text mostly
+    come with insertions that ``_vertex_key`` reads, and skip this.  Any
+    other text is read with every number through ``_int`` and every
+    generator id through ``_str``, and any other graph is built and
+    canonicalised.
     """
     if isinstance(graph, dict):
         parsed = graph_from_dict(graph)
@@ -421,7 +421,7 @@ def _key_graph(graph) -> tuple[bytes, int, int, Optional[tuple]]:
         blob = _str(graph, "key graph").encode("utf-8", "surrogatepass")
         found = vertex_data(blob)
         if found is not None:
-            return blob, len(found[2]), len(found[3]), found
+            return blob, len(found[2]), len(found[3])
         try:
             data = json.loads(graph)
         except (ValueError, RecursionError):
@@ -452,16 +452,17 @@ def _key_graph(graph) -> tuple[bytes, int, int, Optional[tuple]]:
             legs=tuple(Leg(*row) for row in legs),
             roots=tuple(Root(*row) for row in roots),
         )
-    return canonical_form(rank_relabeled(parsed)), len(parsed.legs), len(parsed.roots), None
+    return canonical_form(rank_relabeled(parsed)), len(parsed.legs), len(parsed.roots)
 
 
 def key_from_dict(data: dict) -> CorrelatorKey:
-    """A table key; a ``legs`` or ``roots`` list it gives holds one
-    insertion per leg or root of its graph, in label order.  Graph text
-    already read as vertex data hands that reading to the key, which keeps
-    its vertex data from it (``CorrelatorKey.keep_reading``) and never reads
-    its bytes again."""
-    graph, *counts, found = _key_graph(
+    """A table key, every field checked, with the error that names the
+    first one wrong; a ``legs`` or ``roots`` list it gives holds one
+    insertion per leg or root of its graph, in label order.  The key reads
+    its vertex data from its bytes on first use.  ``table_from_obj`` reads
+    the common keys in one pass (``_vertex_key``) and sends every other key
+    here."""
+    graph, *counts = _key_graph(
         _field(_object(data, "table key"), "graph", "table key")
     )
     key = CorrelatorKey(
@@ -482,8 +483,6 @@ def key_from_dict(data: dict) -> CorrelatorKey:
                 "table key lists %d %s for the graph %s, which has %d"
                 % (len(listed), name, key.graph.decode(), count)
             )
-    if found is not None:
-        key.keep_reading(found)
     return key
 
 
@@ -494,18 +493,87 @@ def table_to_obj(table: InvariantTable) -> list:
     ]
 
 
+def _vertex_key(data, readings: dict) -> Optional[CorrelatorKey]:
+    """A table key read in one pass, holding its vertex data as its slot
+    (``CorrelatorKey._holding``), or None for a key this reading does not
+    take, which ``key_from_dict`` reads instead.
+
+    It takes an object with a ``"side"`` of ``"X1"`` or ``"X2"``, a
+    ``"graph"`` text that ``graphs.vertex_data`` reads, and one insertion
+    per leg and root of that graph: each an object, with a JSON integer
+    ``"m"`` (not a bool) for a leg and a string ``"class"``.  ``readings``
+    maps each graph text already met to its reading, or None."""
+    if type(data) is not dict:
+        return None
+    side, graph = data.get("side"), data.get("graph")
+    if type(graph) is not str or side not in ("X1", "X2"):
+        return None
+    reading = readings.get(graph, False)
+    if reading is False:
+        # a lone surrogate passes into bytes that vertex_data refuses
+        blob = graph.encode("utf-8", "surrogatepass")
+        found = vertex_data(blob)
+        reading = None if found is None else (blob, found[0], found[1].exponents, *found[2:])
+        readings[graph] = reading
+    if reading is None:
+        return None
+    blob, genus, exponents, leg_e, root_fc = reading
+    leg_rows, root_rows = data.get("legs", []), data.get("roots", [])
+    if (
+        type(leg_rows) is not list
+        or type(root_rows) is not list
+        or len(leg_rows) != len(leg_e)
+        or len(root_rows) != len(root_fc)
+    ):
+        return None
+    legs = []
+    for e, row in zip(leg_e, leg_rows):
+        if type(row) is not dict:
+            return None
+        m, cid = row.get("m"), row.get("class")
+        if type(m) is not int or type(cid) is not str:
+            return None
+        legs.append((e, m, cid))
+    roots = []
+    for (f, c), row in zip(root_fc, root_rows):
+        if type(row) is not dict:
+            return None
+        cid = row.get("class")
+        if type(cid) is not str:
+            return None
+        roots.append((f, c, cid))
+    return CorrelatorKey._holding(blob, (side, genus, exponents, tuple(legs), tuple(roots)))
+
+
 def table_from_obj(data: list) -> InvariantTable:
-    """A table file; a key listed twice must have one value."""
+    """A table file; a key listed twice must have one value.
+
+    Every row's shape is checked before any key is read, and each row's key
+    is read before its value.  A key in the common form, graph text that
+    ``graphs.vertex_data`` reads with one well-typed insertion per leg and
+    root, is read in one pass and put straight under its vertex data
+    (``_vertex_key``); any other key goes through ``key_from_dict``, which
+    raises its error.  Each distinct graph text and value text is read
+    once per call; both memos end with the call, and the value memo holds
+    str texts only (``true`` and ``1.0`` hash as ``1`` but are refused).
+    """
     table = InvariantTable()
-    for key, value in _rows(data, "table", "key", "value"):
-        key, value = key_from_dict(key), fraction_from_str(value)
-        known = table.get(key)
-        if known is not None and known != value:
+    readings: dict = {}
+    values: dict[str, Fraction] = {}
+    for key_data, text in _rows(data, "table", "key", "value"):
+        key = _vertex_key(key_data, readings) or key_from_dict(key_data)
+        if type(text) is str:
+            value = values.get(text)
+            if value is None:
+                value = values[text] = fraction_from_str(text)
+        else:
+            value = fraction_from_str(text)
+        known = table._setdefault(key, value)
+        if known != value:
             raise DegenkitError(
                 "table lists the key %s with two values, %s and %s"
                 % (json.dumps(key_to_dict(key), sort_keys=True), known, value)
             )
-        table.set(key, value)
     return table
 
 

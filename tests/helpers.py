@@ -355,6 +355,27 @@ def covariant_random_table(
     return table
 
 
+# -- the row-by-row table loader ----------------------------------------------
+
+
+def reference_table_from_obj(data: list) -> InvariantTable:
+    """A table file read row by row: each key through
+    ``jsonio.key_from_dict``, each value through ``fraction_from_str``, and
+    a repeated key checked with ``get`` before ``set``.  The reference for
+    ``jsonio.table_from_obj``, which reads the common rows in one pass."""
+    table = InvariantTable()
+    for key, value in jsonio._rows(data, "table", "key", "value"):
+        key, value = jsonio.key_from_dict(key), jsonio.fraction_from_str(value)
+        known = table.get(key)
+        if known is not None and known != value:
+            raise DegenkitError(
+                "table lists the key %s with two values, %s and %s"
+                % (json.dumps(jsonio.key_to_dict(key), sort_keys=True), known, value)
+            )
+        table.set(key, value)
+    return table
+
+
 # -- relabeling orbits of structures --------------------------------------------
 
 

@@ -560,6 +560,16 @@ def _table_probe(payload):
             _table_probe([{"key": _KEY, "value": "1/1"}, {"key": _KEY, "value": "2/1"}]),
             id="table-key-twice-with-two-values",
         ),
+        *[
+            pytest.param(_table_probe([{"key": _KEY, "value": value}]), id="table-value-" + name)
+            for name, value in (
+                ("text", "abc"), ("true", True), ("float", 1.5), ("over-zero", "1/0"), ("a-list", [1]),
+            )
+        ],
+        pytest.param(
+            _table_probe([{"key": _KEY, "value": 1}, {"key": _KEY, "value": True}]),
+            id="table-value-1-then-true",
+        ),
         pytest.param(
             _table_probe([{"key": {**_KEY, "roots": [{"class": {"a": 1}}]}, "value": "1/1"}]),
             id="table-key-root-class-an-object",

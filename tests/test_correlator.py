@@ -537,8 +537,8 @@ def _asked_data(problem, insertions, table) -> set:
 def _same_keys_rebuilt(rows):
     """The rows read by ``table_from_obj`` with text graphs and with object
     graphs, and keyed by ``for_component`` on each key's graph: tables whose
-    keys do not keep the data ``for_vertex`` was given.  The text keys keep
-    the reading the parse made; the others read their bytes."""
+    keys do not keep the data ``for_vertex`` was given.  The text keys hold
+    the data their rows gave; the others read their bytes."""
     obj = jsonio.table_to_obj(InvariantTable(dict(rows)))
     as_objects = []
     for row in obj:

@@ -1,3 +1,5 @@
+import copy
+import functools
 import json
 import random
 from fractions import Fraction
@@ -6,16 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenkit import jsonio
+from degenkit import correlator, jsonio, oracle
+from degenkit.errors import DegenkitError
 from degenkit.graphs import (
     CurveClass,
     Leg,
     ModularGraph,
     Root,
     Vertex,
+    graph_from_canonical,
     rank_relabeled,
 )
-from helpers import canonical_json
+from helpers import (
+    canonical_json,
+    covariant_random_table,
+    random_problem,
+    reference_table_from_obj,
+)
 
 
 # keys and strings that need escaping: empty, quotes, backslashes, control
@@ -154,3 +163,153 @@ def test_graph_writer_matches_the_dict_path():
         for wrap in (lambda g: g, lambda g: [g], lambda g: {"row": {"xi1": g, "m": [1, g]}}):
             assert jsonio.dumps(wrap(graph)) == json.dumps(wrap(as_dict), indent=2, sort_keys=True) + "\n"
     assert len(seen - {None}) == 5
+
+
+# -- the table loader against the row-by-row reference ----------------------------
+
+# P1 cells (degree, genus, legs on X2) and random_problem seeds whose keys
+# have legs as well as roots
+_TABLE_SOURCES = [("p1", cell) for cell in ((2, 0, 1), (2, 1, 0), (3, 0, 2), (2, 2, 1))] + [
+    ("covariant", seed) for seed in (6, 7, 13, 18)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _source_rows(kind: str, arg) -> list:
+    if kind == "p1":
+        problem, insertions = oracle.p1_problem(arg[0], arg[1], second_side_legs=arg[2])
+        return jsonio.table_to_obj(oracle.build_p1_table(arg[0], arg[1], max_legs=len(insertions)))
+    rng = random.Random(arg)
+    problem, insertions = random_problem(rng)
+    keys = correlator.needed_keys(problem, insertions)
+    return jsonio.table_to_obj(covariant_random_table(keys, problem.divisor, problem.ambient, rng))
+
+
+def _row(rows, rng, need=lambda key: True) -> dict:
+    """A random row whose key meets ``need``, or any row if none does."""
+    return rng.choice([row for row in rows if need(row["key"])] or rows)
+
+
+def _insertion(rows, rng, name: str) -> dict:
+    """A random leg or root insertion, or a throwaway dict if no key has one."""
+    entries = _row(rows, rng, lambda key: key[name])["key"][name]
+    return rng.choice(entries) if entries else {}
+
+
+def _text_key(rows, rng) -> dict:
+    return _row(rows, rng, lambda key: isinstance(key["graph"], str))["key"]
+
+
+def _set_m(value_of):
+    def mutate(rows, rng):
+        leg = _insertion(rows, rng, "legs")
+        leg["m"] = value_of(leg.get("m", 0))
+
+    return mutate
+
+
+def _edit_graph(edit):
+    def mutate(rows, rng):
+        key = _text_key(rows, rng)
+        if isinstance(key["graph"], str):
+            key["graph"] = edit(key["graph"])
+
+    return mutate
+
+
+def _raw_non_ascii_id(text: str) -> str:
+    data = json.loads(text)
+    pairs = data["v"][0][1]
+    if pairs:
+        pairs[0][0] = "é" + pairs[0][0]
+    else:
+        pairs.append(["é", 1])
+    return json.dumps(data, separators=(",", ":"), ensure_ascii=False)
+
+
+def _set_value(value):
+    return lambda rows, rng: _row(rows, rng).update({"value": value})
+
+
+def _duplicate(value_of):
+    def mutate(rows, rng):
+        row = _row(rows, rng)
+        rows.append({"key": copy.deepcopy(row["key"]), "value": value_of(row["value"])})
+
+    return mutate
+
+
+def _memo_trap(rows, rng):
+    # 1 and true hash alike; the repeat must still be refused as a value
+    row = _row(rows, rng)
+    row["value"] = 1
+    rows.append({"key": copy.deepcopy(row["key"]), "value": True})
+
+
+def _bad_shape_and_key(rows, rng):
+    # the shape of every row is checked before any key is read
+    _row(rows, rng)["key"]["side"] = "X3"
+    del rows[-1]["value"]
+
+
+_ROW_MUTATIONS = {
+    "none": lambda rows, rng: None,
+    "m-bool": _set_m(lambda m: True),
+    "m-float": _set_m(float),
+    "m-str": _set_m(str),
+    "leg-class-missing": lambda rows, rng: _insertion(rows, rng, "legs").pop("class", None),
+    "leg-class-an-int": lambda rows, rng: _insertion(rows, rng, "legs").update({"class": 1}),
+    "root-class-missing": lambda rows, rng: _insertion(rows, rng, "roots").pop("class", None),
+    "root-class-a-list": lambda rows, rng: _insertion(rows, rng, "roots").update({"class": ["pt"]}),
+    "side-X3": lambda rows, rng: _row(rows, rng)["key"].update({"side": "X3"}),
+    "graph-space": _edit_graph(lambda text: text.replace(",", ", ", 1)),
+    "graph-leading-zero": _edit_graph(lambda text: text.replace('"v":[[', '"v":[[0', 1)),
+    "graph-raw-non-ascii-id": _edit_graph(_raw_non_ascii_id),
+    "leg-dropped": lambda rows, rng: _row(rows, rng, lambda key: key["legs"])["key"]["legs"].pop(),
+    "leg-added": lambda rows, rng: _row(rows, rng)["key"]["legs"].append({"m": 0, "class": "pt"}),
+    "legs-omitted": lambda rows, rng: _row(rows, rng)["key"].pop("legs"),
+    "root-dropped": lambda rows, rng: _row(rows, rng, lambda key: key["roots"])["key"]["roots"].pop(),
+    "root-added": lambda rows, rng: _row(rows, rng)["key"]["roots"].append({"class": "pt"}),
+    "duplicate-same": _duplicate(lambda value: value),
+    "duplicate-conflicting": _duplicate(lambda value: str(jsonio.fraction_from_str(value) + 1)),
+    "memo-trap": _memo_trap,
+    "bad-shape-and-key": _bad_shape_and_key,
+    **{
+        "value-%r" % (value,): _set_value(value)
+        for value in ("abc", True, 1.5, "1/0", [1], None, " 2/4 ", 3)
+    },
+}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    st.sampled_from(_TABLE_SOURCES),
+    st.booleans(),
+    st.sampled_from(sorted(_ROW_MUTATIONS)),
+    st.integers(0, 2**16),
+)
+def test_table_loader_matches_the_row_by_row_reference(source, objects, mutation, seed):
+    # P1 cell and covariant random tables, some key graphs written as
+    # objects, and one seeded row mutation: the loader gives the same table
+    # as the reference, or raises the reference's error text
+    rng = random.Random(seed)
+    rows = copy.deepcopy(_source_rows(*source))
+    if objects:
+        for row in rows:
+            if rng.random() < 0.5:
+                row["key"]["graph"] = jsonio.graph_to_dict(graph_from_canonical(row["key"]["graph"]))
+    _ROW_MUTATIONS[mutation](rows, rng)
+    try:
+        expected = reference_table_from_obj(rows)
+    except DegenkitError as err:
+        with pytest.raises(DegenkitError) as got:
+            jsonio.table_from_obj(rows)
+        assert (type(got.value), str(got.value)) == (type(err), str(err))
+        return
+    table = jsonio.table_from_obj(rows)
+    assert jsonio.dumps(jsonio.table_to_obj(table)) == jsonio.dumps(jsonio.table_to_obj(expected))
+    for key, value in expected.items():
+        data = key.vertex()
+        if data is not None:
+            assert table.vertex_value(*data) == expected.vertex_value(*data) == value
+        assert table.get(key) == value
