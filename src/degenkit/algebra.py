@@ -342,18 +342,30 @@ def dual_basis(catalog: SectorCatalog) -> tuple[Vector, ...]:
     return inverse
 
 
+def standard_dual(basis_id: str, catalog: SectorCatalog) -> Vector:
+    """The involution pullback of a basis class's standard dual
+    (``dual_basis``): the class the ``standard_dual`` convention attaches
+    to the other side of a root.  Kept in the catalog's dual cache, as
+    ``chen_ruan_dual``'s result is, so each catalog works it out once."""
+    cached = catalog._dual_cache.get(("std", basis_id))
+    if cached is not None:
+        return cached
+    dual = dual_basis(catalog)[catalog.basis_index(basis_id)]
+    out = catalog._dual_cache[("std", basis_id)] = catalog.involution_pullback(dual)
+    return out
+
+
 def chen_ruan_dual(basis_id: str, catalog: SectorCatalog) -> Vector:
     """Dual of a basis class for the band-weighted involution pairing.
 
-    Applies the involution pullback to the standard dual and multiplies by
-    the locally constant band order, coordinate by coordinate.
+    Applies the involution pullback to the standard dual
+    (``standard_dual``) and multiplies by the locally constant band order,
+    coordinate by coordinate.
     """
     cached = catalog._dual_cache.get(("cr", basis_id))
     if cached is not None:
         return cached
-    i = catalog.basis_index(basis_id)
-    dual = dual_basis(catalog)[i]
-    pulled = catalog.involution_pullback(dual)
+    pulled = standard_dual(basis_id, catalog)
     r = catalog.band_weights()
     out = tuple(r[a] * pulled[a] for a in range(len(pulled)))
     catalog._dual_cache[("cr", basis_id)] = out

@@ -110,7 +110,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
-from .algebra import Parity, chen_ruan_dual, dual_basis, koszul_sign
+from .algebra import Parity, chen_ruan_dual, koszul_sign, standard_dual
 from .errors import DegenkitError, MissingKeysError
 from .graphs import (
     CurveClass,
@@ -128,6 +128,7 @@ from .splitting import (
     _Budget,
     _effective_budget,
     _listing,
+    _refuse_shared_labels,
     iter_structures,
     leg_slots,
     meets_condition_B,
@@ -442,7 +443,6 @@ class _Context:
         odd_legs = sorted(lab for lab, p in self.leg_parity.items() if p.is_odd)
         self.leg_ranks = {("leg", lab): rank for rank, lab in enumerate(odd_legs)}
         self.odd_leg = bool(odd_legs)
-        duals = dual_basis(self.divisor)
         self.admissible: dict[int, list[str]] = {}
         for f in self.divisor.band_orders():
             self.admissible[f] = [
@@ -454,11 +454,9 @@ class _Context:
         # kept to the band of that class (other terms vanish by sector)
         self.expansion: dict[str, list[tuple[str, Fraction]]] = {}
         self.rho_parity: dict[str, Parity] = {}
-        for i, b in enumerate(self.divisor.basis):
-            if self.convention == "chen_ruan":
-                vec = chen_ruan_dual(b.id, self.divisor)
-            else:
-                vec = self.divisor.involution_pullback(duals[i])
+        dual = chen_ruan_dual if self.convention == "chen_ruan" else standard_dual
+        for b in self.divisor.basis:
+            vec = dual(b.id, self.divisor)
             support = [
                 (self.divisor.basis[a].id, vec[a])
                 for a in range(len(vec))
@@ -843,8 +841,11 @@ def _skeletons(ctx: _Context, runs):
     """(skeleton, run) for each run of ``runs`` whose skeleton is not dead.
     A run lists the (structure, size) pairs of one skeleton, as
     ``splitting.orbit_runs`` and ``_labeled_runs`` hand them over, so a
-    ``_Skeleton`` is built once per run."""
+    ``_Skeleton`` is built once per run.  Every run's root labels are
+    checked against the leg labels first, a replayed orbit walk's too
+    (``splitting._refuse_shared_labels``)."""
     for run in runs:
+        _refuse_shared_labels(ctx.leg_data.keys(), run[0][0].m_labels)
         skeleton = _Skeleton(ctx, run[0][0])
         if not skeleton.dead:
             yield skeleton, run

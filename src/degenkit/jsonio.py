@@ -619,54 +619,68 @@ def result_to_obj(result: EvaluationResult) -> dict:
     return out
 
 
-def _graph_text(graph: ModularGraph, indent: str) -> str:
+def _graph_text(graph: ModularGraph, indent: str, tails: dict) -> str:
     """``json.dumps(graph_to_dict(graph), indent=2, sort_keys=True)``, its
     lines after the first indented by ``indent``, written straight from the
     graph's fields: no dict is built and no key sorted.  The keys of each
     object are written in sorted order, and a weight's generators already
-    are (``CurveClass``)."""
+    are (``CurveClass``).
+
+    The roots and vertices come last, and the splittings of one structure
+    share their tuples (``SplittingStructure.build_splitting``), so that
+    part is written once per (vertices, roots, indent) and kept in
+    ``tails``, keyed by the tuples' ids: ``dumps`` keeps one for the call,
+    while every graph it writes, and so every tuple, is alive.  Only the
+    edges and legs are written per graph."""
     i1 = indent + "  "
     i2 = i1 + "  "
     i3 = i2 + "  "
-    i4 = i3 + "  "
-    edge = "[\n" + i3 + "%d,\n" + i3 + "%d\n" + i2 + "]"
-    leg = "{\n" + i3 + '"e": %d,\n' + i3 + '"label": %d,\n' + i3 + '"vertex": %d\n' + i2 + "}"
-    root = (
-        "{\n" + i3 + '"c": %d,\n' + i3 + '"f": %d,\n' + i3 + '"label": %d,\n'
-        + i3 + '"vertex": %d\n' + i2 + "}"
-    )
-    vertex = "{\n" + i3 + '"genus": %d,\n' + i3 + '"weight": %s\n' + i2 + "}"
-    exponent = ",\n" + i4
 
     def array(items: list) -> str:
         if not items:
             return "[]"
         return "[\n" + i2 + (",\n" + i2).join(items) + "\n" + i1 + "]"
 
-    def weight(exponents) -> str:
-        if not exponents:
-            return "{}"
-        pairs = exponent.join(["%s: %d" % (_quote(gid), e) for gid, e in exponents])
-        return "{\n" + i4 + pairs + "\n" + i3 + "}"
+    tail_key = id(graph.vertices), id(graph.roots), indent
+    tail = tails.get(tail_key)
+    if tail is None:
+        i4 = i3 + "  "
+        root = (
+            "{\n" + i3 + '"c": %d,\n' + i3 + '"f": %d,\n' + i3 + '"label": %d,\n'
+            + i3 + '"vertex": %d\n' + i2 + "}"
+        )
+        vertex = "{\n" + i3 + '"genus": %d,\n' + i3 + '"weight": %s\n' + i2 + "}"
+        exponent = ",\n" + i4
 
+        def weight(exponents) -> str:
+            if not exponents:
+                return "{}"
+            pairs = exponent.join(["%s: %d" % (_quote(gid), e) for gid, e in exponents])
+            return "{\n" + i4 + pairs + "\n" + i3 + "}"
+
+        tail = tails[tail_key] = (
+            ",\n" + i1 + '"roots": '
+            + array([root % (r.c, r.f, r.label, r.vertex) for r in graph.roots])
+            + ",\n" + i1 + '"vertices": '
+            + array([vertex % (v.genus, weight(v.weight.exponents)) for v in graph.vertices])
+            + "\n" + indent + "}"
+        )
+    edge = "[\n" + i3 + "%d,\n" + i3 + "%d\n" + i2 + "]"
+    leg = "{\n" + i3 + '"e": %d,\n' + i3 + '"label": %d,\n' + i3 + '"vertex": %d\n' + i2 + "}"
     return (
         "{\n" + i1 + '"edges": ' + array([edge % e for e in graph.edges])
         + ",\n" + i1 + '"legs": ' + array([leg % (l.e, l.label, l.vertex) for l in graph.legs])
-        + ",\n" + i1 + '"roots": '
-        + array([root % (r.c, r.f, r.label, r.vertex) for r in graph.roots])
-        + ",\n" + i1 + '"vertices": '
-        + array([vertex % (v.genus, weight(v.weight.exponents)) for v in graph.vertices])
-        + "\n" + indent + "}"
+        + tail
     )
 
 
-def _append_json(obj, indent: str, out: list) -> None:
+def _append_json(obj, indent: str, out: list, tails: dict) -> None:
     """Append the pieces of ``json.dumps(obj, indent=2, sort_keys=True)``
     to ``out``; ``indent`` is the indent of the line ``obj`` starts on.
     Keys must be strings (``_quote`` raises TypeError on others).  The
     str and int values of dicts and the ints of lists, the bulk of every
     output, are written without a call.  A ``ModularGraph`` is written as
-    its ``graph_to_dict`` form would be (``_graph_text``)."""
+    its ``graph_to_dict`` form would be (``_graph_text``, with ``tails``)."""
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -682,7 +696,7 @@ def _append_json(obj, indent: str, out: list) -> None:
                 out.append(head + int.__repr__(value))
             else:
                 out.append(head)
-                _append_json(value, inner, out)
+                _append_json(value, inner, out, tails)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
     elif isinstance(obj, (list, tuple)):
@@ -696,11 +710,11 @@ def _append_json(obj, indent: str, out: list) -> None:
                 out.append(sep + int.__repr__(item))
             else:
                 out.append(sep)
-                _append_json(item, inner, out)
+                _append_json(item, inner, out, tails)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
     elif type(obj) is ModularGraph:
-        out.append(_graph_text(obj, indent))
+        out.append(_graph_text(obj, indent, tails))
     elif isinstance(obj, str):
         out.append(_quote(obj))
     elif type(obj) is int:
@@ -722,9 +736,10 @@ def dumps(obj) -> str:
     (0.055 s against 0.127 s of CPU on the 20 outputs of bench cli_files,
     Python 3.11).  ``obj`` may also hold ``ModularGraph`` objects, as the
     rows of ``splittings_to_obj`` and ``result_to_obj`` do; each is written
-    as ``graph_to_dict`` of it would be.  Non-str keys raise TypeError on
-    every version."""
+    as ``graph_to_dict`` of it would be, the roots and vertices shared by
+    the splittings of one structure once per call (``_graph_text``).
+    Non-str keys raise TypeError on every version."""
     out: list[str] = []
-    _append_json(obj, "", out)
+    _append_json(obj, "", out, {})
     out.append("\n")
     return "".join(out)

@@ -34,7 +34,7 @@ from .graphs import (
     ModularGraph,
     Root,
     Vertex,
-    canonical_form,
+    canonical_form,  # noqa: F401  not called here; bench/tracing.py wraps this name
     components,
     d_degree,
     glue,
@@ -143,15 +143,74 @@ class Splitting:
     def glued(self) -> ModularGraph:
         return glue(self.xi1, self.xi2)
 
+    def vertex_rows(self) -> tuple[tuple, tuple]:
+        """Each side's vertex rows (``graphs.vertex_keys``: legs, roots,
+        genus, weight exponents) in ascending order, worked out on the first
+        call and kept on the instance.  The sides have no edges, so the
+        sorted rows are a complete isomorphism invariant of the pair, even
+        where vertices tie: two splittings are the same up to vertex order
+        exactly when their rows are equal.  The attribute is not a field, so
+        equality and hashing ignore it.
+
+        Each row is the vertex's legs joined to the rest of its row
+        (``_leg_free_rows``).  A splitting built from a structure takes that
+        rest from the structure's leg-free splitting
+        (``SplittingStructure.frame``), so it is worked out once per
+        structure and shared by all its splittings."""
+        rows = self.__dict__.get("_rows")
+        if rows is None:
+            bare = self.__dict__.get("_bare", self)
+            rows = tuple(
+                _sorted_rows(graph, rest)
+                for graph, rest in zip((self.xi1, self.xi2), bare._leg_free_rows())
+            )
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
+    def _leg_free_rows(self) -> tuple[list, list]:
+        """Each side's vertex rows without their legs, in vertex order: each
+        vertex's roots as sorted (label, f, c), genus and weight exponents.
+        Kept on the instance, as ``vertex_rows`` is."""
+        rest = self.__dict__.get("_rest")
+        if rest is None:
+            rest = tuple([key[1:] for key in vertex_keys(g)] for g in (self.xi1, self.xi2))
+            object.__setattr__(self, "_rest", rest)
+        return rest
+
     def canonical_pair(self) -> tuple[bytes, bytes]:
-        """The canonical forms of the two sides, computed on the first call
+        """The canonical forms of the two sides, written from the vertex
+        rows (``vertex_rows``) by ``graphs.keyed_form`` on the first call
         and kept on the instance; the attribute is not a field, so equality
-        and hashing ignore it."""
+        and hashing ignore it.  With no edges, no tie between vertices has
+        an order to break, so this is ``graphs.canonical_form`` of each
+        side.  Nothing writes it unasked: ``enumerate_splittings`` sorts by
+        it, and a term breakdown never does."""
         pair = self.__dict__.get("_canonical_pair")
         if pair is None:
-            pair = canonical_form(self.xi1), canonical_form(self.xi2)
+            rows1, rows2 = self.vertex_rows()
+            pair = keyed_form(rows1), keyed_form(rows2)
             object.__setattr__(self, "_canonical_pair", pair)
         return pair
+
+
+def _sorted_rows(graph: ModularGraph, rest: list) -> tuple:
+    """The sorted ``graphs.vertex_keys`` of ``graph``, each vertex's legs
+    joined to ``rest``, the rest of its row (``Splitting._leg_free_rows``)."""
+    legs: list[list] = [[] for _ in rest]
+    for leg in graph.legs:
+        legs[leg.vertex].append((leg.label, leg.e))
+    return tuple(sorted([(tuple(sorted(own)),) + tail for own, tail in zip(legs, rest)]))
+
+
+def _assembled(cls, **attributes):
+    """An instance of the frozen dataclass ``cls`` holding ``attributes``
+    (its fields, and any attribute kept beside them) as given, without
+    running its ``__post_init__``: only for values whose checks have all
+    run (``SplittingStructure.build_splitting``)."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(attributes)
+    return obj
+
 
 @dataclass(frozen=True)
 class ConditionBReport:
@@ -206,25 +265,38 @@ class SplittingStructure:
     weights2: tuple[CurveClass, ...]
     genera2: tuple[int, ...]
 
-    def sides(self) -> tuple:
-        """Each side's (vertices, roots in label order), built on the first
-        call and kept on the instance, as ``Splitting.canonical_pair`` is:
-        every splitting built from the structure shares them.  The
-        attribute is not a field, so equality and hashing ignore it."""
-        sides = self.__dict__.get("_sides")
-        if sides is None:
+    def frame(self) -> tuple[Splitting, frozenset]:
+        """The structure as a splitting with no legs, and the set of its
+        root labels, built on the first call and kept on the instance, as
+        ``Splitting.canonical_pair`` is: every splitting built from the
+        structure shares its vertices and roots.  The attribute is not a
+        field, so equality and hashing ignore it.
+
+        The checks that read the structure alone run here, once: the sides
+        are built by ``ModularGraph`` and paired by ``Splitting``, whose
+        constructors check that there are no edges, that every root sits on
+        a vertex, that root labels are unique, that both sides carry the
+        same root labels with the same (f, c), and that every vertex has a
+        root when M is nonempty.  A leg changes none of these."""
+        frame = self.__dict__.get("_frame")
+        if frame is None:
             fc_of = dict(zip(self.m_labels, self.root_data))
 
-            def side(blocks, weights, genera) -> tuple:
+            def side(blocks, weights, genera) -> ModularGraph:
                 roots = [Root(lab, *fc_of[lab], vi) for vi, block in enumerate(blocks) for lab in block]
-                return tuple(map(Vertex, genera, weights)), tuple(sorted(roots, key=lambda r: r.label))
+                return ModularGraph(
+                    tuple(map(Vertex, genera, weights)),
+                    roots=tuple(sorted(roots, key=lambda r: r.label)),
+                )
 
-            sides = (
+            bare = Splitting(
                 side(self.blocks1, self.weights1, self.genera1),
                 side(self.blocks2, self.weights2, self.genera2),
+                self.m_labels,
             )
-            object.__setattr__(self, "_sides", sides)
-        return sides
+            frame = bare, frozenset(bare.m_labels)
+            object.__setattr__(self, "_frame", frame)
+        return frame
 
     def vertex_sides(self) -> tuple[str, ...]:
         """Each vertex's side in the vertex order of leg positions
@@ -235,25 +307,43 @@ class SplittingStructure:
         """Materialize with legs placed via {label: vertex position}.
 
         Positions follow ``vertex_sides``: the X1 blocks, then the X2
-        blocks.  Only the legs are built per call; the vertices and roots
-        are the structure's own (``sides``).  The graphs and the splitting
-        run their checks as any others do."""
+        blocks.  The vertices and roots are the structure's own, built and
+        checked once (``frame``); only the legs are built per call, and
+        only their checks run per call: each position is in range, each
+        index e is positive (``Leg``) and no leg label is a root label.
+        With those, every check of ``ModularGraph`` and ``Splitting`` holds,
+        so the graphs and the splitting are put together without running
+        their constructors' checks again.  The splitting keeps the leg-free
+        one of ``frame``, whose rows its own are made from
+        (``Splitting.vertex_rows``); no vertex rows or canonical text are
+        worked out here, only when asked for (``Splitting.canonical_pair``)."""
+        bare, m_set = self.frame()
+        xi1, xi2 = bare.xi1, bare.xi2
         e_of = {l.label: l.e for l in legs}
-        placed = sorted(positions.items())
-        xi1, xi2 = (
-            ModularGraph(
-                vertices,
-                (),
-                tuple(
-                    Leg(lab, e_of[lab], p - start)
-                    for lab, p in placed
-                    if start <= p < start + len(vertices)
-                ),
-                roots,
-            )
-            for start, (vertices, roots) in zip((0, len(self.blocks1)), self.sides())
+        start2 = len(xi1.vertices)
+        end = start2 + len(xi2.vertices)
+        legs1: list[Leg] = []
+        legs2: list[Leg] = []
+        for lab, p in sorted(positions.items()):
+            if not 0 <= p < end:
+                raise DegenkitError("marking attached to missing vertex")
+            if lab in m_set:
+                raise DegenkitError(_SHARED_LABELS)
+            if p < start2:
+                legs1.append(Leg(lab, e_of[lab], p))
+            else:
+                legs2.append(Leg(lab, e_of[lab], p - start2))
+        return _assembled(
+            Splitting,
+            xi1=_assembled(
+                ModularGraph, vertices=xi1.vertices, edges=(), legs=tuple(legs1), roots=xi1.roots
+            ),
+            xi2=_assembled(
+                ModularGraph, vertices=xi2.vertices, edges=(), legs=tuple(legs2), roots=xi2.roots
+            ),
+            m_labels=bare.m_labels,
+            _bare=bare,
         )
-        return Splitting(xi1, xi2, self.m_labels)
 
 
 def set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -488,6 +578,22 @@ class _Decorations:
         if listed is None:
             listed = _listing(self.compositions, (genus, parts), weak_compositions(genus, parts))
         return listed
+
+
+# the error of a label that is both a leg's and a root's, in ModularGraph's words
+_SHARED_LABELS = "leg/root labels must be unique across the graph"
+
+
+def _refuse_shared_labels(leg_labels, m_labels: Sequence[int]) -> None:
+    """Raise DegenkitError when a root label is also a leg label.
+
+    The walks give roots the labels n+1..n+m after n legs and read no leg
+    label, and the orbit walk is kept by what it reads (``_kept``), so its
+    consumers check each structure they take, replayed or not: leg labels
+    among n+1..n+m would make a splitting whose graphs carry one label
+    twice."""
+    if not leg_labels.isdisjoint(m_labels):
+        raise DegenkitError(_SHARED_LABELS)
 
 
 MAX_ROOTS = 256  # largest |M| a walk takes; its deepest recursion is about |M| frames
@@ -883,15 +989,23 @@ def enumerate_splittings(problem: DegenerationProblem) -> list[Splitting]:
 
     Each labeled structure gets every assignment of its legs to the vertex
     positions ``leg_slots`` allows them; a leg with no slot leaves the
-    structure with none.  Each complete assignment ticks the node budget.
+    structure with none.  Each complete assignment ticks the node budget
+    and is built by ``SplittingStructure.build_splitting``: the checks that
+    read the structure alone run once per structure, the leg checks once
+    per assignment.  A structure whose root labels meet a leg label raises
+    DegenkitError, placements or not.  The list is sorted by (|M|,
+    canonical pair), so each splitting's canonical text is written here,
+    from its vertex rows (``Splitting.canonical_pair``), and kept on it.
     Raises EnumerationBudgetError (carrying the partial list) when the node
     budget runs out.
     """
     budget = _Budget(_effective_budget(problem))
     labels = [spec.label for spec in problem.legs]
+    leg_labels = set(labels)
     out: list[Splitting] = []
     try:
         for structure in iter_structures(problem, budget):
+            _refuse_shared_labels(leg_labels, structure.m_labels)
             sides = structure.vertex_sides()
             slots = [leg_slots(spec.side, sides) for spec in problem.legs]
             for choice in itertools.product(*slots):
@@ -927,21 +1041,21 @@ def orbits(splittings: Sequence[Splitting]) -> list[SplittingOrbit]:
     """Group a closed set of distinct splittings, which may mix values of |M|,
     under root relabelings.  Orbits come in (|M|, representative's canonical
     pair) order; for each, size * stabilizer_order = |M|!.  A splitting
-    keeps its canonical pair once computed, so the pairs
-    ``enumerate_splittings`` sorted by are not computed again here.
+    keeps its canonical pair once written, so the pairs
+    ``enumerate_splittings`` sorted by are not written again here; they
+    serve only that order.
 
-    Each twin (the image of a representative under a root permutation) is
-    keyed without building it: the representative's vertex keys
-    (``graphs.vertex_keys``) are taken once per side, and for each
-    permutation the root labels in them are mapped, the vertices re-sorted
-    by key and the pair written by ``graphs.keyed_form``.  No tie between
-    vertices arises to break: a splitting with M nonempty has a root on
-    every vertex of each side, and root labels are unique, so the keys of
-    a side's vertices differ; with M empty the only permutation is the
-    identity, whose pair is the representative's own.
+    Splittings are keyed by their sorted vertex rows
+    (``Splitting.vertex_rows``), a complete invariant of an edge-free
+    pair.  Each twin (the image of a representative under a root
+    permutation) is keyed without building it or writing any text: for each
+    permutation the root labels in the representative's rows are mapped,
+    each vertex's roots and then each side's rows re-sorted, and the result
+    looked up among the input's rows.
     """
+    rows = [s.vertex_rows() for s in splittings]
     keys = [s.canonical_pair() for s in splittings]
-    position = {key: i for i, key in enumerate(keys)}
+    position = {row: i for i, row in enumerate(rows)}
     order = sorted(position.values(), key=lambda i: (len(splittings[i].m_labels), keys[i]))
     seen: set[int] = set()
     out = []
@@ -949,26 +1063,28 @@ def orbits(splittings: Sequence[Splitting]) -> list[SplittingOrbit]:
         if i in seen:
             continue
         eta = splittings[i]
-        sides = vertex_keys(eta.xi1), vertex_keys(eta.xi2)
         found, stab = set(), 0
         for perm in itertools.permutations(eta.m_labels):
             if perm == eta.m_labels:
-                ikey = keys[i]
+                twin = rows[i]
             else:
                 sigma = dict(zip(eta.m_labels, perm))
-                ikey = tuple(
-                    keyed_form(
+                twin = tuple(
+                    tuple(
                         sorted(
-                            (legs, tuple(sorted((sigma[lab], f, c) for lab, f, c in roots)), g, w)
-                            for legs, roots, g, w in side
+                            [
+                                (legs, tuple(sorted([(sigma[lab], f, c) for lab, f, c in roots])), g, w)
+                                for legs, roots, g, w in side
+                            ]
                         )
                     )
-                    for side in sides
+                    for side in rows[i]
                 )
-            if ikey not in position:
+            j = position.get(twin)
+            if j is None:
                 raise DegenkitError("orbits: input is not closed under root relabeling")
-            stab += ikey == keys[i]
-            found.add(position[ikey])
+            stab += j == i
+            found.add(j)
         seen |= found
         out.append(SplittingOrbit(eta, stab, tuple(sorted(found, key=keys.__getitem__))))
         assert stab * len(found) == math.factorial(len(eta.m_labels))

@@ -11,6 +11,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from degenkit import correlator, jsonio
 from degenkit.algebra import BasisClass, Parity, Sector, SectorCatalog, koszul_sign
@@ -27,8 +28,10 @@ from degenkit.graphs import (
     Vertex,
     canonical_form,
     graph_from_canonical,
+    keyed_form,
     total_genus,
     total_weight,
+    vertex_keys,
 )
 from degenkit.splitting import (
     DegenerationProblem,
@@ -541,6 +544,44 @@ def reference_orbits(splittings) -> list[SplittingOrbit]:
             found.add(position[key])
         seen |= found
         out.append(SplittingOrbit(eta, stab, tuple(sorted(found, key=keys.__getitem__))))
+    return out
+
+
+def text_keyed_orbits(splittings: Sequence[Splitting]) -> list[SplittingOrbit]:
+    """``splitting.orbits`` as it was when it keyed splittings and twins by
+    canonical text, kept verbatim: the reference for the row-keyed one."""
+    keys = [s.canonical_pair() for s in splittings]
+    position = {key: i for i, key in enumerate(keys)}
+    order = sorted(position.values(), key=lambda i: (len(splittings[i].m_labels), keys[i]))
+    seen: set[int] = set()
+    out = []
+    for i in order:
+        if i in seen:
+            continue
+        eta = splittings[i]
+        sides = vertex_keys(eta.xi1), vertex_keys(eta.xi2)
+        found, stab = set(), 0
+        for perm in itertools.permutations(eta.m_labels):
+            if perm == eta.m_labels:
+                ikey = keys[i]
+            else:
+                sigma = dict(zip(eta.m_labels, perm))
+                ikey = tuple(
+                    keyed_form(
+                        sorted(
+                            (legs, tuple(sorted((sigma[lab], f, c) for lab, f, c in roots)), g, w)
+                            for legs, roots, g, w in side
+                        )
+                    )
+                    for side in sides
+                )
+            if ikey not in position:
+                raise DegenkitError("orbits: input is not closed under root relabeling")
+            stab += ikey == keys[i]
+            found.add(position[ikey])
+        seen |= found
+        out.append(SplittingOrbit(eta, stab, tuple(sorted(found, key=keys.__getitem__))))
+        assert stab * len(found) == math.factorial(len(eta.m_labels))
     return out
 
 

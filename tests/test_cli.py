@@ -946,6 +946,35 @@ def test_cli_negative_budget_variable_exits_2(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err)["visited"] == 1
 
 
+@pytest.mark.parametrize("labels", [(3, 4), (1, 4), (5, 6)])
+def test_cli_leg_labels_among_the_root_labels_exit_2(labels, tmp_path, capsys):
+    # P1 degree 2, genus 0 gives roots the labels 3 and 4: legs labeled 3
+    # and 4, or 1 and 4, are refused by every command that walks the
+    # structures, exit 2, and legs labeled 5 and 6 are taken
+    problem, insertions = p1_problem(2, 0)
+    table = build_p1_table(2, 0, max_legs=2)
+    legs = tuple(dataclasses.replace(l, label=lab) for l, lab in zip(problem.legs, labels))
+    p, i, t = _terms_files(tmp_path, dataclasses.replace(problem, legs=legs), insertions, table)
+    commands = [
+        ["evaluate", p, i, t],
+        ["evaluate", p, i, t, "--terms"],
+        ["keys", p, i],
+        ["splittings", p],
+        ["splittings", p, "--orbits"],
+    ]
+    clash = 3 in labels or 4 in labels
+    for argv in commands:
+        capsys.readouterr()
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        if clash:
+            assert code == 2, argv
+            error = json.loads(captured.err)["error"]
+            assert error == "leg/root labels must be unique across the graph", argv
+        else:
+            assert code == 0 and captured.out, argv
+
+
 def test_cli_budget_exit_code(p1_files):
     proc = run_cli(
         "splittings", p1_files["problem"], "--budget", "2", expect=3

@@ -22,11 +22,13 @@ from degenkit.graphs import (
     glue,
     graph_from_canonical,
     intersection_multiplicity,
+    keyed_form,
     rank_relabeled,
     total_genus,
     total_weight,
     vertex_data,
     vertex_form,
+    vertex_keys,
 )
 
 
@@ -291,6 +293,35 @@ def test_canonical_form_matches_the_reference_bytes():
     # exactly 8! = 40,320 orderings of tied vertices are still tried
     graph = ModularGraph(vertices=tuple(_vertex(0) for _ in range(8)), edges=((0, 0),))
     assert canonical_form(graph) == reference_canonical_form(graph)
+
+
+@st.composite
+def edge_free_graphs(draw):
+    """An edge-free graph of one to six vertices, each of genus 0 or 1 and
+    weight 0 or a, so that most tie, with legs and roots of distinct labels
+    on some of them."""
+    nv = draw(st.integers(1, 6))
+    vertices = tuple(
+        _vertex(draw(st.integers(0, 1)), {"a": draw(st.integers(0, 1))}) for _ in range(nv)
+    )
+    labels = draw(st.lists(st.integers(1, 30), max_size=6, unique=True))
+    cut = draw(st.integers(0, len(labels)))
+    vertex = st.integers(0, nv - 1)
+    legs = tuple(Leg(lab, draw(st.integers(1, 2)), draw(vertex)) for lab in labels[:cut])
+    roots = tuple(
+        Root(lab, draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(vertex))
+        for lab in labels[cut:]
+    )
+    return ModularGraph(vertices, (), legs, roots)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(edge_free_graphs())
+def test_canonical_form_of_an_edge_free_graph_is_its_sorted_rows(graph):
+    # without edges, no order of tied vertices changes the text, so the
+    # text of the sorted vertex rows, which Splitting.canonical_pair writes,
+    # is the canonical form
+    assert canonical_form(graph) == keyed_form(sorted(vertex_keys(graph)))
 
 
 @pytest.mark.parametrize("sizes", [(9,), (7, 2, 2, 2, 2), (6, 4, 3)])

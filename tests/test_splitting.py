@@ -1,11 +1,15 @@
 import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from degenkit import correlator, splitting
+from degenkit import correlator, jsonio, splitting
 from degenkit.algebra import BasisClass, Parity, Sector, SectorCatalog
 from degenkit.errors import DegenkitError, EnumerationBudgetError
 from degenkit.graphs import (
@@ -35,9 +39,12 @@ from degenkit.splitting import (
 )
 from helpers import (
     covariant_random_table,
+    fresh_splitting,
+    graphs_as_dicts,
     random_problem,
     reference_orbits,
     reference_splittings,
+    text_keyed_orbits,
     validate_splitting,
 )
 
@@ -695,6 +702,167 @@ def test_orbits_match_the_relabeled_reference():
         assert summary(orbits(omega)) == summary(reference_orbits(omega))
         sizes.update(len(s.m_labels) for s in omega)
     assert max(sizes) >= 3
+
+
+def _same_orbits_as_the_text_keyed_reference(omega) -> list:
+    """Assert that ``orbits(omega)`` has the members, stabilizers and
+    representatives of ``text_keyed_orbits``, and that the rows
+    ``splittings`` prints from it are the reference's bytes through
+    ``json.dumps``; return the orbits."""
+    got, want = orbits(omega), text_keyed_orbits(omega)
+
+    def summary(orbit_list):
+        return [(o.representative, o.stabilizer_order, o.members) for o in orbit_list]
+
+    assert summary(got) == summary(want)
+    reference = json.dumps(
+        graphs_as_dicts(jsonio.splittings_to_obj(omega, want)), indent=2, sort_keys=True
+    )
+    assert jsonio.dumps(jsonio.splittings_to_obj(omega, got)) == reference + "\n"
+    return got
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_row_keyed_orbits_match_the_text_keyed_reference(seed):
+    # twins looked up by their sorted vertex rows give the orbits of twins
+    # looked up by their canonical text
+    problem, _ = random_problem(random.Random(seed), max_legs=3)
+    _same_orbits_as_the_text_keyed_reference(enumerate_splittings(problem))
+
+
+def _p1_with_sides(degree: int, genus: int, mode: str) -> DegenerationProblem:
+    """The P1 problem with its legs free, all on X1, all on X2, or mixed
+    (free, X1, X2 in turn)."""
+    problem, _ = p1_problem(degree, genus)
+    sides = {"free": (None,), "X1": ("X1",), "X2": ("X2",), "mixed": (None, "X1", "X2")}[mode]
+    legs = tuple(
+        dataclasses.replace(leg, side=sides[i % len(sides)]) for i, leg in enumerate(problem.legs)
+    )
+    return dataclasses.replace(problem, legs=legs)
+
+
+@pytest.mark.parametrize("mode", ["free", "X1", "X2", "mixed"])
+def test_row_keyed_orbits_match_the_text_keyed_reference_on_p1(mode):
+    # P1 (2, 2) with free legs has 9,068 splittings, so it is left out
+    cells = [(2, 0), (2, 1), (3, 0), (1, 2)] + ([(2, 2)] if mode != "free" else [])
+    sizes, stabilizers, sides = set(), set(), set()
+    for degree, genus in cells:
+        omega = enumerate_splittings(_p1_with_sides(degree, genus, mode))
+        found = _same_orbits_as_the_text_keyed_reference(omega)
+        sizes.update(len(s.m_labels) for s in omega)
+        stabilizers.update(o.stabilizer_order for o in found)
+        sides.update(bool(s.xi1.legs) + 2 * bool(s.xi2.legs) for s in omega)
+    assert max(sizes) == 3 and max(stabilizers) >= 2
+    # legs land on X1 only, X2 only, or both, as the constraints allow (a
+    # mixed problem's second leg is on X1)
+    assert sides == {"free": {1, 2, 3}, "X1": {1}, "X2": {2}, "mixed": {1, 3}}[mode]
+
+
+# -- building splittings from structures -----------------------------------------
+
+
+def _structure_with_roots():
+    problem = _problem(genus=1, beta={"a": 2, "b": 2}, legs=(LegSpec(1, 1), LegSpec(2, 2)))
+    structure = next(s for s in iter_structures(problem) if len(s.m_labels) == 2)
+    return problem, structure
+
+
+def test_built_splittings_refuse_what_the_validated_constructors_refuse():
+    # each placement's checks still run: a leg labeled as a root, a
+    # position past either end, and an index e below 1 are refused, as a
+    # fresh validated build refuses the first two
+    problem, structure = _structure_with_roots()
+    root = structure.m_labels[0]
+    last = len(structure.vertex_sides()) - 1
+    assert structure.build_splitting({1: last, 2: 0}, problem.legs)
+    shared = (LegSpec(1, 1), LegSpec(root, 1))
+    with pytest.raises(DegenkitError, match="leg/root labels must be unique"):
+        structure.build_splitting({1: 0, root: 0}, shared)
+    with pytest.raises(DegenkitError, match="leg/root labels must be unique"):
+        fresh_splitting(structure, {1: ("X1", 0), root: ("X1", 0)}, shared)
+    for position in (last + 1, -1):
+        with pytest.raises(DegenkitError, match="marking attached to missing vertex"):
+            structure.build_splitting({1: position, 2: 0}, problem.legs)
+    with pytest.raises(DegenkitError, match="marking attached to missing vertex"):
+        fresh_splitting(structure, {1: ("X1", len(structure.blocks1)), 2: ("X1", 0)}, problem.legs)
+    bad_e = (problem.legs[0], SimpleNamespace(label=2, e=0))
+    with pytest.raises(DegenkitError, match="leg index e must be positive"):
+        structure.build_splitting({1: 0, 2: 0}, bad_e)
+
+
+def test_structure_checks_run_once_per_structure():
+    # the checks that read the structure alone run when its frame is built,
+    # before any leg is placed: both sides must carry the same roots
+    problem, structure = _structure_with_roots()
+    lopsided = dataclasses.replace(structure, blocks2=structure.blocks2[:-1])
+    with pytest.raises(DegenkitError):
+        lopsided.frame()
+    bare, labels = structure.frame()
+    assert bare == Splitting(bare.xi1, bare.xi2, bare.m_labels)
+    assert labels == set(structure.m_labels) and not bare.xi1.legs and not bare.xi2.legs
+    assert structure.frame()[0] is bare
+
+
+def test_built_splittings_equal_revalidated_copies():
+    # every kernel-built splitting equals, hashes and keys as the splitting
+    # built from its fields by the validated constructors
+    rng = random.Random(12)
+    count = 0
+    for _ in range(10):
+        problem, _ = random_problem(rng, max_legs=3)
+        for s in enumerate_splittings(problem):
+            again = Splitting(
+                *(ModularGraph(g.vertices, g.edges, g.legs, g.roots) for g in (s.xi1, s.xi2)),
+                s.m_labels,
+            )
+            assert again == s and hash(again) == hash(s)
+            assert again.vertex_rows() == s.vertex_rows()
+            assert again.canonical_pair() == s.canonical_pair()
+            count += 1
+    assert count > 300
+
+
+def test_term_breakdowns_write_no_canonical_text():
+    # evaluate --terms never sorts its splittings, so none of them works out
+    # vertex rows or canonical text
+    problem, insertions = p1_problem(3, 0, second_side_legs=2)
+    table = build_p1_table(3, 0, max_legs=len(insertions))
+    result = evaluate_degeneration(problem, insertions, table, with_terms=True)
+    assert result.terms
+    for term in result.terms:
+        assert "_canonical_pair" not in term.splitting.__dict__
+        assert "_rows" not in term.splitting.__dict__
+
+
+def test_leg_labels_among_the_root_labels_are_refused():
+    # roots take the labels n+1..n+m after n legs; legs labeled 3 and 4 at
+    # P1 degree 2 meet them, legs labeled 5 and 6 do not, and the orbit walk
+    # kept for legs 1 and 2 is replayed for both
+    problem, insertions = p1_problem(2, 0)
+    table = build_p1_table(2, 0, max_legs=2)
+    evaluate_degeneration(problem, insertions, table)  # keeps the orbit walk
+
+    def relabeled(*labels):
+        legs = tuple(dataclasses.replace(l, label=lab) for l, lab in zip(problem.legs, labels))
+        return dataclasses.replace(problem, legs=legs)
+
+    for labels in ((3, 4), (1, 4)):
+        clash = relabeled(*labels)
+        for call in (
+            lambda: evaluate_degeneration(clash, insertions, table),
+            lambda: evaluate_degeneration(clash, insertions, table, with_terms=True),
+            lambda: needed_keys(clash, insertions),
+            lambda: enumerate_splittings(clash),
+        ):
+            with pytest.raises(DegenkitError, match="leg/root labels must be unique"):
+                call()
+    apart = relabeled(5, 6)
+    assert evaluate_degeneration(apart, insertions, table).value == (
+        evaluate_degeneration(problem, insertions, table).value
+    )
+    assert len(needed_keys(apart, insertions)) == len(needed_keys(problem, insertions))
+    assert len(enumerate_splittings(apart)) == len(enumerate_splittings(problem))
 
 
 # -- kept walks -----------------------------------------------------------------
