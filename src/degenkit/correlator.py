@@ -25,8 +25,8 @@ A plain table holds one dict, in which each one-vertex key's entry sits
 under the key's vertex data (``CorrelatorKey.vertex``, kept on the key); a
 table that values the data by a rule (the P1 table of ``oracle``) reads
 its keys through the same ``vertex``.  Neither builds key bytes.  The
-kernel builds a key, from its memo key, only when the run reports it: for
-a missing key (``MissingKeysError``) and for the term breakdown.
+kernel builds a key, from its vertex memo, only when the run reports it:
+for a missing key (``MissingKeysError``) and for the term breakdown.
 ``for_vertex`` writes the bytes ``canonical_form(rank_relabeled(graph))``
 gives for the one-vertex graph, which has no tie to break, so no graph is
 built; a problem's keys repeat few graphs, so the bytes of each are kept
@@ -46,8 +46,8 @@ looked up once per run; ``splitting_inner_sum`` and
 disconnected graph.  Key collection (``needed_keys``) walks the same
 structures and basis choices but places no legs and looks up no value: it
 gathers each vertex's data with every leg set a placement can give it and
-every root tuple a basis choice gives it, and builds the key of each
-distinct one once, with ``CorrelatorKey.for_vertex``.  Interchangeable
+every root tuple a basis choice gives it, and builds each distinct key once,
+from the weight walked (``CorrelatorKey.for_vertex``).  Interchangeable
 even-parity legs are aggregated with multinomial weights, so instances
 whose literal splitting set is huge still evaluate exactly.  The problem's
 node budget (``problem.budget`` or ``DEGENKIT_BUDGET``) bounds the whole
@@ -515,12 +515,6 @@ class _Context:
         value_num, value_den, missing = self.vertex(side, genus, weight, roots)[legs]
         return Fraction(value_num, value_den), missing
 
-    @staticmethod
-    def key(memo_key: tuple) -> CorrelatorKey:
-        """The CorrelatorKey of a component memo key."""
-        side, genus, exponents, legs, roots = memo_key
-        return CorrelatorKey.for_vertex(side, genus, CurveClass(exponents), legs, roots)
-
     def basis_choices(self, indices: tuple[int, ...]):
         """Every term of the delta/rho expansion for roots of the given
         indices: (delta classes, rho classes, expansion weight, odd),
@@ -563,7 +557,7 @@ class _Context:
 
     def raise_if_missing(self):
         missing = [
-            self.key(memo.key(legs))
+            CorrelatorKey.for_vertex(memo.side, memo.genus, memo.weight, legs, memo.roots)
             for memo in self.memo.values()
             for legs, (_, _, was_missing) in memo.items()
             if was_missing
@@ -892,7 +886,7 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     denominators, so no gcd is taken per placement or per element.  With
     ``terms`` each element also buffers an EvalTerm per placement it
     reaches, with the keys of its components, each built once per call from
-    its memo key (``_Context.key``); the buffers are flushed after the
+    its vertex memo; the buffers are flushed after the
     skeleton's walk in (structure, basis choice) order, so the terms come
     in the order of one walk per (structure, basis choice).
 
@@ -938,7 +932,10 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
                 entry = keys.get(memo_key)
                 if entry is None:
                     value_num, value_den, _ = memo[legs]
-                    entry = keys[memo_key] = (ctx.key(memo_key), Fraction(value_num, value_den))
+                    key = CorrelatorKey.for_vertex(
+                        memo.side, memo.genus, memo.weight, legs, memo.roots
+                    )
+                    entry = keys[memo_key] = (key, Fraction(value_num, value_den))
                 keyed[vi >= first_x2].append(entry)
             delta, rho, weight, _, _ = choices[c]
             element.rows.append(
@@ -1015,7 +1012,9 @@ def needed_keys(
     choice gives it.  The members of an orbit reorder each side's blocks
     and the roots inside each block in every way, so each vertex of the
     representative is keyed with the leg sets of every position of its side
-    and every order (``_orders``) of its root tuples.
+    and every order (``_orders``) of its root tuples.  Each root tuple's
+    orders are listed once per call, as they are ticked (``_listing``), and
+    each distinct key is built once, from the weight its vertex holds.
 
     The node budget counts the orbit walk's nodes, each basis choice of a
     skeleton (listed lazily, so 2^n choices of n roots are bounded too),
@@ -1026,7 +1025,8 @@ def needed_keys(
     ctx = _Context(problem, insertions, "standard_dual", InvariantTable())
     budget = _Budget(_effective_budget(problem))
     leg_options: dict = {}  # by vertex sides
-    found: set = set()
+    orders: dict = {}  # by root tuple, listed as they are ticked
+    found: dict = {}  # each key's data, with its vertex's weight
     for skeleton, run in _skeletons(ctx, orbit_runs(problem, budget)):
         sides = skeleton.sides
         vertex_roots: list[dict] = [{} for _ in sides]  # sorted root tuples
@@ -1041,11 +1041,15 @@ def needed_keys(
             weights = structure.weights1 + structure.weights2
             for vi, (side, genus, weight) in enumerate(zip(sides, genera, weights)):
                 for roots in vertex_roots[vi]:
-                    for order in _orders(roots):
+                    listed = orders.get(roots)
+                    if listed is None:
+                        listed = _listing(orders, roots, _orders(roots))
+                    for order in listed:
                         budget.tick()
                         for legs in leg_options[sides][side]:
-                            found.add((side, genus, weight.exponents, legs, order))
-    return sorted(map(ctx.key, found), key=lambda k: k.sort_token())
+                            found[side, genus, weight.exponents, legs, order] = weight
+    keys = [CorrelatorKey.for_vertex(s, g, w, legs, r) for (s, g, _, legs, r), w in found.items()]
+    return sorted(keys, key=lambda k: k.sort_token())
 
 
 def evaluate_degeneration(

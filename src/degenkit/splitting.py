@@ -206,7 +206,8 @@ def _assembled(cls, **attributes):
     """An instance of the frozen dataclass ``cls`` holding ``attributes``
     (its fields, and any attribute kept beside them) as given, without
     running its ``__post_init__``: only for values whose checks have all
-    run (``SplittingStructure.build_splitting``)."""
+    run (``SplittingStructure.build_splitting``), or for a class with none
+    (``SplittingStructure`` in ``_decorated_orbits``)."""
     obj = object.__new__(cls)
     obj.__dict__.update(attributes)
     return obj
@@ -912,9 +913,12 @@ def _decorated_orbits(
     Labels from ``first_label`` on go to the edges row by row, column by
     column, color by color; ``mults`` holds each color's scaled
     multiplicity.  The rows are the X1 side when ``rows_x1``.  A decoration
-    gives each vertex a (weight exponents, genus); it is kept when no
-    automorphism maps it to a smaller one: equal rows carry ascending
-    decorations, and no column permutation in ``autos`` gives a smaller one.
+    gives each vertex a (weight exponents, genus).  It is kept when no
+    automorphism maps it to a smaller one: for the identity, when each run
+    of equal rows carries non-decreasing decorations; for the others in
+    ``autos``, by building and comparing the image.  Its stabilizer is the
+    automorphisms fixing it, times k! per k parallel roots and per k equal
+    decorations in a run.
     """
     nc = len(colors)
     rows, cols = len(graph), len(graph[0]) // nc
@@ -942,46 +946,59 @@ def _decorated_orbits(
     col_weights = options.weights(1 - row_side, tuple(col_targets)) if row_weights else []
     if not col_weights:
         return
-    runs = autos[0][1]
     # each side's blocks in the order set_partitions gives, by greatest
     # label; the rows, holding consecutive labels, already are
     col_order = sorted(range(cols), key=lambda j: col_blocks[j][-1])
+    col_weights = [(tuple([wc[j] for j in col_order]), ec) for wc, ec in col_weights]
     row_blocks = tuple(map(tuple, row_blocks))
     col_blocks = tuple(tuple(col_blocks[j]) for j in col_order)
     labels = tuple(range(first_label, first_label + len(root_data)))
     root_data = tuple(root_data)
     m_factorial = math.factorial(len(labels))
+    # the adjacent rows of each run of equal rows (the identity's groups)
+    runs = [list(zip(run, run[1:])) for run in autos[0][1] if len(run) > 1]
+    others = autos[1:]
+
+    def stabilizer(er, ec, genera) -> int:
+        # 0 when the decoration is not the smallest of its orbit
+        order = parallel
+        for run in runs:
+            streak = 1
+            for i, j in run:
+                low, high = (er[i], genera[i]), (er[j], genera[j])
+                if low > high:
+                    return 0
+                streak = streak + 1 if low == high else 1
+                order *= streak
+        if not others:
+            return order
+        dec = (tuple(zip(er, genera)), tuple(zip(ec, genera[rows:])))
+        fixed = 1
+        for p, groups in others:
+            image = (
+                tuple(d for group in groups for d in sorted(dec[0][i] for i in group)),
+                tuple(dec[1][j] for j in p),
+            )
+            if image < dec:
+                return 0
+            fixed += image == dec
+        return order * fixed
+
     for wr, er in row_weights:
         for wc, ec in col_weights:
             for genera in options.genera(genus, rows + cols):
                 budget.tick()
-                dec = (tuple(zip(er, genera[:rows])), tuple(zip(ec, genera[rows:])))
-                fixed = 0
-                for p, groups in autos:
-                    image = (
-                        tuple(d for group in groups for d in sorted(dec[0][i] for i in group)),
-                        tuple(dec[1][j] for j in p),
-                    )
-                    if image < dec:
-                        break
-                    if image == dec:
-                        fixed += 1
-                else:
-                    stabilizer = fixed * parallel
-                    for run in runs:
-                        for _, same in itertools.groupby(dec[0][i] for i in run):
-                            stabilizer *= math.factorial(len(list(same)))
-                    side_r = (row_blocks, wr, genera[:rows])
-                    side_c = (
-                        col_blocks,
-                        tuple(wc[j] for j in col_order),
-                        tuple(genera[rows + j] for j in col_order),
-                    )
-                    side1, side2 = (side_r, side_c) if rows_x1 else (side_c, side_r)
-                    yield (
-                        SplittingStructure(labels, root_data, *side1, *side2),
-                        m_factorial // stabilizer,
-                    )
+                order = stabilizer(er, ec, genera)
+                if not order:
+                    continue
+                side_r = row_blocks, wr, genera[:rows]
+                side_c = col_blocks, wc, tuple([genera[rows + j] for j in col_order])
+                (b1, w1, g1), (b2, w2, g2) = (side_r, side_c) if rows_x1 else (side_c, side_r)
+                structure = _assembled(
+                    SplittingStructure, m_labels=labels, root_data=root_data,
+                    blocks1=b1, weights1=w1, genera1=g1, blocks2=b2, weights2=w2, genera2=g2,
+                )
+                yield structure, m_factorial // order
 
 
 def enumerate_splittings(problem: DegenerationProblem) -> list[Splitting]:

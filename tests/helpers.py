@@ -38,6 +38,7 @@ from degenkit.splitting import (
     LegSpec,
     Splitting,
     SplittingOrbit,
+    SplittingStructure,
     _Budget,
     check_condition_B,
     iter_structures,
@@ -182,6 +183,12 @@ def memo_keys(ctx) -> list:
     return [memo.key(legs) for memo in ctx.memo.values() for legs in memo]
 
 
+def key_of(memo_key: tuple) -> correlator.CorrelatorKey:
+    """The CorrelatorKey of a component memo key."""
+    side, genus, exponents, legs, roots = memo_key
+    return correlator.CorrelatorKey.for_vertex(side, genus, CurveClass(exponents), legs, roots)
+
+
 def placement_keys(problem: DegenerationProblem, insertions) -> list:
     """The keys the placement walk reaches, sorted: every labeled structure,
     basis choice and leg placement, through the evaluator's memo against a
@@ -200,7 +207,7 @@ def placement_keys(problem: DegenerationProblem, insertions) -> list:
             for *_, roots in skeleton.choices()
         ]
         correlator._placements(ctx, skeleton.sides, elements, budget, lambda *leaf: None)
-    return sorted(map(ctx.key, memo_keys(ctx)), key=lambda k: k.sort_token())
+    return sorted(map(key_of, memo_keys(ctx)), key=lambda k: k.sort_token())
 
 
 def labeled_keys(problem: DegenerationProblem, insertions) -> list:
@@ -432,6 +439,92 @@ def orbit_key(problem: DegenerationProblem) -> tuple:
     """The key of a problem's orbit walk in ``splitting._ORBITS``: all the
     walk reads of the problem."""
     return (problem.monoid, problem.beta, problem.root_data(), problem.genus, len(problem.legs))
+
+
+def reference_decorated_orbits(
+    graph, autos, colors, mults, first_label, rows_x1, genus, options, budget
+):
+    """The orbits over one root graph: its decorations up to automorphism,
+    all with the same root data and root blocks.
+
+    Labels from ``first_label`` on go to the edges row by row, column by
+    column, color by color; ``mults`` holds each color's scaled
+    multiplicity.  The rows are the X1 side when ``rows_x1``.  A decoration
+    gives each vertex a (weight exponents, genus); it is kept when no
+    automorphism maps it to a smaller one: equal rows carry ascending
+    decorations, and no column permutation in ``autos`` gives a smaller one.
+
+    Every decoration is checked by building and comparing its image under
+    each automorphism, the identity included: the reference for
+    ``splitting._decorated_orbits``, which reads the identity's part off the
+    runs of equal rows.
+    """
+    nc = len(colors)
+    rows, cols = len(graph), len(graph[0]) // nc
+    root_data: list = []
+    row_blocks: list = [[] for _ in range(rows)]
+    col_blocks: list = [[] for _ in range(cols)]
+    row_targets = [0] * rows
+    col_targets = [0] * cols
+    parallel = 1
+    for i, row in enumerate(graph):
+        for p, k in enumerate(row):
+            if not k:
+                continue
+            parallel *= math.factorial(k)
+            j, t = divmod(p, nc)
+            row_targets[i] += k * mults[t]
+            col_targets[j] += k * mults[t]
+            for _ in range(k):
+                label = first_label + len(root_data)
+                root_data.append(colors[t])
+                row_blocks[i].append(label)
+                col_blocks[j].append(label)
+    row_side = 0 if rows_x1 else 1
+    row_weights = options.weights(row_side, tuple(row_targets))
+    col_weights = options.weights(1 - row_side, tuple(col_targets)) if row_weights else []
+    if not col_weights:
+        return
+    runs = autos[0][1]
+    # each side's blocks in the order set_partitions gives, by greatest
+    # label; the rows, holding consecutive labels, already are
+    col_order = sorted(range(cols), key=lambda j: col_blocks[j][-1])
+    row_blocks = tuple(map(tuple, row_blocks))
+    col_blocks = tuple(tuple(col_blocks[j]) for j in col_order)
+    labels = tuple(range(first_label, first_label + len(root_data)))
+    root_data = tuple(root_data)
+    m_factorial = math.factorial(len(labels))
+    for wr, er in row_weights:
+        for wc, ec in col_weights:
+            for genera in options.genera(genus, rows + cols):
+                budget.tick()
+                dec = (tuple(zip(er, genera[:rows])), tuple(zip(ec, genera[rows:])))
+                fixed = 0
+                for p, groups in autos:
+                    image = (
+                        tuple(d for group in groups for d in sorted(dec[0][i] for i in group)),
+                        tuple(dec[1][j] for j in p),
+                    )
+                    if image < dec:
+                        break
+                    if image == dec:
+                        fixed += 1
+                else:
+                    stabilizer = fixed * parallel
+                    for run in runs:
+                        for _, same in itertools.groupby(dec[0][i] for i in run):
+                            stabilizer *= math.factorial(len(list(same)))
+                    side_r = (row_blocks, wr, genera[:rows])
+                    side_c = (
+                        col_blocks,
+                        tuple(wc[j] for j in col_order),
+                        tuple(genera[rows + j] for j in col_order),
+                    )
+                    side1, side2 = (side_r, side_c) if rows_x1 else (side_c, side_r)
+                    yield (
+                        SplittingStructure(labels, root_data, *side1, *side2),
+                        m_factorial // stabilizer,
+                    )
 
 
 # -- canonical forms ------------------------------------------------------------

@@ -2,6 +2,7 @@
 plain evaluation: orbit counts by brute force, and equal values."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,11 +19,14 @@ from degenkit.correlator import (
     evaluate_degeneration,
     needed_keys,
 )
+from degenkit import splitting
 from degenkit.graphs import CurveClass, CurveClassMonoid, Generator
 from degenkit.oracle import build_p1_table, p1_problem
 from degenkit.splitting import (
     DegenerationProblem,
     LegSpec,
+    SplittingStructure,
+    _Budget,
     _root_plan,
     iter_structure_orbits,
     iter_structures,
@@ -35,6 +39,7 @@ from helpers import (
     random_ambient_catalog,
     random_divisor_catalog,
     random_problem,
+    reference_decorated_orbits,
     relabeling_orbit,
     structure_key,
 )
@@ -309,3 +314,66 @@ def test_twisting_independence_property(case):
                 for rule in (MINIMAL_TWIST, doubled)
             ]
             assert values[0] == values[1]
+
+
+def check_decorations_match_the_reference(problem, monkeypatch, reached: set) -> None:
+    """Walk the orbits of ``problem`` afresh, each root graph's decorations
+    through ``_decorated_orbits`` and ``reference_decorated_orbits`` side by
+    side on budgets of their own: at every yield, the same (structure,
+    orbit size) and the same ticks, and the same ticks after the last.  The
+    whole walk then gives the runs and ticks of a walk on the reference.
+    ``reached`` gains "automorphism" for a root graph with a column
+    automorphism other than the identity and "run" for one with equal rows."""
+    decorated = splitting._decorated_orbits
+
+    def lockstep(graph, autos, *rest):
+        *args, budget = rest
+        ours, theirs = _Budget(None), _Budget(None)
+        pairs = itertools.zip_longest(
+            decorated(graph, autos, *args, ours),
+            reference_decorated_orbits(graph, autos, *args, theirs),
+        )
+        for item, expected in pairs:
+            assert item is not None and expected is not None
+            assert type(item[0]) is SplittingStructure
+            assert (_raw(item[0]), item[1]) == (_raw(expected[0]), expected[1])
+            assert ours.visited == theirs.visited
+        assert ours.visited == theirs.visited
+        if len(autos) > 1:
+            reached.add("automorphism")
+        if len(set(graph)) < len(graph):
+            reached.add("run")
+        return decorated(graph, autos, *args, budget)
+
+    budgets = _Budget(None), _Budget(None)
+    walks = []
+    for walk, budget in zip((lockstep, reference_decorated_orbits), budgets):
+        monkeypatch.setattr(splitting, "_decorated_orbits", walk)
+        walks.append(list(splitting._walk_orbits(problem, budget)))
+    monkeypatch.undo()
+    assert walks[0] == walks[1]
+    assert budgets[0].visited == budgets[1].visited
+
+
+def test_decorations_match_the_reference_on_p1(monkeypatch):
+    reached: set = set()
+    for d in range(1, 7):
+        for g in range(3):
+            check_decorations_match_the_reference(p1_problem(d, g)[0], monkeypatch, reached)
+    assert reached == {"automorphism", "run"}
+
+
+def test_decorations_match_the_reference_with_band_two_roots(monkeypatch):
+    # orbit_cases' root graphs have no automorphism but the identity; the
+    # band problems of degree 4 have some
+    reached: set = set()
+    for args in [(2, 4, 0, "pair"), (3, 4, 1, "self"), (7, 3, 2, "sixths")]:
+        check_decorations_match_the_reference(_band_problem(*args), monkeypatch, reached)
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(orbit_cases())
+    def check(case):
+        check_decorations_match_the_reference(case[0], monkeypatch, reached)
+
+    check()
+    assert reached == {"automorphism", "run"}
