@@ -49,7 +49,6 @@ from .graphs import (
 from .oracle import (
     DegenerationCheckReport,
     HurwitzInstance,
-    P1Conventions,
     RamificationProfile,
     build_p1_table,
     degeneration_check,

@@ -358,9 +358,8 @@ def standard_dual(basis_id: str, catalog: SectorCatalog) -> Vector:
 def chen_ruan_dual(basis_id: str, catalog: SectorCatalog) -> Vector:
     """Dual of a basis class for the band-weighted involution pairing.
 
-    Applies the involution pullback to the standard dual
-    (``standard_dual``) and multiplies by the locally constant band order,
-    coordinate by coordinate.
+    The locally constant band order times ``standard_dual`` (which is
+    already pulled back by the involution), coordinate by coordinate.
     """
     cached = catalog._dual_cache.get(("cr", basis_id))
     if cached is not None:

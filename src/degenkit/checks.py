@@ -42,11 +42,15 @@ def reorder_sign_by_swaps(permutation, parities) -> int:
     return sign
 
 
-def check_algebra(max_len: int = 5) -> list[tuple[str, bool, str]]:
+# Koszul signs are checked for every order and parity of up to this many factors
+_KOSZUL_MAX_LEN = 5
+
+
+def check_algebra() -> list[tuple[str, bool, str]]:
     out = []
     ok = True
     detail = ""
-    for n in range(0, max_len + 1):
+    for n in range(0, _KOSZUL_MAX_LEN + 1):
         for perm in itertools.permutations(range(n)):
             for bits in itertools.product((Parity.EVEN, Parity.ODD), repeat=n):
                 if koszul_sign(perm, bits) != reorder_sign_by_swaps(perm, bits):

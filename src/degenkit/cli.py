@@ -40,6 +40,10 @@ def _read_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise DegenkitError("no such file: %s" % path)
+    except OSError as err:
+        raise DegenkitError("cannot read %s: %s" % (path, err.strerror)) from None
+    except UnicodeDecodeError as err:
+        raise DegenkitError("malformed JSON in %s: not UTF-8: %s" % (path, err)) from None
     except json.JSONDecodeError as err:
         raise DegenkitError("malformed JSON in %s: %s" % (path, err))
     except RecursionError:
@@ -72,8 +76,13 @@ def _manifest(args, inputs: list[str], rule_text: str, started: float) -> None:
         "twisting": rule_text,
         "timing_seconds": round(time.monotonic() - started, 6),
     }
-    with open(args.manifest, "w", encoding="utf-8") as fh:
-        fh.write(jsonio.dumps(payload))
+    try:
+        with open(args.manifest, "w", encoding="utf-8") as fh:
+            fh.write(jsonio.dumps(payload))
+    except OSError as err:
+        raise DegenkitError(
+            "cannot write manifest %s: %s" % (args.manifest, err.strerror)
+        ) from None
 
 
 def cmd_splittings(args) -> int:

@@ -280,36 +280,23 @@ def hurwitz_count(instance: HurwitzInstance) -> Fraction:
 # -- the line glued at a point as a degeneration problem ----------------------
 
 
-@dataclass(frozen=True)
-class P1Conventions:
-    """Naming conventions shared by the table builder and the problem."""
+# the names the P1 problem and its table share: a generator for the line on
+# each side, the ambient class of a branch insertion, the divisor's point class
+LINE_1 = "line1"
+LINE_2 = "line2"
+BRANCH_CLASS = "brp"
+POINT_CLASS = "pt"
+_SIDE_LINES = {"X1": LINE_1, "X2": LINE_2}
+_BRANCH_LEG = (1, 0, BRANCH_CLASS)
 
-    generator_1: str = "line1"
-    generator_2: str = "line2"
-    branch_class: str = "brp"
-    point_class: str = "pt"
 
-    def monoid(self) -> CurveClassMonoid:
-        return CurveClassMonoid(
-            (
-                Generator(self.generator_1, "X1", Fraction(1)),
-                Generator(self.generator_2, "X2", Fraction(1)),
-            )
-        )
-
-    def divisor_catalog(self) -> SectorCatalog:
-        return SectorCatalog(
-            sectors=(Sector("untwisted", 1, "untwisted"),),
-            basis=(BasisClass(self.point_class, "untwisted", Parity.EVEN),),
-            pairing=((Fraction(1),),),
-        )
-
-    def ambient_catalog(self) -> SectorCatalog:
-        return SectorCatalog(
-            sectors=(Sector("main", 1, "main"),),
-            basis=(BasisClass(self.branch_class, "main", Parity.EVEN),),
-            pairing=((Fraction(1),),),
-        )
+def _one_class_catalog(sector: str, class_id: str) -> SectorCatalog:
+    """One untwisted sector holding one even class of norm 1."""
+    return SectorCatalog(
+        sectors=(Sector(sector, 1, sector),),
+        basis=(BasisClass(class_id, sector, Parity.EVEN),),
+        pairing=((Fraction(1),),),
+    )
 
 
 def labeled_profile_normalization(pattern: Sequence[int]) -> int:
@@ -378,18 +365,16 @@ class P1Table(InvariantTable):
     applies it to the key's data (``CorrelatorKey.vertex``, the data a
     plain table keeps its entries under), so a key ``for_vertex`` built is
     never read back from its bytes.
-    ``items()`` lists the keys with their values, and ``len()`` counts them,
-    without reading any key.
+    ``items()`` lists the keys with their values, from ``_line_vertex`` as
+    ``vertex_value``'s are, and ``len()`` counts them, without reading any
+    key.
     """
 
-    def __init__(self, d_max: int, g_max: int, max_legs: int, conventions: P1Conventions):
+    def __init__(self, d_max: int, g_max: int, max_legs: int):
         super().__init__()
         self.d_max = d_max
         self.g_max = g_max
         self.max_legs = max_legs
-        self.conventions = conventions
-        self.generators = {"X1": conventions.generator_1, "X2": conventions.generator_2}
-        self.branch_leg = (1, 0, conventions.branch_class)
 
     def set(self, key: CorrelatorKey, value) -> None:
         raise DegenkitError("the P1 table is read-only")
@@ -397,18 +382,17 @@ class P1Table(InvariantTable):
     def vertex_value(
         self, side: str, genus: int, weight: CurveClass, legs: tuple, roots: tuple
     ) -> Fraction | None:
-        point = self.conventions.point_class
         if genus > self.g_max or len(legs) > self.max_legs:
             return None
-        if any(leg != self.branch_leg for leg in legs):
+        if any(leg != _BRANCH_LEG for leg in legs):
             return None
-        if any(f != 1 or cid != point for f, _, cid in roots):
+        if any(f != 1 or cid != POINT_CLASS for f, _, cid in roots):
             return None
         if len(weight.exponents) != 1:
             return None
         ((gid, d),) = weight.exponents
         pattern = tuple([c for _, c, _ in roots])
-        if gid != self.generators[side] or d > self.d_max or sum(pattern) != d:
+        if gid != _SIDE_LINES[side] or d > self.d_max or sum(pattern) != d:
             return None
         return _line_vertex(d, genus, pattern, len(legs))
 
@@ -420,28 +404,22 @@ class P1Table(InvariantTable):
         return 2 * (2**self.d_max - 1) * (self.g_max + 1) * (self.max_legs + 1)
 
     def items(self):
-        conv = self.conventions
         rows = []
-        for side, gen in self.generators.items():
+        for side, line in _SIDE_LINES.items():
             for d in range(1, self.d_max + 1):
-                weight = CurveClass({gen: d})
+                weight = CurveClass({line: d})
                 for pattern in _compositions(d):
-                    roots = tuple((1, c, conv.point_class) for c in pattern)
+                    roots = tuple((1, c, POINT_CLASS) for c in pattern)
                     for g in range(0, self.g_max + 1):
                         for s in range(0, self.max_legs + 1):
                             key = CorrelatorKey.for_vertex(
-                                side, g, weight, ((1, 0, conv.branch_class),) * s, roots
+                                side, g, weight, (_BRANCH_LEG,) * s, roots
                             )
-                            rows.append((key, connected_relative_value(d, g, pattern, s)))
+                            rows.append((key, _line_vertex(d, g, pattern, s)))
         return sorted(rows, key=lambda kv: kv[0].sort_token())
 
 
-def build_p1_table(
-    d_max: int,
-    g_max: int,
-    conventions: P1Conventions | None = None,
-    max_legs: int | None = None,
-) -> P1Table:
+def build_p1_table(d_max: int, g_max: int, max_legs: int | None = None) -> P1Table:
     """Every one-vertex relative key up to the given degree, genus, and
     branch-insertion budget, on both sides of the degeneration, as a
     read-only ``P1Table``.
@@ -461,14 +439,11 @@ def build_p1_table(
             "empty P1 table: need d_max >= 1, g_max >= 0 and max_legs >= 0"
             " (got %d, %d, %d)" % (d_max, g_max, max_legs)
         )
-    return P1Table(d_max, g_max, max_legs, conventions or P1Conventions())
+    return P1Table(d_max, g_max, max_legs)
 
 
 def p1_problem(
-    degree: int,
-    genus: int,
-    conventions: P1Conventions | None = None,
-    second_side_legs: int = 0,
+    degree: int, genus: int, second_side_legs: int = 0
 ) -> tuple[DegenerationProblem, list[Insertion]]:
     """Degeneration data for degree-d genus-g covers of the smoothing.
 
@@ -477,7 +452,6 @@ def p1_problem(
     all of them sit on the first side.  Any fixed split gives the same count,
     which the tests exercise as a deformation-invariance identity.
     """
-    conv = conventions or P1Conventions()
     b = 2 * genus - 2 + 2 * degree
     if b < 0:
         raise InfeasibleInstanceError("no branch data at degree %d genus %d" % (degree, genus))
@@ -487,15 +461,17 @@ def p1_problem(
         )
     sides = ["X1"] * (b - second_side_legs) + ["X2"] * second_side_legs
     problem = DegenerationProblem(
-        monoid=conv.monoid(),
+        monoid=CurveClassMonoid(
+            (Generator(LINE_1, "X1", Fraction(1)), Generator(LINE_2, "X2", Fraction(1)))
+        ),
         genus=genus,
         legs=tuple(LegSpec(i + 1, 1, side) for i, side in enumerate(sides)),
-        beta=CurveClass({conv.generator_1: degree, conv.generator_2: degree}),
-        divisor=conv.divisor_catalog(),
+        beta=CurveClass({LINE_1: degree, LINE_2: degree}),
+        divisor=_one_class_catalog("untwisted", POINT_CLASS),
         c_max=degree,
-        ambient=conv.ambient_catalog(),
+        ambient=_one_class_catalog("main", BRANCH_CLASS),
     )
-    insertions = [Insertion(0, conv.branch_class) for _ in range(b)]
+    insertions = [Insertion(0, BRANCH_CLASS) for _ in range(b)]
     return problem, insertions
 
 
@@ -531,9 +507,8 @@ def degeneration_check(
         raise ScaleError("degeneration check supports degree <= 4")
     if genus > 2:
         raise ScaleError("degeneration check supports genus <= 2")
-    conv = P1Conventions()
-    problem, insertions = p1_problem(degree, genus, conv)
-    table = build_p1_table(degree, genus, conv, max_legs=len(insertions))
+    problem, insertions = p1_problem(degree, genus)
+    table = build_p1_table(degree, genus, max_legs=len(insertions))
     engine = evaluate_degeneration(
         problem, insertions, table, rule=rule, convention=convention
     ).value

@@ -17,7 +17,7 @@ from degenkit import cli, jsonio
 from degenkit.correlator import needed_keys
 from degenkit.errors import DegenkitError, EnumerationBudgetError
 from degenkit.graphs import graph_from_canonical
-from degenkit.oracle import P1Conventions, build_p1_table, p1_problem
+from degenkit.oracle import build_p1_table, p1_problem
 from degenkit.splitting import _Budget, enumerate_splittings, iter_structures
 from degenkit.twisting import TwistingChoice
 from helpers import (
@@ -48,9 +48,8 @@ def run_cli(*args, expect=0):
 
 @pytest.fixture()
 def p1_files(tmp_path):
-    conv = P1Conventions()
-    problem, insertions = p1_problem(2, 0, conv)
-    table = build_p1_table(2, 0, conv, max_legs=2)
+    problem, insertions = p1_problem(2, 0)
+    table = build_p1_table(2, 0, max_legs=2)
     paths = {}
     for name, payload in (
         ("problem", jsonio.problem_to_dict(problem)),
@@ -337,6 +336,12 @@ def _write_text(tmp_path, name, text):
     return str(path)
 
 
+def _write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
 # deeper than the JSON decoder's recursion limit
 _DEEP = "[" * 100_000 + "]" * 100_000
 
@@ -615,6 +620,21 @@ def _table_probe(payload):
                 "legs": [{"label": 1, "e": 1, "vertex": 1}],
             }, "legs": [{"m": 0, "class": "pt"}] * 2}, "value": "1/1"}]),
             id="table-two-vertex-graph-object-key-with-an-extra-leg",
+        ),
+        pytest.param(
+            lambda t: ("evaluate", str(DOCS / "sample_problem.json"),
+                       str(DOCS / "sample_insertions.json"), str(t)),
+            id="table-a-directory",
+        ),
+        pytest.param(
+            lambda t: ("ledger", "--contacts", "2,3", "--twisting", str(t)),
+            id="twisting-a-directory",
+        ),
+        pytest.param(
+            lambda t: ("evaluate", str(DOCS / "sample_problem.json"),
+                       str(DOCS / "sample_insertions.json"),
+                       _write_bytes(t, "table.json", b"\xff\xfe[]")),
+            id="table-not-utf-8",
         ),
     ],
 )
@@ -1176,6 +1196,15 @@ def test_cli_manifest_records_the_argv_given_to_main(p1_files, tmp_path, capsys)
     argv = ["splittings", p1_files["problem"], "--orbits", "--manifest", str(manifest)]
     assert cli.main(argv) == 0
     assert json.loads(manifest.read_text())["command"] == "degenkit " + " ".join(argv)
+
+
+def test_cli_manifest_in_a_missing_directory_exits_2(p1_files, tmp_path, capsys):
+    # the result is already written when the manifest cannot be
+    manifest = tmp_path / "missing" / "m.json"
+    assert cli.main(["splittings", p1_files["problem"], "--manifest", str(manifest)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)
+    assert "cannot write manifest" in json.loads(captured.err)["error"]
 
 
 # SHA-256 of stdout for the P1 file sets (degree, genus, legs on X2) and the

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -9,8 +9,11 @@ from degenkit import oracle
 from degenkit.algebra import BasisClass, Parity, Sector, SectorCatalog
 from degenkit.errors import DegenkitError, InfeasibleInstanceError, ScaleError
 from degenkit.oracle import (
+    BRANCH_CLASS,
     HurwitzInstance,
-    P1Conventions,
+    LINE_1,
+    LINE_2,
+    POINT_CLASS,
     RamificationProfile,
     build_p1_table,
     connected_relative_value,
@@ -230,9 +233,8 @@ def test_connected_relative_value_examples():
 
 
 def test_table_labeled_patterns_symmetric():
-    conv = P1Conventions()
-    table = build_p1_table(3, 0, conv, max_legs=4)
-    problem, insertions = p1_problem(3, 0, conv)
+    table = build_p1_table(3, 0, max_legs=4)
+    problem, insertions = p1_problem(3, 0)
     keys = needed_keys(problem, insertions)
     by_shape = {}
     for key in keys:
@@ -246,9 +248,8 @@ def test_table_labeled_patterns_symmetric():
 
 def _p1_table_through_graphs(d_max, g_max):
     """The P1 table with every key built by ``for_component`` on its graph."""
-    conv = P1Conventions()
     table = InvariantTable()
-    for side, gen in (("X1", conv.generator_1), ("X2", conv.generator_2)):
+    for side, gen in (("X1", LINE_1), ("X2", LINE_2)):
         for d in range(1, d_max + 1):
             for pattern in _compositions(d):
                 for g in range(g_max + 1):
@@ -263,8 +264,8 @@ def _p1_table_through_graphs(d_max, g_max):
                         key = CorrelatorKey.for_component(
                             side,
                             graph,
-                            {i + 1: Insertion(0, conv.branch_class) for i in range(s)},
-                            {s + j + 1: conv.point_class for j in range(len(pattern))},
+                            {i + 1: Insertion(0, BRANCH_CLASS) for i in range(s)},
+                            {s + j + 1: POINT_CLASS for j in range(len(pattern))},
                         )
                         table.set(key, connected_relative_value(d, g, pattern, s))
     return table
@@ -275,10 +276,10 @@ def test_p1_table_keys_match_graph_built_keys(d, g):
     assert build_p1_table(d, g).items() == _p1_table_through_graphs(d, g).items()
 
 
-def _near_misses(d_max, g_max, max_legs, conv):
+def _near_misses(d_max, g_max, max_legs):
     """Keys one step outside a P1 table with these bounds, by name."""
-    brp, pt = (1, 0, conv.branch_class), (1, 1, conv.point_class)
-    line1 = {conv.generator_1: 1}
+    brp, pt = (1, 0, BRANCH_CLASS), (1, 1, POINT_CLASS)
+    line1 = {LINE_1: 1}
 
     def key(side="X1", genus=0, weight=line1, legs=(), roots=(pt,)):
         return CorrelatorKey.for_vertex(side, genus, weight, legs, roots)
@@ -291,28 +292,28 @@ def _near_misses(d_max, g_max, max_legs, conv):
     )
     return inside, {
         "degree": key(
-            weight={conv.generator_1: d_max + 1}, roots=((1, d_max + 1, conv.point_class),)
+            weight={LINE_1: d_max + 1}, roots=((1, d_max + 1, POINT_CLASS),)
         ),
         "genus": key(genus=g_max + 1),
         "legs": key(legs=(brp,) * (max_legs + 1)),
-        "leg class": key(legs=((1, 0, conv.point_class),)),
-        "leg m": key(legs=((1, 1, conv.branch_class),)),
-        "leg e": key(legs=((2, 0, conv.branch_class),)),
-        "root class": key(roots=((1, 1, conv.branch_class),)),
-        "root f": key(roots=((2, 1, conv.point_class),)),
+        "leg class": key(legs=((1, 0, POINT_CLASS),)),
+        "leg m": key(legs=((1, 1, BRANCH_CLASS),)),
+        "leg e": key(legs=((2, 0, BRANCH_CLASS),)),
+        "root class": key(roots=((1, 1, BRANCH_CLASS),)),
+        "root f": key(roots=((2, 1, POINT_CLASS),)),
         "contacts": key(roots=(pt, pt)),
         "side": key(side="X2"),
         "leg count": CorrelatorKey(
-            inside.side, inside.graph, inside.legs + ((0, conv.branch_class),), inside.roots
+            inside.side, inside.graph, inside.legs + ((0, BRANCH_CLASS),), inside.roots
         ),
         "root count": CorrelatorKey(
-            inside.side, inside.graph, inside.legs, inside.roots + (conv.point_class,)
+            inside.side, inside.graph, inside.legs, inside.roots + (POINT_CLASS,)
         ),
         "space": CorrelatorKey(
             inside.side, inside.graph.replace(b",", b", ", 1), inside.legs, inside.roots
         ),
         "two vertices": CorrelatorKey.for_component(
-            "X1", two_vertices, {}, {1: conv.point_class, 2: conv.point_class}
+            "X1", two_vertices, {}, {1: POINT_CLASS, 2: POINT_CLASS}
         ),
     }
 
@@ -323,15 +324,14 @@ def _near_misses(d_max, g_max, max_legs, conv):
 def test_lazy_p1_table(d_max, g_max, max_legs):
     # the values worked out on lookup are those listed by items(), and keys
     # just outside the bounds or the shape are absent
-    conv = P1Conventions()
-    table = build_p1_table(d_max, g_max, conv, max_legs=max_legs)
+    table = build_p1_table(d_max, g_max, max_legs=max_legs)
     legs = 2 * g_max - 2 + 2 * d_max if max_legs is None else max_legs
     rows = table.items()
     assert len(table) == len(rows) == 2 * (2**d_max - 1) * (g_max + 1) * (legs + 1)
     for key, value in rows:
         assert table.get(key) == value
         assert key in table
-    inside, misses = _near_misses(d_max, g_max, legs, conv)
+    inside, misses = _near_misses(d_max, g_max, legs)
     assert table.get(inside) == connected_relative_value(1, 0, (1,), min(1, legs))
     for name, key in misses.items():
         assert table.get(key) is None, name
@@ -369,12 +369,11 @@ def test_p1_vertex_value_matches_get(d_max, g_max, max_legs):
     # the lookup by vertex data and the lookup by key bytes apply one rule:
     # equal on every listed row, None on both for each near miss that has
     # vertex data (the others have only key bytes, and get gives None)
-    conv = P1Conventions()
-    table = build_p1_table(d_max, g_max, conv, max_legs=max_legs)
+    table = build_p1_table(d_max, g_max, max_legs=max_legs)
     legs = 2 * g_max - 2 + 2 * d_max if max_legs is None else max_legs
     for key, value in table.items():
         assert table.vertex_value(*_vertex_data(key)) == table.get(key) == value
-    inside, misses = _near_misses(d_max, g_max, legs, conv)
+    inside, misses = _near_misses(d_max, g_max, legs)
     assert table.vertex_value(*_vertex_data(inside)) == table.get(inside) is not None
     without_data = set()
     for name, key in misses.items():
@@ -400,11 +399,10 @@ def _read_back(key):
 
 
 def test_vertex_data_agrees_with_the_reference_on_p1_keys():
-    conv = P1Conventions()
     for d_max in range(1, 6):
         for g_max in range(3):
-            table = build_p1_table(d_max, g_max, conv)
-            inside, misses = _near_misses(d_max, g_max, table.max_legs, conv)
+            table = build_p1_table(d_max, g_max)
+            inside, misses = _near_misses(d_max, g_max, table.max_legs)
             for key in [key for key, _ in table.items()] + [inside, *misses.values()]:
                 assert _read_back(key) == _vertex_data(key), key
 
@@ -414,12 +412,11 @@ def test_key_vertex_is_the_p1_table_decode():
     # (``_read_back``) gave None, and otherwise gives its data, for keys
     # that keep the data of for_vertex and for the same keys read from
     # their bytes
-    conv = P1Conventions()
     rng = random.Random(2032)
     keys = []
     for d_max, g_max in itertools.product(range(1, 4), range(3)):
-        table = build_p1_table(d_max, g_max, conv)
-        inside, misses = _near_misses(d_max, g_max, table.max_legs, conv)
+        table = build_p1_table(d_max, g_max)
+        inside, misses = _near_misses(d_max, g_max, table.max_legs)
         keys += [key for key, _ in table.items()] + [inside, *misses.values()]
     for _ in range(20):
         keys += needed_keys(*random_problem(rng))
@@ -471,12 +468,11 @@ def test_branch_split_invariance(d, g):
     # pinning any fixed number of branch insertions to the second side gives
     # the same count; the mixed splits route through nontrivial contact
     # profiles (full ramification among them), unlike the one-sided check
-    conv = P1Conventions()
     b = 2 * g - 2 + 2 * d
-    table = build_p1_table(d, g, conv, max_legs=b)
+    table = build_p1_table(d, g, max_legs=b)
     expected = hurwitz_count(HurwitzInstance(d, g))
     for k in range(0, b + 1):
-        problem, insertions = p1_problem(d, g, conv, second_side_legs=k)
+        problem, insertions = p1_problem(d, g, second_side_legs=k)
         got = evaluate_degeneration(problem, insertions, table).value
         assert got == expected, (d, g, k)
 
@@ -525,6 +521,26 @@ def test_one_profile_genus_zero_matches_hurwitz_formula(d):
         r = d + len(mu) - 2
         expected = Fraction(factorial(r), labeled_profile_normalization(mu))
         expected *= Fraction(d) ** (len(mu) - 3)
+        for m in mu:
+            expected *= Fraction(m**m, factorial(m))
+        count = oracle._connected_count(d, oracle._nontrivial([mu]), r)
+        assert Fraction(count, factorial(d)) == expected, mu
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_one_profile_genus_one_matches_vakil_formula(d):
+    # Vakil's formula (math/9812105) for genus-1 covers with one arbitrary
+    # profile mu of length n and d + n simple branch points:
+    # r!/(24 |Aut mu|) prod mu_i^mu_i/mu_i!
+    #   * (d^n - d^(n-1) - sum_{k>=2} (k-2)! d^(n-k) e_k(mu))
+    for mu in oracle._partitions(d):
+        n = len(mu)
+        r = d + n
+        bracket = Fraction(d**n - d ** (n - 1))
+        for k in range(2, n + 1):
+            e_k = sum(prod(parts) for parts in itertools.combinations(mu, k))
+            bracket -= factorial(k - 2) * d ** (n - k) * e_k
+        expected = Fraction(factorial(r), 24 * labeled_profile_normalization(mu)) * bracket
         for m in mu:
             expected *= Fraction(m**m, factorial(m))
         count = oracle._connected_count(d, oracle._nontrivial([mu]), r)
