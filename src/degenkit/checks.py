@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from .algebra import Parity, SectorCatalog, Sector, BasisClass, dual_basis, chen_ruan_dual, koszul_sign
+from .errors import SingularPairingError
 from .graphs import CurveClass, CurveClassMonoid, Generator
 from .oracle import degeneration_check
 from .splitting import DegenerationProblem, LegSpec, enumerate_splittings, orbits
@@ -73,7 +74,7 @@ def check_algebra() -> list[tuple[str, bool, str]]:
             cat = _plain_catalog(rows)
             try:
                 duals = dual_basis(cat)
-            except Exception:
+            except SingularPairingError:
                 continue
             break
         for i in range(n):

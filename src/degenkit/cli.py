@@ -137,7 +137,7 @@ def cmd_lift(args) -> int:
 def cmd_ledger(args) -> int:
     contacts = jsonio.parse_ints(args.contacts, "contact order")
     rule = _twisting_arg(args.twisting)
-    _emit(degeneration_ledger(contacts, rule).as_dict())
+    _emit(jsonio.ledger_to_obj(degeneration_ledger(contacts, rule)))
     return 0
 
 
@@ -148,7 +148,7 @@ def cmd_oracle(args) -> int:
         return 0
     if args.oracle_command == "check":
         report = degeneration_check(args.degree, args.genus)
-        _emit(report.as_dict())
+        _emit(jsonio.check_report_to_obj(report))
         return 0 if report.equal else 1
     profiles = []
     if args.profiles:
@@ -169,12 +169,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        results = run_suite(args.suite)
-    except KeyError:
+    if args.suite != "all" and args.suite not in SUITES:
         raise DegenkitError(
             "unknown suite %r; choose from %s" % (args.suite, list(SUITES) + ["all"])
         )
+    results = run_suite(args.suite)
     failed = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:
         line = "%s %s" % ("PASS" if ok else "FAIL", name)

@@ -509,12 +509,6 @@ class _Context:
             memo = self.memo[memo_key] = _VertexMemo(self.table, side, genus, weight, roots)
         return memo
 
-    def component(self, side: str, genus: int, weight, legs: tuple, roots: tuple):
-        """(value, missing) of a one-vertex component, from the memo
-        (``vertex``).  A missing value counts as 0."""
-        value_num, value_den, missing = self.vertex(side, genus, weight, roots)[legs]
-        return Fraction(value_num, value_den), missing
-
     def basis_choices(self, indices: tuple[int, ...]):
         """Every term of the delta/rho expansion for roots of the given
         indices: (delta classes, rho classes, expansion weight, odd),
@@ -523,10 +517,7 @@ class _Context:
         roots with two classes each, and their consumers tick per term, so
         they are listed lazily (``_listing``) and kept once per index tuple
         when complete."""
-        choices = self.choices.get(indices)
-        if choices is None:
-            choices = _listing(self.choices, indices, self._expand(indices))
-        return choices
+        return _listing(self.choices, indices, self._expand, indices)
 
     def _expand(self, indices: tuple[int, ...]):
         for delta in itertools.product(*(self.admissible.get(f, []) for f in indices)):
@@ -703,10 +694,10 @@ def _takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple):
     state with n odd legs left has up to 2^n takes, and its consumers tick
     per take, so the expansion is listed lazily (``_listing``).
     """
-    memo_key = (sides, vi, remaining)
-    takes = ctx.takes.get(memo_key)
-    if takes is not None:
-        return takes
+    return _listing(ctx.takes, (sides, vi, remaining), _expand_takes, ctx, sides, vi, remaining)
+
+
+def _expand_takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple):
     options = [
         (0,) if vi not in slots else (left,) if vi == slots[-1] else range(left + 1)
         for g, left in zip(ctx.groups, remaining)
@@ -729,7 +720,7 @@ def _takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple):
             tuple([left - k for left, k in zip(remaining, counts)]),
         )
 
-    return _listing(ctx.takes, memo_key, map(take, itertools.product(*options)))
+    return map(take, itertools.product(*options))
 
 
 class _Element:
@@ -1041,10 +1032,7 @@ def needed_keys(
             weights = structure.weights1 + structure.weights2
             for vi, (side, genus, weight) in enumerate(zip(sides, genera, weights)):
                 for roots in vertex_roots[vi]:
-                    listed = orders.get(roots)
-                    if listed is None:
-                        listed = _listing(orders, roots, _orders(roots))
-                    for order in listed:
+                    for order in _listing(orders, roots, _orders, roots):
                         budget.tick()
                         for legs in leg_options[sides][side]:
                             found[side, genus, weight.exponents, legs, order] = weight
@@ -1126,14 +1114,9 @@ def splitting_inner_sum(
             if _vanishes(problem, vertex.weight, vertex_roots):
                 product = _ZERO
                 continue
-            value, _ = ctx.component(
-                side,
-                vertex.genus,
-                vertex.weight,
-                tuple((leg.e,) + ctx.leg_data[leg.label][1:] for leg in legs),
-                vertex_roots,
-            )
-            product *= value
+            memo = ctx.vertex(side, vertex.genus, vertex.weight, vertex_roots)
+            value_num, value_den, _ = memo[tuple((l.e,) + ctx.leg_data[l.label][1:] for l in legs)]
+            product *= Fraction(value_num, value_den)
         if product != 0 and odd:
             ranks = ctx.word(m_labels, delta, rho)
             comps: tuple[list, list] = ([], [])

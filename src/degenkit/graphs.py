@@ -430,13 +430,87 @@ def _ordered_form(keys, order, edges) -> bytes:
     return keyed_form([keys[v] for v in order], [(pos[a], pos[b]) for a, b in edges])
 
 
+# -- shape checks of JSON data, shared with jsonio ---------------------------
+
+
+def _int(value, what: str) -> int:
+    """A JSON integer; booleans, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DegenkitError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
+def _str(value, what: str) -> str:
+    """A JSON string, as every id and id reference must be."""
+    if not isinstance(value, str):
+        raise DegenkitError("%s must be a string, got %r" % (what, value))
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise DegenkitError("%s must be an object, got %r" % (what, value))
+    return value
+
+
+def _field(data: dict, name: str, what: str):
+    if name not in data:
+        raise DegenkitError("%s is missing the field %r" % (what, name))
+    return data[name]
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise DegenkitError("%s must be a list, got %r" % (what, value))
+    return value
+
+
+def _lists(value, size: int, what: str) -> list[list]:
+    """A list of lists of ``size`` entries each."""
+    rows = _list(value, what)
+    if not all(isinstance(row, list) and len(row) == size for row in rows):
+        raise DegenkitError("%s must be a list of %d-entry lists, got %r" % (what, size, value))
+    return rows
+
+
 def graph_from_canonical(blob: str | bytes) -> ModularGraph:
-    data = json.loads(blob if isinstance(blob, str) else blob.decode())
+    """The graph of canonical JSON text in the layout of ``keyed_form``:
+    ``{"e": [[a, b]...], "l": [[label, e, vertex]...], "r": [[label, f, c,
+    vertex]...], "v": [[genus, [[generator, exponent]...]]...]}``.
+
+    Every number is read through ``_int`` and every generator id through
+    ``_str``; text of any other shape raises DegenkitError naming the first
+    part that is wrong.
+    """
+    try:
+        data = json.loads(blob)
+    except (ValueError, RecursionError):
+        raise DegenkitError("not a canonical graph: %r" % (blob,)) from None
+    data = _object(data, "key graph")
+
+    def rows(name: str, size: int, *what: str) -> list[tuple]:
+        return [
+            tuple(map(_int, row, what))
+            for row in _lists(_field(data, name, "key graph"), size, "key graph " + name)
+        ]
+
+    vertices = []
+    for genus, pairs in _lists(_field(data, "v", "key graph"), 2, "key graph v"):
+        weight = {
+            _str(gid, "vertex weight generator"): _int(e, "vertex weight exponent")
+            for gid, e in _lists(pairs, 2, "vertex weight")
+        }
+        if len(weight) != len(pairs):
+            raise DegenkitError("vertex weight repeats a generator: %r" % (pairs,))
+        vertices.append((_int(genus, "vertex genus"), CurveClass(weight)))
+    edges = rows("e", 2, "edge end", "edge end")
+    legs = rows("l", 3, "leg label", "leg e", "leg vertex")
+    roots = rows("r", 4, "root label", "root f", "root c", "root vertex")
     return ModularGraph(
-        vertices=tuple(Vertex(g, CurveClass(dict((k, v) for k, v in w))) for g, w in data["v"]),
-        edges=tuple((a, b) for a, b in data["e"]),
-        legs=tuple(Leg(lab, e, v) for lab, e, v in data["l"]),
-        roots=tuple(Root(lab, f, c, v) for lab, f, c, v in data["r"]),
+        vertices=tuple(Vertex(genus, weight) for genus, weight in vertices),
+        edges=tuple(edges),
+        legs=tuple(Leg(*row) for row in legs),
+        roots=tuple(Root(*row) for row in roots),
     )
 
 

@@ -1,9 +1,10 @@
 """JSON round-trips for every externally visible type.
 
 All rationals travel as "p/q" with positive denominator and the fraction in
-lowest terms; arrays are emitted in canonical order so identical inputs give
-byte-identical outputs.  Every output is written by ``dumps``: 2-space
-indent, sorted keys, ASCII escapes and one trailing newline.
+lowest terms, each written by ``fraction_to_str``; arrays are emitted in
+canonical order so identical inputs give byte-identical outputs.  Every
+output is written by ``dumps``: 2-space indent, sorted keys, ASCII escapes
+and one trailing newline.
 """
 
 from __future__ import annotations
@@ -24,12 +25,19 @@ from .graphs import (
     ModularGraph,
     Root,
     Vertex,
+    _field,
+    _int,
+    _list,
+    _object,
+    _str,
     canonical_form,
+    graph_from_canonical,
     rank_relabeled,
     vertex_data,
 )
+from .oracle import DegenerationCheckReport
 from .splitting import DegenerationProblem, LegSpec, Splitting
-from .twisting import TwistingChoice
+from .twisting import MultiplicityLedger, TwistingChoice
 
 
 def fraction_to_str(x: Fraction) -> str:
@@ -46,13 +54,6 @@ def fraction_from_str(s: str | int) -> Fraction:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError):
         raise DegenkitError("not a rational number: %r" % s) from None
-
-
-def _int(value, what: str) -> int:
-    """A JSON integer; booleans, floats and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DegenkitError("%s must be an integer, got %r" % (what, value))
-    return value
 
 
 def parse_int(value, what: str) -> int:
@@ -72,49 +73,16 @@ def parse_ints(text: str, what: str) -> list[int]:
     return [parse_int(x, what) for x in text.split(",") if x.strip()]
 
 
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise DegenkitError("%s must be an object, got %r" % (what, value))
-    return value
-
-
 def _objects(value, what: str) -> list[dict]:
     if not isinstance(value, list) or not all(isinstance(row, dict) for row in value):
         raise DegenkitError("%s must be a list of objects, got %r" % (what, value))
     return value
 
 
-def _list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise DegenkitError("%s must be a list, got %r" % (what, value))
-    return value
-
-
-def _field(data: dict, name: str, what: str):
-    if name not in data:
-        raise DegenkitError("%s is missing the field %r" % (what, name))
-    return data[name]
-
-
-def _lists(value, size: int, what: str) -> list[list]:
-    """A list of lists of ``size`` entries each."""
-    rows = _list(value, what)
-    if not all(isinstance(row, list) and len(row) == size for row in rows):
-        raise DegenkitError("%s must be a list of %d-entry lists, got %r" % (what, size, value))
-    return rows
-
-
 def _rows(value, what: str, *names: str) -> list[tuple]:
     """A list of objects, each read as the tuple of its required fields."""
     rows = _objects(value, what)
     return [tuple(_field(row, n, what + " row") for n in names) for row in rows]
-
-
-def _str(value, what: str) -> str:
-    """A JSON string, as every id and id reference must be."""
-    if not isinstance(value, str):
-        raise DegenkitError("%s must be a string, got %r" % (what, value))
-    return value
 
 
 def _curve_class(value, what: str) -> CurveClass:
@@ -359,6 +327,16 @@ def twisting_from_obj(data) -> TwistingChoice:
     raise DegenkitError("unknown twisting rule kind %r" % kind)
 
 
+def ledger_to_obj(ledger: MultiplicityLedger) -> dict:
+    return {
+        "factors": [
+            {"stage": f.stage, "factor": fraction_to_str(f.factor), "note": f.note}
+            for f in ledger.factors
+        ],
+        "net": fraction_to_str(ledger.net),
+    }
+
+
 # -- splittings ---------------------------------------------------------------
 
 
@@ -403,16 +381,13 @@ def key_to_dict(key: CorrelatorKey) -> dict:
 def _key_graph(graph) -> tuple[bytes, int, int]:
     """The canonical bytes of a table key's graph and its leg and root
     counts.  The graph is given as an object (``graph_from_dict``) or as
-    canonical JSON text in the layout of ``canonical_form``: ``{"e": [[a,
-    b]...], "l": [[label, e, vertex]...], "r": [[label, f, c, vertex]...],
-    "v": [[genus, [[generator, exponent]...]]...]}``.
+    canonical JSON text (``graphs.graph_from_canonical``).
 
     Text that ``graphs.vertex_data`` reads is the bytes ``vertex_form``
     writes, and is taken as it is; a table file's rows of such text mostly
     come with insertions that ``_vertex_key`` reads, and skip this.  Any
-    other text is read with every number through ``_int`` and every
-    generator id through ``_str``, and any other graph is built and
-    canonicalised.
+    other text is read by ``graph_from_canonical``, and any other graph is
+    built and canonicalised.
     """
     if isinstance(graph, dict):
         parsed = graph_from_dict(graph)
@@ -422,36 +397,7 @@ def _key_graph(graph) -> tuple[bytes, int, int]:
         found = vertex_data(blob)
         if found is not None:
             return blob, len(found[2]), len(found[3])
-        try:
-            data = json.loads(graph)
-        except (ValueError, RecursionError):
-            raise DegenkitError("not a canonical graph: %r" % (graph,)) from None
-        data = _object(data, "key graph")
-
-        def rows(name: str, size: int, *what: str) -> list[tuple]:
-            return [
-                tuple(map(_int, row, what))
-                for row in _lists(_field(data, name, "key graph"), size, "key graph " + name)
-            ]
-
-        vertices = []
-        for genus, pairs in _lists(_field(data, "v", "key graph"), 2, "key graph v"):
-            weight = {
-                _str(gid, "vertex weight generator"): _int(e, "vertex weight exponent")
-                for gid, e in _lists(pairs, 2, "vertex weight")
-            }
-            if len(weight) != len(pairs):
-                raise DegenkitError("vertex weight repeats a generator: %r" % (pairs,))
-            vertices.append((_int(genus, "vertex genus"), CurveClass(weight)))
-        edges = rows("e", 2, "edge end", "edge end")
-        legs = rows("l", 3, "leg label", "leg e", "leg vertex")
-        roots = rows("r", 4, "root label", "root f", "root c", "root vertex")
-        parsed = ModularGraph(
-            vertices=tuple(Vertex(genus, weight) for genus, weight in vertices),
-            edges=tuple(edges),
-            legs=tuple(Leg(*row) for row in legs),
-            roots=tuple(Root(*row) for row in roots),
-        )
+        parsed = graph_from_canonical(graph)
     return canonical_form(rank_relabeled(parsed)), len(parsed.legs), len(parsed.roots)
 
 
@@ -617,6 +563,16 @@ def result_to_obj(result: EvaluationResult) -> dict:
             for t in result.terms
         ]
     return out
+
+
+def check_report_to_obj(report: DegenerationCheckReport) -> dict:
+    return {
+        "degree": report.degree,
+        "genus": report.genus,
+        "engine_value": fraction_to_str(report.engine_value),
+        "oracle_value": fraction_to_str(report.oracle_value),
+        "equal": report.equal,
+    }
 
 
 def _graph_text(graph: ModularGraph, indent: str, tails: dict) -> str:

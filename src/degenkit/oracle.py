@@ -486,15 +486,6 @@ class DegenerationCheckReport:
     def equal(self) -> bool:
         return self.engine_value == self.oracle_value
 
-    def as_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "genus": self.genus,
-            "engine_value": str(self.engine_value),
-            "oracle_value": str(self.oracle_value),
-            "equal": self.equal,
-        }
-
 
 def degeneration_check(
     degree: int,

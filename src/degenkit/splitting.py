@@ -536,11 +536,18 @@ def _kept(store: dict, key, walk: Iterator, budget: _Budget):
     budget.advance(trailing)
 
 
-def _listing(store: dict, key, items: Iterator):
-    """``items``, listed as the consumer takes them; the list is kept in
-    ``store`` under ``key`` once it is complete.  It serves listings whose
-    consumer ticks the budget per item, so that the ticks bound the
-    listing; the caller looks up a kept list first."""
+def _listing(store: dict, key, expand, *args):
+    """The list kept in ``store`` under ``key``, or else the items of
+    ``expand(*args)``, listed as the consumer takes them and kept there
+    once the list is complete.  It serves listings whose consumer ticks the
+    budget per item, so that the ticks bound the listing.  ``expand`` is
+    called only when no list is kept: building the iterator of a kept list
+    would cost more than the lookup."""
+    kept = store.get(key)
+    return _listed(store, key, expand(*args)) if kept is None else kept
+
+
+def _listed(store: dict, key, items: Iterator):
     listed = []
     for item in items:
         listed.append(item)
@@ -575,10 +582,7 @@ class _Decorations:
 
     def genera(self, genus: int, parts: int):
         """The weak compositions of ``genus`` into ``parts``."""
-        listed = self.compositions.get((genus, parts))
-        if listed is None:
-            listed = _listing(self.compositions, (genus, parts), weak_compositions(genus, parts))
-        return listed
+        return _listing(self.compositions, (genus, parts), weak_compositions, genus, parts)
 
 
 # the error of a label that is both a leg's and a root's, in ModularGraph's words
@@ -631,15 +635,6 @@ def _root_plan(problem: DegenerationProblem):
     return _Decorations(betas, degrees), deg1, pairs, mults, m_max
 
 
-def _partitions(listed: dict, labels: tuple[int, ...]):
-    """``enumerate(set_partitions(labels))``, listed as the consumer takes
-    them and kept in ``listed`` once complete (``_listing``)."""
-    kept = listed.get(labels)
-    if kept is None:
-        kept = _listing(listed, labels, set_partitions(labels))
-    return enumerate(kept)
-
-
 def iter_structures(
     problem: DegenerationProblem, budget: Optional[_Budget] = None
 ) -> Iterator[SplittingStructure]:
@@ -683,12 +678,12 @@ def iter_structures(
 
             # each partition and each pair of them ticks as it is examined,
             # so the budget bounds the Bell(m) + Bell(m)^2 of them per tuple
-            for i1, blocks1 in _partitions(listed, labels):
+            for i1, blocks1 in enumerate(_listing(listed, labels, set_partitions, labels)):
                 budget.tick()
                 w1_options = options.weights(0, target(i1, blocks1))
                 if not w1_options:
                     continue
-                for i2, blocks2 in _partitions(listed, labels):
+                for i2, blocks2 in enumerate(_listing(listed, labels, set_partitions, labels)):
                     budget.tick()
                     k1, k2 = len(blocks1), len(blocks2)
                     cycles = m - k1 - k2 + 1

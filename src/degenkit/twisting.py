@@ -192,18 +192,6 @@ class MultiplicityLedger:
             out *= f.factor
         return out
 
-    def as_dict(self) -> dict:
-        def fmt(x: Fraction) -> str:
-            return "%d/%d" % (x.numerator, x.denominator)
-
-        return {
-            "factors": [
-                {"stage": f.stage, "factor": fmt(f.factor), "note": f.note}
-                for f in self.factors
-            ],
-            "net": fmt(self.net),
-        }
-
 
 def degeneration_ledger(
     contacts: Sequence[int],

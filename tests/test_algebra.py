@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from degenkit import checks
 from degenkit.algebra import (
     BasisClass,
     Sector,
@@ -341,3 +342,19 @@ def test_involution_invariance_warning_against_the_matrix_product():
         assert got == expected
         warned += got
     assert 0 < warned < 300
+
+
+def test_check_algebra_retries_only_singular_draws(monkeypatch):
+    # a singular draw is drawn again; any other failure of dual_basis is a
+    # fault, which would repeat on every draw, and must not be swallowed
+    calls = []
+
+    def dual_basis_failing_once(cat):
+        calls.append(cat)
+        if len(calls) == 1:
+            raise TypeError("not a singular pairing")
+        return dual_basis(cat)
+
+    monkeypatch.setattr(checks, "dual_basis", dual_basis_failing_once)
+    with pytest.raises(TypeError, match="not a singular pairing"):
+        checks.check_algebra()

@@ -1035,16 +1035,41 @@ def test_cli_lift():
     }
 
 
+_LEDGER_2_3 = """{
+  "factors": [
+    {
+      "factor": "3/1",
+      "note": "choices of twisted splitting divisor, divided by root relabelings",
+      "stage": "split-target"
+    },
+    {
+      "factor": "1/6",
+      "note": "gluing gerbe of the two halves of the twisted target",
+      "stage": "glue-target"
+    },
+    {
+      "factor": "6/1",
+      "note": "evaluation gerbes over the divisor inertia, one band order per root",
+      "stage": "diagonal-gysin"
+    }
+  ],
+  "net": "3/1"
+}
+"""
+
+
 def test_cli_ledger():
     proc = run_cli("ledger", "--contacts", "2,3")
-    payload = json.loads(proc.stdout)
-    assert payload["net"] == "3/1"
+    assert proc.stdout == _LEDGER_2_3
 
 
 def test_cli_oracle_check():
-    proc = run_cli("oracle", "check", "--degree", "2", "--genus", "0")
-    payload = json.loads(proc.stdout)
-    assert payload["equal"] is True
+    # both values are written as p/q, as every rational output is
+    for degree, value in ((2, "1/2"), (3, "4/1")):
+        proc = run_cli("oracle", "check", "--degree", str(degree), "--genus", "0")
+        payload = json.loads(proc.stdout)
+        assert payload["equal"] is True
+        assert payload["engine_value"] == payload["oracle_value"] == value
 
 
 def test_cli_oracle_count_profiles():
@@ -1090,6 +1115,16 @@ def test_cli_oracle_table_bytes(bounds, digest):
 
 def test_cli_check_unknown_suite():
     run_cli("check", "nonsense", expect=2)
+
+
+def test_cli_check_lets_a_suite_key_error_through(monkeypatch):
+    # only an unknown suite name exits 2; a KeyError inside a suite is a fault
+    def suite():
+        raise KeyError("inside the suite")
+
+    monkeypatch.setitem(cli.SUITES, "faulty", suite)
+    with pytest.raises(KeyError, match="inside the suite"):
+        cli.main(["check", "faulty"])
 
 
 def test_cli_check_lifts():

@@ -16,6 +16,7 @@ from degenkit.graphs import (
     ModularGraph,
     Root,
     Vertex,
+    canonical_form,
     graph_from_canonical,
     rank_relabeled,
 )
@@ -115,6 +116,49 @@ def test_multi_vertex_key_bytes_keep_the_canonical_form_path():
     loop = ModularGraph((Vertex(0, CurveClass()),), ((0, 0),), (Leg(3, 1, 0),))
     key = jsonio.key_from_dict({"side": "X1", "graph": jsonio.graph_to_dict(loop)})
     assert key.graph == canonical_json(rank_relabeled(loop)).encode()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        pytest.param('{"v": [', "not a canonical graph: '{\"v\": ['", id="not-json"),
+        pytest.param("[1, 2]", "key graph must be an object, got [1, 2]", id="not-an-object"),
+        pytest.param(
+            '{"e":[],"l":[],"r":[]}', "key graph is missing the field 'v'", id="no-v"
+        ),
+        pytest.param(
+            '{"e":[],"l":[[true,1,0]],"r":[],"v":[[0,[]]]}',
+            "leg label must be an integer, got True",
+            id="bool-leg-label",
+        ),
+        pytest.param(
+            '{"e":[],"l":[],"r":[],"v":[[0,[["a",1.0]]]]}',
+            "vertex weight exponent must be an integer, got 1.0",
+            id="float-exponent",
+        ),
+        pytest.param(
+            '{"e":[],"l":[],"r":[],"v":[[0,[["a",1],["a",2]]]]}',
+            "vertex weight repeats a generator: [['a', 1], ['a', 2]]",
+            id="repeated-generator",
+        ),
+        pytest.param(
+            '{"e":[],"l":[[1,1]],"r":[],"v":[[0,[]]]}',
+            "key graph l must be a list of 3-entry lists, got [[1, 1]]",
+            id="two-entry-leg-row",
+        ),
+    ],
+)
+def test_malformed_graph_text_has_one_error(text, message):
+    # graph text has one reader: a table key's graph is read by it too
+    for read in (graph_from_canonical, lambda t: jsonio.key_from_dict({"side": "X1", "graph": t})):
+        with pytest.raises(DegenkitError) as err:
+            read(text)
+        assert str(err.value) == message
+
+
+def test_p1_key_graph_text_reads_back_to_its_bytes():
+    for key, _ in oracle.build_p1_table(3, 1).items():
+        assert canonical_form(rank_relabeled(graph_from_canonical(key.graph))) == key.graph
 
 
 _GENERATOR_IDS = ("a", "b", 'q"', "back\\slash", "é", "ü😀", "")
