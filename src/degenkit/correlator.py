@@ -9,9 +9,9 @@ One kernel evaluates it from three shared pieces:
 - the delta/rho expansion, in either dual convention: contact-order
   coefficients with plain involuted duals, or intersection-multiplicity
   coefficients with band-weighted duals.  Its basis choices are listed once
-  per run for each tuple of root indices, as the walk ticks them, each
-  flagged with whether any sign can differ from +1, so the insertion word
-  is built only when something is odd;
+  per plan and convention for each tuple of root indices, as the walk ticks
+  them, each flagged with whether any sign can differ from +1, so the
+  insertion word is built only when something is odd;
 - one sign builder, the Koszul sign of regrouping the insertion word per
   component, read off the ranks of the word's odd symbols;
 - one component memo per run, keyed by the data that fixes a correlator key:
@@ -39,6 +39,20 @@ condition B and its basis choices keep each root on its band, so no vertex
 it meets vanishes by rule.  Only ``splitting_inner_sum`` and
 ``evaluate_disconnected``, whose splitting or graph comes from outside,
 check them.
+
+Every call is a run (``_Context``) on a plan (``_Plan``).  The plan holds
+the half of the work that no convention and no table value reads: the leg
+data and groups, the take expansions, the twisting ledger's nets, the
+skeletons of the orbit walk and the basis-choice listings of each
+convention.  It is kept on the problem, one per tuple of insertions, so
+``needed_keys`` and the evaluations in both conventions, as acceptance
+criterion 2 runs them, build it once; the ``standard_dual`` listings serve
+``needed_keys`` too.  The run holds the convention's dual expansions, the
+chen_ruan division of the contact coefficient and the component memo, so
+table values are read afresh on every call.  Nothing in a plan refers back
+to its problem, a run or a table, and replaying a kept listing ticks the
+budget as listing it did, so a run on a warm plan gives the result and the
+budget ticks of a cold one.
 
 Evaluation and its term breakdown run the kernel, so each component is
 looked up once per run; ``splitting_inner_sum`` and
@@ -82,7 +96,7 @@ placement), and adds that sum times the orbit size, contact coefficient
 and expansion weight to the total.  The vertices a leg may sit at are its
 slots, from the one leg-placement rule ``splitting.leg_slots`` that
 ``enumerate_splittings`` also reads.  The whole sum works in ints: what a
-vertex can take from the legs left is expanded once per run (``_takes``),
+vertex can take from the legs left is expanded once per plan (``_takes``),
 a placement's product is an unreduced numerator and denominator, and the
 total is kept as numerators by denominator, so a run builds one Fraction,
 not one per placement or per (structure, basis choice).
@@ -398,14 +412,76 @@ class _VertexMemo(dict):
         return self.side, self.genus, self.weight.exponents, legs, self.roots
 
 
-class _Context:
-    """Resolved catalogs, duals, expansions, and the run's memos.
+class _Plan:
+    """The half of an evaluation that no convention reads, for one problem
+    and one tuple of insertions, kept on the problem (``_plan``).
 
-    Besides the component memo (``vertex``), a run keeps its basis
-    choices per index tuple, contact coefficients, leg groups
-    (``_leg_groups``) and the take expansions of the placement walk
-    (``_takes``), keyed by (vertex sides, vertex position, legs left per
-    group).  All of them live as long as the run's context.
+    It holds each leg's (e, m, class id) and parity, the odd legs' ranks,
+    the admissible classes per band, the leg groups (``_leg_groups``), the
+    take expansions of the placement walk (``_takes``, by vertex sides,
+    position and legs left per group), the twisting ledger's net by
+    (contacts, rule), the skeletons of the orbit walk's runs (``_Skeleton``,
+    by root data and root blocks) and the basis-choice listings of each
+    convention by index tuple.  Nothing in it refers back to the problem, a
+    run or a table, so it is freed with its problem by reference counting.
+    """
+
+    def __init__(self, problem: DegenerationProblem, insertions: tuple):
+        ambient, divisor = problem.ambient, problem.divisor
+        # (e, m, class id) per leg label: a leg's part of the memo key
+        self.leg_data = {
+            spec.label: (spec.e, ins.m, ins.class_id)
+            for spec, ins in zip(problem.legs, insertions)
+        }
+        self.leg_parity = {
+            lab: ambient.parity_of(cid) for lab, (_, _, cid) in self.leg_data.items()
+        }
+        # the odd legs' ranks, which lead every basis choice's word (``word``)
+        odd_legs = sorted(lab for lab, p in self.leg_parity.items() if p.is_odd)
+        self.leg_ranks = {("leg", lab): rank for rank, lab in enumerate(odd_legs)}
+        self.odd_leg = bool(odd_legs)
+        self.admissible: dict[int, list[str]] = {
+            f: [b.id for b in divisor.basis if divisor.sector_of(b.id).band_order == f]
+            for f in divisor.band_orders()
+        }
+        self.groups = _leg_groups(problem.legs, self.leg_parity, self.leg_data)
+        self.takes: dict = {}  # by (vertex sides, position, legs left): see _takes
+        self.nets: dict = {}  # by (contacts, rule)
+        self.skeletons: dict = {}  # by (m_labels, root_data, blocks1, blocks2)
+        self.choices: dict = {convention: {} for convention in CONVENTIONS}
+
+
+def _plan(problem: DegenerationProblem, insertions: Sequence[Insertion]) -> _Plan:
+    """The problem's plan for these insertions, built on the first call.
+    The insertions are checked on every call, before the plan is looked
+    up, so a plan is only ever built for insertions that pass."""
+    if problem.ambient is None:
+        raise DegenkitError("problem must carry an ambient catalog to evaluate")
+    if len(insertions) != len(problem.legs):
+        raise DegenkitError(
+            "expected %d insertions, got %d" % (len(problem.legs), len(insertions))
+        )
+    for ins in insertions:
+        problem.ambient.basis_index(ins.class_id)  # raises on unknown classes
+    key = tuple(insertions)
+    plan = problem._plans.get(key)
+    if plan is None:
+        plan = problem._plans[key] = _Plan(problem, key)
+    return plan
+
+
+class _Context:
+    """One run of the evaluator: a plan (``_Plan``) with one convention
+    and one table.
+
+    The plan is the problem's for these insertions, shared by every call
+    that asks for them: ``needed_keys`` and both conventions' evaluations
+    share its skeletons, takes, ledger nets and basis-choice listings.  The
+    run holds what a convention or a table reads: the dual expansion of
+    each divisor class and its parity, the chen_ruan division of the
+    contact coefficient by the indices, and the component memo
+    (``vertex``).  Table values stay per run, as a table can change through
+    ``set``, and the convention and insertions are checked on every call.
     """
 
     def __init__(
@@ -417,39 +493,15 @@ class _Context:
     ):
         if convention not in CONVENTIONS:
             raise DegenkitError("unknown convention %r" % convention)
-        if problem.ambient is None:
-            raise DegenkitError("problem must carry an ambient catalog to evaluate")
-        if len(insertions) != len(problem.legs):
-            raise DegenkitError(
-                "expected %d insertions, got %d" % (len(problem.legs), len(insertions))
-            )
+        plan = self.plan = _plan(problem, insertions)
         self.problem = problem
         self.convention = convention
         self.divisor = problem.divisor
-        self.ambient = problem.ambient
         self.table = table
-        for ins in insertions:
-            self.ambient.basis_index(ins.class_id)  # raises on unknown classes
-        # (e, m, class id) per leg label: a leg's part of the memo key
-        self.leg_data = {
-            spec.label: (spec.e, ins.m, ins.class_id)
-            for spec, ins in zip(problem.legs, insertions)
-        }
-        self.leg_parity = {
-            lab: self.ambient.parity_of(cid)
-            for lab, (_, _, cid) in self.leg_data.items()
-        }
-        # the odd legs' ranks, which lead every basis choice's word (``word``)
-        odd_legs = sorted(lab for lab, p in self.leg_parity.items() if p.is_odd)
-        self.leg_ranks = {("leg", lab): rank for rank, lab in enumerate(odd_legs)}
-        self.odd_leg = bool(odd_legs)
-        self.admissible: dict[int, list[str]] = {}
-        for f in self.divisor.band_orders():
-            self.admissible[f] = [
-                b.id
-                for b in self.divisor.basis
-                if self.divisor.sector_of(b.id).band_order == f
-            ]
+        # the plan's parts, under the names the walks read
+        self.leg_data, self.leg_parity, self.groups, self.takes = (
+            plan.leg_data, plan.leg_parity, plan.groups, plan.takes
+        )
         # expansion of the right-hand class attached to a chosen left class,
         # kept to the band of that class (other terms vanish by sector)
         self.expansion: dict[str, list[tuple[str, Fraction]]] = {}
@@ -470,23 +522,18 @@ class _Context:
             ]
             self.rho_parity[b.id] = self.divisor.homogeneous_parity(vec)
         self.memo: dict = {}  # by vertex: see vertex
-        self.choices: dict = {}
-        self.coefficients: dict = {}
-        self.groups = _leg_groups(self)
-        self.takes: dict = {}  # by (vertex sides, position, legs left): see _takes
 
     def coefficient(
         self, contacts: tuple, indices: tuple, rule: TwistingChoice
     ) -> Fraction:
-        memo_key = (contacts, indices, rule)
-        coeff = self.coefficients.get(memo_key)
-        if coeff is None:
-            coeff = degeneration_ledger(contacts, rule).net
-            if self.convention == "chen_ruan":
-                for f in indices:
-                    coeff /= f
-            self.coefficients[memo_key] = coeff
-        return coeff
+        """The contact coefficient: the net of the twisting ledger of
+        ``rule`` for these contacts, kept by the plan, divided by each index
+        f in the chen_ruan convention."""
+        nets = self.plan.nets
+        net = nets.get((contacts, rule))
+        if net is None:
+            net = nets[contacts, rule] = degeneration_ledger(contacts, rule).net
+        return net / math.prod(indices) if self.convention == "chen_ruan" else net
 
     def vertex(self, side: str, genus: int, weight, roots: tuple) -> "_VertexMemo":
         """One vertex's part of the component memo.
@@ -517,16 +564,17 @@ class _Context:
         roots with two classes each, and their consumers tick per term, so
         they are listed lazily (``_listing``) and kept once per index tuple
         when complete."""
-        return _listing(self.choices, indices, self._expand, indices)
+        return _listing(self.plan.choices[self.convention], indices, self._expand, indices)
 
     def _expand(self, indices: tuple[int, ...]):
-        for delta in itertools.product(*(self.admissible.get(f, []) for f in indices)):
+        admissible = self.plan.admissible
+        for delta in itertools.product(*(admissible.get(f, []) for f in indices)):
             for rho in itertools.product(*(self.expansion[d] for d in delta)):
                 weight = Fraction(1)
                 for _, w in rho:
                     weight *= w
                 rho_ids = tuple(cid for cid, _ in rho)
-                odd = self.odd_leg or any(
+                odd = self.plan.odd_leg or any(
                     self.divisor.parity_of(d).is_odd or self.rho_parity[r].is_odd
                     for d, r in zip(delta, rho_ids)
                 )
@@ -538,7 +586,7 @@ class _Context:
         each one's rank among the odd symbols in word order.  Even symbols
         commute with everything, so they are left out.  The symbols are
         ("leg", label), ("X1", j) for delta_j and ("X2", j) for rho_j."""
-        ranks = dict(self.leg_ranks)
+        ranks = dict(self.plan.leg_ranks)
         for j, d, r in zip(m_labels, delta, rho):
             if self.divisor.parity_of(d).is_odd:
                 ranks["X1", j] = len(ranks)
@@ -626,9 +674,11 @@ class _Skeleton:
     differing only in weights and genera.  The vertices are ``blocks``, the
     X1 blocks then the X2 blocks as in ``genera1 + genera2``, with their
     ``sides``; a vertex's index in that order is its position
-    (``splitting.leg_slots``).  ``choices()`` gives each basis choice with
-    each vertex's (f, c, class id) per root.  ``dead`` marks a leg group
-    with no slot, which kills every structure of the skeleton.
+    (``splitting.leg_slots``).  ``choices(ctx)`` gives each basis choice of
+    the run's convention with each vertex's (f, c, class id) per root.
+    ``dead`` marks a leg group with no slot, which kills every structure of
+    the skeleton.  A skeleton reads the plan's leg groups and keeps its
+    listings by convention (``listed``), so the plan keeps it.
     """
 
     def __init__(self, ctx: _Context, structure: SplittingStructure):
@@ -638,15 +688,19 @@ class _Skeleton:
         self.dead = any(not leg_slots(g["side"], self.sides) for g in ctx.groups)
         self.contacts = tuple(c for _, c in structure.root_data)
         self.indices = tuple(f for f, _ in structure.root_data)
-        self.ctx = ctx
         self.m_labels = m_labels
         self.fc_of = dict(zip(m_labels, structure.root_data))
+        self.listed: dict = {}  # by convention
 
-    def choices(self):
+    def choices(self, ctx: _Context):
         """(delta, rho, weight, odd, roots) for each basis choice of
-        ``_Context.basis_choices``, where ``roots`` gives each vertex's
-        (f, c, class id) per root, listed lazily as the basis choices are."""
-        return map(self._with_roots, self.ctx.basis_choices(self.indices))
+        ``ctx.basis_choices``, where ``roots`` gives each vertex's
+        (f, c, class id) per root, listed lazily as the basis choices are
+        and kept once per convention (``_listing``)."""
+        return _listing(self.listed, ctx.convention, self._expand, ctx)
+
+    def _expand(self, ctx: _Context):
+        return map(self._with_roots, ctx.basis_choices(self.indices))
 
     def _with_roots(self, choice: tuple) -> tuple:
         delta, rho, _, _ = choice
@@ -658,14 +712,14 @@ class _Skeleton:
         return choice + (roots,)
 
 
-def _leg_groups(ctx: _Context) -> list[dict]:
+def _leg_groups(legs, leg_parity: dict, leg_data: dict) -> list[dict]:
     """Aggregate identical even legs; odd legs stay singletons."""
     groups: dict = {}
-    for spec in ctx.problem.legs:
-        if ctx.leg_parity[spec.label].is_odd:
+    for spec in legs:
+        if leg_parity[spec.label].is_odd:
             key = ("odd", spec.label)
         else:
-            key = ("even", ctx.leg_data[spec.label], spec.side)
+            key = ("even", leg_data[spec.label], spec.side)
         groups.setdefault(key, {"labels": [], "side": spec.side})["labels"].append(
             spec.label
         )
@@ -690,7 +744,7 @@ def _takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple):
     Each entry is (labels taken in label order, their (e, m, class id) in
     that order, the product of binomials, legs left after).  All of it
     depends only on the vertex sides, the position and the legs left per
-    group of ``ctx.groups``, so one run expands each such state once.  A
+    group of ``ctx.groups``, so the plan expands each such state once.  A
     state with n odd legs left has up to 2^n takes, and its consumers tick
     per take, so the expansion is listed lazily (``_listing``).
     """
@@ -725,18 +779,18 @@ def _expand_takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple):
 
 class _Element:
     """One (structure, basis choice) of a skeleton, as the placement walk
-    carries it: each vertex's part of the component memo
-    (``_Context.vertex``), the indices of its structure in the skeleton's
-    run (``_skeletons``) and of its choice in the skeleton's list, its
-    signed numerators by denominator (``sums``) and, with ``terms``, its
-    EvalTerms (``rows``)."""
+    carries it: its vertices' genera, weights and roots, each vertex's part
+    of the component memo (``_Context.vertex``, bound by ``_placements``
+    when the walk first reaches the vertex), the indices of its structure
+    in the skeleton's run (``_skeletons``) and of its choice in the
+    skeleton's list, its signed numerators by denominator (``sums``) and,
+    with ``terms``, its EvalTerms (``rows``)."""
 
-    __slots__ = ("memos", "structure", "choice", "sums", "rows")
+    __slots__ = ("genera", "weights", "roots", "memos", "structure", "choice", "sums", "rows")
 
-    def __init__(
-        self, ctx: _Context, sides, genera, weights, roots, structure=0, choice=0, rows=None
-    ):
-        self.memos = tuple(map(ctx.vertex, sides, genera, weights, roots))
+    def __init__(self, genera, weights, roots, structure=0, choice=0, rows=None):
+        self.genera, self.weights, self.roots = genera, weights, roots
+        self.memos = [None] * len(genera)
         self.structure = structure
         self.choice = choice
         self.sums: dict = {}
@@ -767,7 +821,12 @@ def _placements(ctx: _Context, sides, elements: list, budget: _Budget, leaf):
             budget.advance(len(active))
             survivors = []
             for element, num, den in active:
-                value_num, value_den, missing = element.memos[vi][legs]
+                memo = element.memos[vi]
+                if memo is None:
+                    memo = element.memos[vi] = ctx.vertex(
+                        sides[vi], element.genera[vi], element.weights[vi], element.roots[vi]
+                    )
+                value_num, value_den, missing = memo[legs]
                 # a genuine zero kills the element's branch; missing keys
                 # keep it alive so the error can list every absent key
                 if value_num or missing:
@@ -822,16 +881,25 @@ def _orders(items: tuple):
             yield (first,) + rest
 
 
-def _skeletons(ctx: _Context, runs):
+def _skeletons(ctx: _Context, runs, kept: Optional[dict]):
     """(skeleton, run) for each run of ``runs`` whose skeleton is not dead.
     A run lists the (structure, size) pairs of one skeleton, as
     ``splitting.orbit_runs`` and ``_labeled_runs`` hand them over, so a
-    ``_Skeleton`` is built once per run.  Every run's root labels are
-    checked against the leg labels first, a replayed orbit walk's too
+    ``_Skeleton`` is built once per run.  The orbit walk's skeletons are
+    kept in ``kept``, the plan's store, as every call replays that walk; the
+    labeled walk's (``kept`` None) are freed run by run, as there are many
+    and a call meets each once.  Every run's root labels are checked
+    against the leg labels first, a replayed orbit walk's too
     (``splitting._refuse_shared_labels``)."""
     for run in runs:
-        _refuse_shared_labels(ctx.leg_data.keys(), run[0][0].m_labels)
-        skeleton = _Skeleton(ctx, run[0][0])
+        structure = run[0][0]
+        _refuse_shared_labels(ctx.leg_data.keys(), structure.m_labels)
+        key = (structure.m_labels, structure.root_data, structure.blocks1, structure.blocks2)
+        skeleton = None if kept is None else kept.get(key)
+        if skeleton is None:
+            skeleton = _Skeleton(ctx, structure)
+            if kept is not None:
+                kept[key] = skeleton
         if not skeleton.dead:
             yield skeleton, run
 
@@ -858,9 +926,11 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
 
     What the structures of one skeleton share (contacts, indices, basis
     choices, the vertex layout, each choice's roots per vertex, the
-    dead-leg check) is worked out once per skeleton, and so are the contact
-    coefficient and each choice's word ranks (``_Context.word``).  Each
-    basis choice ticks the budget once per structure of the skeleton.
+    dead-leg check) is worked out once per skeleton, and kept by the plan
+    for the orbit walk (``_skeletons``); the contact coefficient and each
+    choice's word ranks (``_Context.word``) are worked out once per skeleton
+    and call.  Each basis choice ticks the budget once per structure of the
+    skeleton, from a kept listing too.
 
     Every (structure, basis choice) of the skeleton is one element
     (``_Element``), and one placement walk (``_placements``) serves them
@@ -888,9 +958,9 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     problem = ctx.problem
     budget = _Budget(_effective_budget(problem))
     if terms is None:
-        runs = orbit_runs(problem, budget)
+        runs = _skeletons(ctx, orbit_runs(problem, budget), ctx.plan.skeletons)
     else:
-        runs = _labeled_runs(problem, budget)
+        runs = _skeletons(ctx, _labeled_runs(problem, budget), None)
         keys: dict = {}  # the reported keys with their values, by memo key
     total: dict = {}  # the call's numerators, by denominator
 
@@ -943,12 +1013,12 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
                 )
             )
 
-    for skeleton, run in _skeletons(ctx, runs):
+    for skeleton, run in runs:
         coeff = ctx.coefficient(skeleton.contacts, skeleton.indices, rule)
         sides, blocks, m_labels = skeleton.sides, skeleton.blocks, skeleton.m_labels
         first_x2 = sides.count("X1")
         choices = []
-        for choice in skeleton.choices():
+        for choice in skeleton.choices(ctx):
             budget.advance(len(run))  # once per structure, as the choices are listed
             choices.append(choice)
         ranks = [
@@ -960,7 +1030,7 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
             weights = structure.weights1 + structure.weights2
             for c, choice in enumerate(choices):
                 rows = None if terms is None else []
-                elements.append(_Element(ctx, sides, genera, weights, choice[4], s, c, rows))
+                elements.append(_Element(genera, weights, choice[4], s, c, rows))
         if not elements:
             continue
         _placements(ctx, sides, elements, budget, leaf)
@@ -1018,10 +1088,10 @@ def needed_keys(
     leg_options: dict = {}  # by vertex sides
     orders: dict = {}  # by root tuple, listed as they are ticked
     found: dict = {}  # each key's data, with its vertex's weight
-    for skeleton, run in _skeletons(ctx, orbit_runs(problem, budget)):
+    for skeleton, run in _skeletons(ctx, orbit_runs(problem, budget), ctx.plan.skeletons):
         sides = skeleton.sides
         vertex_roots: list[dict] = [{} for _ in sides]  # sorted root tuples
-        for *_, roots in skeleton.choices():
+        for *_, roots in skeleton.choices(ctx):
             budget.tick()
             for vi, vertex in enumerate(roots):
                 vertex_roots[vi][tuple(sorted(vertex))] = None

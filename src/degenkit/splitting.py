@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -71,7 +71,11 @@ def leg_slots(side: Optional[str], sides: Sequence[str]) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class DegenerationProblem:
     """Discrete data of a degeneration: total class, genus, legs, and the
-    admissible root data derived from the divisor catalog and a contact bound."""
+    admissible root data derived from the divisor catalog and a contact bound.
+
+    ``_plans`` keeps the evaluator's plans (``correlator._plan``) by tuple
+    of insertions, as ``SectorCatalog._dual_cache`` keeps duals.  It is not
+    an init field, so ``dataclasses.replace`` starts an empty one."""
 
     monoid: CurveClassMonoid
     genus: int
@@ -81,6 +85,7 @@ class DegenerationProblem:
     c_max: int
     ambient: SectorCatalog | None = None
     budget: Optional[int] = None
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "legs", tuple(self.legs))

@@ -203,8 +203,8 @@ def placement_keys(problem: DegenerationProblem, insertions) -> list:
         genera = structure.genera1 + structure.genera2
         weights = structure.weights1 + structure.weights2
         elements = [
-            correlator._Element(ctx, skeleton.sides, genera, weights, roots)
-            for *_, roots in skeleton.choices()
+            correlator._Element(genera, weights, roots)
+            for *_, roots in skeleton.choices(ctx)
         ]
         correlator._placements(ctx, skeleton.sides, elements, budget, lambda *leaf: None)
     return sorted(map(key_of, memo_keys(ctx)), key=lambda k: k.sort_token())
@@ -225,7 +225,7 @@ def labeled_keys(problem: DegenerationProblem, insertions) -> list:
         if (structure.root_data, structure.blocks1, structure.blocks2) != skeleton_key:
             skeleton_key = (structure.root_data, structure.blocks1, structure.blocks2)
             skeleton = correlator._Skeleton(ctx, structure)
-            choices = list(skeleton.choices())
+            choices = list(skeleton.choices(ctx))
             if not skeleton.dead and choices:
                 leg_options = leg_options_by_sides.get(skeleton.sides)
                 if leg_options is None:

@@ -6,7 +6,9 @@ import json
 import math
 import random
 import time
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -1319,3 +1321,139 @@ def test_with_terms_multiplicities_match_explicit_enumeration():
     omega = enumerate_splittings(problem)
     # with |F| = 1 every splitting contributes exactly one delta choice
     assert total_weighted == len(omega)
+
+
+# -- plans: the convention-free half of a run, kept on the problem -------------
+
+
+DOCS = Path(__file__).resolve().parents[1] / "docs"
+
+
+def _sample_problem():
+    problem = jsonio.problem_from_dict(json.loads((DOCS / "sample_problem.json").read_text()))
+    insertions = json.loads((DOCS / "sample_insertions.json").read_text())
+    return problem, jsonio.insertions_from_list(problem, insertions)
+
+
+def _plan_ops(insertions, table):
+    """needed_keys, both conventions and the term breakdown, in the order a
+    problem meets them in criterion 2 and then in ``evaluate --terms``."""
+    return (
+        lambda p: needed_keys(p, insertions),
+        lambda p: evaluate_degeneration(p, insertions, table, convention="standard_dual"),
+        lambda p: evaluate_degeneration(p, insertions, table, convention="chen_ruan"),
+        lambda p: evaluate_degeneration(p, insertions, table, with_terms=True),
+    )
+
+
+def _outcome(op, problem) -> tuple:
+    """("result", what ``op`` returns on ``problem``) or ("missing", the
+    keys its MissingKeysError lists)."""
+    try:
+        return "result", op(problem)
+    except MissingKeysError as err:
+        return "missing", err.keys
+
+
+def _ops_see_no_plan(budgets: list, problem, insertions, table) -> list:
+    """Run the ops in order on ``problem``, each after the ops before it
+    have built and used its plans, and check each against a fresh equal
+    problem: the same keys, value, terms or missing keys, and a budget of
+    the fresh run's ticks is enough where one fewer is not.  Returns the
+    outcomes."""
+    outcomes = []
+    for op in _plan_ops(insertions, table):
+        expected = _outcome(op, dataclasses.replace(problem))
+        ticks = budgets[-1].visited
+        # the problem is frozen; its budget is set in place to keep its plans
+        object.__setattr__(problem, "budget", ticks)
+        assert _outcome(op, problem) == expected
+        if ticks:
+            object.__setattr__(problem, "budget", ticks - 1)
+            with pytest.raises(EnumerationBudgetError) as err:
+                op(problem)
+            assert err.value.visited == ticks
+        object.__setattr__(problem, "budget", None)
+        outcomes.append(expected)
+    return outcomes
+
+
+def test_plans_are_invisible_to_results_and_ticks(monkeypatch):
+    budgets = []
+
+    class Recorded(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(correlator, "_Budget", Recorded)
+    outcomes = []
+    rng = random.Random(32)
+    for i in range(40):
+        problem, insertions = random_problem(rng, max_legs=2)
+        keys = needed_keys(dataclasses.replace(problem), insertions)
+        table = covariant_random_table(keys, problem.divisor, problem.ambient, rng)
+        if i % 2:  # every third key dropped, so some runs list missing keys
+            table = InvariantTable({key: v for j, (key, v) in enumerate(table.items()) if j % 3})
+        outcomes += _ops_see_no_plan(budgets, problem, insertions, table)
+    for d, g in itertools.product(range(1, 5), range(3)):
+        problem, insertions = p1_problem(d, g, second_side_legs=min(d % 2, 2 * d + 2 * g - 2))
+        table = build_p1_table(d, g, max_legs=len(insertions))
+        outcomes += _ops_see_no_plan(budgets, problem, insertions, table)
+    problem, insertions = _sample_problem()
+    keys = needed_keys(dataclasses.replace(problem), insertions)
+    table = covariant_random_table(keys, problem.divisor, problem.ambient, rng)
+    outcomes += _ops_see_no_plan(budgets, problem, insertions, table)
+    kinds = [kind for kind, _ in outcomes]
+    assert kinds.count("missing") > 10 and kinds.count("result") > 100
+    assert any(kind == "result" and getattr(r, "terms", None) for kind, r in outcomes)
+
+
+def test_a_plan_keeps_no_table_values_and_no_checks():
+    problem, insertions = p1_problem(3, 0, second_side_legs=1)
+    p1_table = build_p1_table(3, 0, max_legs=len(insertions))
+    keys = needed_keys(problem, insertions)
+    table = InvariantTable({key: p1_table.get(key) for key in keys})
+    before = evaluate_degeneration(problem, insertions, table).value
+    assert before
+    # a value set between two evaluations of one problem is read by the second
+    for key in keys:
+        table.set(key, 2 * table.get(key))
+    for convention in CONVENTIONS:
+        after = evaluate_degeneration(problem, insertions, table, convention=convention).value
+        assert after != before
+        assert after == evaluate_degeneration(
+            dataclasses.replace(problem), insertions, table, convention=convention
+        ).value
+    # the checks of the insertions and the convention run on every call
+    wrong = (insertions[:-1], insertions + insertions[:1], insertions[:-1] + [Insertion(0, "x")])
+    for bad in wrong:
+        with pytest.raises(DegenkitError):
+            needed_keys(problem, bad)
+        for convention in CONVENTIONS:
+            with pytest.raises(DegenkitError):
+                evaluate_degeneration(problem, bad, table, convention=convention)
+    with pytest.raises(DegenkitError):
+        evaluate_degeneration(problem, insertions, table, convention="dual")
+    assert evaluate_degeneration(problem, insertions, table).value == after
+
+
+def test_a_plan_makes_no_reference_cycle():
+    # a problem and its plans are freed by reference counting alone, so no
+    # collector pass lands in a later timed call
+    gc.disable()
+    try:
+        problem, insertions = _sample_problem()
+        keys = needed_keys(problem, insertions)
+        table = covariant_random_table(keys, problem.divisor, problem.ambient, random.Random(5))
+        for convention in CONVENTIONS:
+            evaluate_degeneration(problem, insertions, table, convention=convention)
+        evaluate_degeneration(problem, insertions, table, with_terms=True)
+        for splitting in enumerate_splittings(problem)[:5]:
+            splitting_inner_sum(problem, splitting, insertions, table)
+        assert problem._plans
+        ref = weakref.ref(problem)
+        del problem
+        assert ref() is None
+    finally:
+        gc.enable()
