@@ -14,23 +14,27 @@ One kernel evaluates it from three shared pieces:
   insertion word is built only when something is odd;
 - one sign builder, the Koszul sign of regrouping the insertion word per
   component, read off the ranks of the word's odd symbols;
-- one component memo per run, keyed by the data that fixes a correlator key:
-  per vertex by side, genus, the weight's exponents and each root's
-  (f, c, class) in label order, and within a vertex by each leg's
-  (e, m, class) in label order.
+- one component memo per run, keyed by the vertex datum below: per vertex
+  by its side, genus, exponents and roots, and within a vertex by its legs.
 
-Every component of a splitting has one vertex, and the memo asks the table
-for its value by that data (``InvariantTable.vertex_value``), in every run.
-A plain table holds one dict, in which each one-vertex key's entry sits
-under the key's vertex data (``CorrelatorKey.vertex``, kept on the key); a
-table that values the data by a rule (the P1 table of ``oracle``) reads
-its keys through the same ``vertex``.  Neither builds key bytes.  The
-kernel builds a key, from its vertex memo, only when the run reports it:
-for a missing key (``MissingKeysError``) and for the term breakdown.
-``for_vertex`` writes the bytes ``canonical_form(rank_relabeled(graph))``
-gives for the one-vertex graph, which has no tie to break, so no graph is
-built; a problem's keys repeat few graphs, so the bytes of each are kept
-(``_vertex_text``).
+A one-vertex correlator key has one form of data, its datum (side, genus,
+exponents, legs, roots): the weight's exponent tuple, each leg's
+(e, m, class id) and each root's (f, c, class id), both in label order.
+The datum is the key's ``CorrelatorKey.vertex``, a plain table's slot, the
+component memo's key and what ``needed_keys`` gathers, and
+``CorrelatorKey.for_vertex(*datum)`` builds the key back.  Every component
+of a splitting has one vertex, and the memo asks the table for its value by
+the datum (``InvariantTable.vertex_value``), in every run.  A table has one
+lookup rule: ``get`` answers a one-vertex key by its datum through
+``vertex_value`` and any other key from its entry, so a table that values
+data by a rule (the P1 table of ``oracle``) overrides ``vertex_value``
+alone.  No lookup builds key bytes.  The kernel builds a key, from its
+datum, only when the run reports it: for a missing key
+(``MissingKeysError``) and for the term breakdown.  ``for_vertex`` writes
+the bytes ``canonical_form(rank_relabeled(graph))`` gives for the
+one-vertex graph, which has no tie to break, so no graph is built; a
+problem's keys repeat few graphs, so the bytes of each are kept
+(``_vertex_text``), which checks the exponents once per text.
 ``CorrelatorKey.for_component`` stays the reference for connected graphs of
 any size and serves ``evaluate_disconnected``.  The two vanishing rules (a
 root class off the band of its index; condition B) are applied in
@@ -61,7 +65,7 @@ disconnected graph.  Key collection (``needed_keys``) walks the same
 structures and basis choices but places no legs and looks up no value: it
 gathers each vertex's data with every leg set a placement can give it and
 every root tuple a basis choice gives it, and builds each distinct key once,
-from the weight walked (``CorrelatorKey.for_vertex``).  Interchangeable
+from its datum (``CorrelatorKey.for_vertex``).  Interchangeable
 even-parity legs are aggregated with multinomial weights, so instances
 whose literal splitting set is huge still evaluate exactly.  The problem's
 node budget (``problem.budget`` or ``DEGENKIT_BUDGET``) bounds the whole
@@ -171,8 +175,12 @@ class Insertion:
 @lru_cache(maxsize=1 << 12)
 def _vertex_text(genus: int, exponents: tuple, leg_e: tuple, root_fc: tuple) -> bytes:
     """``vertex_form`` of the vertex, for the weight given by its
-    exponents."""
-    return vertex_form(genus, CurveClass(exponents), leg_e, root_fc)
+    exponents, which must be a CurveClass's normalised tuple: (generator
+    id, exponent) pairs sorted by id, each exponent positive."""
+    weight = CurveClass(exponents)
+    if weight.exponents != exponents:
+        raise DegenkitError("vertex exponents are not normalised: %r" % (exponents,))
+    return vertex_form(genus, weight, leg_e, root_fc)
 
 
 @dataclass(frozen=True)
@@ -188,14 +196,16 @@ class CorrelatorKey:
     ``for_component`` builds the key of a connected graph of any size as
     ``canonical_form(rank_relabeled(graph))`` and is the reference.  Every
     component of a splitting has one vertex, and ``for_vertex`` builds such
-    a key straight from the vertex data, with the same bytes.
+    a key straight from the vertex datum (side, genus, exponents, legs,
+    roots), with the same bytes.
 
-    A one-vertex key also answers with the vertex data it stands for
-    (``vertex``), kept on the key in its one non-field attribute, so
-    equality and hashing ignore it.  ``for_vertex`` keeps the data it was
-    given, and a table file's key in ``vertex_form`` bytes is built holding
-    the data its row gave (``_holding``, from ``jsonio.table_from_obj``);
-    any other key reads its bytes once, on first use.
+    A one-vertex key also answers with its datum (``vertex``), so that
+    ``CorrelatorKey.for_vertex(*key.vertex()) == key``.  The datum is kept
+    on the key in its one non-field attribute, so equality and hashing
+    ignore it.  ``for_vertex`` keeps the datum it was given, and a table
+    file's key in ``vertex_form`` bytes is built holding the datum its row
+    gave (``_holding``, from ``jsonio.table_from_obj``); any other key
+    reads its bytes once, on first use.
     """
 
     side: str
@@ -229,33 +239,34 @@ class CorrelatorKey:
 
     @staticmethod
     def for_vertex(
-        side: str, genus: int, weight, legs: Sequence[tuple], roots: Sequence[tuple]
+        side: str, genus: int, exponents: tuple, legs: Sequence[tuple], roots: Sequence[tuple]
     ) -> "CorrelatorKey":
-        """Key of a one-vertex graph of the given genus and weight.
+        """Key of the one-vertex graph of a datum.
 
-        ``legs`` holds each leg's (e, m, class id) tuple and ``roots`` each
-        root's (f, c, class id) tuple, both in label order.  Equal to
-        ``for_component`` on that graph with legs labeled 1..n and roots
-        n+1..n+k.  The key keeps this data, so its ``vertex`` reads no
-        bytes.
+        ``exponents`` is the weight's exponent tuple, as ``CurveClass``
+        normalises it; ``legs`` holds each leg's (e, m, class id) tuple and
+        ``roots`` each root's (f, c, class id) tuple, both in label order.
+        Equal to ``for_component`` on that graph with legs labeled 1..n and
+        roots n+1..n+k.  The key keeps the datum, so its ``vertex`` reads
+        no bytes.  Exponents that are not a normalised tuple raise
+        DegenkitError.
         """
-        if not isinstance(weight, CurveClass):
-            weight = CurveClass(weight)
+        if type(exponents) is not tuple:
+            raise DegenkitError("vertex exponents must be a tuple, got %r" % (exponents,))
         legs, roots = tuple(legs), tuple(roots)
         text = _vertex_text(
             genus,
-            weight.exponents,
+            exponents,
             tuple([e for e, _, _ in legs]),
             tuple([(f, c) for f, c, _ in roots]),
         )
-        return CorrelatorKey._holding(text, (side, genus, weight.exponents, legs, roots))
+        return CorrelatorKey._holding(text, (side, genus, exponents, legs, roots))
 
     @staticmethod
     def _holding(graph: bytes, data: tuple) -> "CorrelatorKey":
-        """The key whose vertex data (``_data``) is ``data``, the slot
-        (side, genus, exponents, legs, roots), and whose graph bytes are
-        ``graph``, the ``vertex_form`` text of that vertex, which the caller
-        has written or read."""
+        """The key whose datum (``vertex``) is ``data`` and whose graph
+        bytes are ``graph``, the ``vertex_form`` text of that vertex, which
+        the caller has written or read."""
         side, _, _, legs, roots = data
         key = CorrelatorKey(
             side, graph, tuple([(m, cid) for _, m, cid in legs]), tuple([cid for _, _, cid in roots])
@@ -264,21 +275,12 @@ class CorrelatorKey:
         return key
 
     def vertex(self) -> Optional[tuple]:
-        """(side, genus, weight, legs, roots), the data ``for_vertex`` builds
-        this key from, or None for a key that no vertex data gives: a graph
+        """(side, genus, exponents, legs, roots), the datum ``for_vertex``
+        builds this key from, or None for a key that no datum gives: a graph
         of several vertices, bytes other than ``vertex_form`` writes, or leg
-        or root lists whose lengths differ from the graph's."""
-        data = self._data()
-        if data is None:
-            return None
-        side, genus, exponents, legs, roots = data
-        return side, genus, CurveClass(exponents), legs, roots
-
-    def _data(self) -> Optional[tuple]:
-        """``vertex`` with the weight given by its exponents, the form of
-        the component memo key and of a table's slot.  A key that was not
-        given it reads its bytes (``graphs.vertex_data``) on the first
-        call.  The data is kept as tuples of strings and ints, which the
+        or root lists whose lengths differ from the graph's.  A key that was
+        not given it reads its bytes (``graphs.vertex_data``) on the first
+        call.  The datum is kept as tuples of strings and ints, which the
         garbage collector stops tracking, so the keys of a large table cost
         its collections nothing more."""
         if not hasattr(self, "_vertex"):
@@ -299,10 +301,14 @@ class CorrelatorKey:
 class InvariantTable:
     """Exact-rational correlator values; absent keys stay detectable.
 
-    One dict holds each entry as (key, value), in the key's slot: its vertex
-    data (``CorrelatorKey._data``) for a one-vertex key, the key itself for
-    any other.  ``set``, ``get``, ``vertex_value``, ``items()``, ``len()``
-    and ``in`` all read that dict, so a key set twice answers its last
+    One dict holds each entry as (key, value), in the key's slot: its datum
+    (``CorrelatorKey.vertex``) for a one-vertex key, the key itself for any
+    other.  There is one lookup rule: ``get`` answers a one-vertex key by
+    ``vertex_value`` of its datum, which reads the datum's slot, and any
+    other key from its entry.  A table that values data by a rule (the P1
+    table of ``oracle``) overrides ``vertex_value`` alone, so ``get`` and
+    ``vertex_value`` agree by construction.  ``set``, ``items()``, ``len()``
+    and ``in`` read the same dict, so a key set twice answers its last
     value every way.
     """
 
@@ -313,7 +319,7 @@ class InvariantTable:
 
     @staticmethod
     def _slot(key: CorrelatorKey):
-        data = key._data()
+        data = key.vertex()
         return key if data is None else data
 
     def set(self, key: CorrelatorKey, value) -> None:
@@ -327,22 +333,19 @@ class InvariantTable:
         return self._entries.setdefault(self._slot(key), (key, value))[1]
 
     def get(self, key: CorrelatorKey) -> Optional[Fraction]:
-        entry = self._entries.get(self._slot(key))
+        data = key.vertex()
+        if data is not None:
+            return self.vertex_value(*data)
+        entry = self._entries.get(key)
         return None if entry is None else entry[1]
 
     def vertex_value(
-        self, side: str, genus: int, weight, legs: tuple, roots: tuple
+        self, side: str, genus: int, exponents: tuple, legs: tuple, roots: tuple
     ) -> Optional[Fraction]:
-        """The value of the one-vertex key with this data, as ``get`` gives
-        it for ``CorrelatorKey.for_vertex(side, genus, weight, legs, roots)``,
-        read from the data's slot, so no key is built.  ``weight`` is a
-        CurveClass, and ``legs`` and ``roots`` are tuples of tuples, as
-        ``for_vertex`` keeps them.
-
-        A table that overrides ``get`` overrides this too; one that values
-        the data by a rule (the P1 table of ``oracle``) holds no entries.
-        """
-        entry = self._entries.get((side, genus, weight.exponents, legs, roots))
+        """The value of the one-vertex key with this datum, read from the
+        datum's slot, so no key is built.  ``legs`` and ``roots`` are
+        tuples of tuples, as ``for_vertex`` keeps them."""
+        entry = self._entries.get((side, genus, exponents, legs, roots))
         return None if entry is None else entry[1]
 
     def __len__(self) -> int:
@@ -388,28 +391,30 @@ class EvaluationResult:
 
 class _VertexMemo(dict):
     """One vertex's part of the component memo (``_Context.vertex``): for
-    one (side, genus, weight, roots), each leg data tuple's (numerator,
-    denominator, missing), asked of the table on its first lookup.  A
-    missing value is (0, 1, True)."""
+    one (side, genus, exponents, roots), each leg data tuple's (numerator,
+    denominator, missing), asked of the table by the datum on its first
+    lookup.  A missing value is (0, 1, True)."""
 
-    __slots__ = ("table", "side", "genus", "weight", "roots")
+    __slots__ = ("table", "side", "genus", "exponents", "roots")
 
-    def __init__(self, table: "InvariantTable", side: str, genus: int, weight, roots: tuple):
+    def __init__(
+        self, table: "InvariantTable", side: str, genus: int, exponents: tuple, roots: tuple
+    ):
         # the empty dict is made by dict.__new__, so dict.__init__ is not called
-        self.table, self.side, self.genus, self.weight, self.roots = (
-            table, side, genus, weight, roots
+        self.table, self.side, self.genus, self.exponents, self.roots = (
+            table, side, genus, exponents, roots
         )
 
     def __missing__(self, legs: tuple) -> tuple:
-        value = self.table.vertex_value(self.side, self.genus, self.weight, legs, self.roots)
+        value = self.table.vertex_value(self.side, self.genus, self.exponents, legs, self.roots)
         entry = self[legs] = (
             (0, 1, True) if value is None else (value.numerator, value.denominator, False)
         )
         return entry
 
     def key(self, legs: tuple) -> tuple:
-        """The component memo key of this vertex taking ``legs``."""
-        return self.side, self.genus, self.weight.exponents, legs, self.roots
+        """The datum of this vertex taking ``legs``."""
+        return self.side, self.genus, self.exponents, legs, self.roots
 
 
 class _Plan:
@@ -493,34 +498,30 @@ class _Context:
     ):
         if convention not in CONVENTIONS:
             raise DegenkitError("unknown convention %r" % convention)
-        plan = self.plan = _plan(problem, insertions)
+        self.plan = _plan(problem, insertions)
         self.problem = problem
         self.convention = convention
-        self.divisor = problem.divisor
         self.table = table
-        # the plan's parts, under the names the walks read
-        self.leg_data, self.leg_parity, self.groups, self.takes = (
-            plan.leg_data, plan.leg_parity, plan.groups, plan.takes
-        )
         # expansion of the right-hand class attached to a chosen left class,
         # kept to the band of that class (other terms vanish by sector)
         self.expansion: dict[str, list[tuple[str, Fraction]]] = {}
         self.rho_parity: dict[str, Parity] = {}
+        divisor = problem.divisor
         dual = chen_ruan_dual if self.convention == "chen_ruan" else standard_dual
-        for b in self.divisor.basis:
-            vec = dual(b.id, self.divisor)
+        for b in divisor.basis:
+            vec = dual(b.id, divisor)
             support = [
-                (self.divisor.basis[a].id, vec[a])
+                (divisor.basis[a].id, vec[a])
                 for a in range(len(vec))
                 if vec[a] != 0
             ]
-            band = self.divisor.sector_of(b.id).band_order
+            band = divisor.sector_of(b.id).band_order
             self.expansion[b.id] = [
                 (cid, w)
                 for cid, w in support
-                if self.divisor.sector_of(cid).band_order == band
+                if divisor.sector_of(cid).band_order == band
             ]
-            self.rho_parity[b.id] = self.divisor.homogeneous_parity(vec)
+            self.rho_parity[b.id] = divisor.homogeneous_parity(vec)
         self.memo: dict = {}  # by vertex: see vertex
 
     def coefficient(
@@ -535,25 +536,25 @@ class _Context:
             net = nets[contacts, rule] = degeneration_ledger(contacts, rule).net
         return net / math.prod(indices) if self.convention == "chen_ruan" else net
 
-    def vertex(self, side: str, genus: int, weight, roots: tuple) -> "_VertexMemo":
+    def vertex(self, side: str, genus: int, exponents: tuple, roots: tuple) -> "_VertexMemo":
         """One vertex's part of the component memo.
 
         ``roots`` holds each root's (f, c, class id) in label order, and the
         part answers each leg data tuple (each leg's (e, m, class id), in
-        label order).  Together with side, genus and weight that is exactly
-        the data fixing a rank-relabeled CorrelatorKey, so one entry stands
-        for one key.  The memo is keyed by (side, genus, weight exponents,
-        roots), all tuples of strings and ints, and every run asks the table
-        by the data (``InvariantTable.vertex_value``, a dict lookup on a
-        plain table, a rule on the P1 table).  The key itself is built only
-        where the run reports it, from the memo key (``key``): for a missing
-        key and for the term breakdown.  No vanishing rule is applied: the
+        label order).  With side, genus and exponents that is the datum of
+        a rank-relabeled CorrelatorKey, so one entry stands for one key.
+        The memo is keyed by (side, genus, exponents, roots), all tuples of
+        strings and ints, and every run asks the table by the datum
+        (``InvariantTable.vertex_value``, a dict lookup on a plain table, a
+        rule on the P1 table).  The key itself is built only where the run
+        reports it, from the datum (``_VertexMemo.key``): for a missing key
+        and for the term breakdown.  No vanishing rule is applied: the
         kernel's vertices never meet one.
         """
-        memo_key = (side, genus, weight.exponents, roots)
+        memo_key = (side, genus, exponents, roots)
         memo = self.memo.get(memo_key)
         if memo is None:
-            memo = self.memo[memo_key] = _VertexMemo(self.table, side, genus, weight, roots)
+            memo = self.memo[memo_key] = _VertexMemo(self.table, side, genus, exponents, roots)
         return memo
 
     def basis_choices(self, indices: tuple[int, ...]):
@@ -575,7 +576,7 @@ class _Context:
                     weight *= w
                 rho_ids = tuple(cid for cid, _ in rho)
                 odd = self.plan.odd_leg or any(
-                    self.divisor.parity_of(d).is_odd or self.rho_parity[r].is_odd
+                    self.problem.divisor.parity_of(d).is_odd or self.rho_parity[r].is_odd
                     for d, r in zip(delta, rho_ids)
                 )
                 yield delta, rho_ids, weight, odd
@@ -588,7 +589,7 @@ class _Context:
         ("leg", label), ("X1", j) for delta_j and ("X2", j) for rho_j."""
         ranks = dict(self.plan.leg_ranks)
         for j, d, r in zip(m_labels, delta, rho):
-            if self.divisor.parity_of(d).is_odd:
+            if self.problem.divisor.parity_of(d).is_odd:
                 ranks["X1", j] = len(ranks)
             if self.rho_parity[r].is_odd:
                 ranks["X2", j] = len(ranks)
@@ -596,7 +597,7 @@ class _Context:
 
     def raise_if_missing(self):
         missing = [
-            CorrelatorKey.for_vertex(memo.side, memo.genus, memo.weight, legs, memo.roots)
+            CorrelatorKey.for_vertex(*memo.key(legs))
             for memo in self.memo.values()
             for legs, (_, _, was_missing) in memo.items()
             if was_missing
@@ -676,16 +677,16 @@ class _Skeleton:
     ``sides``; a vertex's index in that order is its position
     (``splitting.leg_slots``).  ``choices(ctx)`` gives each basis choice of
     the run's convention with each vertex's (f, c, class id) per root.
-    ``dead`` marks a leg group with no slot, which kills every structure of
-    the skeleton.  A skeleton reads the plan's leg groups and keeps its
-    listings by convention (``listed``), so the plan keeps it.
+    ``dead`` marks a leg group of the plan with no slot, which kills every
+    structure of the skeleton.  A skeleton keeps its listings by convention
+    (``listed``), so the plan keeps it.
     """
 
-    def __init__(self, ctx: _Context, structure: SplittingStructure):
+    def __init__(self, plan: _Plan, structure: SplittingStructure):
         m_labels, blocks1, blocks2 = structure.m_labels, structure.blocks1, structure.blocks2
         self.blocks = blocks1 + blocks2
         self.sides = structure.vertex_sides()
-        self.dead = any(not leg_slots(g["side"], self.sides) for g in ctx.groups)
+        self.dead = any(not leg_slots(g["side"], self.sides) for g in plan.groups)
         self.contacts = tuple(c for _, c in structure.root_data)
         self.indices = tuple(f for f, _ in structure.root_data)
         self.m_labels = m_labels
@@ -730,7 +731,7 @@ def _leg_groups(legs, leg_parity: dict, leg_data: dict) -> list[dict]:
     return out
 
 
-def _takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple):
+def _takes(plan: _Plan, sides: tuple, vi: int, remaining: tuple):
     """Every share of the legs the vertex at ``vi`` can take, memoised.
 
     The take rule reads each group's slots (``splitting.leg_slots``): a
@@ -744,24 +745,24 @@ def _takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple):
     Each entry is (labels taken in label order, their (e, m, class id) in
     that order, the product of binomials, legs left after).  All of it
     depends only on the vertex sides, the position and the legs left per
-    group of ``ctx.groups``, so the plan expands each such state once.  A
+    group of ``plan.groups``, so the plan expands each such state once.  A
     state with n odd legs left has up to 2^n takes, and its consumers tick
     per take, so the expansion is listed lazily (``_listing``).
     """
-    return _listing(ctx.takes, (sides, vi, remaining), _expand_takes, ctx, sides, vi, remaining)
+    return _listing(plan.takes, (sides, vi, remaining), _expand_takes, plan, sides, vi, remaining)
 
 
-def _expand_takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple):
+def _expand_takes(plan: _Plan, sides: tuple, vi: int, remaining: tuple):
     options = [
         (0,) if vi not in slots else (left,) if vi == slots[-1] else range(left + 1)
-        for g, left in zip(ctx.groups, remaining)
+        for g, left in zip(plan.groups, remaining)
         for slots in [leg_slots(g["side"], sides)]
     ]
 
     def take(counts: tuple) -> tuple:
         labels: list[int] = []
         factor = 1
-        for g, left, k in zip(ctx.groups, remaining, counts):
+        for g, left, k in zip(plan.groups, remaining, counts):
             if k:
                 start = g["count"] - left
                 labels += g["labels"][start : start + k]
@@ -769,7 +770,7 @@ def _expand_takes(ctx: _Context, sides: tuple, vi: int, remaining: tuple):
         labels.sort()
         return (
             tuple(labels),
-            tuple([ctx.leg_data[lab] for lab in labels]),
+            tuple([plan.leg_data[lab] for lab in labels]),
             factor,
             tuple([left - k for left, k in zip(remaining, counts)]),
         )
@@ -817,14 +818,17 @@ def _placements(ctx: _Context, sides, elements: list, budget: _Budget, leaf):
     last = len(sides)
 
     def rec(vi: int, remaining: tuple, mult: int, active: list):
-        for labels, legs, factor, after in _takes(ctx, sides, vi, remaining):
+        for labels, legs, factor, after in _takes(ctx.plan, sides, vi, remaining):
             budget.advance(len(active))
             survivors = []
             for element, num, den in active:
                 memo = element.memos[vi]
                 if memo is None:
                     memo = element.memos[vi] = ctx.vertex(
-                        sides[vi], element.genera[vi], element.weights[vi], element.roots[vi]
+                        sides[vi],
+                        element.genera[vi],
+                        element.weights[vi].exponents,
+                        element.roots[vi],
                     )
                 value_num, value_den, missing = memo[legs]
                 # a genuine zero kills the element's branch; missing keys
@@ -841,14 +845,14 @@ def _placements(ctx: _Context, sides, elements: list, budget: _Budget, leaf):
             placed.pop()
 
     try:
-        rec(0, tuple(g["count"] for g in ctx.groups), 1, [(e, 1, 1) for e in elements])
+        rec(0, tuple(g["count"] for g in ctx.plan.groups), 1, [(e, 1, 1) for e in elements])
     finally:
         # rec refers to itself through its closure; breaking that cycle frees
         # the walk's frames by reference counting when it ends
         rec = None
 
 
-def _leg_options(ctx: _Context, sides: tuple, budget: _Budget) -> dict:
+def _leg_options(plan: _Plan, sides: tuple, budget: _Budget) -> dict:
     """Each side's leg data tuples over every placement of the groups, at
     any of its vertex positions.
 
@@ -858,11 +862,11 @@ def _leg_options(ctx: _Context, sides: tuple, budget: _Budget) -> dict:
     vertex from that state.  Each (vertex, state, take) ticks ``budget``.
     """
     options: dict = {"X1": {}, "X2": {}}
-    states = {tuple(g["count"] for g in ctx.groups)}
+    states = {tuple(g["count"] for g in plan.groups)}
     for vi, side in enumerate(sides):
         after: set = set()
         for remaining in states:
-            for _, data, _, left in _takes(ctx, sides, vi, remaining):
+            for _, data, _, left in _takes(plan, sides, vi, remaining):
                 budget.tick()
                 options[side][data] = None
                 after.add(left)
@@ -881,7 +885,7 @@ def _orders(items: tuple):
             yield (first,) + rest
 
 
-def _skeletons(ctx: _Context, runs, kept: Optional[dict]):
+def _skeletons(plan: _Plan, runs, kept: Optional[dict]):
     """(skeleton, run) for each run of ``runs`` whose skeleton is not dead.
     A run lists the (structure, size) pairs of one skeleton, as
     ``splitting.orbit_runs`` and ``_labeled_runs`` hand them over, so a
@@ -893,11 +897,11 @@ def _skeletons(ctx: _Context, runs, kept: Optional[dict]):
     (``splitting._refuse_shared_labels``)."""
     for run in runs:
         structure = run[0][0]
-        _refuse_shared_labels(ctx.leg_data.keys(), structure.m_labels)
+        _refuse_shared_labels(plan.leg_data.keys(), structure.m_labels)
         key = (structure.m_labels, structure.root_data, structure.blocks1, structure.blocks2)
         skeleton = None if kept is None else kept.get(key)
         if skeleton is None:
-            skeleton = _Skeleton(ctx, structure)
+            skeleton = _Skeleton(plan, structure)
             if kept is not None:
                 kept[key] = skeleton
         if not skeleton.dead:
@@ -958,9 +962,9 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
     problem = ctx.problem
     budget = _Budget(_effective_budget(problem))
     if terms is None:
-        runs = _skeletons(ctx, orbit_runs(problem, budget), ctx.plan.skeletons)
+        runs = _skeletons(ctx.plan, orbit_runs(problem, budget), ctx.plan.skeletons)
     else:
-        runs = _skeletons(ctx, _labeled_runs(problem, budget), None)
+        runs = _skeletons(ctx.plan, _labeled_runs(problem, budget), None)
         keys: dict = {}  # the reported keys with their values, by memo key
     total: dict = {}  # the call's numerators, by denominator
 
@@ -993,9 +997,7 @@ def _walk(ctx: _Context, rule: TwistingChoice, terms: Optional[list] = None) -> 
                 entry = keys.get(memo_key)
                 if entry is None:
                     value_num, value_den, _ = memo[legs]
-                    key = CorrelatorKey.for_vertex(
-                        memo.side, memo.genus, memo.weight, legs, memo.roots
-                    )
+                    key = CorrelatorKey.for_vertex(*memo_key)
                     entry = keys[memo_key] = (key, Fraction(value_num, value_den))
                 keyed[vi >= first_x2].append(entry)
             delta, rho, weight, _, _ = choices[c]
@@ -1064,18 +1066,18 @@ def needed_keys(
 
     The keys are those the placement walk of every labeled structure and
     basis choice reaches, found from one structure per orbit
-    (``iter_structure_orbits``) without placing legs.  A key depends only on
-    the vertex (side, genus, weight), the legs it takes and its roots'
-    (f, c, class id) in label order, and nothing prunes the walk (structures
-    meet condition B, basis choices keep roots on their band), so a vertex
-    meets every leg set it can take at its position (``_leg_options``, one
-    forward pass per tuple of vertex sides) with every root tuple a basis
-    choice gives it.  The members of an orbit reorder each side's blocks
+    (``iter_structure_orbits``) without placing legs.  A key is fixed by
+    its datum: the vertex (side, genus, exponents), the legs it takes and
+    its roots' (f, c, class id) in label order.  Nothing prunes the walk
+    (structures meet condition B, basis choices keep roots on their band),
+    so a vertex meets every leg set it can take at its position
+    (``_leg_options``, one forward pass per tuple of vertex sides) with
+    every root tuple a basis choice gives it.  The members of an orbit reorder each side's blocks
     and the roots inside each block in every way, so each vertex of the
     representative is keyed with the leg sets of every position of its side
     and every order (``_orders``) of its root tuples.  Each root tuple's
     orders are listed once per call, as they are ticked (``_listing``), and
-    each distinct key is built once, from the weight its vertex holds.
+    each distinct datum is built into a key once.
 
     The node budget counts the orbit walk's nodes, each basis choice of a
     skeleton (listed lazily, so 2^n choices of n roots are bounded too),
@@ -1087,8 +1089,8 @@ def needed_keys(
     budget = _Budget(_effective_budget(problem))
     leg_options: dict = {}  # by vertex sides
     orders: dict = {}  # by root tuple, listed as they are ticked
-    found: dict = {}  # each key's data, with its vertex's weight
-    for skeleton, run in _skeletons(ctx, orbit_runs(problem, budget), ctx.plan.skeletons):
+    found: dict = {}  # each key's datum
+    for skeleton, run in _skeletons(ctx.plan, orbit_runs(problem, budget), ctx.plan.skeletons):
         sides = skeleton.sides
         vertex_roots: list[dict] = [{} for _ in sides]  # sorted root tuples
         for *_, roots in skeleton.choices(ctx):
@@ -1096,7 +1098,7 @@ def needed_keys(
             for vi, vertex in enumerate(roots):
                 vertex_roots[vi][tuple(sorted(vertex))] = None
         if sides not in leg_options:
-            leg_options[sides] = _leg_options(ctx, sides, budget)
+            leg_options[sides] = _leg_options(ctx.plan, sides, budget)
         for structure, _ in run:
             genera = structure.genera1 + structure.genera2
             weights = structure.weights1 + structure.weights2
@@ -1105,8 +1107,8 @@ def needed_keys(
                     for order in _listing(orders, roots, _orders, roots):
                         budget.tick()
                         for legs in leg_options[sides][side]:
-                            found[side, genus, weight.exponents, legs, order] = weight
-    keys = [CorrelatorKey.for_vertex(s, g, w, legs, r) for (s, g, _, legs, r), w in found.items()]
+                            found[side, genus, weight.exponents, legs, order] = None
+    keys = [CorrelatorKey.for_vertex(*datum) for datum in found]
     return sorted(keys, key=lambda k: k.sort_token())
 
 
@@ -1168,7 +1170,7 @@ def splitting_inner_sum(
     """
     ctx = _Context(problem, insertions, convention, table)
     budget = _Budget(_effective_budget(problem))
-    m_labels = splitting.m_labels
+    m_labels, leg_data = splitting.m_labels, ctx.plan.leg_data
     vertices = [
         (side, graph.vertices[v], graph.legs_of_vertex(v), graph.roots_of_vertex(v))
         for side, graph in (("X1", splitting.xi1), ("X2", splitting.xi2))
@@ -1184,8 +1186,8 @@ def splitting_inner_sum(
             if _vanishes(problem, vertex.weight, vertex_roots):
                 product = _ZERO
                 continue
-            memo = ctx.vertex(side, vertex.genus, vertex.weight, vertex_roots)
-            value_num, value_den, _ = memo[tuple((l.e,) + ctx.leg_data[l.label][1:] for l in legs)]
+            memo = ctx.vertex(side, vertex.genus, vertex.weight.exponents, vertex_roots)
+            value_num, value_den, _ = memo[tuple((l.e,) + leg_data[l.label][1:] for l in legs)]
             product *= Fraction(value_num, value_den)
         if product != 0 and odd:
             ranks = ctx.word(m_labels, delta, rho)

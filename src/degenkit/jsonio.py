@@ -381,23 +381,14 @@ def key_to_dict(key: CorrelatorKey) -> dict:
 def _key_graph(graph) -> tuple[bytes, int, int]:
     """The canonical bytes of a table key's graph and its leg and root
     counts.  The graph is given as an object (``graph_from_dict``) or as
-    canonical JSON text (``graphs.graph_from_canonical``).
-
-    Text that ``graphs.vertex_data`` reads is the bytes ``vertex_form``
-    writes, and is taken as it is; a table file's rows of such text mostly
-    come with insertions that ``_vertex_key`` reads, and skip this.  Any
-    other text is read by ``graph_from_canonical``, and any other graph is
-    built and canonicalised.
+    canonical JSON text (``graphs.graph_from_canonical``); either is built
+    and canonicalised.  A table file's rows of ``vertex_form`` text with
+    well-typed insertions are read by ``_vertex_key`` and skip this.
     """
     if isinstance(graph, dict):
         parsed = graph_from_dict(graph)
     else:
-        # a lone surrogate passes into bytes that vertex_data refuses
-        blob = _str(graph, "key graph").encode("utf-8", "surrogatepass")
-        found = vertex_data(blob)
-        if found is not None:
-            return blob, len(found[2]), len(found[3])
-        parsed = graph_from_canonical(graph)
+        parsed = graph_from_canonical(_str(graph, "key graph"))
     return canonical_form(rank_relabeled(parsed)), len(parsed.legs), len(parsed.roots)
 
 

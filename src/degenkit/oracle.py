@@ -361,13 +361,13 @@ class P1Table(InvariantTable):
     class) and its roots (f = 1, point class), its weight is degree 1..d_max
     of its side's generator, its genus is 0..g_max, it has at most
     ``max_legs`` legs, and its roots' contact orders sum to the degree.
-    ``vertex_value`` writes that rule once, on the vertex data; ``get``
-    applies it to the key's data (``CorrelatorKey.vertex``, the data a
-    plain table keeps its entries under), so a key ``for_vertex`` built is
-    never read back from its bytes.
-    ``items()`` lists the keys with their values, from ``_line_vertex`` as
-    ``vertex_value``'s are, and ``len()`` counts them, without reading any
-    key.
+    ``vertex_value`` writes that rule once, on the vertex datum (side,
+    genus, exponents, legs, roots), and is the table's one override of a
+    lookup: the inherited ``get`` answers a key by its datum
+    (``CorrelatorKey.vertex``) through it, so a key ``for_vertex`` built is
+    never read back from its bytes.  ``items()`` lists the keys with their
+    values, from ``_line_vertex`` as ``vertex_value``'s are, and ``len()``
+    counts them, without reading any key.
     """
 
     def __init__(self, d_max: int, g_max: int, max_legs: int):
@@ -380,7 +380,7 @@ class P1Table(InvariantTable):
         raise DegenkitError("the P1 table is read-only")
 
     def vertex_value(
-        self, side: str, genus: int, weight: CurveClass, legs: tuple, roots: tuple
+        self, side: str, genus: int, exponents: tuple, legs: tuple, roots: tuple
     ) -> Fraction | None:
         if genus > self.g_max or len(legs) > self.max_legs:
             return None
@@ -388,17 +388,13 @@ class P1Table(InvariantTable):
             return None
         if any(f != 1 or cid != POINT_CLASS for f, _, cid in roots):
             return None
-        if len(weight.exponents) != 1:
+        if len(exponents) != 1:
             return None
-        ((gid, d),) = weight.exponents
+        ((gid, d),) = exponents
         pattern = tuple([c for _, c, _ in roots])
         if gid != _SIDE_LINES[side] or d > self.d_max or sum(pattern) != d:
             return None
         return _line_vertex(d, genus, pattern, len(legs))
-
-    def get(self, key: CorrelatorKey) -> Fraction | None:
-        data = key.vertex()
-        return None if data is None else self.vertex_value(*data)
 
     def __len__(self) -> int:
         return 2 * (2**self.d_max - 1) * (self.g_max + 1) * (self.max_legs + 1)
@@ -407,13 +403,12 @@ class P1Table(InvariantTable):
         rows = []
         for side, line in _SIDE_LINES.items():
             for d in range(1, self.d_max + 1):
-                weight = CurveClass({line: d})
                 for pattern in _compositions(d):
                     roots = tuple((1, c, POINT_CLASS) for c in pattern)
                     for g in range(0, self.g_max + 1):
                         for s in range(0, self.max_legs + 1):
                             key = CorrelatorKey.for_vertex(
-                                side, g, weight, (_BRANCH_LEG,) * s, roots
+                                side, g, ((line, d),), (_BRANCH_LEG,) * s, roots
                             )
                             rows.append((key, _line_vertex(d, g, pattern, s)))
         return sorted(rows, key=lambda kv: kv[0].sort_token())

@@ -173,7 +173,7 @@ class _OnesTable(InvariantTable):
     def get(self, key):
         return Fraction(1)
 
-    def vertex_value(self, side, genus, weight, legs, roots):
+    def vertex_value(self, side, genus, exponents, legs, roots):
         return Fraction(1)
 
 
@@ -181,12 +181,6 @@ def memo_keys(ctx) -> list:
     """The memo key of every component a run's kernel looked up: (side,
     genus, weight exponents, legs, roots)."""
     return [memo.key(legs) for memo in ctx.memo.values() for legs in memo]
-
-
-def key_of(memo_key: tuple) -> correlator.CorrelatorKey:
-    """The CorrelatorKey of a component memo key."""
-    side, genus, exponents, legs, roots = memo_key
-    return correlator.CorrelatorKey.for_vertex(side, genus, CurveClass(exponents), legs, roots)
 
 
 def placement_keys(problem: DegenerationProblem, insertions) -> list:
@@ -197,7 +191,7 @@ def placement_keys(problem: DegenerationProblem, insertions) -> list:
     ctx = correlator._Context(problem, insertions, "standard_dual", _OnesTable())
     budget = _Budget(None)
     for structure in iter_structures(problem):
-        skeleton = correlator._Skeleton(ctx, structure)
+        skeleton = correlator._Skeleton(ctx.plan, structure)
         if skeleton.dead:
             continue
         genera = structure.genera1 + structure.genera2
@@ -207,7 +201,8 @@ def placement_keys(problem: DegenerationProblem, insertions) -> list:
             for *_, roots in skeleton.choices(ctx)
         ]
         correlator._placements(ctx, skeleton.sides, elements, budget, lambda *leaf: None)
-    return sorted(map(key_of, memo_keys(ctx)), key=lambda k: k.sort_token())
+    keys = [correlator.CorrelatorKey.for_vertex(*memo_key) for memo_key in memo_keys(ctx)]
+    return sorted(keys, key=lambda k: k.sort_token())
 
 
 def labeled_keys(problem: DegenerationProblem, insertions) -> list:
@@ -224,7 +219,7 @@ def labeled_keys(problem: DegenerationProblem, insertions) -> list:
     for structure in iter_structures(problem):
         if (structure.root_data, structure.blocks1, structure.blocks2) != skeleton_key:
             skeleton_key = (structure.root_data, structure.blocks1, structure.blocks2)
-            skeleton = correlator._Skeleton(ctx, structure)
+            skeleton = correlator._Skeleton(ctx.plan, structure)
             choices = list(skeleton.choices(ctx))
             if not skeleton.dead and choices:
                 leg_options = leg_options_by_sides.get(skeleton.sides)
@@ -246,7 +241,7 @@ def labeled_keys(problem: DegenerationProblem, insertions) -> list:
                     continue
                 seen.add(vertex)
                 for legs in leg_options[vi]:
-                    found.add((side, genus, weight, legs, roots))
+                    found.add((side, genus, weight.exponents, legs, roots))
     keys = {correlator.CorrelatorKey.for_vertex(*vertex) for vertex in found}
     return sorted(keys, key=lambda k: k.sort_token())
 
@@ -255,12 +250,12 @@ def _leg_options_per_position(ctx, sides: tuple) -> list:
     """Each vertex position's leg data tuples over every placement of the
     groups: a forward pass over (position, legs left per group)."""
     options: list = []
-    states = {tuple(g["count"] for g in ctx.groups)}
+    states = {tuple(g["count"] for g in ctx.plan.groups)}
     for vi in range(len(sides)):
         legs: dict = {}
         after: set = set()
         for remaining in states:
-            for _, data, _, left in correlator._takes(ctx, sides, vi, remaining):
+            for _, data, _, left in correlator._takes(ctx.plan, sides, vi, remaining):
                 legs[data] = None
                 after.add(left)
         options.append(legs)

@@ -402,7 +402,7 @@ def test_for_vertex_matches_for_component():
             {i + 1: Insertion(m, cid) for i, (_, m, cid) in enumerate(legs)},
             {n + i + 1: cid for i, (_, _, cid) in enumerate(roots)},
         )
-        assert CorrelatorKey.for_vertex(side, genus, weight, legs, roots) == reference
+        assert CorrelatorKey.for_vertex(side, genus, weight.exponents, legs, roots) == reference
         seen.update(
             flag
             for flag, hit in (
@@ -642,10 +642,12 @@ def test_term_breakdown_asks_the_table_by_vertex_data_only():
 
 def test_vertex_value_skips_keys_without_vertex_data():
     full = CorrelatorKey.for_vertex(
-        "X1", 1, CurveClass({"a": 2}), ((1, 0, "g"), (1, 1, "g")), ((1, 2, "d0"),)
+        "X1", 1, CurveClass({"a": 2}).exponents, ((1, 0, "g"), (1, 1, "g")), ((1, 2, "d0"),)
     )
     data = full.vertex()
-    assert data == ("X1", 1, CurveClass({"a": 2}), ((1, 0, "g"), (1, 1, "g")), ((1, 2, "d0"),))
+    assert data == (
+        "X1", 1, CurveClass({"a": 2}).exponents, ((1, 0, "g"), (1, 1, "g")), ((1, 2, "d0"),)
+    )
     # a hand-built key listing one leg fewer than its graph has no vertex
     # data; the data with that leg dropped is another key's
     short = CorrelatorKey(full.side, full.graph, full.legs[:1], full.roots)
@@ -678,6 +680,77 @@ def test_vertex_value_skips_keys_without_vertex_data():
     assert len(table) == 3
 
 
+class _ByDatumTable(InvariantTable):
+    """Overrides ``vertex_value`` alone: answers each datum as ``table``
+    does, and holds only the entries it is given."""
+
+    def __init__(self, table: InvariantTable, entries=None):
+        super().__init__(entries)
+        self.table = table
+
+    def vertex_value(self, *datum):
+        return self.table.vertex_value(*datum)
+
+
+def _two_vertex_key() -> CorrelatorKey:
+    return CorrelatorKey.for_component(
+        "X1",
+        ModularGraph(
+            vertices=(Vertex(0, CurveClass({"a": 1})), Vertex(0, CurveClass({"a": 1}))),
+            edges=((0, 1),),
+            roots=(Root(1, 1, 1, 0), Root(2, 1, 1, 1)),
+        ),
+        {},
+        {1: "d0", 2: "d0"},
+    )
+
+
+def test_overriding_vertex_value_alone_sets_get():
+    # a table that values data by a rule overrides vertex_value and nothing
+    # else: get answers every one-vertex key by its datum, whether the key
+    # holds the datum or reads it from its bytes, and any other key from
+    # its entry
+    rng = random.Random(3301)
+    tables = [build_p1_table(d, g) for d, g in ((2, 1), (3, 0), (4, 2))]
+    for _ in range(8):
+        problem, insertions = random_problem(rng, max_legs=2)
+        keys = needed_keys(problem, insertions)
+        tables.append(covariant_random_table(keys, problem.divisor, problem.ambient, rng))
+    two_vertices = _two_vertex_key()
+    answered = 0
+    for table in tables:
+        by_datum = _ByDatumTable(table, {two_vertices: Fraction(7)})
+        for key, value in table.items():
+            rebuilt = CorrelatorKey(key.side, key.graph, key.legs, key.roots)
+            assert by_datum.get(key) == by_datum.get(rebuilt) == value, key
+            assert key in by_datum
+            answered += 1
+        assert by_datum.get(two_vertices) == 7 and two_vertices in by_datum
+        assert _ByDatumTable(table).get(two_vertices) is None
+    assert answered > 1000
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [
+        pytest.param((("b", 1), ("a", 2)), id="unsorted"),
+        pytest.param((("a", 0),), id="zero"),
+        pytest.param((("a", 1), ("a", 2)), id="repeated-id"),
+        pytest.param({"a": 2}, id="dict"),
+        pytest.param(CurveClass({"a": 2}), id="curve-class"),
+    ],
+)
+def test_for_vertex_refuses_exponents_that_are_not_normalised(exponents):
+    # the exponents of a datum are a CurveClass's normalised tuple; any
+    # other form raises DegenkitError, on every call of the same text
+    legs, roots = ((1, 0, "g"),), ((1, 2, "d0"),)
+    for _ in range(2):
+        with pytest.raises(DegenkitError):
+            CorrelatorKey.for_vertex("X1", 1, exponents, legs, roots)
+    key = CorrelatorKey.for_vertex("X1", 1, (("a", 2),), legs, roots)
+    assert CorrelatorKey.for_vertex(*key.vertex()) == key
+
+
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(st.randoms(use_true_random=False))
 def test_convention_equivalence_property(rng):
@@ -705,11 +778,11 @@ def test_regroup_sign_from_odd_ranks_matches_the_symbol_reference(rng):
         problem, divisor=random_divisor_catalog(rng, rng.choice(("odd", "odd-self")))
     )
     ctx = correlator._Context(problem, insertions, rng.choice(CONVENTIONS), InvariantTable())
-    legs = sorted(ctx.leg_data)
+    legs = sorted(ctx.plan.leg_data)
     m_labels = tuple(range(len(legs) + 1, len(legs) + 1 + rng.randint(0, 4)))
     delta = [rng.choice(problem.divisor.basis).id for _ in m_labels]
     rho = [rng.choice(sorted(ctx.rho_parity)) for _ in m_labels]
-    word = {("leg", lab): ctx.leg_parity[lab] for lab in legs}
+    word = {("leg", lab): ctx.plan.leg_parity[lab] for lab in legs}
     for j, d, r in zip(m_labels, delta, rho):
         word["X1", j] = problem.divisor.parity_of(d)
         word["X2", j] = ctx.rho_parity[r]

@@ -282,7 +282,7 @@ def _near_misses(d_max, g_max, max_legs):
     line1 = {LINE_1: 1}
 
     def key(side="X1", genus=0, weight=line1, legs=(), roots=(pt,)):
-        return CorrelatorKey.for_vertex(side, genus, weight, legs, roots)
+        return CorrelatorKey.for_vertex(side, genus, CurveClass(weight).exponents, legs, roots)
 
     inside = key(legs=(brp,) * min(1, max_legs))
     two_vertices = ModularGraph(
@@ -341,7 +341,7 @@ def test_lazy_p1_table(d_max, g_max, max_legs):
 
 
 def _vertex_data(key):
-    """(side, genus, weight, legs, roots) of a one-vertex key whose bytes
+    """(side, genus, exponents, legs, roots) of a one-vertex key whose bytes
     ``CorrelatorKey.for_vertex`` writes for that data; None for any other
     key, which has no vertex data to look up."""
     graph = graph_from_canonical(key.graph)
@@ -358,7 +358,7 @@ def _vertex_data(key):
         (r.f, r.c, cid)
         for r, cid in zip(sorted(graph.roots, key=lambda r: r.label), key.roots)
     )
-    data = (key.side, graph.vertices[0].genus, graph.vertices[0].weight, legs, roots)
+    data = (key.side, graph.vertices[0].genus, graph.vertices[0].weight.exponents, legs, roots)
     return data if CorrelatorKey.for_vertex(*data) == key else None
 
 
@@ -395,7 +395,7 @@ def _read_back(key):
     genus, weight, leg_e, root_fc = data
     legs = tuple((e, m, cid) for e, (m, cid) in zip(leg_e, key.legs))
     roots = tuple((f, c, cid) for (f, c), cid in zip(root_fc, key.roots))
-    return key.side, genus, weight, legs, roots
+    return key.side, genus, weight.exponents, legs, roots
 
 
 def test_vertex_data_agrees_with_the_reference_on_p1_keys():

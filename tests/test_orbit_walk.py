@@ -216,9 +216,9 @@ class RecordingTable(InvariantTable):
         self.looked_up.add(key)
         return super().get(key)
 
-    def vertex_value(self, side, genus, weight, legs, roots):
-        self.looked_up.add(CorrelatorKey.for_vertex(side, genus, weight, legs, roots))
-        return super().vertex_value(side, genus, weight, legs, roots)
+    def vertex_value(self, side, genus, exponents, legs, roots):
+        self.looked_up.add(CorrelatorKey.for_vertex(side, genus, exponents, legs, roots))
+        return super().vertex_value(side, genus, exponents, legs, roots)
 
 
 def check_orbit_evaluation(problem, insertions, table, needed=None):
